@@ -43,7 +43,7 @@ from .core import (
     load_similarity_matrix,
 )
 from .rng import as_generator
-from .scenario import ExploitSpec, ScenarioConfig, run_scenario_study
+from .scenario import DEFAULT_EXPLOITS, ExploitSpec, ScenarioConfig, run_scenario_study
 from .scheduler import detect_periodicity, make_random_k_policy, new_schedule_state, step_schedule
 from .simulator import McConfig, run_mc_study
 
@@ -193,10 +193,69 @@ def _write_cdf_csv(path: Path, rows) -> None:
             writer.writerow([policy, repr(float(value)), repr(float(prob))])
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(check(item) for item in value)
+
+
+def _is_dict(value) -> bool:
+    return isinstance(value, dict)
+
+
+#: Manifest keys and their type checks; nested keys are named ``outer.inner``.
+_MC_MANIFEST = {
+    "seed": _is_int,
+    "trials": _is_int,
+    "intervals": _is_int,
+    "k": _is_int,
+    "policies": _list_of(lambda name: name in _POLICY_NAMES),
+    "similarity": _is_dict,
+    "similarity.platforms": _list_of(lambda name: isinstance(name, str)),
+    "similarity.scores": _list_of(_list_of(_is_number)),
+}
+_SCENARIO_MANIFEST = {
+    "seed": _is_int,
+    "n_values": _list_of(_is_int),
+    "t_values": _list_of(_is_number),
+    "duration": _is_number,
+    "delay": lambda value: _list_of(_is_number)(value) and len(value) == 2,
+    "samples": _is_int,
+    "exploits": _list_of(_is_dict),
+    "exploits.platforms": _list_of(_is_int),
+    "exploits.arrival": lambda value: value is None or _is_number(value),
+}
+
+
+def _check_manifest(path: Path, manifest: dict, schema: dict) -> None:
+    """Raise a validation error naming the first missing or ill-typed key of ``schema``.
+
+    ``outer.inner`` names the key ``inner`` of the dict ``manifest[outer]``,
+    or of each dict in the list ``manifest[outer]``; ``outer`` precedes it
+    in the schema, so its type is already checked.
+    """
+    for name, check in schema.items():
+        outer, _, inner = name.partition(".")
+        if inner:
+            nested = manifest[outer]
+            entries = nested if isinstance(nested, list) else [nested]
+        else:
+            entries, inner = [manifest], outer
+        if any(inner not in entry or not check(entry[inner]) for entry in entries):
+            raise ValueError(f"{path}: missing/invalid key {name!r}")
+
+
 def _mc_from_manifest(path: Path):
     manifest = json.loads(Path(path).read_text(encoding="utf-8"))
-    if manifest.get("command") != "mc":
+    if not isinstance(manifest, dict) or manifest.get("command") != "mc":
         raise ValueError(f"{path} is not an mc run manifest")
+    _check_manifest(path, manifest, _MC_MANIFEST)
     sim = SimilarityMatrix(
         PlatformSet(tuple(manifest["similarity"]["platforms"])),
         np.array(manifest["similarity"]["scores"], dtype=float),
@@ -212,7 +271,6 @@ def _mc_from_manifest(path: Path):
 
 
 def cmd_mc(args) -> int:
-    outdir = _outdir(args)
     if args.from_manifest:
         config, sim = _mc_from_manifest(Path(args.from_manifest))
     else:
@@ -225,6 +283,7 @@ def cmd_mc(args) -> int:
             master_seed=_resolve_seed(args.seed),
         )
     report = run_mc_study(config, sim)
+    outdir = _outdir(args)
 
     manifest = {
         "command": "mc",
@@ -308,8 +367,9 @@ def _parse_exploit(spec: str, max_n: int) -> ExploitSpec:
 
 def _scenario_from_manifest(path: Path) -> ScenarioConfig:
     manifest = json.loads(Path(path).read_text(encoding="utf-8"))
-    if manifest.get("command") != "scenario":
+    if not isinstance(manifest, dict) or manifest.get("command") != "scenario":
         raise ValueError(f"{path} is not a scenario run manifest")
+    _check_manifest(path, manifest, _SCENARIO_MANIFEST)
     exploits = tuple(
         ExploitSpec(frozenset(entry["platforms"]), entry["arrival"])
         for entry in manifest["exploits"]
@@ -325,8 +385,24 @@ def _scenario_from_manifest(path: Path) -> ScenarioConfig:
     )
 
 
+def _check_exploit_platforms(config: ScenarioConfig) -> None:
+    """Reject exploit platforms outside ``[0, max(N))``: no grid point could reach them.
+
+    The default exploit pair is exempt: it names platforms 0-2 for every
+    N, and each grid point ignores the platforms it does not have.
+    """
+    if config.exploits == DEFAULT_EXPLOITS:
+        return
+    max_n = max(config.n_values)
+    for spec in config.exploits:
+        outside = sorted(p for p in spec.platforms if not 0 <= p < max_n)
+        if outside:
+            raise ValueError(
+                f"exploit platforms {outside} are outside 0..{max_n - 1} (largest N is {max_n})"
+            )
+
+
 def cmd_scenario(args) -> int:
-    outdir = _outdir(args)
     if args.from_manifest:
         config = _scenario_from_manifest(Path(args.from_manifest))
     else:
@@ -347,7 +423,9 @@ def cmd_scenario(args) -> int:
             exploits=exploits,
             master_seed=_resolve_seed(args.seed),
         )
+    _check_exploit_platforms(config)
     grid = run_scenario_study(config)
+    outdir = _outdir(args)
     manifest = {
         "command": "scenario",
         "version": __version__,

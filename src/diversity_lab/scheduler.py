@@ -11,7 +11,6 @@ platform index so schedules are fully deterministic.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,19 +21,22 @@ from .rng import as_generator
 logger = logging.getLogger(__name__)
 
 
-def heron_area(a: float, b: float, c: float) -> float:
-    """Triangle area from side lengths.
+def heron_area(a, b, c):
+    """Triangle area from side lengths, elementwise over arrays of sides.
 
     Similarity-derived distances need not satisfy the triangle
-    inequality, in which case the squared area comes out negative; it is
-    clamped to zero and logged.
+    inequality, in which case the squared area comes out negative; such
+    entries are clamped to zero, and each call that clamps logs one debug
+    line with the count of clamped entries.
     """
     half = (a + b + c) / 2.0
     squared = half * (half - a) * (half - b) * (half - c)
-    if squared < 0.0:
-        logger.debug("clamping negative squared area %.3e for sides %r", squared, (a, b, c))
-        squared = 0.0
-    return math.sqrt(squared)
+    negative = squared < 0.0
+    clamped = np.count_nonzero(negative)
+    if clamped:
+        logger.debug("clamped %d negative squared triangle area(s) to zero", clamped)
+        squared = np.where(negative, 0.0, squared)
+    return np.sqrt(squared)
 
 
 @dataclass
@@ -64,6 +66,20 @@ class ScheduleState:
         return 1
 
 
+def check_pool(policy: MigrationPolicy, n_platforms: int) -> None:
+    """Raise ValueError when ``policy`` cannot schedule over ``n_platforms`` platforms."""
+    if policy.kind is PolicyKind.RANDOM_K and policy.k > n_platforms:
+        raise ValueError(f"cannot rotate over k={policy.k} of {n_platforms} platforms")
+    if policy.kind is PolicyKind.DIVERSITY and policy.k > n_platforms:
+        raise ValueError(
+            f"policy requires k={policy.k} distinct platforms, only {n_platforms} available"
+        )
+    if policy.kind in (PolicyKind.DIVERSITY, PolicyKind.UNIFORM) and n_platforms < 2:
+        raise ValueError("migration without repeat needs at least two platforms")
+    if policy.kind is PolicyKind.FIXED_PERIODIC and max(policy.sequence) >= n_platforms:
+        raise ValueError("fixed periodic sequence references unknown platforms")
+
+
 def new_schedule_state(
     policy: MigrationPolicy,
     n_platforms: int,
@@ -79,20 +95,11 @@ def new_schedule_state(
     """
     if n_platforms < 1:
         raise ValueError("n_platforms must be >= 1")
-    if policy.kind in (PolicyKind.DIVERSITY, PolicyKind.RANDOM_K):
-        assert policy.k is not None
-        if policy.k > n_platforms:
-            raise ValueError(
-                f"policy requires k={policy.k} distinct platforms, only {n_platforms} available"
-            )
-    if policy.kind in (PolicyKind.DIVERSITY, PolicyKind.UNIFORM) and n_platforms < 2:
-        raise ValueError("migration without repeat needs at least two platforms")
+    check_pool(policy, n_platforms)
     if rng is None and policy.rng_seed is not None:
         rng = as_generator(policy.rng_seed)
     if policy.kind is PolicyKind.FIXED_PERIODIC:
         assert policy.sequence is not None
-        if max(policy.sequence) >= n_platforms:
-            raise ValueError("fixed periodic sequence references unknown platforms")
         start = policy.sequence[0]
     elif start is None:
         if policy.kind is PolicyKind.UNIFORM and rng is not None:
@@ -102,6 +109,27 @@ def new_schedule_state(
     if not 0 <= start < n_platforms:
         raise ValueError(f"start platform {start} out of range")
     return ScheduleState(policy=policy, n_platforms=n_platforms, history=[start], rng=rng)
+
+
+def _most_diverse(dist: np.ndarray, hist: list[int]) -> int:
+    """Index of the candidate scoring highest against ``hist`` (most recent last).
+
+    All candidates are scored at once; the current platform is excluded
+    and ties go to the lowest index. Distances are symmetric, so row
+    ``p`` of ``dist`` holds every candidate's distance to platform ``p``.
+    """
+    current = hist[-1]
+    if len(hist) == 1:
+        scores = dist[current].copy()
+    elif len(hist) == 2:
+        scores = heron_area(dist[hist[0]], dist[hist[1]], dist[hist[0], hist[1]])
+    else:
+        # added in history order: the order fixes the rounding, and so the ties
+        scores = dist[hist[0]].copy()
+        for prior in hist[1:]:
+            scores += dist[prior]
+    scores[current] = -np.inf
+    return int(np.argmax(scores))
 
 
 def next_platform_diversity(state: ScheduleState, sim: SimilarityMatrix) -> int:
@@ -115,24 +143,7 @@ def next_platform_diversity(state: ScheduleState, sim: SimilarityMatrix) -> int:
     if not state.history:
         raise ValueError("diversity selection needs at least one platform of history")
     assert state.policy.k is not None
-    hist = state.history[-(state.policy.k - 1):]
-    current = hist[-1]
-    dist = sim.distances()
-    best, best_score = -1, -1.0
-    for candidate in range(state.n_platforms):
-        if candidate == current:
-            continue
-        if len(hist) == 1:
-            score = dist[candidate, current]
-        elif len(hist) == 2:
-            score = heron_area(
-                dist[candidate, hist[0]], dist[candidate, hist[1]], dist[hist[0], hist[1]]
-            )
-        else:
-            score = float(sum(dist[candidate, prior] for prior in hist))
-        if score > best_score:
-            best, best_score = candidate, score
-    return best
+    return _most_diverse(sim.distances(), state.history[-(state.policy.k - 1):])
 
 
 def next_platform_uniform(state: ScheduleState) -> int:
@@ -182,10 +193,13 @@ def diversity_schedule(sim: SimilarityMatrix, start: int, steps: int, k: int) ->
     """Deterministic diversity trace of ``steps`` platforms beginning at ``start``."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    state = new_schedule_state(MigrationPolicy.diversity(k), sim.count, start=start)
+    check_pool(MigrationPolicy.diversity(k), sim.count)
+    if not 0 <= start < sim.count:
+        raise ValueError(f"start platform {start} out of range")
+    dist = sim.distances()
     trace = [start]
     for _ in range(steps - 1):
-        trace.append(step_schedule(state, sim))
+        trace.append(_most_diverse(dist, trace[-(k - 1):]))
     return trace
 
 
@@ -199,8 +213,7 @@ def make_random_k_policy(platforms: PlatformSet | int, k: int, seed) -> Migratio
     count = platforms if isinstance(platforms, int) else len(platforms)
     if k < 2:
         raise ValueError("random-k rotation requires k >= 2")
-    if k > count:
-        raise ValueError(f"cannot rotate over k={k} of {count} platforms")
+    check_pool(MigrationPolicy.random_k(k), count)
     rng = as_generator(seed)
     subset = rng.choice(count, size=k, replace=False)
     return MigrationPolicy.fixed_periodic(tuple(int(p) for p in subset))

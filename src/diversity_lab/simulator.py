@@ -7,6 +7,11 @@ then evaluates every configured policy on that same labeling so policy
 comparisons are paired. Streams derive from (master seed, trial index,
 stream id): stream 0 is the labeling and each policy has a fixed stream
 id, so trials are order-independent and safe to run concurrently.
+
+A study holds one boolean vulnerability row per trial and policy and
+reduces each policy's trials × intervals matrix in one array pass. The
+diversity trace depends only on (similarity, k, start), so a study
+computes it once per start platform.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .core import (
     VulnerabilityLabeling,
 )
 from .rng import as_generator, substream
-from .scheduler import make_random_k_policy, new_schedule_state, step_schedule
+from .scheduler import check_pool, diversity_schedule, make_random_k_policy
 
 LABELING_STREAM = 0
 #: Stable stream id per policy, so a policy's trials are identical whether
@@ -94,13 +99,47 @@ def assign_vulnerabilities(sim: SimilarityMatrix, rng: np.random.Generator) -> V
     """Draw a labeling: uniform seed platform, then per-platform Bernoulli by similarity."""
     count = sim.count
     seed_platform = int(rng.integers(count))
-    flags = [False] * count
-    flags[seed_platform] = True
-    for i in range(count):
-        if i == seed_platform:
-            continue
-        flags[i] = bool(rng.random() < sim.similarity(seed_platform, i))
-    return VulnerabilityLabeling(tuple(flags))
+    others = np.arange(count) != seed_platform
+    flags = np.ones(count, dtype=bool)
+    flags[others] = rng.random(count - 1) < sim.scores[seed_platform, others]
+    return VulnerabilityLabeling(tuple(flags.tolist()))
+
+
+def _platform_trace(
+    policy: MigrationPolicy,
+    sim: SimilarityMatrix,
+    intervals: int,
+    rng: np.random.Generator,
+    diversity_traces: dict[int, np.ndarray],
+) -> np.ndarray:
+    """One trial's platform per interval under ``policy``, drawn from ``rng``.
+
+    Draws, in order: the random-k subset, or else the start platform
+    (fixed periodic policies draw nothing), then for the uniform policy
+    one batched draw of ``intervals - 1`` moves. ``diversity_traces``
+    caches diversity traces by start platform; the caller owns it and
+    must not share it across similarity matrices, k or interval counts.
+    """
+    count = sim.count
+    if policy.kind is PolicyKind.RANDOM_K:
+        assert policy.k is not None
+        policy = make_random_k_policy(sim.platforms, policy.k, rng)
+    if policy.kind is PolicyKind.FIXED_PERIODIC:
+        return np.resize(np.array(policy.sequence), intervals)
+    start = int(rng.integers(count))
+    if policy.kind is PolicyKind.DIVERSITY:
+        trace = diversity_traces.get(start)
+        if trace is None:
+            assert policy.k is not None
+            trace = np.array(diversity_schedule(sim, start, intervals, policy.k))
+            diversity_traces[start] = trace
+        return trace
+    # uniform no-repeat walk: a draw over the other count - 1 platforms
+    # skips the current one
+    chosen = [start]
+    for draw in rng.integers(count - 1, size=intervals - 1).tolist():
+        chosen.append(draw + (draw >= chosen[-1]))
+    return np.array(chosen)
 
 
 def run_mc_trial(
@@ -113,21 +152,10 @@ def run_mc_trial(
     """Generate one trial's platform trace under ``policy``; deterministic given ``seed``."""
     if len(labeling) != sim.count:
         raise ValueError("labeling does not cover the platform set")
-    rng = as_generator(seed)
-    count = sim.count
-    if policy.kind is PolicyKind.RANDOM_K:
-        assert policy.k is not None
-        policy = make_random_k_policy(sim.platforms, policy.k, rng)
-    if policy.kind is PolicyKind.FIXED_PERIODIC:
-        state = new_schedule_state(policy, count)
-    else:
-        start = int(rng.integers(count))
-        state = new_schedule_state(policy, count, start=start, rng=rng)
-    chosen = [state.current]
-    for _ in range(config.intervals - 1):
-        chosen.append(step_schedule(state, sim))
-    vulnerable = tuple(labeling.flags[platform] for platform in chosen)
-    return TrialTrace(tuple(chosen), vulnerable, labeling)
+    check_pool(policy, sim.count)
+    chosen = _platform_trace(policy, sim, config.intervals, as_generator(seed), {})
+    vulnerable = np.array(labeling.flags)[chosen]
+    return TrialTrace(tuple(chosen.tolist()), tuple(vulnerable.tolist()), labeling)
 
 
 @dataclass(frozen=True)
@@ -221,6 +249,27 @@ class PolicyMetrics:
         return EmpiricalCdf.from_samples(finite, total=self.trials)
 
 
+def _reduce(vulnerable: np.ndarray, k: int) -> PolicyMetrics:
+    """The three study metrics of a trials × intervals vulnerability matrix."""
+    intervals = vulnerable.shape[1]
+    # hits[t, i]: the k intervals ending at interval i of trial t were all vulnerable
+    hits = vulnerable.copy()
+    hits[:, : k - 1] = False
+    for lag in range(1, k):
+        hits[:, lag:] &= vulnerable[:, :-lag]
+    compromised = np.count_nonzero(hits, axis=1)
+    first = hits.argmax(axis=1) + 1
+    return PolicyMetrics(
+        k=k,
+        intervals=intervals,
+        vulnerable_fraction=tuple((np.count_nonzero(vulnerable, axis=1) / intervals).tolist()),
+        time_to_first_compromise=tuple(
+            at if count else None for at, count in zip(first.tolist(), compromised.tolist())
+        ),
+        compromised_fraction=tuple((compromised / intervals).tolist()),
+    )
+
+
 def compute_metrics(traces: list[TrialTrace], k: int) -> PolicyMetrics:
     """Evaluate the three study metrics over ``traces`` with persistence requirement ``k``."""
     if not traces:
@@ -230,29 +279,7 @@ def compute_metrics(traces: list[TrialTrace], k: int) -> PolicyMetrics:
         raise ValueError("all traces must have the same interval count")
     if k < 1:
         raise ValueError("persistence requirement k must be >= 1")
-    vulnerable_fraction: list[float] = []
-    first_compromise: list[int | None] = []
-    compromised_fraction: list[float] = []
-    for trace in traces:
-        vulnerable_fraction.append(sum(trace.vulnerable) / intervals)
-        run = 0
-        compromised = 0
-        first: int | None = None
-        for index, flag in enumerate(trace.vulnerable):
-            run = run + 1 if flag else 0
-            if run >= k:
-                compromised += 1
-                if first is None:
-                    first = index + 1
-        first_compromise.append(first)
-        compromised_fraction.append(compromised / intervals)
-    return PolicyMetrics(
-        k=k,
-        intervals=intervals,
-        vulnerable_fraction=tuple(vulnerable_fraction),
-        time_to_first_compromise=tuple(first_compromise),
-        compromised_fraction=tuple(compromised_fraction),
-    )
+    return _reduce(np.array([trace.vulnerable for trace in traces], dtype=bool), k)
 
 
 @dataclass(frozen=True)
@@ -266,15 +293,19 @@ class MetricsReport:
 def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> MetricsReport:
     """Run the full paired-policy study; fully reproducible from the master seed."""
     policies = {kind: config.policy_for(kind) for kind in config.policy_kinds}
-    traces: dict[PolicyKind, list[TrialTrace]] = {kind: [] for kind in config.policy_kinds}
+    for policy in policies.values():
+        check_pool(policy, sim.count)
+    shape = (config.trials, config.intervals)
+    vulnerable = {kind: np.empty(shape, dtype=bool) for kind in config.policy_kinds}
+    diversity_traces: dict[int, np.ndarray] = {}
     for trial in range(config.trials):
         labeling = assign_vulnerabilities(
             sim, substream(config.master_seed, trial, LABELING_STREAM)
         )
-        for kind in config.policy_kinds:
+        flags = np.array(labeling.flags)
+        for kind, policy in policies.items():
             rng = substream(config.master_seed, trial, POLICY_STREAM[kind])
-            traces[kind].append(run_mc_trial(config, policies[kind], labeling, sim, rng))
-    per_policy = {
-        kind.value: compute_metrics(traces[kind], config.k) for kind in config.policy_kinds
-    }
+            chosen = _platform_trace(policy, sim, config.intervals, rng, diversity_traces)
+            vulnerable[kind][trial] = flags[chosen]
+    per_policy = {kind.value: _reduce(vulnerable[kind], config.k) for kind in config.policy_kinds}
     return MetricsReport(config=config, per_policy=per_policy)

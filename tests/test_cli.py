@@ -237,3 +237,136 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+class TestManifestSchema:
+    """A manifest with a missing or ill-typed key is a validation error, not a crash."""
+
+    @staticmethod
+    def broken_manifest(tmp_path, argv, edit):
+        assert main([*argv, "--outdir", str(tmp_path / "good")]) == 0
+        manifest = read_json(tmp_path / "good" / "run_manifest.json")
+        edit(manifest)
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda m: m.pop("k"), "k"),
+            (lambda m: m.update(k="3"), "k"),
+            (lambda m: m.update(k=None), "k"),
+            (lambda m: m.update(policies=["uniform", "best"]), "policies"),
+            (lambda m: m["similarity"]["scores"][0].__setitem__(1, None), "similarity.scores"),
+        ],
+        ids=["missing", "string", "null", "unknown-policy", "nested"],
+    )
+    def test_mc_bad_key(self, tmp_path, capsys, edit, key):
+        argv = ["mc", "--trials", "2", "--intervals", "10"]
+        path = self.broken_manifest(tmp_path, argv, edit)
+        capsys.readouterr()
+        rerun = tmp_path / "rerun"
+        assert main(["mc", "--from-manifest", str(path), "--outdir", str(rerun)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: missing/invalid key {key!r}\n"
+        assert not rerun.exists()
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda m: m.pop("samples"), "samples"),
+            (lambda m: m.update(n_values="3"), "n_values"),
+            (lambda m: m["exploits"][0].update(platforms=[None]), "exploits.platforms"),
+        ],
+        ids=["missing", "string", "nested"],
+    )
+    def test_scenario_bad_key(self, tmp_path, capsys, edit, key):
+        argv = ["scenario", "--N", "3", "--T", "10", "--samples", "5"]
+        path = self.broken_manifest(tmp_path, argv, edit)
+        capsys.readouterr()
+        rerun = tmp_path / "rerun"
+        assert main(["scenario", "--from-manifest", str(path), "--outdir", str(rerun)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: missing/invalid key {key!r}\n"
+        assert not rerun.exists()
+
+    def test_manifest_not_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        assert main(["mc", "--from-manifest", str(path), "--outdir", str(tmp_path / "x")]) == 2
+
+
+class TestExploitPlatformRange:
+    def test_cli_rejects_platform_beyond_largest_n(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        code = main(
+            ["scenario", "--N", "3", "--T", "10", "--exploit", "9", "--outdir", str(outdir)]
+        )
+        assert code == 2
+        assert "exploit platforms [9]" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_cli_rejects_negative_platform(self, tmp_path):
+        outdir = tmp_path / "out"
+        code = main(
+            ["scenario", "--N", "3", "--T", "10", "--exploit=-1", "--outdir", str(outdir)]
+        )
+        assert code == 2
+
+    def test_manifest_rejects_platform_beyond_largest_n(self, tmp_path):
+        first = tmp_path / "first"
+        argv = ["scenario", "--N", "1,3", "--T", "10", "--samples", "5", "--outdir", str(first)]
+        assert main(argv) == 0
+        manifest = read_json(first / "run_manifest.json")
+        manifest["exploits"][0]["platforms"] = [3]
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        rerun = tmp_path / "rerun"
+        assert main(["scenario", "--from-manifest", str(path), "--outdir", str(rerun)]) == 2
+
+    def test_platform_valid_for_largest_n_only_is_accepted(self, tmp_path):
+        # platforms 1 and 2 do not exist when N=1; that grid point ignores them
+        outdir = tmp_path / "sweep"
+        code = main(
+            ["scenario", "--N", "1,3", "--T", "10", "--samples", "5", "--exploit", "1,2",
+             "--outdir", str(outdir)]
+        )
+        assert code == 0
+        assert read_json(outdir / "run_manifest.json")["exploits"] == [
+            {"platforms": [1, 2], "arrival": None}
+        ]
+
+    def test_default_pair_replays_with_n1(self, tmp_path):
+        # the default exploits name platforms 1 and 2, which N=1 lacks
+        first = tmp_path / "first"
+        argv = ["scenario", "--N", "1", "--T", "10", "--samples", "5", "--outdir", str(first)]
+        assert main(argv) == 0
+        rerun = tmp_path / "rerun"
+        code = main(["scenario", "--from-manifest", str(first / "run_manifest.json"),
+                     "--outdir", str(rerun)])
+        assert code == 0
+        assert (first / "success_fraction.csv").read_bytes() == (
+            rerun / "success_fraction.csv"
+        ).read_bytes()
+
+
+class TestNoOutputOnValidationError:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mc", "--trials", "0"],
+            ["mc", "--K", "9"],
+            ["mc", "--K", "9", "--policies", "uniform,random_k", "--trials", "2"],
+            ["scenario", "--N", "1", "--samples", "0", "--T", "10"],
+        ],
+        ids=["mc-trials-0", "mc-k-above-pool", "mc-random-k-above-pool", "scenario-samples-0"],
+    )
+    def test_outdir_not_created(self, tmp_path, argv):
+        outdir = tmp_path / "never"
+        assert main([*argv, "--outdir", str(outdir)]) == 2
+        assert not outdir.exists()
+
+    def test_k_above_pool_with_uniform_only_runs(self, tmp_path):
+        outdir = tmp_path / "uniform"
+        argv = ["mc", "--K", "9", "--policies", "uniform", "--trials", "3", "--intervals", "10"]
+        assert main([*argv, "--outdir", str(outdir)]) == 0
+        assert set(read_json(outdir / "metrics.json")) == {"uniform"}

@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -265,3 +266,70 @@ class TestNoAdjacentRepeats:
         traces.append([rot.current] + [step_schedule(rot) for _ in range(60)])
         for trace in traces:
             assert all(a != b for a, b in zip(trace, trace[1:]))
+
+
+def scalar_diversity_trace(dist, start: int, steps: int, k: int) -> list[int]:
+    """Candidate-by-candidate diversity walk in Python floats, ties to the lowest index."""
+    count = dist.shape[0]
+    trace = [start]
+    for _ in range(steps - 1):
+        hist = trace[-(k - 1):]
+        best, best_score = -1, -1.0
+        for candidate in range(count):
+            if candidate == hist[-1]:
+                continue
+            sides = [float(dist[candidate, prior]) for prior in hist]
+            if len(hist) == 1:
+                score = sides[0]
+            elif len(hist) == 2:
+                score = triangle_area_from_sides(*sides, float(dist[hist[0], hist[1]]))
+            else:
+                score = sum(sides)
+            if score > best_score:
+                best, best_score = candidate, score
+        trace.append(best)
+    return trace
+
+
+class TestVectorizedScorerMatchesScalarReference:
+    LEVELS = {
+        "uniform": None,
+        # exact ties everywhere, and distances that violate the triangle inequality
+        "ties": (0.0, 0.5, 1.0),
+        # near-identical pairs beside far ones: most triangles are not metric
+        "non_metric": (0.0, 0.02, 0.97, 1.0),
+    }
+
+    @staticmethod
+    def random_sim(rng, count, levels):
+        if levels is None:
+            draws = rng.random((count, count))
+        else:
+            draws = rng.choice(levels, size=(count, count))
+        upper = np.triu(draws, k=1)
+        scores = upper + upper.T
+        np.fill_diagonal(scores, 1.0)
+        return make_similarity(scores)
+
+    @pytest.mark.parametrize("kind", sorted(LEVELS))
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_traces_equal(self, kind, k, caplog):
+        rng = np.random.default_rng([k, len(kind)])
+        compared = 0
+        with caplog.at_level(logging.DEBUG, logger="diversity_lab.scheduler"):
+            for _ in range(6):
+                sim = self.random_sim(rng, int(rng.integers(max(k, 3), 10)), self.LEVELS[kind])
+                dist = sim.distances()
+                for start in range(sim.count):
+                    expected = scalar_diversity_trace(dist, start, 24, k)
+                    assert diversity_schedule(sim, start, 24, k) == expected
+                    compared += 1
+        assert compared >= 18
+        if k == 3 and kind != "uniform":
+            # Heron scoring met triangles whose squared area had to be clamped
+            assert any("clamped" in record.getMessage() for record in caplog.records)
+
+    def test_heron_area_elementwise(self):
+        triples = [(3.0, 4.0, 5.0), (1.0, 1.0, 2.5), (0.0, 1.0, 1.0)]
+        areas = heron_area(*(np.array(sides) for sides in zip(*triples)))
+        assert areas.tolist() == [heron_area(*triple) for triple in triples] == [6.0, 0.0, 0.0]

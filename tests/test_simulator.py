@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from diversity_lab import simulator
 from diversity_lab import (
     EmpiricalCdf,
     McConfig,
@@ -12,9 +13,14 @@ from diversity_lab import (
     VulnerabilityLabeling,
     assign_vulnerabilities,
     compute_metrics,
+    make_random_k_policy,
+    new_schedule_state,
     run_mc_study,
     run_mc_trial,
+    step_schedule,
+    substream,
 )
+from conftest import make_similarity
 from oracles import naive_trace_metrics
 
 
@@ -259,3 +265,138 @@ class TestDiversityUnderLabelings:
             )
             first = compute_metrics([trace], 3).time_to_first_compromise[0]
             assert first is None or first <= 6
+
+
+def reference_study(config, sim):
+    """The study rebuilt from the public per-step API, one scalar draw at a time.
+
+    Labelings draw one scalar per other platform; policies walk a
+    ``ScheduleState`` step by step; metrics come from the naive recount.
+    Returns {policy name: (vulnerable fractions, first compromises,
+    compromised fractions)}.
+    """
+    count = sim.count
+    stream = {PolicyKind.DIVERSITY: 1, PolicyKind.UNIFORM: 2, PolicyKind.RANDOM_K: 3}
+    columns = {kind.value: ([], [], []) for kind in config.policy_kinds}
+    for trial in range(config.trials):
+        rng = substream(config.master_seed, trial, 0)
+        seed_platform = int(rng.integers(count))
+        flags = [
+            i == seed_platform or bool(rng.random() < sim.similarity(seed_platform, i))
+            for i in range(count)
+        ]
+        for kind in config.policy_kinds:
+            rng = substream(config.master_seed, trial, stream[kind])
+            if kind is PolicyKind.RANDOM_K:
+                state = new_schedule_state(make_random_k_policy(count, config.k, rng), count)
+            else:
+                start = int(rng.integers(count))
+                state = new_schedule_state(config.policy_for(kind), count, start=start, rng=rng)
+            chosen = [state.current] + [
+                step_schedule(state, sim) for _ in range(config.intervals - 1)
+            ]
+            metrics = naive_trace_metrics([flags[p] for p in chosen], config.k)
+            for column, value in zip(columns[kind.value], metrics):
+                column.append(value)
+    return columns
+
+
+def generated_similarity(count: int, seed: int):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(np.round(rng.random((count, count)), 3), k=1)
+    scores = upper + upper.T
+    np.fill_diagonal(scores, 1.0)
+    return make_similarity(scores)
+
+
+class TestStudyMatchesPerStepReference:
+    """The batched study equals the per-step walk, field by field and bit for bit."""
+
+    @staticmethod
+    def assert_matches(config, sim):
+        report = run_mc_study(config, sim)
+        reference = reference_study(config, sim)
+        assert list(report.per_policy) == list(reference)
+        for name, metrics in report.per_policy.items():
+            vulnerable, first, compromised = reference[name]
+            assert metrics.k == config.k
+            assert metrics.intervals == config.intervals
+            assert metrics.vulnerable_fraction == tuple(vulnerable)
+            assert metrics.time_to_first_compromise == tuple(first)
+            assert metrics.compromised_fraction == tuple(compromised)
+            for value in metrics.vulnerable_fraction + metrics.compromised_fraction:
+                assert type(value) is float
+            assert all(t is None or type(t) is int for t in metrics.time_to_first_compromise)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_fixture(self, five_platform_sim, seed, k):
+        config = McConfig(trials=30, intervals=25, k=k, master_seed=seed)
+        self.assert_matches(config, five_platform_sim)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_intervals_equal_k(self, five_platform_sim, k):
+        config = McConfig(trials=40, intervals=k, k=k, master_seed=7)
+        self.assert_matches(config, five_platform_sim)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_generated_wide_matrix(self, k):
+        # k=3 scores by Heron area and k=4 by summed distance over 13 platforms
+        config = McConfig(trials=40, intervals=30, k=k, master_seed=k)
+        self.assert_matches(config, generated_similarity(13, seed=k))
+
+    def test_policy_subset_in_non_default_order(self, five_platform_sim):
+        kinds = (PolicyKind.RANDOM_K, PolicyKind.UNIFORM)
+        config = McConfig(trials=30, intervals=20, policy_kinds=kinds, master_seed=2)
+        self.assert_matches(config, five_platform_sim)
+
+
+class TestBatchedDrawsEqualScalarDraws:
+    """PCG64 identities the batched study relies on to keep every artifact unchanged."""
+
+    @pytest.mark.parametrize("count", [2, 3, 5, 48])
+    @pytest.mark.parametrize("size", [1, 2, 7, 99])
+    def test_integers_after_a_scalar_draw(self, count, size):
+        batched, scalar = np.random.default_rng(size), np.random.default_rng(size)
+        assert int(batched.integers(count)) == int(scalar.integers(count))
+        draws = batched.integers(count - 1, size=size).tolist()
+        assert draws == [int(scalar.integers(count - 1)) for _ in range(size)]
+        # the two generators are left in the same state
+        assert batched.random() == scalar.random()
+
+    @pytest.mark.parametrize("count", [2, 3, 5, 48])
+    @pytest.mark.parametrize("size", [1, 4, 47])
+    def test_random_after_a_scalar_draw(self, count, size):
+        batched, scalar = np.random.default_rng(count), np.random.default_rng(count)
+        assert int(batched.integers(count)) == int(scalar.integers(count))
+        assert batched.random(size).tolist() == [scalar.random() for _ in range(size)]
+        assert int(batched.integers(count)) == int(scalar.integers(count))
+
+
+class TestPoolErrorsBeforeAnyTrial:
+    """An unschedulable policy fails the study, in policy order, before any stream is drawn."""
+
+    @pytest.fixture
+    def no_streams(self, monkeypatch):
+        def refuse(*key):
+            raise AssertionError(f"a trial started: substream{key}")
+
+        monkeypatch.setattr(simulator, "substream", refuse)
+
+    @pytest.mark.parametrize(
+        "kinds, message",
+        [
+            ((PolicyKind.UNIFORM, PolicyKind.DIVERSITY), "requires k=9 distinct platforms, only 5"),
+            ((PolicyKind.UNIFORM, PolicyKind.RANDOM_K), "cannot rotate over k=9 of 5 platforms"),
+            ((PolicyKind.RANDOM_K, PolicyKind.DIVERSITY), "cannot rotate over k=9 of 5 platforms"),
+        ],
+    )
+    def test_k_above_pool(self, five_platform_sim, no_streams, kinds, message):
+        config = McConfig(trials=3, intervals=10, k=9, policy_kinds=kinds)
+        with pytest.raises(ValueError, match=message):
+            run_mc_study(config, five_platform_sim)
+
+    def test_single_platform_uniform(self, no_streams):
+        config = McConfig(trials=3, intervals=10, policy_kinds=(PolicyKind.UNIFORM,))
+        with pytest.raises(ValueError, match="needs at least two platforms"):
+            run_mc_study(config, make_similarity([[1.0]]))
