@@ -251,11 +251,20 @@ def _check_manifest(path: Path, manifest: dict, schema: dict) -> None:
             raise ValueError(f"{path}: missing/invalid key {name!r}")
 
 
+def _load_manifest(path: Path, command: str, schema: dict) -> dict:
+    """Read a ``command`` run manifest; every validation error names the file."""
+    try:
+        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("command") != command:
+        raise ValueError(f"{path} is not a {command!r} run manifest")
+    _check_manifest(path, manifest, schema)
+    return manifest
+
+
 def _mc_from_manifest(path: Path):
-    manifest = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(manifest, dict) or manifest.get("command") != "mc":
-        raise ValueError(f"{path} is not an mc run manifest")
-    _check_manifest(path, manifest, _MC_MANIFEST)
+    manifest = _load_manifest(path, "mc", _MC_MANIFEST)
     sim = SimilarityMatrix(
         PlatformSet(tuple(manifest["similarity"]["platforms"])),
         np.array(manifest["similarity"]["scores"], dtype=float),
@@ -366,10 +375,7 @@ def _parse_exploit(spec: str, max_n: int) -> ExploitSpec:
 
 
 def _scenario_from_manifest(path: Path) -> ScenarioConfig:
-    manifest = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(manifest, dict) or manifest.get("command") != "scenario":
-        raise ValueError(f"{path} is not a scenario run manifest")
-    _check_manifest(path, manifest, _SCENARIO_MANIFEST)
+    manifest = _load_manifest(path, "scenario", _SCENARIO_MANIFEST)
     exploits = tuple(
         ExploitSpec(frozenset(entry["platforms"]), entry["arrival"])
         for entry in manifest["exploits"]

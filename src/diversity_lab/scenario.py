@@ -7,12 +7,19 @@ or random times, permanently marking their target platforms exploited.
 The attacker succeeds in a sample when the active platform is exploited
 for at least T contiguous seconds within the trial duration. Simulation
 is event-driven (migrations and exploit arrivals), not tick-based.
+
+``max_control_run`` simulates one sample with scalar draws.
+``run_scenario_study`` gets the same draws in bulk: it decodes each
+sample's raw PCG64 words the way NumPy's ``Generator`` would, and then
+evaluates a block of samples as arrays. A sample the decoding cannot
+reproduce goes back through ``max_control_run``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +41,9 @@ class ExploitSpec:
         object.__setattr__(self, "platforms", frozenset(int(p) for p in self.platforms))
         if not self.platforms:
             raise ValueError("an exploit must target at least one platform")
+        negative = sorted(p for p in self.platforms if p < 0)
+        if negative:
+            raise ValueError(f"exploit platforms {negative} are negative")
         if self.arrival is not None and self.arrival < 0:
             raise ValueError("exploit arrival time must be non-negative")
 
@@ -150,6 +160,169 @@ def max_control_run(
     return best
 
 
+#: Stay slots (samples x stays) decoded in one array pass. It bounds the
+#: memory of a pass; a sample that needs more stays takes the scalar path.
+_BLOCK_CELLS = 4096
+
+
+def _halves(raw: np.ndarray) -> np.ndarray:
+    """The 32-bit halves of raw words as doubles: word ``w`` has its low half in column ``2w``.
+
+    A half is an integer below 2**32, so the double is exact, and so is
+    every sum and product below 2**53 made from the halves.
+    """
+    return raw.astype("<u8", copy=False).view("<u4").astype(np.float64)
+
+
+def _uniform(halves: np.ndarray, words: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``Generator.uniform(lo, hi)`` of each word: ``lo + (hi - lo) * (word >> 11) / 2**53``.
+
+    ``word >> 11`` is ``high * 2**21 + floor(low / 2**11)``.
+    """
+    top53 = halves[:, 2 * words + 1] * 2097152.0 + np.floor(halves[:, 2 * words] * (1 / 2048))
+    return lo + (hi - lo) * (top53 * (1 / 9007199254740992))
+
+
+def _bounded32(draws: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``Generator.integers(m)`` of 32-bit draws, and whether NumPy would redraw each.
+
+    Lemire's method: the value is ``(draw * m) >> 32``, and NumPy draws
+    again when ``(draw * m) % 2**32`` falls below ``2**32 % m``. The
+    product is exact in a double for ``m <= 2**21``; a larger ``m`` marks
+    every draw for a redraw.
+    """
+    product = draws * m
+    value = np.floor(product * (1 / 4294967296))
+    return value, (product - value * 4294967296 < 2**32 % m) | (m > 1 << 21)
+
+
+class _Layout(NamedTuple):
+    """Where one sample's draws sit in its stream: word indices, or half columns for 32-bit draws."""
+
+    words: int
+    arrivals: np.ndarray  # the random arrivals take the first words
+    dwells: np.ndarray
+    draws32: np.ndarray  # the start, then the move after each stay
+
+
+def _draw_layout(n: int, drawn_arrivals: int, stays: int) -> _Layout:
+    """Lay out the draws of one sample with ``stays`` stay slots.
+
+    ``max_control_run`` draws the random arrivals, then (for ``n > 1``)
+    the start and one dwell and one move per stay. A double takes the next
+    word. PCG64 serves a 32-bit draw from the high half that the previous
+    32-bit draw left cached or, with none cached, from the low half of the
+    next word, whose high half it caches. ``integers(1)``, every move when
+    ``n == 2``, takes nothing.
+    """
+    word, cached, dwells, draws32 = drawn_arrivals, None, [], []
+    if n > 1:
+        for bits in [32] + ([64, 32] if n > 2 else [64]) * stays:
+            if bits == 64:
+                dwells.append(word)
+                word += 1
+            elif cached is None:
+                draws32.append(2 * word)
+                cached, word = 2 * word + 1, word + 1
+            else:
+                draws32.append(cached)
+                cached = None
+    dwells, draws32 = np.array(dwells, dtype=np.intp), np.array(draws32, dtype=np.intp)
+    return _Layout(word, np.arange(drawn_arrivals), dwells, draws32)
+
+
+class _Draws(NamedTuple):
+    """A block's decoded draws, one row per sample; platform draws are integral doubles."""
+
+    arrivals: np.ndarray  # the random arrivals, in exploit order
+    start: np.ndarray
+    dwells: np.ndarray  # one column per stay
+    moves: np.ndarray  # the draw after each stay, before the no-repeat shift
+    rejected: np.ndarray  # whether any 32-bit draw would be redrawn
+
+
+def _decode(
+    raw: np.ndarray, layout: _Layout, n: int, duration: float, delay: tuple[float, float]
+) -> _Draws:
+    """Decode raw PCG64 words (one row per sample) into ``max_control_run``'s draws."""
+    halves = _halves(raw)
+    samples, stays = len(raw), len(layout.dwells)
+    start, moves, rejected = np.zeros(samples), np.zeros((samples, stays)), np.zeros(samples, bool)
+    if n > 1:
+        start, rejected = _bounded32(halves[:, layout.draws32[0]], n)
+    if n > 2:
+        moves, redrawn = _bounded32(halves[:, layout.draws32[1:]], n - 1)
+        rejected = rejected | redrawn.any(axis=1)
+    return _Draws(
+        _uniform(halves, layout.arrivals, 0.0, duration),
+        start,
+        _uniform(halves, layout.dwells, *delay),
+        moves,
+        rejected,
+    )
+
+
+def _control_runs(
+    draws: _Draws, exploited_at: np.ndarray, duration: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's longest control run, and whether its drawn stays reach a finite ``duration``.
+
+    ``exploited_at`` holds each sample's exploit time per platform. Stay
+    ends are the running sums of the dwells, summed left to right as
+    ``max_control_run`` does. A stay's control segment runs from
+    ``max(stay start, exploit time)`` to the stay's end; it extends the
+    current run when it starts exactly where the previous segment ended.
+    """
+    samples, n = exploited_at.shape
+    if n == 1:
+        bounds = np.full((samples, 1), duration)
+        platform = np.zeros((samples, 1))
+    else:
+        bounds = np.cumsum(draws.dwells, axis=1)
+        platform = np.empty(bounds.shape)
+        platform[:, 0] = draws.start
+        for k in range(1, bounds.shape[1]):
+            move = draws.moves[:, k - 1]
+            platform[:, k] = np.where(move >= platform[:, k - 1], move + 1, move)
+    ends = np.minimum(bounds, duration)
+    starts = np.zeros_like(ends)
+    starts[:, 1:] = ends[:, :-1]
+    arrival = np.take_along_axis(exploited_at, platform.astype(np.intp), axis=1)
+    # slots past the trial end are empty stays at ``duration``: they add no time to any run
+    control = arrival < ends
+    seg_start = np.maximum(starts, arrival)
+    # stay ends never decrease, so the latest segment end so far is the largest
+    last_end = np.full_like(ends, -np.inf)
+    last_end[:, 1:] = np.maximum.accumulate(np.where(control, ends, -np.inf), axis=1)[:, :-1]
+    head = np.where(control & (seg_start != last_end), seg_start, -np.inf)
+    runs = np.where(control, ends - np.maximum.accumulate(head, axis=1), 0.0)
+    # an infinite or NaN end comes from a range Generator.uniform refuses;
+    # max_control_run raises its error
+    return runs.max(axis=1), np.isfinite(bounds[:, -1]) & (bounds[:, -1] >= duration)
+
+
+def _platform_mask(exploits: tuple[ExploitSpec, ...], n: int) -> np.ndarray:
+    """Boolean (exploit, platform) mask of the platforms below ``n`` that each exploit breaches."""
+    mask = np.zeros((len(exploits), n), dtype=bool)
+    for row, spec in zip(mask, exploits):
+        row[[p for p in spec.platforms if p < n]] = True
+    return mask
+
+
+def _exploit_times(arrivals: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Each sample's exploit time per platform: the earliest arrival of an exploit targeting it.
+
+    ``arrivals`` is (sample, exploit) and ``targets`` (sample or 1,
+    exploit, platform). As with ``min()`` in ``max_control_run``, a
+    platform takes an arrival only if it is earlier, so a NaN never wins.
+    """
+    exploited_at = np.full((len(arrivals), targets.shape[2]), np.inf)
+    for i in range(arrivals.shape[1]):
+        arrival = arrivals[:, i, None]
+        exploited_at = np.where(targets[:, i] & (arrival < exploited_at), arrival, exploited_at)
+    return exploited_at
+
+
 def run_scenario_study(config: ScenarioConfig, labelings=None) -> list[GridPoint]:
     """Success fraction per (N, T) grid point.
 
@@ -159,7 +332,13 @@ def run_scenario_study(config: ScenarioConfig, labelings=None) -> list[GridPoint
     shared across the T sweep for each N, so the success fraction at T is
     the fraction of samples whose longest control run reaches T. Sample
     streams derive from (master seed, N, sample index).
+
+    Each result equals ``max_control_run`` on the sample's stream: blocks
+    of samples are decoded from raw words and evaluated as arrays, and a
+    sample with a draw NumPy would redraw, or whose decoded stays end
+    before ``duration``, is rerun through ``max_control_run``.
     """
+    sample_exploits = None
     if labelings is not None:
         labelings = list(labelings)
         if len(labelings) != config.samples:
@@ -167,19 +346,45 @@ def run_scenario_study(config: ScenarioConfig, labelings=None) -> list[GridPoint
         for entry in labelings:
             if len(entry) != len(config.exploits):
                 raise ValueError("each labeling must cover every configured exploit")
+        sample_exploits = [
+            tuple(
+                ExploitSpec(frozenset(platforms), spec.arrival)
+                for spec, platforms in zip(config.exploits, entry)
+            )
+            for entry in labelings
+        ]
+    duration = float(config.duration)
+    drawn = [i for i, spec in enumerate(config.exploits) if spec.arrival is None]
+    fixed = np.array([np.nan if spec.arrival is None else spec.arrival for spec in config.exploits])
+    # dwells are at least lo, so duration / lo stays reach the trial end, plus
+    # slack for float sums that fall short; a NaN or infinite ratio takes the cap
+    ratio = duration / config.delay[0]
+    max_stays = int(ratio) + 2 if ratio < _BLOCK_CELLS - 2 else _BLOCK_CELLS
     results: list[GridPoint] = []
     for n in config.n_values:
-        runs: list[float] = []
-        for sample in range(config.samples):
-            rng = substream(config.master_seed, n, sample)
-            exploits = config.exploits
-            if labelings is not None:
-                exploits = tuple(
-                    ExploitSpec(frozenset(platforms), spec.arrival)
-                    for spec, platforms in zip(config.exploits, labelings[sample])
-                )
-            runs.append(max_control_run(n, config.duration, config.delay, exploits, rng))
+        layout = _draw_layout(n, len(drawn), 1 if n == 1 else max_stays)
+        block = _BLOCK_CELLS // max(1, len(layout.dwells))
+        runs = np.empty(config.samples)
+        for first in range(0, config.samples, block):
+            samples = range(first, min(first + block, config.samples))
+            raw = np.empty((len(samples), layout.words), dtype=np.uint64)
+            for row, sample in zip(raw, samples):
+                row[:] = substream(config.master_seed, n, sample).bit_generator.random_raw(layout.words)
+            draws = _decode(raw, layout, n, duration, config.delay)
+            arrivals = np.empty((len(samples), len(fixed)))
+            arrivals[:] = fixed
+            arrivals[:, drawn] = draws.arrivals
+            if sample_exploits is None:
+                targets = _platform_mask(config.exploits, n)[None]
+            else:
+                targets = np.stack([_platform_mask(sample_exploits[s], n) for s in samples])
+            block_runs, exact = _control_runs(draws, _exploit_times(arrivals, targets), duration)
+            for i in np.flatnonzero(~exact | draws.rejected):
+                exploits = config.exploits if sample_exploits is None else sample_exploits[first + i]
+                rng = substream(config.master_seed, n, first + i)
+                block_runs[i] = max_control_run(n, config.duration, config.delay, exploits, rng)
+            runs[first : first + len(samples)] = block_runs
         for t in config.t_values:
-            hits = sum(1 for run in runs if run >= t)
+            hits = int(np.count_nonzero(runs >= t))
             results.append(GridPoint(n=n, t=t, success_fraction=hits / config.samples, samples=config.samples))
     return results

@@ -294,6 +294,18 @@ class TestManifestSchema:
         path.write_text("[1, 2]", encoding="utf-8")
         assert main(["mc", "--from-manifest", str(path), "--outdir", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("command", ["mc", "scenario"])
+    @pytest.mark.parametrize("text", ["", "{\"seed\": 0,", "\udcff"], ids=["empty", "truncated", "not-utf8"])
+    def test_invalid_json_names_the_file(self, tmp_path, capsys, command, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        rerun = tmp_path / "rerun"
+        assert main([command, "--from-manifest", str(path), "--outdir", str(rerun)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid JSON: ")
+        assert err.count("\n") == 1
+        assert not rerun.exists()
+
 
 class TestExploitPlatformRange:
     def test_cli_rejects_platform_beyond_largest_n(self, tmp_path, capsys):

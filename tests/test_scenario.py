@@ -1,3 +1,6 @@
+from bisect import bisect_left
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,8 @@ from diversity_lab import (
     max_control_run,
     run_scenario_study,
 )
+from diversity_lab import scenario
+from diversity_lab.rng import substream
 
 
 def study_fraction(config):
@@ -20,6 +25,13 @@ class TestExploitSpec:
             ExploitSpec(frozenset())
         with pytest.raises(ValueError):
             ExploitSpec(frozenset({0}), arrival=-1.0)
+
+    def test_negative_platform_rejected(self):
+        # exploited_at[-1] would otherwise mark the last platform
+        with pytest.raises(ValueError, match=r"platforms \[-1\] are negative"):
+            ExploitSpec(frozenset({-1}), arrival=0.0)
+        with pytest.raises(ValueError, match=r"platforms \[-3\] are negative"):
+            ExploitSpec(frozenset({0, -3}))
 
 
 class TestScenarioConfig:
@@ -164,3 +176,182 @@ class TestScenarioStudy:
             run_scenario_study(config, labelings=[({0}, {1, 2})] * 2)
         with pytest.raises(ValueError, match="every configured exploit"):
             run_scenario_study(config, labelings=[({0},)] * 3)
+
+
+class TestDecodedDrawsEqualScalarDraws:
+    """The study decodes raw PCG64 words; each decoded draw equals the scalar draw of the same stream."""
+
+    DURATION, DELAY, STAYS, SAMPLES = 900.0, (20.0, 30.0), 12, 25
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("drawn_arrivals", [0, 2], ids=["fixed-arrivals", "free-arrivals"])
+    def test_decoded_sequence(self, n, drawn_arrivals):
+        layout = scenario._draw_layout(n, drawn_arrivals, self.STAYS)
+        raw = np.stack(
+            [substream(3, n, s).bit_generator.random_raw(layout.words) for s in range(self.SAMPLES)]
+        )
+        draws = scenario._decode(raw, layout, n, self.DURATION, self.DELAY)
+        assert not draws.rejected.any()
+        for s in range(self.SAMPLES):
+            rng = substream(3, n, s)
+            arrivals = [rng.uniform(0.0, self.DURATION) for _ in range(drawn_arrivals)]
+            assert draws.arrivals[s].tolist() == arrivals
+            assert draws.start[s] == (rng.integers(n) if n > 1 else 0)
+            if n == 1:
+                assert layout.words == drawn_arrivals
+                continue
+            dwells, moves = [], []
+            for _ in range(self.STAYS):
+                dwells.append(rng.uniform(*self.DELAY))
+                moves.append(int(rng.integers(n - 1)))
+            assert draws.dwells[s].tolist() == dwells
+            assert draws.moves[s].tolist() == moves
+            # the scalar draws used exactly the decoded words
+            assert rng.bit_generator.random_raw() == substream(3, n, s).bit_generator.random_raw(
+                layout.words + 1
+            )[-1]
+
+    def test_zero_low_half_is_a_rejection(self):
+        # 2**32 % 3 == 1, so a start draw of 0 is one NumPy redraws
+        layout = scenario._draw_layout(3, 0, 1)
+        raw = np.array([[0xABCDEF0100000000, 0, 0]], dtype=np.uint64)[:, : layout.words]
+        assert scenario._decode(raw, layout, 3, 900.0, (20.0, 30.0)).rejected.tolist() == [True]
+        # no power of two rejects
+        value, rejected = scenario._bounded32(np.array([0.0, 4294967295.0]), 4)
+        assert value.tolist() == [0.0, 3.0] and not rejected.any()
+        # above 2**21 the product may not be exact in a double, so every draw goes to the scalar path
+        assert scenario._bounded32(np.array([5.0]), 2**21 + 1)[1].tolist() == [True]
+
+    def test_numpy_redraws_a_zero_draw(self):
+        # cache a 32-bit draw of 0: integers(3) rejects it and takes the low half of the next word
+        bitgen = np.random.PCG64(11)
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = 1, 0
+        bitgen.state = state
+        low_half = float(np.random.PCG64(11).random_raw() & 0xFFFFFFFF)
+        value, rejected = scenario._bounded32(np.array([0.0, low_half]), 3)
+        assert rejected.tolist() == [True, False]
+        assert int(np.random.Generator(bitgen).integers(3)) == value[1]
+
+
+def scalar_runs(config, labelings=None):
+    """``max_control_run`` on each sample's stream, per N: the study's scalar reference."""
+    runs = {}
+    for n in config.n_values:
+        runs[n] = []
+        for s in range(config.samples):
+            exploits = config.exploits
+            if labelings is not None:
+                exploits = tuple(
+                    ExploitSpec(frozenset(platforms), spec.arrival)
+                    for spec, platforms in zip(config.exploits, labelings[s])
+                )
+            rng = substream(config.master_seed, n, s)
+            runs[n].append(max_control_run(n, config.duration, config.delay, exploits, rng))
+    return runs
+
+
+class TestStudyEqualsScalarRebuild:
+    """``run_scenario_study`` equals a per-sample ``max_control_run`` rebuild bit for bit.
+
+    The goals are every reference run and the next double above it, so the
+    success fractions pin the multiset of runs exactly.
+    """
+
+    N_VALUES = (1, 2, 3, 5, 8)
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+
+        def counted(n, *args):
+            calls.append(n)
+            return max_control_run(n, *args)
+
+        monkeypatch.setattr(scenario, "max_control_run", counted)
+        return calls
+
+    def assert_matches(self, config, labelings=None):
+        runs = scalar_runs(config, labelings)
+        pooled = np.array([run for values in runs.values() for run in values])
+        goals = np.unique(np.concatenate([pooled, np.nextafter(pooled, np.inf)]))
+        config = replace(config, t_values=tuple(goals.tolist()))
+        expected = []
+        for n in config.n_values:
+            ordered = sorted(runs[n])
+            for t in config.t_values:
+                hits = len(ordered) - bisect_left(ordered, t)
+                expected.append(scenario.GridPoint(n, t, hits / config.samples, config.samples))
+        assert run_scenario_study(config, labelings) == expected
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_default_exploits(self, seed, fallbacks):
+        config = ScenarioConfig(t_values=(0.0,), n_values=self.N_VALUES, samples=120, master_seed=seed)
+        self.assert_matches(config)
+        assert fallbacks == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_fixed_dwell_overlapping_exploits_and_platforms_beyond_n(self, fallbacks):
+        # platform 1 takes the earlier of the two arrivals; integer times are accepted
+        exploits = (ExploitSpec(frozenset({0, 1})), ExploitSpec(frozenset({1, 2, 9}), 450))
+        config = ScenarioConfig(
+            t_values=(0.0,), n_values=self.N_VALUES, duration=900, delay=(25, 25), samples=100,
+            exploits=exploits, master_seed=5,
+        )
+        self.assert_matches(config)
+        assert fallbacks == []
+
+    def test_float_sums_undershoot_the_dwell_bound(self, fallbacks):
+        # ten dwells of 0.1 sum to 0.9999999999999999 < 1.0, so a sample needs an 11th stay
+        assert sum([0.1] * 10) < 1.0
+        config = ScenarioConfig(
+            t_values=(0.0,), n_values=self.N_VALUES, duration=1.0, delay=(0.1, 0.1), samples=60,
+            exploits=(ExploitSpec(frozenset({0, 1})),), master_seed=6,
+        )
+        self.assert_matches(config)
+        assert fallbacks == []
+
+    def test_all_arrivals_fixed_at_zero(self, fallbacks):
+        exploits = (ExploitSpec(frozenset({0}), 0.0), ExploitSpec(frozenset({1, 2}), 0.0))
+        config = ScenarioConfig(
+            t_values=(0.0,), n_values=self.N_VALUES, samples=100, exploits=exploits, master_seed=7
+        )
+        self.assert_matches(config)
+        assert fallbacks == []
+
+    def test_labelings_override(self, fallbacks):
+        rng = np.random.default_rng(8)
+        labelings = [
+            [set(rng.choice(10, size=rng.integers(1, 4), replace=False).tolist()) for _ in range(2)]
+            for _ in range(80)
+        ]
+        exploits = (ExploitSpec(frozenset({0})), ExploitSpec(frozenset({1}), 450.0))
+        config = ScenarioConfig(
+            t_values=(0.0,), n_values=self.N_VALUES, samples=80, exploits=exploits, master_seed=8
+        )
+        self.assert_matches(config, labelings)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize(
+        "n, duration, delay", [(3, 900.0, (20.0, np.inf)), (1, np.inf, (20.0, 30.0))]
+    )
+    def test_unbounded_uniform_range_raises_as_scalar_draws_do(self, n, duration, delay):
+        # Generator.uniform refuses a range that is not finite: the dwells', or the random arrivals'
+        config = ScenarioConfig(t_values=(0.0,), n_values=(n,), duration=duration, delay=delay, samples=3)
+        with pytest.raises(OverflowError):
+            max_control_run(n, duration, delay, config.exploits, substream(0, n, 0))
+        with pytest.raises(OverflowError):
+            run_scenario_study(config)
+
+    def test_rejected_draws_take_the_scalar_path(self, fallbacks, monkeypatch):
+        bounded32 = scenario._bounded32
+
+        def every_draw_rejected(draws, m):
+            value, rejected = bounded32(draws, m)
+            return value, np.ones_like(rejected)
+
+        monkeypatch.setattr(scenario, "_bounded32", every_draw_rejected)
+        config = ScenarioConfig(t_values=(0.0,), n_values=self.N_VALUES, samples=40, master_seed=9)
+        self.assert_matches(config)
+        # every sample with a platform draw (N > 1) was rerun
+        assert sorted(fallbacks) == sorted([n for n in self.N_VALUES if n > 1] * 40)
