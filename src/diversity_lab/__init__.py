@@ -22,13 +22,10 @@ from .analytic import (
     steady_state,
 )
 from .core import (
-    ControlRequirement,
     MigrationPolicy,
-    PayoffModel,
     PlatformSet,
     PolicyKind,
     SimilarityMatrix,
-    ThreatModel,
     VulnerabilityLabeling,
     bundled_similarity_path,
     load_bundled_similarity,
@@ -39,63 +36,45 @@ from .rng import as_generator, substream
 from .scenario import (
     DEFAULT_EXPLOITS,
     ExploitSpec,
-    GridPoint,
     ScenarioConfig,
     max_control_run,
     run_scenario_study,
 )
 from .scheduler import (
-    Periodicity,
-    ScheduleState,
+    check_pool,
     detect_periodicity,
     diversity_schedule,
     heron_area,
     make_random_k_policy,
-    new_schedule_state,
-    next_platform,
-    next_platform_diversity,
-    next_platform_uniform,
-    step_schedule,
+    trace,
 )
 from .simulator import (
     EmpiricalCdf,
     McConfig,
-    MetricsReport,
-    PolicyMetrics,
-    TrialTrace,
     assign_vulnerabilities,
     compute_metrics,
     run_mc_study,
-    run_mc_trial,
 )
 
 __all__ = [
     "__version__",
-    "ControlRequirement",
     "DEFAULT_EXPLOITS",
     "EmpiricalCdf",
     "ExploitSpec",
-    "GridPoint",
     "MarkovParams",
     "McConfig",
-    "MetricsReport",
     "MigrationPolicy",
-    "PayoffModel",
-    "Periodicity",
     "PlatformSet",
     "PolicyKind",
-    "PolicyMetrics",
     "RepeatMode",
     "RunLengthChain",
     "ScenarioConfig",
-    "ScheduleState",
     "SimilarityMatrix",
-    "ThreatModel",
-    "TrialTrace",
     "VulnerabilityLabeling",
     "as_generator",
     "assign_vulnerabilities",
     "bundled_similarity_path",
+    "check_pool",
     "choose",
     "compute_metrics",
     "detect_periodicity",
@@ -107,18 +86,13 @@ __all__ = [
     "load_similarity_matrix",
     "make_random_k_policy",
     "max_control_run",
-    "new_schedule_state",
-    "next_platform",
-    "next_platform_diversity",
-    "next_platform_uniform",
     "p_success_aggregate",
     "p_success_finite_window",
     "run_length_chain",
     "run_mc_study",
-    "run_mc_trial",
     "run_scenario_study",
     "save_similarity_matrix",
     "steady_state",
-    "step_schedule",
     "substream",
+    "trace",
 ]

@@ -89,16 +89,6 @@ def choose(x: int, y: int) -> int:
     return math.comb(x, y)
 
 
-def _as_fraction(p) -> Fraction:
-    # Fraction(str) parses decimal strings exactly; Fraction(float) is the
-    # exact binary value of the float, which is what the caller supplied.
-    if isinstance(p, Fraction):
-        return p
-    if isinstance(p, str):
-        return Fraction(p)
-    return Fraction(p)
-
-
 def p_success_aggregate(m: int, n: int, j: int, p, strict: bool = False) -> float:
     """Probability the attacker controls at least a fraction ``p`` of a random j-subset.
 
@@ -112,7 +102,7 @@ def p_success_aggregate(m: int, n: int, j: int, p, strict: bool = False) -> floa
         raise ValueError("platform counts must be non-negative")
     if not 1 <= j <= m + n:
         raise ValueError(f"subselection size j={j} must satisfy 1 <= j <= {m + n}")
-    frac_p = _as_fraction(p)
+    frac_p = Fraction(p)
     if not 0 < frac_p <= 1:
         raise ValueError(f"required fraction p={p} must lie in (0, 1]")
     threshold = frac_p * j

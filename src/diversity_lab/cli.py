@@ -44,7 +44,7 @@ from .core import (
 )
 from .rng import as_generator
 from .scenario import DEFAULT_EXPLOITS, ExploitSpec, ScenarioConfig, run_scenario_study
-from .scheduler import detect_periodicity, make_random_k_policy, new_schedule_state, step_schedule
+from .scheduler import check_pool, detect_periodicity, make_random_k_policy, trace
 from .simulator import McConfig, run_mc_study
 
 EXIT_OK = 0
@@ -138,30 +138,25 @@ def cmd_analytic(args) -> int:
 def cmd_schedule(args) -> int:
     sim = _load_similarity(args)
     seed = _resolve_seed(args.seed)
-    start_name = args.start if args.start else sim.platforms[0]
-    start = sim.platforms.index(start_name)
+    start = sim.platforms.index(args.start if args.start else sim.platforms[0])
     rng = as_generator(seed)
     if args.policy == "diversity":
         policy = MigrationPolicy.diversity(args.K)
-        state = new_schedule_state(policy, sim.count, start=start)
     elif args.policy == "uniform":
         policy = MigrationPolicy.uniform()
-        state = new_schedule_state(policy, sim.count, start=start, rng=rng)
     else:
         policy = make_random_k_policy(sim.platforms, args.K, rng)
-        state = new_schedule_state(policy, sim.count)
-    trace = [state.current]
-    for _ in range(args.steps - 1):
-        trace.append(step_schedule(state, sim))
-    periodicity = detect_periodicity(trace)
+    check_pool(policy, sim.count)
+    chosen = trace(policy, sim, start, args.steps, rng).tolist()
+    periodicity = detect_periodicity(chosen)
     report = {
         "platforms": list(sim.platforms.names),
         "policy": args.policy,
         "k": args.K,
         "seed": seed,
-        "start": sim.platforms[trace[0]],
+        "start": sim.platforms[chosen[0]],
         "steps": args.steps,
-        "trace": [sim.platforms[i] for i in trace],
+        "trace": [sim.platforms[i] for i in chosen],
         "periodicity": None
         if periodicity is None
         else {"period": periodicity.period, "transient": periodicity.transient},

@@ -1,9 +1,9 @@
 """Domain types shared across the library.
 
-Platforms and their pairwise code-similarity scores, vulnerability
-labelings, threat-model descriptors, and migration policies. All types
-here are immutable after construction and safe to share between
-concurrent workers.
+Platforms and their pairwise code-similarity scores, per-platform
+vulnerability flags, and migration policies. All types here are
+immutable after construction and safe to share between concurrent
+workers.
 """
 
 from __future__ import annotations
@@ -97,10 +97,6 @@ class SimilarityMatrix:
 
     def similarity(self, i: int, j: int) -> float:
         return float(self.scores[i, j])
-
-    def distance(self, i: int, j: int) -> float:
-        """Dissimilarity between two platforms, defined as 1 - similarity."""
-        return 1.0 - float(self.scores[i, j])
 
     def distances(self) -> np.ndarray:
         """Full distance matrix (1 - scores), read-only."""
@@ -202,56 +198,6 @@ class VulnerabilityLabeling:
         return len(self.flags)
 
 
-class ControlRequirement(Enum):
-    """Whether the attacker needs continuous or merely aggregate control."""
-
-    CONTINUOUS = "continuous"
-    AGGREGATE = "aggregate"
-
-
-class PayoffModel(Enum):
-    """Attacker payoff structure: all-or-nothing, or proportional to control time."""
-
-    BINARY = "binary"
-    FRACTIONAL = "fractional"
-
-
-@dataclass(frozen=True)
-class ThreatModel:
-    """Attacker goal description.
-
-    ``window_seconds`` is None for an ongoing engagement and a positive
-    duration for a finite one. Exactly one of ``goal_intervals`` (number
-    of consecutive migration intervals) and ``goal_seconds`` (continuous
-    wall-clock control) must be given.
-    """
-
-    requirement: ControlRequirement
-    payoff: PayoffModel
-    window_seconds: float | None = None
-    goal_intervals: int | None = None
-    goal_seconds: float | None = None
-
-    def __post_init__(self) -> None:
-        if (self.goal_intervals is None) == (self.goal_seconds is None):
-            raise ValueError("exactly one of goal_intervals / goal_seconds must be set")
-        if self.goal_intervals is not None and self.goal_intervals < 1:
-            raise ValueError("goal_intervals must be >= 1")
-        if self.goal_seconds is not None and self.goal_seconds <= 0:
-            raise ValueError("goal_seconds must be positive")
-        if self.window_seconds is not None and self.window_seconds <= 0:
-            raise ValueError("window_seconds must be positive when finite")
-
-    def intervals_required(self, migration_delay: float) -> int:
-        """Discretize a wall-clock goal into migration intervals (ceil of T / delay)."""
-        if migration_delay <= 0:
-            raise ValueError("migration_delay must be positive")
-        if self.goal_intervals is not None:
-            return self.goal_intervals
-        assert self.goal_seconds is not None
-        return max(1, int(-(-self.goal_seconds // migration_delay)))
-
-
 class PolicyKind(Enum):
     """Migration strategy families."""
 
@@ -268,14 +214,12 @@ class MigrationPolicy:
     ``k`` is the persistence horizon: the diversity policy spreads each
     choice away from the previous ``k - 1`` platforms, and the random-k
     policy rotates over ``k`` pre-drawn platforms. ``sequence`` is only
-    used by fixed periodic rotations. ``rng_seed`` seeds the policy's
-    random stream where randomness applies.
+    used by fixed periodic rotations.
     """
 
     kind: PolicyKind
     k: int | None = None
     sequence: tuple[int, ...] | None = None
-    rng_seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind in (PolicyKind.DIVERSITY, PolicyKind.RANDOM_K):
@@ -299,12 +243,12 @@ class MigrationPolicy:
         return cls(PolicyKind.DIVERSITY, k=k)
 
     @classmethod
-    def uniform(cls, rng_seed: int | None = None) -> MigrationPolicy:
-        return cls(PolicyKind.UNIFORM, rng_seed=rng_seed)
+    def uniform(cls) -> MigrationPolicy:
+        return cls(PolicyKind.UNIFORM)
 
     @classmethod
-    def random_k(cls, k: int = 3, rng_seed: int | None = None) -> MigrationPolicy:
-        return cls(PolicyKind.RANDOM_K, k=k, rng_seed=rng_seed)
+    def random_k(cls, k: int = 3) -> MigrationPolicy:
+        return cls(PolicyKind.RANDOM_K, k=k)
 
     @classmethod
     def fixed_periodic(cls, sequence: tuple[int, ...]) -> MigrationPolicy:

@@ -44,8 +44,8 @@ class ExploitSpec:
         negative = sorted(p for p in self.platforms if p < 0)
         if negative:
             raise ValueError(f"exploit platforms {negative} are negative")
-        if self.arrival is not None and self.arrival < 0:
-            raise ValueError("exploit arrival time must be non-negative")
+        if self.arrival is not None and not 0 <= self.arrival < math.inf:
+            raise ValueError(f"exploit arrival must be finite and non-negative, got {self.arrival}")
 
 
 #: Two network exploits with uniformly random arrivals: one breaches a
@@ -75,11 +75,11 @@ class ScenarioConfig:
             raise ValueError("attacker goals must be non-negative")
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ValueError("platform counts must be >= 1")
-        if self.duration <= 0:
-            raise ValueError("trial duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"trial duration must be finite and positive, got {self.duration}")
         lo, hi = self.delay
-        if lo <= 0 or hi < lo:
-            raise ValueError("migration delay range must satisfy 0 < lo <= hi")
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError(f"migration delay must be finite with 0 < lo <= hi, got {self.delay}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not self.exploits:
@@ -265,7 +265,7 @@ def _decode(
 def _control_runs(
     draws: _Draws, exploited_at: np.ndarray, duration: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each sample's longest control run, and whether its drawn stays reach a finite ``duration``.
+    """Each sample's longest control run, and whether its drawn stays reach ``duration``.
 
     ``exploited_at`` holds each sample's exploit time per platform. Stay
     ends are the running sums of the dwells, summed left to right as
@@ -296,9 +296,7 @@ def _control_runs(
     last_end[:, 1:] = np.maximum.accumulate(np.where(control, ends, -np.inf), axis=1)[:, :-1]
     head = np.where(control & (seg_start != last_end), seg_start, -np.inf)
     runs = np.where(control, ends - np.maximum.accumulate(head, axis=1), 0.0)
-    # an infinite or NaN end comes from a range Generator.uniform refuses;
-    # max_control_run raises its error
-    return runs.max(axis=1), np.isfinite(bounds[:, -1]) & (bounds[:, -1] >= duration)
+    return runs.max(axis=1), bounds[:, -1] >= duration
 
 
 def _platform_mask(exploits: tuple[ExploitSpec, ...], n: int) -> np.ndarray:
@@ -312,57 +310,40 @@ def _platform_mask(exploits: tuple[ExploitSpec, ...], n: int) -> np.ndarray:
 def _exploit_times(arrivals: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Each sample's exploit time per platform: the earliest arrival of an exploit targeting it.
 
-    ``arrivals`` is (sample, exploit) and ``targets`` (sample or 1,
-    exploit, platform). As with ``min()`` in ``max_control_run``, a
-    platform takes an arrival only if it is earlier, so a NaN never wins.
+    ``arrivals`` is (sample, exploit) and ``targets`` (exploit, platform).
+    As with ``min()`` in ``max_control_run``, a platform takes an arrival
+    only if it is earlier.
     """
-    exploited_at = np.full((len(arrivals), targets.shape[2]), np.inf)
+    exploited_at = np.full((len(arrivals), targets.shape[1]), np.inf)
     for i in range(arrivals.shape[1]):
         arrival = arrivals[:, i, None]
-        exploited_at = np.where(targets[:, i] & (arrival < exploited_at), arrival, exploited_at)
+        exploited_at = np.where(targets[i] & (arrival < exploited_at), arrival, exploited_at)
     return exploited_at
 
 
-def run_scenario_study(config: ScenarioConfig, labelings=None) -> list[GridPoint]:
+def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
     """Success fraction per (N, T) grid point.
 
-    ``labelings``, when given, overrides the exploits' platform sets per
-    sample: a sequence of ``config.samples`` entries, each a sequence of
-    platform collections aligned with ``config.exploits``. Samples are
-    shared across the T sweep for each N, so the success fraction at T is
-    the fraction of samples whose longest control run reaches T. Sample
-    streams derive from (master seed, N, sample index).
+    Samples are shared across the T sweep for each N, so the success
+    fraction at T is the fraction of samples whose longest control run
+    reaches T. Sample streams derive from (master seed, N, sample index).
 
     Each result equals ``max_control_run`` on the sample's stream: blocks
     of samples are decoded from raw words and evaluated as arrays, and a
     sample with a draw NumPy would redraw, or whose decoded stays end
     before ``duration``, is rerun through ``max_control_run``.
     """
-    sample_exploits = None
-    if labelings is not None:
-        labelings = list(labelings)
-        if len(labelings) != config.samples:
-            raise ValueError("labelings must provide one entry per sample")
-        for entry in labelings:
-            if len(entry) != len(config.exploits):
-                raise ValueError("each labeling must cover every configured exploit")
-        sample_exploits = [
-            tuple(
-                ExploitSpec(frozenset(platforms), spec.arrival)
-                for spec, platforms in zip(config.exploits, entry)
-            )
-            for entry in labelings
-        ]
     duration = float(config.duration)
     drawn = [i for i, spec in enumerate(config.exploits) if spec.arrival is None]
     fixed = np.array([np.nan if spec.arrival is None else spec.arrival for spec in config.exploits])
     # dwells are at least lo, so duration / lo stays reach the trial end, plus
-    # slack for float sums that fall short; a NaN or infinite ratio takes the cap
+    # slack for float sums that fall short; a ratio that overflows takes the cap
     ratio = duration / config.delay[0]
     max_stays = int(ratio) + 2 if ratio < _BLOCK_CELLS - 2 else _BLOCK_CELLS
     results: list[GridPoint] = []
     for n in config.n_values:
         layout = _draw_layout(n, len(drawn), 1 if n == 1 else max_stays)
+        targets = _platform_mask(config.exploits, n)
         block = _BLOCK_CELLS // max(1, len(layout.dwells))
         runs = np.empty(config.samples)
         for first in range(0, config.samples, block):
@@ -374,15 +355,12 @@ def run_scenario_study(config: ScenarioConfig, labelings=None) -> list[GridPoint
             arrivals = np.empty((len(samples), len(fixed)))
             arrivals[:] = fixed
             arrivals[:, drawn] = draws.arrivals
-            if sample_exploits is None:
-                targets = _platform_mask(config.exploits, n)[None]
-            else:
-                targets = np.stack([_platform_mask(sample_exploits[s], n) for s in samples])
             block_runs, exact = _control_runs(draws, _exploit_times(arrivals, targets), duration)
             for i in np.flatnonzero(~exact | draws.rejected):
-                exploits = config.exploits if sample_exploits is None else sample_exploits[first + i]
                 rng = substream(config.master_seed, n, first + i)
-                block_runs[i] = max_control_run(n, config.duration, config.delay, exploits, rng)
+                block_runs[i] = max_control_run(
+                    n, config.duration, config.delay, config.exploits, rng
+                )
             runs[first : first + len(samples)] = block_runs
         for t in config.t_values:
             hits = int(np.count_nonzero(runs >= t))

@@ -5,13 +5,14 @@ dissimilar from the recent history: plain maximum distance when only one
 prior platform is relevant, maximum triangle area (Heron's formula on
 pairwise distances) for a two-platform history, and maximum summed
 pairwise distance for longer histories. Ties break toward the lowest
-platform index so schedules are fully deterministic.
+platform index so schedules are fully deterministic. ``trace`` builds
+the whole schedule of any policy as one array.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,33 +40,6 @@ def heron_area(a, b, c):
     return np.sqrt(squared)
 
 
-@dataclass
-class ScheduleState:
-    """Mutable per-trial scheduling state.
-
-    ``history`` keeps the platforms still relevant to the policy (the
-    last k-1 for diversity, just the current one otherwise), most recent
-    last; the current platform is ``history[-1]``. Each trial owns its
-    state; distinct trials may run concurrently.
-    """
-
-    policy: MigrationPolicy
-    n_platforms: int
-    history: list[int] = field(default_factory=list)
-    step: int = 0
-    rng: np.random.Generator | None = None
-
-    @property
-    def current(self) -> int:
-        return self.history[-1]
-
-    def _window(self) -> int:
-        if self.policy.kind is PolicyKind.DIVERSITY:
-            assert self.policy.k is not None
-            return self.policy.k - 1
-        return 1
-
-
 def check_pool(policy: MigrationPolicy, n_platforms: int) -> None:
     """Raise ValueError when ``policy`` cannot schedule over ``n_platforms`` platforms."""
     if policy.kind is PolicyKind.RANDOM_K and policy.k > n_platforms:
@@ -78,37 +52,6 @@ def check_pool(policy: MigrationPolicy, n_platforms: int) -> None:
         raise ValueError("migration without repeat needs at least two platforms")
     if policy.kind is PolicyKind.FIXED_PERIODIC and max(policy.sequence) >= n_platforms:
         raise ValueError("fixed periodic sequence references unknown platforms")
-
-
-def new_schedule_state(
-    policy: MigrationPolicy,
-    n_platforms: int,
-    start: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> ScheduleState:
-    """Initial state positioned on the starting platform.
-
-    Fixed periodic policies always start at the head of their sequence.
-    Random policies need ``rng`` (or a seeded policy) to drive later
-    draws; if ``start`` is omitted for the uniform policy it is drawn
-    uniformly from the full platform set.
-    """
-    if n_platforms < 1:
-        raise ValueError("n_platforms must be >= 1")
-    check_pool(policy, n_platforms)
-    if rng is None and policy.rng_seed is not None:
-        rng = as_generator(policy.rng_seed)
-    if policy.kind is PolicyKind.FIXED_PERIODIC:
-        assert policy.sequence is not None
-        start = policy.sequence[0]
-    elif start is None:
-        if policy.kind is PolicyKind.UNIFORM and rng is not None:
-            start = int(rng.integers(n_platforms))
-        else:
-            raise ValueError("a start platform is required for this policy")
-    if not 0 <= start < n_platforms:
-        raise ValueError(f"start platform {start} out of range")
-    return ScheduleState(policy=policy, n_platforms=n_platforms, history=[start], rng=rng)
 
 
 def _most_diverse(dist: np.ndarray, hist: list[int]) -> int:
@@ -130,63 +73,6 @@ def _most_diverse(dist: np.ndarray, hist: list[int]) -> int:
             scores += dist[prior]
     scores[current] = -np.inf
     return int(np.argmax(scores))
-
-
-def next_platform_diversity(state: ScheduleState, sim: SimilarityMatrix) -> int:
-    """Most dissimilar next platform given the recent history.
-
-    Never returns the current platform. With a single relevant prior
-    platform this is the argmin of similarity to it; with two it
-    maximizes the Heron triangle area over pairwise distances; with more
-    it maximizes the summed distance to the history.
-    """
-    if not state.history:
-        raise ValueError("diversity selection needs at least one platform of history")
-    assert state.policy.k is not None
-    return _most_diverse(sim.distances(), state.history[-(state.policy.k - 1):])
-
-
-def next_platform_uniform(state: ScheduleState) -> int:
-    """Uniform draw over every platform except the current one."""
-    if state.n_platforms < 2:
-        raise ValueError("uniform no-repeat selection needs at least two platforms")
-    if state.rng is None:
-        raise ValueError("uniform policy requires a random generator")
-    draw = int(state.rng.integers(state.n_platforms - 1))
-    if draw >= state.current:
-        draw += 1
-    return draw
-
-
-def next_platform(state: ScheduleState, sim: SimilarityMatrix | None = None) -> int:
-    """Dispatch to the policy's selection rule without advancing the state."""
-    kind = state.policy.kind
-    if kind is PolicyKind.DIVERSITY:
-        if sim is None:
-            raise ValueError("diversity policy requires a similarity matrix")
-        return next_platform_diversity(state, sim)
-    if kind is PolicyKind.UNIFORM:
-        return next_platform_uniform(state)
-    if kind is PolicyKind.FIXED_PERIODIC:
-        assert state.policy.sequence is not None
-        return state.policy.sequence[(state.step + 1) % len(state.policy.sequence)]
-    raise ValueError(f"policy kind {kind} must be realized before scheduling")
-
-
-def advance(state: ScheduleState, platform: int) -> None:
-    """Record ``platform`` as the newly active platform."""
-    state.history.append(platform)
-    window = state._window()
-    if len(state.history) > window:
-        del state.history[: len(state.history) - window]
-    state.step += 1
-
-
-def step_schedule(state: ScheduleState, sim: SimilarityMatrix | None = None) -> int:
-    """Select the next platform, advance the state, and return the choice."""
-    choice = next_platform(state, sim)
-    advance(state, choice)
-    return choice
 
 
 def diversity_schedule(sim: SimilarityMatrix, start: int, steps: int, k: int) -> list[int]:
@@ -217,6 +103,40 @@ def make_random_k_policy(platforms: PlatformSet | int, k: int, seed) -> Migratio
     rng = as_generator(seed)
     subset = rng.choice(count, size=k, replace=False)
     return MigrationPolicy.fixed_periodic(tuple(int(p) for p in subset))
+
+
+def trace(
+    policy: MigrationPolicy,
+    sim: SimilarityMatrix,
+    start: int | None,
+    steps: int,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Platform of each of ``steps`` intervals under ``policy``, beginning at ``start``.
+
+    Diversity and fixed periodic traces draw nothing; a fixed periodic
+    trace begins at the head of its sequence and ignores ``start``. A
+    uniform trace makes no immediate repeat and draws one batched
+    ``integers(N - 1, size=steps - 1)`` from ``rng``: the same values,
+    and the same generator state afterwards, as one scalar draw per
+    step. A random-k policy is realized with ``make_random_k_policy``
+    first. The caller checks the pool with ``check_pool``.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if policy.kind is PolicyKind.FIXED_PERIODIC:
+        return np.resize(np.array(policy.sequence), steps)
+    if policy.kind is PolicyKind.DIVERSITY:
+        return np.array(diversity_schedule(sim, start, steps, policy.k))
+    if policy.kind is not PolicyKind.UNIFORM:
+        raise ValueError(f"policy kind {policy.kind} must be realized before scheduling")
+    if rng is None:
+        raise ValueError("uniform policy requires a random generator")
+    # a draw over the other N - 1 platforms skips the current one
+    chosen = [start]
+    for draw in rng.integers(sim.count - 1, size=steps - 1).tolist():
+        chosen.append(draw + (draw >= chosen[-1]))
+    return np.array(chosen)
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    MigrationPolicy,
-    PolicyKind,
-    SimilarityMatrix,
-    VulnerabilityLabeling,
-)
-from .rng import as_generator, substream
-from .scheduler import check_pool, diversity_schedule, make_random_k_policy
+from .core import MigrationPolicy, PolicyKind, SimilarityMatrix, VulnerabilityLabeling
+from .rng import substream
+from .scheduler import check_pool, make_random_k_policy, trace
 
 LABELING_STREAM = 0
 #: Stable stream id per policy, so a policy's trials are identical whether
@@ -75,26 +70,6 @@ class McConfig:
         raise ValueError(f"{kind} is not a study-level policy")
 
 
-@dataclass(frozen=True)
-class TrialTrace:
-    """Per-interval platform choices and vulnerability flags for one trial."""
-
-    chosen: tuple[int, ...]
-    vulnerable: tuple[bool, ...]
-    labeling: VulnerabilityLabeling
-
-    def __post_init__(self) -> None:
-        if len(self.chosen) != len(self.vulnerable):
-            raise ValueError("chosen and vulnerable sequences must have equal length")
-        for platform, flag in zip(self.chosen, self.vulnerable):
-            if self.labeling.flags[platform] != flag:
-                raise ValueError("vulnerability flags are inconsistent with the labeling")
-
-    @property
-    def intervals(self) -> int:
-        return len(self.chosen)
-
-
 def assign_vulnerabilities(sim: SimilarityMatrix, rng: np.random.Generator) -> VulnerabilityLabeling:
     """Draw a labeling: uniform seed platform, then per-platform Bernoulli by similarity."""
     count = sim.count
@@ -103,59 +78,6 @@ def assign_vulnerabilities(sim: SimilarityMatrix, rng: np.random.Generator) -> V
     flags = np.ones(count, dtype=bool)
     flags[others] = rng.random(count - 1) < sim.scores[seed_platform, others]
     return VulnerabilityLabeling(tuple(flags.tolist()))
-
-
-def _platform_trace(
-    policy: MigrationPolicy,
-    sim: SimilarityMatrix,
-    intervals: int,
-    rng: np.random.Generator,
-    diversity_traces: dict[int, np.ndarray],
-) -> np.ndarray:
-    """One trial's platform per interval under ``policy``, drawn from ``rng``.
-
-    Draws, in order: the random-k subset, or else the start platform
-    (fixed periodic policies draw nothing), then for the uniform policy
-    one batched draw of ``intervals - 1`` moves. ``diversity_traces``
-    caches diversity traces by start platform; the caller owns it and
-    must not share it across similarity matrices, k or interval counts.
-    """
-    count = sim.count
-    if policy.kind is PolicyKind.RANDOM_K:
-        assert policy.k is not None
-        policy = make_random_k_policy(sim.platforms, policy.k, rng)
-    if policy.kind is PolicyKind.FIXED_PERIODIC:
-        return np.resize(np.array(policy.sequence), intervals)
-    start = int(rng.integers(count))
-    if policy.kind is PolicyKind.DIVERSITY:
-        trace = diversity_traces.get(start)
-        if trace is None:
-            assert policy.k is not None
-            trace = np.array(diversity_schedule(sim, start, intervals, policy.k))
-            diversity_traces[start] = trace
-        return trace
-    # uniform no-repeat walk: a draw over the other count - 1 platforms
-    # skips the current one
-    chosen = [start]
-    for draw in rng.integers(count - 1, size=intervals - 1).tolist():
-        chosen.append(draw + (draw >= chosen[-1]))
-    return np.array(chosen)
-
-
-def run_mc_trial(
-    config: McConfig,
-    policy: MigrationPolicy,
-    labeling: VulnerabilityLabeling,
-    sim: SimilarityMatrix,
-    seed,
-) -> TrialTrace:
-    """Generate one trial's platform trace under ``policy``; deterministic given ``seed``."""
-    if len(labeling) != sim.count:
-        raise ValueError("labeling does not cover the platform set")
-    check_pool(policy, sim.count)
-    chosen = _platform_trace(policy, sim, config.intervals, as_generator(seed), {})
-    vulnerable = np.array(labeling.flags)[chosen]
-    return TrialTrace(tuple(chosen.tolist()), tuple(vulnerable.tolist()), labeling)
 
 
 @dataclass(frozen=True)
@@ -171,29 +93,16 @@ class EmpiricalCdf:
 
     @classmethod
     def from_samples(cls, samples, total: int | None = None) -> EmpiricalCdf:
-        samples = sorted(float(s) for s in samples)
-        total = len(samples) if total is None else total
-        if total < max(1, len(samples)):
+        values, counts = np.unique(np.asarray(samples, dtype=float), return_counts=True)
+        size = int(counts.sum())
+        total = size if total is None else total
+        if total < max(1, size):
             raise ValueError("total must cover all samples")
-        values: list[float] = []
-        probs: list[float] = []
-        seen = 0
-        for value in samples:
-            seen += 1
-            if values and values[-1] == value:
-                probs[-1] = seen / total
-            else:
-                values.append(value)
-                probs.append(seen / total)
-        return cls(tuple(values), tuple(probs))
+        return cls(tuple(values.tolist()), tuple((np.cumsum(counts) / total).tolist()))
 
     def auc(self, upper: float = 1.0) -> float:
         """Area under the CDF over [0, upper]; 1 - auc() is the sample mean for values in [0, 1]."""
-        area = 0.0
-        for i, value in enumerate(self.values):
-            end = self.values[i + 1] if i + 1 < len(self.values) else upper
-            area += self.probs[i] * (end - value)
-        return area
+        return float(np.dot(self.probs, np.diff(self.values, append=upper)))
 
 
 @dataclass(frozen=True)
@@ -249,8 +158,13 @@ class PolicyMetrics:
         return EmpiricalCdf.from_samples(finite, total=self.trials)
 
 
-def _reduce(vulnerable: np.ndarray, k: int) -> PolicyMetrics:
-    """The three study metrics of a trials × intervals vulnerability matrix."""
+def compute_metrics(vulnerable, k: int) -> PolicyMetrics:
+    """The three study metrics of a trials × intervals vulnerability matrix, persistence ``k``."""
+    vulnerable = np.asarray(vulnerable, dtype=bool)
+    if vulnerable.ndim != 2 or not vulnerable.size:
+        raise ValueError("vulnerability must be a non-empty trials × intervals matrix")
+    if k < 1:
+        raise ValueError("persistence requirement k must be >= 1")
     intervals = vulnerable.shape[1]
     # hits[t, i]: the k intervals ending at interval i of trial t were all vulnerable
     hits = vulnerable.copy()
@@ -270,18 +184,6 @@ def _reduce(vulnerable: np.ndarray, k: int) -> PolicyMetrics:
     )
 
 
-def compute_metrics(traces: list[TrialTrace], k: int) -> PolicyMetrics:
-    """Evaluate the three study metrics over ``traces`` with persistence requirement ``k``."""
-    if not traces:
-        raise ValueError("at least one trace is required")
-    intervals = traces[0].intervals
-    if any(trace.intervals != intervals for trace in traces):
-        raise ValueError("all traces must have the same interval count")
-    if k < 1:
-        raise ValueError("persistence requirement k must be >= 1")
-    return _reduce(np.array([trace.vulnerable for trace in traces], dtype=bool), k)
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     """Study results: metrics per policy name, keyed as in the config order."""
@@ -291,7 +193,12 @@ class MetricsReport:
 
 
 def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> MetricsReport:
-    """Run the full paired-policy study; fully reproducible from the master seed."""
+    """Run the full paired-policy study; fully reproducible from the master seed.
+
+    A policy's trial draws from its own stream, in order: the random-k
+    subset, or else the start platform, then for the uniform policy its
+    batched moves.
+    """
     policies = {kind: config.policy_for(kind) for kind in config.policy_kinds}
     for policy in policies.values():
         check_pool(policy, sim.count)
@@ -305,7 +212,19 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> MetricsReport:
         flags = np.array(labeling.flags)
         for kind, policy in policies.items():
             rng = substream(config.master_seed, trial, POLICY_STREAM[kind])
-            chosen = _platform_trace(policy, sim, config.intervals, rng, diversity_traces)
+            if kind is PolicyKind.RANDOM_K:
+                rotation = make_random_k_policy(sim.platforms, config.k, rng)
+                chosen = trace(rotation, sim, None, config.intervals)
+            elif kind is PolicyKind.UNIFORM:
+                chosen = trace(policy, sim, int(rng.integers(sim.count)), config.intervals, rng)
+            else:
+                # a diversity trace draws nothing, so each start's trace is built once
+                start = int(rng.integers(sim.count))
+                if start not in diversity_traces:
+                    diversity_traces[start] = trace(policy, sim, start, config.intervals)
+                chosen = diversity_traces[start]
             vulnerable[kind][trial] = flags[chosen]
-    per_policy = {kind.value: _reduce(vulnerable[kind], config.k) for kind in config.policy_kinds}
+    per_policy = {
+        kind.value: compute_metrics(vulnerable[kind], config.k) for kind in config.policy_kinds
+    }
     return MetricsReport(config=config, per_policy=per_policy)

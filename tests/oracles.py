@@ -173,3 +173,76 @@ def triangle_area_from_sides(a: float, b: float, c: float) -> float:
     """Heron's formula with the non-metric radicand clamped at zero."""
     s = (a + b + c) / 2.0
     return max(0.0, s * (s - a) * (s - b) * (s - c)) ** 0.5
+
+
+def scalar_diversity_trace(dist, start: int, steps: int, k: int) -> list[int]:
+    """Candidate-by-candidate diversity walk in Python floats, ties to the lowest index."""
+    count = dist.shape[0]
+    trace = [start]
+    for _ in range(steps - 1):
+        hist = trace[-(k - 1):]
+        best, best_score = -1, -1.0
+        for candidate in range(count):
+            if candidate == hist[-1]:
+                continue
+            sides = [float(dist[candidate, prior]) for prior in hist]
+            if len(hist) == 1:
+                score = sides[0]
+            elif len(hist) == 2:
+                score = triangle_area_from_sides(*sides, float(dist[hist[0], hist[1]]))
+            else:
+                score = sum(sides)
+            if score > best_score:
+                best, best_score = candidate, score
+        trace.append(best)
+    return trace
+
+
+#: Stream id per policy name; stream 0 draws the labeling.
+POLICY_STREAMS = {"diversity": 1, "uniform": 2, "random_k": 3}
+
+
+def reference_study(config, sim):
+    """The Monte Carlo study rebuilt one scalar draw and one step at a time.
+
+    Trial streams are PCG64 generators seeded with ``(master seed, trial,
+    stream id)``. A labeling draws its seed platform, then one scalar per
+    other platform. Diversity walks ``scalar_diversity_trace`` from a
+    drawn start; uniform draws a start and then one scalar
+    ``integers(N - 1)`` per step, skipping the current platform; random-k
+    draws ``k`` distinct platforms and cycles them. Metrics come from
+    ``naive_trace_metrics``. Returns {policy name: (vulnerable fractions,
+    first compromises, compromised fractions)}.
+    """
+    scores = np.asarray(sim.scores, dtype=float)
+    count = len(scores)
+    columns = {kind.value: ([], [], []) for kind in config.policy_kinds}
+
+    def stream(trial, stream_id):
+        entropy = (config.master_seed, trial, stream_id)
+        return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
+
+    for trial in range(config.trials):
+        rng = stream(trial, 0)
+        seed_platform = int(rng.integers(count))
+        flags = [
+            i == seed_platform or bool(rng.random() < scores[seed_platform, i])
+            for i in range(count)
+        ]
+        for name, column in columns.items():
+            rng = stream(trial, POLICY_STREAMS[name])
+            if name == "random_k":
+                subset = rng.choice(count, size=config.k, replace=False).tolist()
+                chosen = [subset[i % config.k] for i in range(config.intervals)]
+            elif name == "diversity":
+                start = int(rng.integers(count))
+                chosen = scalar_diversity_trace(1.0 - scores, start, config.intervals, config.k)
+            else:
+                chosen = [int(rng.integers(count))]
+                for _ in range(config.intervals - 1):
+                    draw = int(rng.integers(count - 1))
+                    chosen.append(draw + 1 if draw >= chosen[-1] else draw)
+            metrics = naive_trace_metrics([flags[p] for p in chosen], config.k)
+            for values, value in zip(column, metrics):
+                values.append(value)
+    return columns

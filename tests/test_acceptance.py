@@ -28,12 +28,11 @@ from diversity_lab import (
     diversity_schedule,
     expected_time_to_compromise,
     make_random_k_policy,
-    new_schedule_state,
     p_success_aggregate,
     run_length_chain,
     run_scenario_study,
     steady_state,
-    step_schedule,
+    trace,
 )
 from diversity_lab.cli import main as cli_main
 from oracles import (
@@ -292,18 +291,15 @@ def test_criterion_10_property_suites(five_platform_sim, default_study, tmp_path
         for _ in range(10):
             if kind is PolicyKind.RANDOM_K:
                 policy = make_random_k_policy(5, 3, rng)
-                state = new_schedule_state(policy, 5)
+                chosen = trace(policy, five_platform_sim, None, 81)
             else:
                 policy = (
                     MigrationPolicy.diversity(3)
                     if kind is PolicyKind.DIVERSITY
                     else MigrationPolicy.uniform()
                 )
-                state = new_schedule_state(policy, 5, start=int(rng.integers(5)), rng=rng)
-            trace = [state.current]
-            for _ in range(80):
-                trace.append(step_schedule(state, five_platform_sim))
-            repeat_ok = repeat_ok and all(a != b for a, b in zip(trace, trace[1:]))
+                chosen = trace(policy, five_platform_sim, int(rng.integers(5)), 81, rng)
+            repeat_ok = repeat_ok and all(a != b for a, b in zip(chosen, chosen[1:]))
 
     # compromised fraction never exceeds vulnerable fraction
     bound_ok = all(

@@ -70,6 +70,48 @@ class TestScheduleCommand:
     def test_unknown_start_platform(self, tmp_path):
         assert main(["schedule", "--start", "Plan9", "--outdir", str(tmp_path)]) == 2
 
+    C, F, D, G, B = "CentOS", "Fedora", "Debian", "Gentoo", "FreeBSD"
+
+    @pytest.mark.parametrize(
+        "policy, seed, start, trace, periodicity",
+        [
+            ("diversity", 0, None, [C, B, F, D, B, F, D, B, F, D, B, F], (3, 1)),
+            ("diversity", 5, D, [D, B, F] * 4, (3, 0)),
+            ("uniform", 0, None, [C, B, D, G, F, D, C, F, C, F, B, D], None),
+            ("uniform", 5, D, [D, G, B, C, B, F, G, D, F, B, C, D], None),
+            # a random-k rotation starts at the head of its drawn subset, whatever --start says
+            ("random_k", 0, None, [G, B, D] * 4, (3, 0)),
+            ("random_k", 5, D, [G, D, C] * 4, (3, 0)),
+        ],
+    )
+    def test_schedule_pinned(self, tmp_path, policy, seed, start, trace, periodicity):
+        # recorded from the per-step scheduler: a batched uniform draw must reproduce them
+        argv = ["schedule", "--policy", policy, "--seed", str(seed), "--steps", "12"]
+        argv += ["--start", start] if start else []
+        assert main([*argv, "--outdir", str(tmp_path)]) == 0
+        report = read_json(tmp_path / "schedule.json")
+        assert report == {
+            "platforms": [self.C, self.F, self.D, self.G, self.B],
+            "policy": policy,
+            "k": 3,
+            "seed": seed,
+            "start": trace[0],
+            "steps": 12,
+            "trace": trace,
+            "periodicity": None
+            if periodicity is None
+            else {"period": periodicity[0], "transient": periodicity[1]},
+        }
+
+    @pytest.mark.parametrize("policy", ["diversity", "uniform", "random_k"])
+    @pytest.mark.parametrize("steps", ["0", "1"])
+    def test_fewer_than_two_steps_exits_2(self, tmp_path, capsys, policy, steps):
+        outdir = tmp_path / "never"
+        argv = ["schedule", "--policy", policy, "--steps", steps]
+        assert main([*argv, "--outdir", str(outdir)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not outdir.exists()
+
 
 class TestMcCommand:
     def run_small(self, tmp_path, extra=(), outdir_name="out"):
@@ -359,6 +401,63 @@ class TestExploitPlatformRange:
         assert (first / "success_fraction.csv").read_bytes() == (
             rerun / "success_fraction.csv"
         ).read_bytes()
+
+
+class TestNonFiniteScenarioInput:
+    """Non-finite timing or arrivals exit 2 with one error line and no output directory.
+
+    ``--d inf --exploit 0@0`` is covered by the ``ScenarioConfig`` tests only:
+    code without the check never returns from it.
+    """
+
+    @staticmethod
+    def assert_rejected(capsys, argv, outdir, message):
+        assert main([*argv, "--outdir", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--d", "nan"], "trial duration must be finite"),
+            (["--d", "inf"], "trial duration must be finite"),
+            (["--delay", "20,inf"], "migration delay must be finite"),
+            (["--exploit", "0,1,2@nan"], "exploit arrival must be finite"),
+            (["--exploit", "0,1,2@inf"], "exploit arrival must be finite"),
+        ],
+        ids=["d-nan", "d-inf-random-arrivals", "delay-inf", "arrival-nan", "arrival-inf"],
+    )
+    def test_argv(self, tmp_path, capsys, extra, message):
+        argv = ["scenario", "--N", "3", "--T", "10", "--samples", "2", *extra]
+        self.assert_rejected(capsys, argv, tmp_path / "never", message)
+
+    @pytest.mark.parametrize(
+        "extra, old, new, message",
+        [
+            ([], '"duration": 900.0', '"duration": Infinity', "trial duration must be finite"),
+            (
+                ["--exploit", "0@5"],
+                '"arrival": 5.0',
+                '"arrival": NaN',
+                "exploit arrival must be finite",
+            ),
+        ],
+        ids=["duration-infinity", "arrival-nan"],
+    )
+    def test_manifest(self, tmp_path, capsys, extra, old, new, message):
+        # json.loads accepts the non-standard literals Infinity and NaN
+        first = tmp_path / "first"
+        assert main(["scenario", "--N", "3", "--T", "10", "--samples", "2", *extra,
+                     "--outdir", str(first)]) == 0
+        text = (first / "run_manifest.json").read_text(encoding="utf-8")
+        assert old in text
+        path = tmp_path / "edited.json"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        capsys.readouterr()
+        argv = ["scenario", "--from-manifest", str(path)]
+        self.assert_rejected(capsys, argv, tmp_path / "never", message)
 
 
 class TestNoOutputOnValidationError:

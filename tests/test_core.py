@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diversity_lab
 from diversity_lab import (
-    ControlRequirement,
     MigrationPolicy,
-    PayoffModel,
     PlatformSet,
-    ThreatModel,
     VulnerabilityLabeling,
     load_similarity_matrix,
     save_similarity_matrix,
@@ -170,46 +168,6 @@ class TestVulnerabilityLabeling:
             VulnerabilityLabeling.from_vulnerable_indices(2, {5})
 
 
-class TestThreatModel:
-    def test_interval_goal(self):
-        tm = ThreatModel(ControlRequirement.CONTINUOUS, PayoffModel.BINARY, goal_intervals=3)
-        assert tm.intervals_required(25.0) == 3
-
-    def test_seconds_goal_discretized(self):
-        tm = ThreatModel(
-            ControlRequirement.CONTINUOUS,
-            PayoffModel.BINARY,
-            window_seconds=900.0,
-            goal_seconds=90.0,
-        )
-        assert tm.intervals_required(30.0) == 3
-        assert tm.intervals_required(29.0) == 4
-
-    def test_exactly_one_goal(self):
-        with pytest.raises(ValueError):
-            ThreatModel(ControlRequirement.AGGREGATE, PayoffModel.FRACTIONAL)
-        with pytest.raises(ValueError):
-            ThreatModel(
-                ControlRequirement.AGGREGATE,
-                PayoffModel.FRACTIONAL,
-                goal_intervals=2,
-                goal_seconds=60.0,
-            )
-
-    def test_invalid_values(self):
-        with pytest.raises(ValueError):
-            ThreatModel(ControlRequirement.CONTINUOUS, PayoffModel.BINARY, goal_intervals=0)
-        with pytest.raises(ValueError):
-            ThreatModel(ControlRequirement.CONTINUOUS, PayoffModel.BINARY, goal_seconds=-1.0)
-        with pytest.raises(ValueError):
-            ThreatModel(
-                ControlRequirement.CONTINUOUS,
-                PayoffModel.BINARY,
-                window_seconds=0.0,
-                goal_intervals=1,
-            )
-
-
 class TestMigrationPolicy:
     def test_diversity_requires_k(self):
         with pytest.raises(ValueError, match="k >= 2"):
@@ -234,3 +192,9 @@ class TestMigrationPolicy:
     def test_valid_rotation(self):
         policy = MigrationPolicy.fixed_periodic((0, 1, 2))
         assert policy.sequence == (0, 1, 2)
+
+
+def test_public_names_resolve():
+    assert len(set(diversity_lab.__all__)) == len(diversity_lab.__all__)
+    for name in diversity_lab.__all__:
+        assert getattr(diversity_lab, name) is not None, name

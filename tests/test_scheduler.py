@@ -9,17 +9,16 @@ from hypothesis import strategies as st
 from diversity_lab import (
     MigrationPolicy,
     PlatformSet,
+    check_pool,
     detect_periodicity,
     diversity_schedule,
     heron_area,
     make_random_k_policy,
-    new_schedule_state,
-    next_platform_diversity,
-    next_platform_uniform,
-    step_schedule,
+    trace,
 )
+from diversity_lab.scheduler import _most_diverse
 from conftest import make_similarity
-from oracles import triangle_area_from_sides
+from oracles import scalar_diversity_trace, triangle_area_from_sides
 
 
 class TestHeronArea:
@@ -37,14 +36,12 @@ class TestHeronArea:
 class TestDiversitySelection:
     def test_pairwise_most_distant(self, five_platform_sim):
         # from CentOS the least similar platform is FreeBSD
-        state = new_schedule_state(MigrationPolicy.diversity(2), 5, start=0)
-        assert next_platform_diversity(state, five_platform_sim) == 4
+        assert trace(MigrationPolicy.diversity(2), five_platform_sim, 0, 2)[1] == 4
 
     def test_two_platforms_forced_alternation(self):
         sim = make_similarity([[1.0, 0.7], [0.7, 1.0]])
-        state = new_schedule_state(MigrationPolicy.diversity(2), 2, start=0)
-        trace = [0] + [step_schedule(state, sim) for _ in range(6)]
-        assert trace == [0, 1, 0, 1, 0, 1, 0]
+        chosen = trace(MigrationPolicy.diversity(2), sim, 0, 7).tolist()
+        assert chosen == [0, 1, 0, 1, 0, 1, 0]
 
     def test_deterministic_given_start(self, five_platform_sim):
         first = diversity_schedule(five_platform_sim, 2, 40, 3)
@@ -66,8 +63,7 @@ class TestDiversitySelection:
                 [0.9, 0.9, 0.9, 1.0],
             ]
         )
-        state = new_schedule_state(MigrationPolicy.diversity(2), 4, start=0)
-        assert next_platform_diversity(state, sim) == 1
+        assert trace(MigrationPolicy.diversity(2), sim, 0, 2)[1] == 1
 
     def test_converges_to_max_area_triple(self, five_platform_sim):
         dist = five_platform_sim.distances()
@@ -81,31 +77,22 @@ class TestDiversitySelection:
             trace = diversity_schedule(five_platform_sim, start, 20, 3)
             assert set(trace[-3:]) == set(best_triple)
 
-    def test_history_window_bounded(self, five_platform_sim):
-        state = new_schedule_state(MigrationPolicy.diversity(3), 5, start=0)
-        for _ in range(10):
-            step_schedule(state, five_platform_sim)
-        assert len(state.history) == 2
-
     def test_k4_uses_summed_distances(self, five_platform_sim):
-        # after three advances the history holds 3 platforms; the next pick
+        # after three moves the history is the last 3 platforms; the next pick
         # must maximize the summed distance to all of them
-        state = new_schedule_state(MigrationPolicy.diversity(4), 5, start=0)
-        trace = [0]
-        for _ in range(3):
-            trace.append(step_schedule(state, five_platform_sim))
-        hist = trace[-3:]
+        chosen = trace(MigrationPolicy.diversity(4), five_platform_sim, 0, 5).tolist()
+        hist = chosen[1:4]
         dist = five_platform_sim.distances()
         scores = {
-            j: sum(dist[j, h] for h in hist) for j in range(5) if j != trace[-1]
+            j: sum(dist[j, h] for h in hist) for j in range(5) if j != chosen[3]
         }
         expected = max(sorted(scores), key=lambda j: scores[j])
-        assert step_schedule(state, five_platform_sim) == expected
+        assert chosen[4] == expected
 
     def test_too_few_platforms_rejected(self):
         sim = make_similarity([[1.0, 0.5], [0.5, 1.0]])
         with pytest.raises(ValueError, match="distinct platforms"):
-            new_schedule_state(MigrationPolicy.diversity(3), sim.count, start=0)
+            trace(MigrationPolicy.diversity(3), sim, 0, 5)
 
 
 @st.composite
@@ -128,15 +115,14 @@ def test_argmax_invariant_under_distance_scaling(sim, scale_tenths, data):
     scaled = make_similarity(1.0 - scale * sim.distances())
     k = data.draw(st.integers(min_value=2, max_value=3))
     start = data.draw(st.integers(min_value=0, max_value=sim.count - 1))
-    state = new_schedule_state(MigrationPolicy.diversity(k), sim.count, start=start)
+    hist = [start]
     if k == 3:
         second = data.draw(st.integers(min_value=0, max_value=sim.count - 1))
         assume(second != start)
-        state.history.append(second)
+        hist.append(second)
     # exact ties can break either way after rescaling rounds the scores;
     # require a real margin between the top two candidates
     dist = sim.distances()
-    hist = state.history
     objective = {}
     for j in range(sim.count):
         if j == hist[-1]:
@@ -149,54 +135,47 @@ def test_argmax_invariant_under_distance_scaling(sim, scale_tenths, data):
             )
     ranked = sorted(objective.values(), reverse=True)
     assume(len(ranked) < 2 or ranked[0] - ranked[1] > 1e-9)
-    scaled_state = new_schedule_state(MigrationPolicy.diversity(k), sim.count, start=start)
-    scaled_state.history[:] = state.history
-    choice = next_platform_diversity(state, sim)
-    assert next_platform_diversity(scaled_state, scaled) == choice
+    choice = _most_diverse(dist, hist)
+    assert _most_diverse(scaled.distances(), hist) == choice
 
 
 class TestUniformSelection:
     def test_two_platforms_alternate(self):
-        policy = MigrationPolicy.uniform(rng_seed=1)
-        state = new_schedule_state(policy, 2, start=0)
-        trace = [0] + [step_schedule(state) for _ in range(5)]
-        assert trace == [0, 1, 0, 1, 0, 1]
+        sim = make_similarity([[1.0, 0.5], [0.5, 1.0]])
+        chosen = trace(MigrationPolicy.uniform(), sim, 0, 6, np.random.default_rng(1)).tolist()
+        assert chosen == [0, 1, 0, 1, 0, 1]
 
-    def test_never_returns_current(self):
-        state = new_schedule_state(MigrationPolicy.uniform(rng_seed=3), 5, start=2)
-        for _ in range(10_000):
-            current = state.current
-            assert step_schedule(state) != current
+    def test_never_returns_current(self, five_platform_sim):
+        rng = np.random.default_rng(3)
+        chosen = trace(MigrationPolicy.uniform(), five_platform_sim, 2, 10_001, rng).tolist()
+        for current, nxt in zip(chosen, chosen[1:]):
+            assert nxt != current
 
-    def test_uniform_over_others(self):
+    def test_uniform_over_others(self, five_platform_sim):
         rng = np.random.default_rng(123)
-        state = new_schedule_state(MigrationPolicy.uniform(), 5, start=2, rng=rng)
+        policy = MigrationPolicy.uniform()
         counts = {0: 0, 1: 0, 3: 0, 4: 0}
         draws = 100_000
         for _ in range(draws):
-            state.history[-1] = 2
-            counts[next_platform_uniform(state)] += 1
+            counts[int(trace(policy, five_platform_sim, 2, 2, rng)[1])] += 1
         expected = draws / 4
         chi_square = sum((c - expected) ** 2 / expected for c in counts.values())
         # 3 degrees of freedom; 16.27 is the 0.999 quantile
         assert chi_square < 16.27
 
-    def test_requires_rng(self):
-        state = new_schedule_state(MigrationPolicy.uniform(), 5, start=1)
+    def test_requires_rng(self, five_platform_sim):
         with pytest.raises(ValueError, match="random generator"):
-            next_platform_uniform(state)
+            trace(MigrationPolicy.uniform(), five_platform_sim, 1, 2)
 
     def test_single_platform_rejected(self):
         with pytest.raises(ValueError):
-            new_schedule_state(MigrationPolicy.uniform(rng_seed=0), 1, start=0)
+            check_pool(MigrationPolicy.uniform(), 1)
 
 
 class TestRandomKPolicy:
-    def test_rotation_has_period_k(self):
+    def test_rotation_has_period_k(self, five_platform_sim):
         policy = make_random_k_policy(5, 3, seed=9)
-        state = new_schedule_state(policy, 5)
-        trace = [state.current] + [step_schedule(state) for _ in range(11)]
-        periodicity = detect_periodicity(trace)
+        periodicity = detect_periodicity(trace(policy, five_platform_sim, None, 12).tolist())
         assert periodicity is not None
         assert periodicity.period == 3
         assert periodicity.transient == 0
@@ -257,38 +236,12 @@ class TestNoAdjacentRepeats:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_all_policies(self, five_platform_sim, seed):
         rng = np.random.default_rng(seed)
-        traces = []
-        div = new_schedule_state(MigrationPolicy.diversity(3), 5, start=int(rng.integers(5)))
-        traces.append([div.current] + [step_schedule(div, five_platform_sim) for _ in range(60)])
-        uni = new_schedule_state(MigrationPolicy.uniform(), 5, start=int(rng.integers(5)), rng=rng)
-        traces.append([uni.current] + [step_schedule(uni) for _ in range(60)])
-        rot = new_schedule_state(make_random_k_policy(5, 3, rng), 5)
-        traces.append([rot.current] + [step_schedule(rot) for _ in range(60)])
-        for trace in traces:
-            assert all(a != b for a, b in zip(trace, trace[1:]))
-
-
-def scalar_diversity_trace(dist, start: int, steps: int, k: int) -> list[int]:
-    """Candidate-by-candidate diversity walk in Python floats, ties to the lowest index."""
-    count = dist.shape[0]
-    trace = [start]
-    for _ in range(steps - 1):
-        hist = trace[-(k - 1):]
-        best, best_score = -1, -1.0
-        for candidate in range(count):
-            if candidate == hist[-1]:
-                continue
-            sides = [float(dist[candidate, prior]) for prior in hist]
-            if len(hist) == 1:
-                score = sides[0]
-            elif len(hist) == 2:
-                score = triangle_area_from_sides(*sides, float(dist[hist[0], hist[1]]))
-            else:
-                score = sum(sides)
-            if score > best_score:
-                best, best_score = candidate, score
-        trace.append(best)
-    return trace
+        sim = five_platform_sim
+        traces = [trace(MigrationPolicy.diversity(3), sim, int(rng.integers(5)), 61)]
+        traces.append(trace(MigrationPolicy.uniform(), sim, int(rng.integers(5)), 61, rng))
+        traces.append(trace(make_random_k_policy(5, 3, rng), sim, None, 61))
+        for chosen in traces:
+            assert all(a != b for a, b in zip(chosen, chosen[1:]))
 
 
 class TestVectorizedScorerMatchesScalarReference:

@@ -9,19 +9,15 @@ from diversity_lab import (
     McConfig,
     MigrationPolicy,
     PolicyKind,
-    TrialTrace,
     VulnerabilityLabeling,
     assign_vulnerabilities,
     compute_metrics,
     make_random_k_policy,
-    new_schedule_state,
     run_mc_study,
-    run_mc_trial,
-    step_schedule,
-    substream,
+    trace,
 )
 from conftest import make_similarity
-from oracles import naive_trace_metrics
+from oracles import naive_trace_metrics, reference_study
 
 
 class TestAssignVulnerabilities:
@@ -67,75 +63,59 @@ class TestAssignVulnerabilities:
         assert abs(hits / trials - expected) < 0.006
 
 
+def trial_trace(policy, sim, intervals, seed):
+    """One trial's platforms under ``policy``, drawn from ``seed`` as the study draws them."""
+    rng = np.random.default_rng(seed)
+    if policy.kind is PolicyKind.RANDOM_K:
+        return trace(make_random_k_policy(sim.platforms, policy.k, rng), sim, None, intervals)
+    return trace(policy, sim, int(rng.integers(sim.count)), intervals, rng)
+
+
 class TestRunMcTrial:
+    """One trial's trace and vulnerability row, as ``run_mc_study`` builds them."""
+
     def test_deterministic_given_seed(self, five_platform_sim):
         config = McConfig(trials=1, intervals=50)
-        labeling = VulnerabilityLabeling((True, False, True, False, True))
         policy = MigrationPolicy.uniform()
-        first = run_mc_trial(config, policy, labeling, five_platform_sim, 42)
-        second = run_mc_trial(config, policy, labeling, five_platform_sim, 42)
-        assert first == second
+        first = trial_trace(policy, five_platform_sim, config.intervals, 42)
+        second = trial_trace(policy, five_platform_sim, config.intervals, 42)
+        assert first.tolist() == second.tolist()
 
     def test_fixed_periodic_alternation(self, five_platform_sim):
         config = McConfig(trials=1, intervals=10)
         labeling = VulnerabilityLabeling.from_vulnerable_indices(5, {0})
         policy = MigrationPolicy.fixed_periodic((0, 1))
-        trace = run_mc_trial(config, policy, labeling, five_platform_sim, 0)
-        assert trace.chosen == (0, 1) * 5
-        assert trace.vulnerable == (True, False) * 5
+        chosen = trace(policy, five_platform_sim, None, config.intervals)
+        assert tuple(chosen.tolist()) == (0, 1) * 5
+        assert tuple(np.array(labeling.flags)[chosen].tolist()) == (True, False) * 5
 
     def test_uniform_all_vulnerable(self, five_platform_sim):
         config = McConfig(trials=1, intervals=30, k=3)
         labeling = VulnerabilityLabeling((True,) * 5)
-        trace = run_mc_trial(config, MigrationPolicy.uniform(), labeling, five_platform_sim, 7)
-        assert all(trace.vulnerable)
-        metrics = compute_metrics([trace], 3)
+        chosen = trial_trace(MigrationPolicy.uniform(), five_platform_sim, config.intervals, 7)
+        vulnerable = np.array(labeling.flags)[chosen]
+        assert all(vulnerable)
+        metrics = compute_metrics([vulnerable], 3)
         assert metrics.time_to_first_compromise == (3,)
 
     def test_random_k_realization_rotates(self, five_platform_sim):
         config = McConfig(trials=1, intervals=12)
-        labeling = VulnerabilityLabeling((False,) * 5)
-        trace = run_mc_trial(
-            config, MigrationPolicy.random_k(3), labeling, five_platform_sim, 5
-        )
-        assert len(set(trace.chosen)) == 3
-        assert trace.chosen[:3] * 4 == trace.chosen
-
-    def test_labeling_size_mismatch(self, five_platform_sim):
-        config = McConfig(trials=1, intervals=10)
-        labeling = VulnerabilityLabeling((True, False))
-        with pytest.raises(ValueError, match="platform set"):
-            run_mc_trial(config, MigrationPolicy.uniform(), labeling, five_platform_sim, 0)
-
-
-class TestTrialTrace:
-    def test_flag_consistency_enforced(self):
-        labeling = VulnerabilityLabeling((True, False))
-        with pytest.raises(ValueError, match="inconsistent"):
-            TrialTrace((0, 1), (True, True), labeling)
-
-    def test_length_mismatch(self):
-        labeling = VulnerabilityLabeling((True, False))
-        with pytest.raises(ValueError, match="equal length"):
-            TrialTrace((0, 1), (True,), labeling)
-
-
-def trace_from_flags(flags) -> TrialTrace:
-    labeling = VulnerabilityLabeling((True, False))
-    chosen = tuple(0 if f else 1 for f in flags)
-    return TrialTrace(chosen, tuple(flags), labeling)
+        chosen = trial_trace(MigrationPolicy.random_k(3), five_platform_sim, config.intervals, 5)
+        chosen = tuple(chosen.tolist())
+        assert len(set(chosen)) == 3
+        assert chosen[:3] * 4 == chosen
 
 
 class TestComputeMetrics:
     def test_hand_counted_example(self):
         flags = [True, True, True] + [False] * 97
-        metrics = compute_metrics([trace_from_flags(flags)], 3)
+        metrics = compute_metrics([flags], 3)
         assert metrics.vulnerable_fraction == (0.03,)
         assert metrics.time_to_first_compromise == (3,)
         assert metrics.compromised_fraction == (0.01,)
 
     def test_never_vulnerable(self):
-        metrics = compute_metrics([trace_from_flags([False] * 50)], 3)
+        metrics = compute_metrics([[False] * 50], 3)
         assert metrics.time_to_first_compromise == (None,)
         assert metrics.compromised_fraction == (0.0,)
         assert metrics.compromise_incidence == 0.0
@@ -143,7 +123,7 @@ class TestComputeMetrics:
 
     @given(st.lists(st.booleans(), min_size=5, max_size=120), st.integers(2, 5))
     def test_against_naive_recount(self, flags, k):
-        metrics = compute_metrics([trace_from_flags(flags)], k)
+        metrics = compute_metrics([flags], k)
         vf, first, cf = naive_trace_metrics(flags, k)
         assert metrics.vulnerable_fraction[0] == pytest.approx(vf, abs=1e-12)
         assert metrics.time_to_first_compromise[0] == first
@@ -151,14 +131,10 @@ class TestComputeMetrics:
 
     @given(st.lists(st.booleans(), min_size=5, max_size=120), st.integers(2, 5))
     def test_invariants(self, flags, k):
-        metrics = compute_metrics([trace_from_flags(flags)], k)
+        metrics = compute_metrics([flags], k)
         assert metrics.compromised_fraction[0] <= metrics.vulnerable_fraction[0]
         first = metrics.time_to_first_compromise[0]
         assert first is None or first >= k
-
-    def test_ragged_traces_rejected(self):
-        with pytest.raises(ValueError, match="same interval count"):
-            compute_metrics([trace_from_flags([True] * 5), trace_from_flags([True] * 6)], 2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -242,15 +218,12 @@ class TestDiversityUnderLabelings:
             tuple(i != freebsd for i in range(5))
         )
         config = McConfig(trials=1, intervals=60)
+        flags = np.array(labeling.flags)
         for start_seed in range(30):
-            trace = run_mc_trial(
-                config,
-                MigrationPolicy.diversity(3),
-                labeling,
-                five_platform_sim,
-                start_seed,
+            chosen = trial_trace(
+                MigrationPolicy.diversity(3), five_platform_sim, config.intervals, start_seed
             )
-            metrics = compute_metrics([trace], 3)
+            metrics = compute_metrics([flags[chosen]], 3)
             assert metrics.compromised_fraction == (0.0,)
 
     def test_compromises_only_during_startup(self, five_platform_sim):
@@ -260,45 +233,12 @@ class TestDiversityUnderLabelings:
         config = McConfig(trials=1, intervals=100)
         for _ in range(200):
             labeling = assign_vulnerabilities(five_platform_sim, rng)
-            trace = run_mc_trial(
-                config, MigrationPolicy.diversity(3), labeling, five_platform_sim, int(rng.integers(1 << 32))
-            )
-            first = compute_metrics([trace], 3).time_to_first_compromise[0]
+            seed = int(rng.integers(1 << 32))
+            policy = MigrationPolicy.diversity(3)
+            chosen = trial_trace(policy, five_platform_sim, config.intervals, seed)
+            vulnerable = np.array(labeling.flags)[chosen]
+            first = compute_metrics([vulnerable], 3).time_to_first_compromise[0]
             assert first is None or first <= 6
-
-
-def reference_study(config, sim):
-    """The study rebuilt from the public per-step API, one scalar draw at a time.
-
-    Labelings draw one scalar per other platform; policies walk a
-    ``ScheduleState`` step by step; metrics come from the naive recount.
-    Returns {policy name: (vulnerable fractions, first compromises,
-    compromised fractions)}.
-    """
-    count = sim.count
-    stream = {PolicyKind.DIVERSITY: 1, PolicyKind.UNIFORM: 2, PolicyKind.RANDOM_K: 3}
-    columns = {kind.value: ([], [], []) for kind in config.policy_kinds}
-    for trial in range(config.trials):
-        rng = substream(config.master_seed, trial, 0)
-        seed_platform = int(rng.integers(count))
-        flags = [
-            i == seed_platform or bool(rng.random() < sim.similarity(seed_platform, i))
-            for i in range(count)
-        ]
-        for kind in config.policy_kinds:
-            rng = substream(config.master_seed, trial, stream[kind])
-            if kind is PolicyKind.RANDOM_K:
-                state = new_schedule_state(make_random_k_policy(count, config.k, rng), count)
-            else:
-                start = int(rng.integers(count))
-                state = new_schedule_state(config.policy_for(kind), count, start=start, rng=rng)
-            chosen = [state.current] + [
-                step_schedule(state, sim) for _ in range(config.intervals - 1)
-            ]
-            metrics = naive_trace_metrics([flags[p] for p in chosen], config.k)
-            for column, value in zip(columns[kind.value], metrics):
-                column.append(value)
-    return columns
 
 
 def generated_similarity(count: int, seed: int):
