@@ -51,6 +51,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 SEED_ENV_VAR = "DIVERSITY_LAB_SEED"
+#: Most attacker goals one ``--T-sweep`` may give.
+MAX_SWEEP_POINTS = 100_000
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -345,11 +347,20 @@ def _parse_t_values(args) -> tuple[float, ...]:
         lo, hi, step = (float(part) for part in args.T_sweep.split(":"))
     except ValueError:
         raise ValueError(f"--T-sweep must look like lo:hi:step, got {args.T_sweep!r}") from None
+    if not all(math.isfinite(part) for part in (lo, hi, step)):
+        raise ValueError(f"--T-sweep bounds and step must be finite, got {args.T_sweep!r}")
     if step <= 0 or hi < lo:
         raise ValueError("--T-sweep requires lo <= hi and step > 0")
+    too_many = f"--T-sweep {args.T_sweep!r} gives more than {MAX_SWEEP_POINTS} goals"
+    # floor(span) + 1 points, counted before any is made; the loop keeps its own
+    # count, since a step too small to change a large running sum never ends it
+    if not (hi + 1e-9 - lo) / step < MAX_SWEEP_POINTS:
+        raise ValueError(too_many)
     values = []
     current = lo
     while current <= hi + 1e-9:
+        if len(values) == MAX_SWEEP_POINTS:
+            raise ValueError(too_many)
         values.append(round(current, 9))
         current += step
     return tuple(values)

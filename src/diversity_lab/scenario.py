@@ -9,10 +9,11 @@ for at least T contiguous seconds within the trial duration. Simulation
 is event-driven (migrations and exploit arrivals), not tick-based.
 
 ``max_control_run`` simulates one sample with scalar draws.
-``run_scenario_study`` gets the same draws in bulk: it decodes each
-sample's raw PCG64 words the way NumPy's ``Generator`` would, and then
-evaluates a block of samples as arrays. A sample the decoding cannot
-reproduce goes back through ``max_control_run``.
+``run_scenario_study`` gets the same draws in bulk: it takes each
+sample's stream from ``rng.substreams``, decodes the stream's raw PCG64
+words the way NumPy's ``Generator`` would, and then evaluates a block of
+samples as arrays. A sample the decoding cannot reproduce goes back
+through ``max_control_run`` on its ``substream``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import substream
+from .rng import substream, substreams
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,9 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not self.t_values:
             raise ValueError("at least one attacker goal T is required")
-        if any(t < 0 for t in self.t_values):
-            raise ValueError("attacker goals must be non-negative")
+        bad = [t for t in self.t_values if not 0 <= t < math.inf]
+        if bad:
+            raise ValueError(f"attacker goals must be finite and non-negative, got {bad[0]}")
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ValueError("platform counts must be >= 1")
         if not 0 < self.duration < math.inf:
@@ -346,11 +348,12 @@ def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
         targets = _platform_mask(config.exploits, n)
         block = _BLOCK_CELLS // max(1, len(layout.dwells))
         runs = np.empty(config.samples)
+        streams = substreams(config.master_seed, n, np.arange(config.samples))
         for first in range(0, config.samples, block):
             samples = range(first, min(first + block, config.samples))
             raw = np.empty((len(samples), layout.words), dtype=np.uint64)
-            for row, sample in zip(raw, samples):
-                row[:] = substream(config.master_seed, n, sample).bit_generator.random_raw(layout.words)
+            for row in raw:
+                row[:] = next(streams).bit_generator.random_raw(layout.words)
             draws = _decode(raw, layout, n, duration, config.delay)
             arrivals = np.empty((len(samples), len(fixed)))
             arrivals[:] = fixed

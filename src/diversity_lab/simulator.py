@@ -6,7 +6,10 @@ is vulnerable with probability equal to its similarity to the seed),
 then evaluates every configured policy on that same labeling so policy
 comparisons are paired. Streams derive from (master seed, trial index,
 stream id): stream 0 is the labeling and each policy has a fixed stream
-id, so trials are order-independent and safe to run concurrently.
+id, so trials are order-independent and safe to run concurrently. The
+study takes every trial's streams, in (trial, stream id) order, from
+``rng.substreams``, which derives them in bulk and equals ``substream``
+on each key.
 
 A study holds one boolean vulnerability row per trial and policy and
 reduces each policy's trials × intervals matrix in one array pass. The
@@ -21,7 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import MigrationPolicy, PolicyKind, SimilarityMatrix, VulnerabilityLabeling
-from .rng import substream
+# ``substream`` stays importable here as ``simulator.substream``, the name the
+# benchmark tracer wraps; the study itself derives its streams with ``substreams``
+from .rng import substream, substreams  # noqa: F401
 from .scheduler import check_pool, make_random_k_policy, trace
 
 LABELING_STREAM = 0
@@ -205,13 +210,12 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> MetricsReport:
     shape = (config.trials, config.intervals)
     vulnerable = {kind: np.empty(shape, dtype=bool) for kind in config.policy_kinds}
     diversity_traces: dict[int, np.ndarray] = {}
+    stream_ids = [LABELING_STREAM] + [POLICY_STREAM[kind] for kind in config.policy_kinds]
+    streams = substreams(config.master_seed, np.arange(config.trials)[:, None], stream_ids)
     for trial in range(config.trials):
-        labeling = assign_vulnerabilities(
-            sim, substream(config.master_seed, trial, LABELING_STREAM)
-        )
-        flags = np.array(labeling.flags)
+        flags = np.array(assign_vulnerabilities(sim, next(streams)).flags)
         for kind, policy in policies.items():
-            rng = substream(config.master_seed, trial, POLICY_STREAM[kind])
+            rng = next(streams)
             if kind is PolicyKind.RANDOM_K:
                 rotation = make_random_k_policy(sim.platforms, config.k, rng)
                 chosen = trace(rotation, sim, None, config.intervals)

@@ -1,10 +1,17 @@
+import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import diversity_lab
 from diversity_lab import expected_time_to_compromise, MarkovParams
-from diversity_lab.cli import main
+from diversity_lab.cli import MAX_SWEEP_POINTS, _parse_t_values, main
 
 
 def read_json(path):
@@ -443,8 +450,12 @@ class TestNonFiniteScenarioInput:
                 '"arrival": NaN',
                 "exploit arrival must be finite",
             ),
+            ([], '"t_values": [\n    10.0', '"t_values": [\n    NaN', "attacker goals must be finite"),
+            ([], '"t_values": [\n    10.0', '"t_values": [\n    Infinity', "attacker goals must be finite"),
+            # an infinite goal was once written as the string "Infinity"
+            ([], '"t_values": [\n    10.0', '"t_values": [\n    "Infinity"', "invalid key 't_values'"),
         ],
-        ids=["duration-infinity", "arrival-nan"],
+        ids=["duration-infinity", "arrival-nan", "goal-nan", "goal-infinity", "goal-infinity-string"],
     )
     def test_manifest(self, tmp_path, capsys, extra, old, new, message):
         # json.loads accepts the non-standard literals Infinity and NaN
@@ -458,6 +469,54 @@ class TestNonFiniteScenarioInput:
         capsys.readouterr()
         argv = ["scenario", "--from-manifest", str(path)]
         self.assert_rejected(capsys, argv, tmp_path / "never", message)
+
+
+class TestAttackerGoals:
+    """Non-finite goals and endless sweeps exit 2 at once, with one error line and no output directory."""
+
+    @pytest.mark.parametrize(
+        "goal, message",
+        [
+            (["--T", "inf"], "attacker goals must be finite and non-negative, got inf"),
+            (["--T", "nan"], "attacker goals must be finite and non-negative, got nan"),
+            (["--T-sweep", "0:inf:15"], "bounds and step must be finite"),
+            (["--T-sweep", "nan:10:1"], "bounds and step must be finite"),
+            (["--T-sweep", "0:10:1e-300"], f"gives more than {MAX_SWEEP_POINTS} goals"),
+            # 1e20 + 1 == 1e20, so the running sum never passes hi
+            (["--T-sweep", "1e20:1e20:1"], f"gives more than {MAX_SWEEP_POINTS} goals"),
+        ],
+        ids=["T-inf", "T-nan", "sweep-to-inf", "sweep-from-nan", "sweep-tiny-step", "sweep-stuck"],
+    )
+    def test_rejected_in_a_fresh_interpreter(self, tmp_path, goal, message):
+        # an endless sweep grows a list without bound, so the run gets a hard time limit
+        outdir = tmp_path / "never"
+        env = {**os.environ, "PYTHONPATH": str(Path(diversity_lab.__file__).parents[1])}
+        argv = ["scenario", "--N", "3", "--samples", "2", *goal, "--outdir", str(outdir)]
+        started = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "diversity_lab.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert time.perf_counter() - started < 5
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and message in done.stderr
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+        assert not outdir.exists()
+
+    @staticmethod
+    def sweep(spec):
+        return _parse_t_values(argparse.Namespace(T=None, T_sweep=spec))
+
+    def test_sweep_values_unchanged(self):
+        assert self.sweep("0:900:15") == tuple(float(t) for t in range(0, 901, 15))
+        # the running sum of ten steps of 0.1 is 0.9999999999999999; rounding gives 1.0
+        assert self.sweep("0:1:0.1") == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+        assert self.sweep("5:5:1") == (5.0,)
+
+    def test_sweep_point_cap(self):
+        assert len(self.sweep(f"0:{MAX_SWEEP_POINTS - 1}:1")) == MAX_SWEEP_POINTS
+        with pytest.raises(ValueError, match="more than"):
+            self.sweep(f"0:{MAX_SWEEP_POINTS}:1")
 
 
 class TestNoOutputOnValidationError:

@@ -12,7 +12,7 @@ from diversity_lab import (
     run_scenario_study,
 )
 from diversity_lab import scenario
-from diversity_lab.rng import substream
+from diversity_lab.rng import KEY_BLOCK, substream
 
 
 def study_fraction(config):
@@ -295,6 +295,19 @@ class TestStudyEqualsScalarRebuild:
     @pytest.mark.parametrize("seed", range(5))
     def test_default_exploits(self, seed, fallbacks):
         config = ScenarioConfig(t_values=(0.0,), n_values=self.N_VALUES, samples=120, master_seed=seed)
+        self.assert_matches(config)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("seed", [2**32, 2**64])
+    def test_multi_word_master_seeds(self, seed, fallbacks):
+        config = ScenarioConfig(t_values=(0.0,), n_values=self.N_VALUES, samples=60, master_seed=seed)
+        self.assert_matches(config)
+        assert fallbacks == []
+
+    def test_one_sample_past_the_derivation_block(self, fallbacks):
+        config = ScenarioConfig(
+            t_values=(0.0,), n_values=self.N_VALUES, samples=KEY_BLOCK + 1, master_seed=2**32
+        )
         self.assert_matches(config)
         assert fallbacks == []
 

@@ -4,6 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diversity_lab import simulator
+from diversity_lab.rng import KEY_BLOCK
+from diversity_lab.simulator import DEFAULT_POLICY_KINDS
 from diversity_lab import (
     EmpiricalCdf,
     McConfig,
@@ -290,6 +292,24 @@ class TestStudyMatchesPerStepReference:
         config = McConfig(trials=30, intervals=20, policy_kinds=kinds, master_seed=2)
         self.assert_matches(config, five_platform_sim)
 
+    @pytest.mark.parametrize("seed", [2**32, 2**64])
+    def test_multi_word_master_seeds(self, five_platform_sim, seed):
+        config = McConfig(trials=20, intervals=12, master_seed=seed)
+        self.assert_matches(config, five_platform_sim)
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [DEFAULT_POLICY_KINDS, (PolicyKind.UNIFORM, PolicyKind.RANDOM_K)],
+        ids=["four-streams", "three-streams"],
+    )
+    def test_one_trial_past_the_derivation_block(self, five_platform_sim, kinds):
+        # four streams a trial leave the last trial alone in a fifth block; with
+        # three, trial 170's streams straddle the first block boundary
+        config = McConfig(
+            trials=KEY_BLOCK + 1, intervals=6, policy_kinds=kinds, master_seed=2**64
+        )
+        self.assert_matches(config, five_platform_sim)
+
 
 class TestBatchedDrawsEqualScalarDraws:
     """PCG64 identities the batched study relies on to keep every artifact unchanged."""
@@ -321,7 +341,13 @@ class TestPoolErrorsBeforeAnyTrial:
         def refuse(*key):
             raise AssertionError(f"a trial started: substream{key}")
 
+        # the study derives every stream through substreams; refuse both names
         monkeypatch.setattr(simulator, "substream", refuse)
+        monkeypatch.setattr(simulator, "substreams", refuse)
+
+    def test_streams_are_refused(self, five_platform_sim, no_streams):
+        with pytest.raises(AssertionError, match="a trial started"):
+            run_mc_study(McConfig(trials=1, intervals=10), five_platform_sim)
 
     @pytest.mark.parametrize(
         "kinds, message",
