@@ -245,6 +245,6 @@ def p_success_finite_window(d: float, a: float, s: float) -> float:
     ``s = d`` this is the probability that a start drawn uniformly over
     the trial leaves at least ``a`` seconds before the trial ends.
     """
-    if d <= 0 or a <= 0 or s <= 0:
-        raise ValueError("d, a, and s must all be positive")
+    if not all(0 < x < math.inf for x in (d, a, s)):
+        raise ValueError("d, a, and s must all be finite and positive")
     return min(1.0, max(0.0, (d - a) / s))

@@ -21,8 +21,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analytic import (
     MarkovParams,
@@ -36,16 +34,15 @@ from .analytic import (
 )
 from .core import (
     MigrationPolicy,
-    PlatformSet,
     PolicyKind,
     SimilarityMatrix,
     bundled_similarity_path,
     load_similarity_matrix,
 )
-from .rng import as_generator
+from .rng import substream
 from .scenario import DEFAULT_EXPLOITS, ExploitSpec, ScenarioConfig, run_scenario_study
 from .scheduler import check_pool, detect_periodicity, make_random_k_policy, trace
-from .simulator import McConfig, run_mc_study
+from .simulator import POLICY_BY_NAME, McConfig, run_mc_study
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -141,13 +138,12 @@ def cmd_schedule(args) -> int:
     sim = _load_similarity(args)
     seed = _resolve_seed(args.seed)
     start = sim.platforms.index(args.start if args.start else sim.platforms[0])
-    rng = as_generator(seed)
-    if args.policy == "diversity":
-        policy = MigrationPolicy.diversity(args.K)
-    elif args.policy == "uniform":
-        policy = MigrationPolicy.uniform()
-    else:
+    rng = substream(seed)
+    kind = POLICY_BY_NAME[args.policy]
+    if kind is PolicyKind.RANDOM_K:
         policy = make_random_k_policy(sim.platforms, args.K, rng)
+    else:
+        policy = MigrationPolicy(kind, args.K)
     check_pool(policy, sim.count)
     chosen = trace(policy, sim, start, args.steps, rng).tolist()
     periodicity = detect_periodicity(chosen)
@@ -169,16 +165,13 @@ def cmd_schedule(args) -> int:
     return EXIT_OK
 
 
-_POLICY_NAMES = {kind.value: kind for kind in (PolicyKind.DIVERSITY, PolicyKind.UNIFORM, PolicyKind.RANDOM_K)}
-
-
 def _parse_policies(spec: str) -> tuple[PolicyKind, ...]:
     kinds = []
     for name in spec.split(","):
         name = name.strip()
-        if name not in _POLICY_NAMES:
-            raise ValueError(f"unknown policy {name!r}; choose from {sorted(_POLICY_NAMES)}")
-        kinds.append(_POLICY_NAMES[name])
+        if name not in POLICY_BY_NAME:
+            raise ValueError(f"unknown policy {name!r}; choose from {sorted(POLICY_BY_NAME)}")
+        kinds.append(POLICY_BY_NAME[name])
     return tuple(kinds)
 
 
@@ -190,95 +183,26 @@ def _write_cdf_csv(path: Path, rows) -> None:
             writer.writerow([policy, repr(float(value)), repr(float(prob))])
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _load_manifest(path: Path, command: str, config_type):
+    """Read a ``command`` run manifest with ``config_type.from_manifest``.
 
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _list_of(check):
-    return lambda value: isinstance(value, list) and all(check(item) for item in value)
-
-
-def _is_dict(value) -> bool:
-    return isinstance(value, dict)
-
-
-#: Manifest keys and their type checks; nested keys are named ``outer.inner``.
-_MC_MANIFEST = {
-    "seed": _is_int,
-    "trials": _is_int,
-    "intervals": _is_int,
-    "k": _is_int,
-    "policies": _list_of(lambda name: name in _POLICY_NAMES),
-    "similarity": _is_dict,
-    "similarity.platforms": _list_of(lambda name: isinstance(name, str)),
-    "similarity.scores": _list_of(_list_of(_is_number)),
-}
-_SCENARIO_MANIFEST = {
-    "seed": _is_int,
-    "n_values": _list_of(_is_int),
-    "t_values": _list_of(_is_number),
-    "duration": _is_number,
-    "delay": lambda value: _list_of(_is_number)(value) and len(value) == 2,
-    "samples": _is_int,
-    "exploits": _list_of(_is_dict),
-    "exploits.platforms": _list_of(_is_int),
-    "exploits.arrival": lambda value: value is None or _is_number(value),
-}
-
-
-def _check_manifest(path: Path, manifest: dict, schema: dict) -> None:
-    """Raise a validation error naming the first missing or ill-typed key of ``schema``.
-
-    ``outer.inner`` names the key ``inner`` of the dict ``manifest[outer]``,
-    or of each dict in the list ``manifest[outer]``; ``outer`` precedes it
-    in the schema, so its type is already checked.
+    Every validation error names the file.
     """
-    for name, check in schema.items():
-        outer, _, inner = name.partition(".")
-        if inner:
-            nested = manifest[outer]
-            entries = nested if isinstance(nested, list) else [nested]
-        else:
-            entries, inner = [manifest], outer
-        if any(inner not in entry or not check(entry[inner]) for entry in entries):
-            raise ValueError(f"{path}: missing/invalid key {name!r}")
-
-
-def _load_manifest(path: Path, command: str, schema: dict) -> dict:
-    """Read a ``command`` run manifest; every validation error names the file."""
     try:
-        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(manifest, dict) or manifest.get("command") != command:
         raise ValueError(f"{path} is not a {command!r} run manifest")
-    _check_manifest(path, manifest, schema)
-    return manifest
-
-
-def _mc_from_manifest(path: Path):
-    manifest = _load_manifest(path, "mc", _MC_MANIFEST)
-    sim = SimilarityMatrix(
-        PlatformSet(tuple(manifest["similarity"]["platforms"])),
-        np.array(manifest["similarity"]["scores"], dtype=float),
-    )
-    config = McConfig(
-        trials=manifest["trials"],
-        intervals=manifest["intervals"],
-        k=manifest["k"],
-        policy_kinds=tuple(_POLICY_NAMES[name] for name in manifest["policies"]),
-        master_seed=manifest["seed"],
-    )
-    return config, sim
+    try:
+        return config_type.from_manifest(manifest)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_mc(args) -> int:
     if args.from_manifest:
-        config, sim = _mc_from_manifest(Path(args.from_manifest))
+        config, sim = _load_manifest(Path(args.from_manifest), "mc", McConfig)
     else:
         sim = _load_similarity(args)
         config = McConfig(
@@ -291,19 +215,7 @@ def cmd_mc(args) -> int:
     report = run_mc_study(config, sim)
     outdir = _outdir(args)
 
-    manifest = {
-        "command": "mc",
-        "version": __version__,
-        "seed": config.master_seed,
-        "trials": config.trials,
-        "intervals": config.intervals,
-        "k": config.k,
-        "policies": [kind.value for kind in config.policy_kinds],
-        "similarity": {
-            "platforms": list(sim.platforms.names),
-            "scores": [[float(v) for v in row] for row in sim.scores],
-        },
-    }
+    manifest = {"command": "mc", "version": __version__, **config.to_manifest(sim)}
     _write_json(outdir / "run_manifest.json", manifest)
 
     metrics = {}
@@ -380,23 +292,6 @@ def _parse_exploit(spec: str, max_n: int) -> ExploitSpec:
     return ExploitSpec(platforms, arrival)
 
 
-def _scenario_from_manifest(path: Path) -> ScenarioConfig:
-    manifest = _load_manifest(path, "scenario", _SCENARIO_MANIFEST)
-    exploits = tuple(
-        ExploitSpec(frozenset(entry["platforms"]), entry["arrival"])
-        for entry in manifest["exploits"]
-    )
-    return ScenarioConfig(
-        t_values=tuple(manifest["t_values"]),
-        n_values=tuple(manifest["n_values"]),
-        duration=manifest["duration"],
-        delay=tuple(manifest["delay"]),
-        samples=manifest["samples"],
-        exploits=exploits,
-        master_seed=manifest["seed"],
-    )
-
-
 def _check_exploit_platforms(config: ScenarioConfig) -> None:
     """Reject exploit platforms outside ``[0, max(N))``: no grid point could reach them.
 
@@ -416,7 +311,7 @@ def _check_exploit_platforms(config: ScenarioConfig) -> None:
 
 def cmd_scenario(args) -> int:
     if args.from_manifest:
-        config = _scenario_from_manifest(Path(args.from_manifest))
+        config = _load_manifest(Path(args.from_manifest), "scenario", ScenarioConfig)
     else:
         n_values = _parse_int_list(args.N)
         t_values = _parse_t_values(args)
@@ -438,20 +333,7 @@ def cmd_scenario(args) -> int:
     _check_exploit_platforms(config)
     grid = run_scenario_study(config)
     outdir = _outdir(args)
-    manifest = {
-        "command": "scenario",
-        "version": __version__,
-        "seed": config.master_seed,
-        "n_values": list(config.n_values),
-        "t_values": list(config.t_values),
-        "duration": config.duration,
-        "delay": list(config.delay),
-        "samples": config.samples,
-        "exploits": [
-            {"platforms": sorted(spec.platforms), "arrival": spec.arrival}
-            for spec in config.exploits
-        ],
-    }
+    manifest = {"command": "scenario", "version": __version__, **config.to_manifest()}
     _write_json(outdir / "run_manifest.json", manifest)
     with open(outdir / "success_fraction.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -488,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     schedule = sub.add_parser("schedule", help="generate and inspect a migration schedule")
     schedule.add_argument("--similarity", default=None, help="similarity CSV (default: bundled)")
-    schedule.add_argument("--policy", choices=["diversity", "uniform", "random_k"], default="diversity")
+    schedule.add_argument("--policy", choices=list(POLICY_BY_NAME), default="diversity")
     schedule.add_argument("--K", type=int, default=3)
     schedule.add_argument("--start", default=None, help="starting platform name")
     schedule.add_argument("--steps", type=int, default=30)
@@ -535,7 +417,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

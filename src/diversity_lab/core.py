@@ -3,7 +3,7 @@
 Platforms and their pairwise code-similarity scores, per-platform
 vulnerability flags, and migration policies. All types here are
 immutable after construction and safe to share between concurrent
-workers.
+workers. ``manifest_value`` reads one type-checked key of a run manifest.
 """
 
 from __future__ import annotations
@@ -253,3 +253,30 @@ class MigrationPolicy:
     @classmethod
     def fixed_periodic(cls, sequence: tuple[int, ...]) -> MigrationPolicy:
         return cls(PolicyKind.FIXED_PERIODIC, sequence=tuple(sequence))
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def list_of(check, length: int | None = None):
+    """A check accepting a list (of ``length`` items, if given) whose every item passes ``check``."""
+    return lambda value: (
+        isinstance(value, list)
+        and (length is None or len(value) == length)
+        and all(check(item) for item in value)
+    )
+
+
+def manifest_value(entry: dict, key: str, check, name: str | None = None):
+    """``entry[key]``, or a ValueError naming the key when it is missing or fails ``check``.
+
+    ``name`` is the key as the message gives it, ``outer.inner`` for a nested key.
+    """
+    if key not in entry or not check(entry[key]):
+        raise ValueError(f"missing/invalid key {name or key!r}")
+    return entry[key]

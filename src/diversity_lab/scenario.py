@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import is_int, is_number, list_of, manifest_value
 from .rng import substream, substreams
 
 
@@ -88,6 +89,44 @@ class ScenarioConfig:
             raise ValueError("at least one exploit is required")
         if self.master_seed < 0:
             raise ValueError("master seed must be non-negative")
+
+    def to_manifest(self) -> dict:
+        """The run manifest fields of this sweep."""
+        return {
+            "seed": self.master_seed,
+            "n_values": list(self.n_values),
+            "t_values": list(self.t_values),
+            "duration": self.duration,
+            "delay": list(self.delay),
+            "samples": self.samples,
+            "exploits": [
+                {"platforms": sorted(spec.platforms), "arrival": spec.arrival}
+                for spec in self.exploits
+            ],
+        }
+
+    @classmethod
+    def from_manifest(cls, manifest: dict) -> ScenarioConfig:
+        """The config that ``to_manifest`` wrote; every key's type is checked."""
+        return cls(
+            master_seed=manifest_value(manifest, "seed", is_int),
+            n_values=tuple(manifest_value(manifest, "n_values", list_of(is_int))),
+            t_values=tuple(manifest_value(manifest, "t_values", list_of(is_number))),
+            duration=manifest_value(manifest, "duration", is_number),
+            delay=tuple(manifest_value(manifest, "delay", list_of(is_number, length=2))),
+            samples=manifest_value(manifest, "samples", is_int),
+            exploits=tuple(
+                ExploitSpec(
+                    frozenset(manifest_value(entry, "platforms", list_of(is_int), "exploits.platforms")),
+                    manifest_value(
+                        entry, "arrival", lambda value: value is None or is_number(value), "exploits.arrival"
+                    ),
+                )
+                for entry in manifest_value(
+                    manifest, "exploits", list_of(lambda value: isinstance(value, dict))
+                )
+            ),
+        )
 
 
 @dataclass(frozen=True)

@@ -23,22 +23,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MigrationPolicy, PolicyKind, SimilarityMatrix, VulnerabilityLabeling
+from .core import (
+    MigrationPolicy,
+    PlatformSet,
+    PolicyKind,
+    SimilarityMatrix,
+    VulnerabilityLabeling,
+    is_int,
+    is_number,
+    list_of,
+    manifest_value,
+)
 # ``substream`` stays importable here as ``simulator.substream``, the name the
 # benchmark tracer wraps; the study itself derives its streams with ``substreams``
 from .rng import substream, substreams  # noqa: F401
 from .scheduler import check_pool, make_random_k_policy, trace
 
 LABELING_STREAM = 0
-#: Stable stream id per policy, so a policy's trials are identical whether
-#: it runs alone or alongside the others.
+#: The study policies, each with a stable stream id, so a policy's trials are
+#: identical whether it runs alone or alongside the others.
 POLICY_STREAM = {
     PolicyKind.DIVERSITY: 1,
     PolicyKind.UNIFORM: 2,
     PolicyKind.RANDOM_K: 3,
 }
-
-DEFAULT_POLICY_KINDS = (PolicyKind.DIVERSITY, PolicyKind.UNIFORM, PolicyKind.RANDOM_K)
+DEFAULT_POLICY_KINDS = tuple(POLICY_STREAM)
+POLICY_BY_NAME = {kind.value: kind for kind in POLICY_STREAM}
 
 
 @dataclass(frozen=True)
@@ -65,14 +75,33 @@ class McConfig:
         if self.master_seed < 0:
             raise ValueError("master seed must be non-negative")
 
-    def policy_for(self, kind: PolicyKind) -> MigrationPolicy:
-        if kind is PolicyKind.DIVERSITY:
-            return MigrationPolicy.diversity(self.k)
-        if kind is PolicyKind.UNIFORM:
-            return MigrationPolicy.uniform()
-        if kind is PolicyKind.RANDOM_K:
-            return MigrationPolicy.random_k(self.k)
-        raise ValueError(f"{kind} is not a study-level policy")
+    def to_manifest(self, sim: SimilarityMatrix) -> dict:
+        """The run manifest fields of a study of this config on ``sim``."""
+        return {
+            "seed": self.master_seed,
+            "trials": self.trials,
+            "intervals": self.intervals,
+            "k": self.k,
+            "policies": [kind.value for kind in self.policy_kinds],
+            "similarity": {"platforms": list(sim.platforms.names), "scores": sim.scores.tolist()},
+        }
+
+    @classmethod
+    def from_manifest(cls, manifest: dict) -> tuple[McConfig, SimilarityMatrix]:
+        """The config and similarity matrix that ``to_manifest`` wrote, each key's type checked."""
+        seed, trials, intervals, k = (
+            manifest_value(manifest, key, is_int) for key in ("seed", "trials", "intervals", "k")
+        )
+        policies = manifest_value(
+            manifest, "policies", list_of(lambda name: isinstance(name, str) and name in POLICY_BY_NAME)
+        )
+        similarity = manifest_value(manifest, "similarity", lambda value: isinstance(value, dict))
+        names = manifest_value(
+            similarity, "platforms", list_of(lambda name: isinstance(name, str)), "similarity.platforms"
+        )
+        scores = manifest_value(similarity, "scores", list_of(list_of(is_number)), "similarity.scores")
+        config = cls(trials, intervals, k, tuple(POLICY_BY_NAME[name] for name in policies), seed)
+        return config, SimilarityMatrix(PlatformSet(tuple(names)), np.array(scores, dtype=float))
 
 
 def assign_vulnerabilities(sim: SimilarityMatrix, rng: np.random.Generator) -> VulnerabilityLabeling:
@@ -204,7 +233,7 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> MetricsReport:
     subset, or else the start platform, then for the uniform policy its
     batched moves.
     """
-    policies = {kind: config.policy_for(kind) for kind in config.policy_kinds}
+    policies = {kind: MigrationPolicy(kind, config.k) for kind in config.policy_kinds}
     for policy in policies.values():
         check_pool(policy, sim.count)
     shape = (config.trials, config.intervals)

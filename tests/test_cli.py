@@ -64,6 +64,25 @@ class TestAnalyticCommand:
         assert main(["analytic", "--m", "-1", "--n", "2", "--outdir", str(tmp_path)]) == 2
         assert main(["analytic", "--m", "3", "--n", "2", "--j", "2", "--outdir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "window",
+        [
+            ["--a", "nan"],
+            ["--a", "10", "--d", "nan"],
+            ["--a", "10", "--s", "nan"],
+            ["--a", "inf"],
+            ["--a", "10", "--d", "inf"],
+            ["--a", "10", "--s", "inf"],
+        ],
+        ids=["a-nan", "d-nan", "s-nan", "a-inf", "d-inf", "s-inf"],
+    )
+    def test_non_finite_window_exits_2(self, tmp_path, capsys, window):
+        outdir = tmp_path / "never"
+        argv = ["analytic", "--m", "3", "--n", "2", *window, "--outdir", str(outdir)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: d, a, and s must all be finite and positive\n"
+        assert not outdir.exists()
+
 
 class TestScheduleCommand:
     def test_diversity_schedule_report(self, tmp_path):
@@ -109,6 +128,16 @@ class TestScheduleCommand:
             if periodicity is None
             else {"period": periodicity[0], "transient": periodicity[1]},
         }
+
+    @pytest.mark.parametrize("policy", ["diversity", "uniform", "random_k"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, policy):
+        outdir = tmp_path / "never"
+        argv = ["schedule", "--policy", policy, "--outdir", str(outdir)]
+        assert main([*argv, "--seed", "-1"]) == 2
+        monkeypatch.setenv("DIVERSITY_LAB_SEED", "-1")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: master seed must be non-negative\n" * 2
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("policy", ["diversity", "uniform", "random_k"])
     @pytest.mark.parametrize("steps", ["0", "1"])
@@ -338,6 +367,25 @@ class TestManifestSchema:
         assert capsys.readouterr().err == f"error: {path}: missing/invalid key {key!r}\n"
         assert not rerun.exists()
 
+    @pytest.mark.parametrize(
+        "argv, edit, message",
+        [
+            (["mc", "--trials", "2", "--intervals", "10"], lambda m: m.update(k=1),
+             "persistence requirement k must be >= 2"),
+            (["scenario", "--N", "3", "--T", "10", "--samples", "5"],
+             lambda m: m.update(duration=float("inf")), "trial duration must be finite"),
+        ],
+        ids=["mc-k-1", "scenario-duration-infinity"],
+    )
+    def test_value_error_names_the_file(self, tmp_path, capsys, argv, edit, message):
+        path = self.broken_manifest(tmp_path, argv, edit)
+        capsys.readouterr()
+        rerun = tmp_path / "rerun"
+        assert main([argv[0], "--from-manifest", str(path), "--outdir", str(rerun)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+        assert not rerun.exists()
+
     def test_manifest_not_an_object(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]", encoding="utf-8")
@@ -352,6 +400,18 @@ class TestManifestSchema:
         assert main([command, "--from-manifest", str(path), "--outdir", str(rerun)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: invalid JSON: ")
+        assert err.count("\n") == 1
+        assert not rerun.exists()
+
+
+    @pytest.mark.parametrize("command", ["mc", "scenario"])
+    def test_too_deeply_nested_json_names_the_file(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+        rerun = tmp_path / "rerun"
+        assert main([command, "--from-manifest", str(path), "--outdir", str(rerun)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid JSON: maximum recursion depth exceeded")
         assert err.count("\n") == 1
         assert not rerun.exists()
 
@@ -517,6 +577,25 @@ class TestAttackerGoals:
         assert len(self.sweep(f"0:{MAX_SWEEP_POINTS - 1}:1")) == MAX_SWEEP_POINTS
         with pytest.raises(ValueError, match="more than"):
             self.sweep(f"0:{MAX_SWEEP_POINTS}:1")
+
+
+class TestImpossibleAllocation:
+    """A request larger than any 57-bit address space fails at once, on every machine."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mc", "--trials", "100000000000000", "--intervals", "10000"],
+            ["scenario", "--N", "3", "--T", "10", "--samples", "100000000000000000"],
+        ],
+        ids=["mc-888-PiB", "scenario-711-PiB"],
+    )
+    def test_exits_3_with_one_error_line(self, tmp_path, capsys, argv):
+        outdir = tmp_path / "never"
+        assert main([*argv, "--outdir", str(outdir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not outdir.exists()
 
 
 class TestNoOutputOnValidationError:
