@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import is_int, is_number, list_of, manifest_value
-from .rng import substream, substreams
+from .rng import _bounded32, _halves, substream, substreams
 
 
 @dataclass(frozen=True)
@@ -201,18 +201,12 @@ def max_control_run(
     return best
 
 
+#: Stays a sample may need: a study whose ``duration / delay[0]`` exceeds it
+#: with N > 1 is refused, since the scalar simulation steps through each stay.
+MAX_STAYS = 100_000
 #: Stay slots (samples x stays) decoded in one array pass. It bounds the
 #: memory of a pass; a sample that needs more stays takes the scalar path.
 _BLOCK_CELLS = 4096
-
-
-def _halves(raw: np.ndarray) -> np.ndarray:
-    """The 32-bit halves of raw words as doubles: word ``w`` has its low half in column ``2w``.
-
-    A half is an integer below 2**32, so the double is exact, and so is
-    every sum and product below 2**53 made from the halves.
-    """
-    return raw.astype("<u8", copy=False).view("<u4").astype(np.float64)
 
 
 def _uniform(halves: np.ndarray, words: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -222,19 +216,6 @@ def _uniform(halves: np.ndarray, words: np.ndarray, lo: float, hi: float) -> np.
     """
     top53 = halves[:, 2 * words + 1] * 2097152.0 + np.floor(halves[:, 2 * words] * (1 / 2048))
     return lo + (hi - lo) * (top53 * (1 / 9007199254740992))
-
-
-def _bounded32(draws: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``Generator.integers(m)`` of 32-bit draws, and whether NumPy would redraw each.
-
-    Lemire's method: the value is ``(draw * m) >> 32``, and NumPy draws
-    again when ``(draw * m) % 2**32`` falls below ``2**32 % m``. The
-    product is exact in a double for ``m <= 2**21``; a larger ``m`` marks
-    every draw for a redraw.
-    """
-    product = draws * m
-    value = np.floor(product * (1 / 4294967296))
-    return value, (product - value * 4294967296 < 2**32 % m) | (m > 1 << 21)
 
 
 class _Layout(NamedTuple):
@@ -368,6 +349,8 @@ def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
     Samples are shared across the T sweep for each N, so the success
     fraction at T is the fraction of samples whose longest control run
     reaches T. Sample streams derive from (master seed, N, sample index).
+    A sweep with N > 1 whose samples may need more than ``MAX_STAYS``
+    stays raises ValueError before any sample is drawn.
 
     Each result equals ``max_control_run`` on the sample's stream: blocks
     of samples are decoded from raw words and evaluated as arrays, and a
@@ -375,11 +358,16 @@ def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
     before ``duration``, is rerun through ``max_control_run``.
     """
     duration = float(config.duration)
+    ratio = duration / config.delay[0]
+    if ratio > MAX_STAYS and max(config.n_values) > 1:
+        raise ValueError(
+            f"trial duration {config.duration} over the shortest delay {config.delay[0]} "
+            f"asks for more than {MAX_STAYS} stays per sample"
+        )
     drawn = [i for i, spec in enumerate(config.exploits) if spec.arrival is None]
     fixed = np.array([np.nan if spec.arrival is None else spec.arrival for spec in config.exploits])
     # dwells are at least lo, so duration / lo stays reach the trial end, plus
-    # slack for float sums that fall short; a ratio that overflows takes the cap
-    ratio = duration / config.delay[0]
+    # slack for float sums that fall short; a larger ratio takes the cap
     max_stays = int(ratio) + 2 if ratio < _BLOCK_CELLS - 2 else _BLOCK_CELLS
     results: list[GridPoint] = []
     for n in config.n_values:

@@ -54,25 +54,49 @@ def check_pool(policy: MigrationPolicy, n_platforms: int) -> None:
         raise ValueError("fixed periodic sequence references unknown platforms")
 
 
-def _most_diverse(dist: np.ndarray, hist: list[int]) -> int:
-    """Index of the candidate scoring highest against ``hist`` (most recent last).
+def _most_diverse(dist: np.ndarray, hist) -> np.ndarray:
+    """Index of the candidate scoring highest against each history row (most recent last).
 
-    All candidates are scored at once; the current platform is excluded
-    and ties go to the lowest index. Distances are symmetric, so row
-    ``p`` of ``dist`` holds every candidate's distance to platform ``p``.
+    ``hist`` holds one history per row, in its last axis. All candidates
+    of every row are scored at once, with the same elementwise operations
+    for one row as for many; the current platform is excluded and ties go
+    to the lowest index. Distances are symmetric, so row ``p`` of
+    ``dist`` holds every candidate's distance to platform ``p``.
     """
-    current = hist[-1]
-    if len(hist) == 1:
-        scores = dist[current].copy()
-    elif len(hist) == 2:
-        scores = heron_area(dist[hist[0]], dist[hist[1]], dist[hist[0], hist[1]])
-    else:
+    hist = np.asarray(hist)
+    first = hist[..., 0]
+    # take copies the rows, so the scores can be written
+    scores = np.take(dist, first, axis=0)
+    if hist.shape[-1] == 2:
+        second = hist[..., 1]
+        scores = heron_area(scores, np.take(dist, second, axis=0), dist[first, second][..., None])
+    elif hist.shape[-1] > 2:
         # added in history order: the order fixes the rounding, and so the ties
-        scores = dist[hist[0]].copy()
-        for prior in hist[1:]:
-            scores += dist[prior]
-    scores[current] = -np.inf
-    return int(np.argmax(scores))
+        for prior in np.moveaxis(hist[..., 1:], -1, 0):
+            scores += np.take(dist, prior, axis=0)
+    np.put_along_axis(scores, hist[..., -1:], -np.inf, axis=-1)
+    return scores.argmax(axis=-1)
+
+
+def diversity_walks(dist: np.ndarray, starts: np.ndarray, steps: int, k: int) -> np.ndarray:
+    """The diversity trace of ``steps`` platforms from each start, one row per start.
+
+    The walks advance in lockstep, so each step scores every row at once.
+    """
+    walks = np.empty((len(starts), steps), dtype=np.intp)
+    walks[:, 0] = starts
+    for step in range(1, steps):
+        walks[:, step] = _most_diverse(dist, walks[:, max(0, step - (k - 1)) : step])
+    return walks
+
+
+def uniform_walks(starts: np.ndarray, moves: np.ndarray) -> np.ndarray:
+    """No-repeat walks, one row per start: move ``m`` goes to the m-th of the other platforms."""
+    walks = np.empty((len(starts), moves.shape[1] + 1), dtype=np.intp)
+    walks[:, 0] = starts
+    for step, move in enumerate(moves.T):
+        walks[:, step + 1] = move + (move >= walks[:, step])
+    return walks
 
 
 def diversity_schedule(sim: SimilarityMatrix, start: int, steps: int, k: int) -> list[int]:
@@ -82,11 +106,7 @@ def diversity_schedule(sim: SimilarityMatrix, start: int, steps: int, k: int) ->
     check_pool(MigrationPolicy.diversity(k), sim.count)
     if not 0 <= start < sim.count:
         raise ValueError(f"start platform {start} out of range")
-    dist = sim.distances()
-    trace = [start]
-    for _ in range(steps - 1):
-        trace.append(_most_diverse(dist, trace[-(k - 1):]))
-    return trace
+    return diversity_walks(sim.distances(), np.array([start]), steps, k)[0].tolist()
 
 
 def make_random_k_policy(platforms: PlatformSet | int, k: int, seed) -> MigrationPolicy:
@@ -132,11 +152,7 @@ def trace(
         raise ValueError(f"policy kind {policy.kind} must be realized before scheduling")
     if rng is None:
         raise ValueError("uniform policy requires a random generator")
-    # a draw over the other N - 1 platforms skips the current one
-    chosen = [start]
-    for draw in rng.integers(sim.count - 1, size=steps - 1).tolist():
-        chosen.append(draw + (draw >= chosen[-1]))
-    return np.array(chosen)
+    return uniform_walks(np.array([start]), rng.integers(sim.count - 1, size=(1, steps - 1)))[0]
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,35 @@ is vulnerable with probability equal to its similarity to the seed),
 then evaluates every configured policy on that same labeling so policy
 comparisons are paired. Streams derive from (master seed, trial index,
 stream id): stream 0 is the labeling and each policy has a fixed stream
-id, so trials are order-independent and safe to run concurrently. The
-study takes every trial's streams, in (trial, stream id) order, from
-``rng.substreams``, which derives them in bulk and equals ``substream``
-on each key.
+id, so trials are order-independent and safe to run concurrently.
 
-A study holds one boolean vulnerability row per trial and policy and
-reduces each policy's trials × intervals matrix in one array pass. The
-diversity trace depends only on (similarity, k, start), so a study
-computes it once per start platform.
+A study draws nothing trial by trial. It takes the raw PCG64 words of
+every stream from ``rng.stream_words`` and decodes them as NumPy's
+``Generator`` would draw them. ``integers(m)`` takes one 32-bit half
+of a word (the low half of a fresh word, then its high half) by
+Lemire's method; ``random()`` takes a whole word ``w`` as
+``(w >> 11)·2**-53``. Per stream:
+
+- labeling: half 0 is the seed platform, ``integers(N)``; words 1 to
+  N-1 are the ``random()`` doubles of the other platforms;
+- diversity: half 0 is the start;
+- uniform: halves 0 to intervals-1 are the start and then the moves;
+  with N = 2 a move is ``integers(1)``, which takes nothing;
+- random-k: ``choice(N, k, replace=False)`` is Floyd's algorithm, a
+  Lemire draw on ``[0, j]`` for j = N-k to N-1 (none when j = 0), then
+  a Fisher–Yates shuffle with a Lemire draw on ``[0, i]`` for i = k-1
+  down to 1.
+
+Each policy's trials × intervals vulnerability matrix is built as
+arrays: the uniform walk steps every trial at once, and the diversity
+trace, which depends only on (similarity, k, start), comes from one
+batched walk over the distinct starts. A trial with a draw NumPy would
+redraw, or a random-k trial with N > 10,000 (where NumPy may draw by a
+tail shuffle), reruns through ``_scalar_trial`` on its ``substream``s.
+The layout reimplements NumPy internals, not documented guarantees; if
+a NumPy release changes them,
+``tests/test_simulator.py::TestDecodedDrawsEqualGeneratorDraws`` and
+``TestStudyMatchesPerStepReference`` fail.
 """
 
 from __future__ import annotations
@@ -34,10 +54,8 @@ from .core import (
     list_of,
     manifest_value,
 )
-# ``substream`` stays importable here as ``simulator.substream``, the name the
-# benchmark tracer wraps; the study itself derives its streams with ``substreams``
-from .rng import substream, substreams  # noqa: F401
-from .scheduler import check_pool, make_random_k_policy, trace
+from .rng import _bounded32, _halves, stream_words, substream
+from .scheduler import check_pool, diversity_walks, make_random_k_policy, trace, uniform_walks
 
 LABELING_STREAM = 0
 #: The study policies, each with a stable stream id, so a policy's trials are
@@ -49,6 +67,11 @@ POLICY_STREAM = {
 }
 DEFAULT_POLICY_KINDS = tuple(POLICY_STREAM)
 POLICY_BY_NAME = {kind.value: kind for kind in POLICY_STREAM}
+#: Trial × interval cells decoded in one array pass; it bounds the memory of a pass.
+DECODE_CELLS = 16384
+#: Above this pool size ``Generator.choice`` may draw a random-k subset by a
+#: tail shuffle, which the decoding does not follow; such trials run scalar.
+FLOYD_POOL_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -231,33 +254,120 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> MetricsReport:
 
     A policy's trial draws from its own stream, in order: the random-k
     subset, or else the start platform, then for the uniform policy its
-    batched moves.
+    moves. Each stream's raw words come from ``stream_words`` and are
+    decoded as NumPy's ``Generator`` would draw them, ``DECODE_CELLS``
+    trial × interval cells at a time. A trial with a draw NumPy would
+    redraw runs again through ``_scalar_trial``.
     """
     policies = {kind: MigrationPolicy(kind, config.k) for kind in config.policy_kinds}
     for policy in policies.values():
         check_pool(policy, sim.count)
-    shape = (config.trials, config.intervals)
-    vulnerable = {kind: np.empty(shape, dtype=bool) for kind in config.policy_kinds}
-    diversity_traces: dict[int, np.ndarray] = {}
-    stream_ids = [LABELING_STREAM] + [POLICY_STREAM[kind] for kind in config.policy_kinds]
-    streams = substreams(config.master_seed, np.arange(config.trials)[:, None], stream_ids)
-    for trial in range(config.trials):
-        flags = np.array(assign_vulnerabilities(sim, next(streams)).flags)
-        for kind, policy in policies.items():
-            rng = next(streams)
-            if kind is PolicyKind.RANDOM_K:
-                rotation = make_random_k_policy(sim.platforms, config.k, rng)
-                chosen = trace(rotation, sim, None, config.intervals)
+    seed, count, intervals, k = config.master_seed, sim.count, config.intervals, config.k
+    vulnerable = {kind: np.empty((config.trials, intervals), dtype=bool) for kind in policies}
+    trials = np.arange(config.trials)
+    rerun = np.zeros(config.trials, dtype=bool)
+    if PolicyKind.DIVERSITY in policies:
+        # a diversity trace draws nothing after its start: one walk per distinct start serves all
+        starts, rerun = _bounded_draws(seed, trials, POLICY_STREAM[PolicyKind.DIVERSITY], [count])
+        distinct, walk_of = np.unique(starts[:, 0], return_inverse=True)
+        walks = diversity_walks(sim.distances(), distinct, intervals, k)
+    block = max(1, DECODE_CELLS // max(intervals, count))
+    for first in range(0, config.trials, block):
+        rows = trials[first : first + block]
+        flags, rejected = _labelings(seed, rows, sim.scores)
+        for kind in policies:
+            if kind is PolicyKind.DIVERSITY:
+                chosen = walks[walk_of[rows]]
             elif kind is PolicyKind.UNIFORM:
-                chosen = trace(policy, sim, int(rng.integers(sim.count)), config.intervals, rng)
+                bounds = [count] + [count - 1] * (intervals - 1)
+                draws, redrawn = _bounded_draws(seed, rows, POLICY_STREAM[kind], bounds)
+                chosen = uniform_walks(draws[:, 0], draws[:, 1:])
+                rejected |= redrawn
             else:
-                # a diversity trace draws nothing, so each start's trace is built once
-                start = int(rng.integers(sim.count))
-                if start not in diversity_traces:
-                    diversity_traces[start] = trace(policy, sim, start, config.intervals)
-                chosen = diversity_traces[start]
-            vulnerable[kind][trial] = flags[chosen]
+                subsets, redrawn = _random_k_subsets(seed, rows, count, k)
+                chosen = subsets[:, np.arange(intervals) % k]
+                rejected |= redrawn
+            vulnerable[kind][rows] = np.take_along_axis(flags, chosen, axis=1)
+        rerun[rows] |= rejected
+    for trial in np.flatnonzero(rerun).tolist():
+        for kind, row in _scalar_trial(config, sim, trial).items():
+            vulnerable[kind][trial] = row
     per_policy = {
         kind.value: compute_metrics(vulnerable[kind], config.k) for kind in config.policy_kinds
     }
     return MetricsReport(config=config, per_policy=per_policy)
+
+
+def _scalar_trial(config: McConfig, sim: SimilarityMatrix, trial: int) -> dict:
+    """One trial's vulnerability row per policy kind, drawn call by call from its ``substream``s."""
+    labeling = assign_vulnerabilities(sim, substream(config.master_seed, trial, LABELING_STREAM))
+    flags = np.array(labeling.flags)
+    rows = {}
+    for kind in config.policy_kinds:
+        rng = substream(config.master_seed, trial, POLICY_STREAM[kind])
+        if kind is PolicyKind.RANDOM_K:
+            rotation = make_random_k_policy(sim.platforms, config.k, rng)
+            chosen = trace(rotation, sim, None, config.intervals)
+        else:
+            policy = MigrationPolicy(kind, config.k)
+            chosen = trace(policy, sim, int(rng.integers(sim.count)), config.intervals, rng)
+        rows[kind] = flags[chosen]
+    return rows
+
+
+def _bounded_draws(seed: int, rows: np.ndarray, stream: int, bounds) -> tuple[np.ndarray, ...]:
+    """Each row's ``integers(m)`` for each bound m in turn, and whether NumPy would redraw any.
+
+    A draw takes the next 32-bit half of the row's ``(seed, row, stream)``
+    stream; ``integers(1)`` takes none and gives 0.
+    """
+    bounds = np.asarray(bounds)
+    drawn = bounds > 1
+    taken = int(np.count_nonzero(drawn))
+    raw = stream_words(seed, rows, stream, words=(taken + 1) // 2)
+    values, redrawn = _bounded32(_halves(raw)[:, :taken], bounds[drawn])
+    draws = np.zeros((len(rows), len(bounds)), dtype=np.intp)
+    draws[:, drawn] = values
+    return draws, redrawn.any(axis=1)
+
+
+def _labelings(seed: int, rows: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``assign_vulnerabilities`` of each row's labeling stream: (rows, N) flags, and its redraws.
+
+    The seed platform is ``integers(N)`` on the low half of word 0; words
+    1 to N-1 are the ``random()`` doubles ``(w >> 11)·2**-53`` of the
+    other platforms, in index order.
+    """
+    count = len(scores)
+    raw = stream_words(seed, rows, LABELING_STREAM, words=count)
+    seeds, rejected = _bounded32(_halves(raw[:, :1])[:, 0], count)
+    seeds = seeds.astype(np.intp)[:, None]
+    uniforms = (raw[:, 1:] >> np.uint64(11)) * (1 / 9007199254740992)
+    others = np.arange(count - 1) + (np.arange(count - 1) >= seeds)
+    flags = np.ones((len(raw), count), dtype=bool)
+    np.put_along_axis(flags, others, uniforms < scores[seeds, others], axis=1)
+    return flags, rejected
+
+
+def _random_k_subsets(seed: int, rows: np.ndarray, count: int, k: int) -> tuple[np.ndarray, ...]:
+    """Each row's ``choice(N, k, replace=False)`` from its random-k stream, and whether to rerun it.
+
+    Floyd's algorithm draws on ``[0, j]`` for j = N-k to N-1 and adds the
+    value to the subset, or j when the value is in it already. A
+    Fisher–Yates shuffle follows: for i = k-1 down to 1, slot i swaps with
+    a draw on ``[0, i]``. Above ``FLOYD_POOL_LIMIT`` every row is rerun.
+    """
+    floyd = range(count - k, count)
+    bounds = [j + 1 for j in floyd] + list(range(k, 1, -1))
+    draws, rejected = _bounded_draws(seed, rows, POLICY_STREAM[PolicyKind.RANDOM_K], bounds)
+    subset = np.empty((len(rows), k), dtype=np.intp)
+    for slot, j in enumerate(floyd):
+        value = draws[:, slot]
+        taken = (subset[:, :slot] == value[:, None]).any(axis=1)
+        subset[:, slot] = np.where(taken, j, value)
+    index = np.arange(len(rows))
+    for swap, i in zip(draws[:, k:].T, range(k - 1, 0, -1)):
+        picked = subset[index, swap]
+        subset[index, swap] = subset[:, i]
+        subset[:, i] = picked
+    return subset, rejected | (count > FLOYD_POOL_LIMIT)

@@ -12,6 +12,7 @@ import pytest
 import diversity_lab
 from diversity_lab import expected_time_to_compromise, MarkovParams
 from diversity_lab.cli import MAX_SWEEP_POINTS, _parse_t_values, main
+from diversity_lab.scenario import MAX_STAYS
 
 
 def read_json(path):
@@ -532,7 +533,10 @@ class TestNonFiniteScenarioInput:
 
 
 class TestAttackerGoals:
-    """Non-finite goals and endless sweeps exit 2 at once, with one error line and no output directory."""
+    """Non-finite goals, endless sweeps and endless samples exit 2 at once.
+
+    Each prints one error line and leaves no output directory.
+    """
 
     @pytest.mark.parametrize(
         "goal, message",
@@ -544,8 +548,13 @@ class TestAttackerGoals:
             (["--T-sweep", "0:10:1e-300"], f"gives more than {MAX_SWEEP_POINTS} goals"),
             # 1e20 + 1 == 1e20, so the running sum never passes hi
             (["--T-sweep", "1e20:1e20:1"], f"gives more than {MAX_SWEEP_POINTS} goals"),
+            # each sample would step through about 5e306 stays
+            (["--T", "10", "--d", "1e308", "--exploit", "0@0"], f"more than {MAX_STAYS} stays per sample"),
         ],
-        ids=["T-inf", "T-nan", "sweep-to-inf", "sweep-from-nan", "sweep-tiny-step", "sweep-stuck"],
+        ids=[
+            "T-inf", "T-nan", "sweep-to-inf", "sweep-from-nan", "sweep-tiny-step", "sweep-stuck",
+            "d-too-many-stays",
+        ],
     )
     def test_rejected_in_a_fresh_interpreter(self, tmp_path, goal, message):
         # an endless sweep grows a list without bound, so the run gets a hard time limit

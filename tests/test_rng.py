@@ -1,6 +1,7 @@
-"""``rng.substreams`` reimplements SeedSequence mixing and PCG64 seeding; NumPy is the reference.
+"""``rng.substreams`` and ``rng.stream_words`` reimplement SeedSequence mixing, PCG64
+seeding and PCG64's output; NumPy is the reference.
 
-If a NumPy release changes either internal, these tests fail.
+If a NumPy release changes any of these internals, these tests fail.
 """
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diversity_lab import rng
-from diversity_lab.rng import KEY_BLOCK, substream, substreams
+from diversity_lab.rng import KEY_BLOCK, WORD_BLOCK, stream_words, substream, substreams
 
 #: 0 and the edges of one and two uint32 words; 2**200 is seven words,
 #: longer than SeedSequence's four-word pool, so it takes the extra mixing loop
@@ -98,3 +99,55 @@ class TestSubstreams:
             next(substreams(-1, 0))
         with pytest.raises(ValueError, match="key parts"):
             next(substreams(0, np.array([0, -1])))
+
+
+def numpy_words(master_seed, keys, words):
+    return [substream(master_seed, *key).bit_generator.random_raw(words).tolist() for key in keys]
+
+
+class TestStreamWords:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(BOUNDARY_SEEDS) | st.integers(0, 2**70),
+        st.integers(1, 4).flatmap(
+            lambda parts: st.lists(st.tuples(*[key_parts] * parts), min_size=1, max_size=6)
+        ),
+        st.integers(1, 9),
+    )
+    def test_random_keys(self, master_seed, keys, words):
+        block = np.array(keys, dtype=np.uint64)
+        assert stream_words(master_seed, *block.T, words=words).tolist() == numpy_words(
+            master_seed, keys, words
+        )
+
+    @pytest.mark.parametrize("master_seed", BOUNDARY_SEEDS)
+    @pytest.mark.parametrize(
+        "rows, words",
+        [
+            (1, WORD_BLOCK + 3),  # one row's words span two passes
+            (3, WORD_BLOCK // 2 + 1),  # one row a pass
+            (600, 50),  # 81 rows a pass, 7 passes a seed block, and a short last block
+            (WORD_BLOCK + 3, 1),  # rows cross a seed block
+        ],
+        ids=["words-cross-a-pass", "one-row-a-pass", "passes-in-a-seed-block", "rows-cross-a-seed-block"],
+    )
+    def test_across_block_boundaries(self, master_seed, rows, words):
+        trials = np.arange(2**32 - 2, 2**32 - 2 + rows, dtype=np.uint64)
+        got = stream_words(master_seed, trials, 3, words=words)
+        assert got.shape == (rows, words) and got.dtype == np.uint64
+        assert got.tolist() == numpy_words(master_seed, [(t, 3) for t in trials.tolist()], words)
+
+    def test_rows_in_c_order(self):
+        trials, ids = np.arange(5), [0, 1, 3]
+        keys = [(t, s) for t in trials.tolist() for s in ids]
+        assert stream_words(8, trials[:, None], ids, words=2).tolist() == numpy_words(8, keys, 2)
+
+    def test_no_key_parts_and_no_words(self):
+        assert stream_words(9, words=3).tolist() == numpy_words(9, [()], 3)
+        assert stream_words(9, np.arange(4), words=0).shape == (4, 0)
+
+    def test_negative_values_rejected(self):
+        with pytest.raises(ValueError, match="master seed"):
+            stream_words(-1, 0, words=1)
+        with pytest.raises(ValueError, match="key parts"):
+            stream_words(0, np.array([0, -1]), words=1)

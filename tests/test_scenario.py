@@ -82,6 +82,35 @@ class TestScenarioConfig:
             )
 
 
+class TestStayBound:
+    """A finite duration so long that a sample would step through more than ``MAX_STAYS`` stays."""
+
+    def huge(self, **fields):
+        exploits = (ExploitSpec(frozenset({0}), arrival=0.0),)
+        return ScenarioConfig(t_values=(10.0,), duration=1e308, samples=2, exploits=exploits, **fields)
+
+    @pytest.mark.parametrize("n_values", [(3,), (1, 2)])
+    def test_rejected_before_any_sample(self, n_values, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sample started")
+
+        monkeypatch.setattr(scenario, "substreams", refuse)
+        with pytest.raises(ValueError, match=f"more than {scenario.MAX_STAYS} stays per sample"):
+            run_scenario_study(self.huge(n_values=n_values))
+
+    def test_bound_is_inclusive(self):
+        config = self.huge(n_values=(2,))
+        at_bound = replace(config, duration=scenario.MAX_STAYS * 1.0, delay=(1.0, 1.0), samples=1)
+        # one-second stays alternate between the exploited platform and the other
+        assert [point.success_fraction for point in run_scenario_study(at_bound)] == [0.0]
+        with pytest.raises(ValueError, match="stays per sample"):
+            run_scenario_study(replace(at_bound, duration=scenario.MAX_STAYS + 1.0))
+
+    def test_single_platform_takes_one_stay(self):
+        # with N = 1 the platform never migrates, so any finite duration is one stay
+        assert [point.success_fraction for point in run_scenario_study(self.huge(n_values=(1,)))] == [1.0]
+
+
 class TestMaxControlRun:
     def test_single_platform_run_is_time_after_arrival(self):
         rng = np.random.default_rng(0)

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diversity_lab import simulator
-from diversity_lab.rng import KEY_BLOCK
+from diversity_lab.rng import KEY_BLOCK, substream
 from diversity_lab.simulator import DEFAULT_POLICY_KINDS
 from diversity_lab import (
     EmpiricalCdf,
@@ -311,6 +311,69 @@ class TestStudyMatchesPerStepReference:
         self.assert_matches(config, five_platform_sim)
 
 
+class TestDecodedDrawsEqualGeneratorDraws:
+    """The study decodes raw PCG64 words as NumPy's ``Generator`` draws them; NumPy is the reference."""
+
+    @pytest.mark.parametrize("count", range(2, 65))
+    def test_choice_without_replacement(self, count):
+        rows = np.arange(6)
+        for k in range(1, count + 1):
+            chosen, rejected = simulator._random_k_subsets(count, rows, count, k)
+            expected = [substream(count, row, 3).choice(count, k, replace=False).tolist() for row in rows]
+            assert not rejected.any()
+            assert chosen.tolist() == expected
+
+    def test_labelings(self, five_platform_sim):
+        rows = np.arange(200)
+        flags, rejected = simulator._labelings(3, rows, five_platform_sim.scores)
+        assert not rejected.any()
+        expected = [assign_vulnerabilities(five_platform_sim, substream(3, row, 0)).flags for row in rows]
+        assert [tuple(row) for row in flags.tolist()] == expected
+
+    @pytest.mark.parametrize("count", [2, 3, 7, 48])
+    def test_bounded_draws(self, count):
+        # integers(1) takes no half, so the draws after it shift by one half
+        bounds = [count, 1, count - 1, 1, 1, count + 1, 2]
+        draws, rejected = simulator._bounded_draws(5, np.arange(40), 2, bounds)
+        assert not rejected.any()
+        for row, drawn in enumerate(draws.tolist()):
+            rng = substream(5, row, 2)
+            assert drawn == [int(rng.integers(bound)) for bound in bounds]
+
+    def test_every_draw_rejected_reruns_every_trial(self, five_platform_sim, monkeypatch):
+        bounded32 = simulator._bounded32
+        reruns = []
+        scalar_trial = simulator._scalar_trial
+
+        def every_draw_rejected(draws, m):
+            value, rejected = bounded32(draws, m)
+            return value, np.ones_like(rejected)
+
+        def counted(config, sim, trial):
+            reruns.append(trial)
+            return scalar_trial(config, sim, trial)
+
+        monkeypatch.setattr(simulator, "_bounded32", every_draw_rejected)
+        monkeypatch.setattr(simulator, "_scalar_trial", counted)
+        config = McConfig(trials=25, intervals=12, master_seed=4)
+        TestStudyMatchesPerStepReference.assert_matches(config, five_platform_sim)
+        assert reruns == list(range(25))
+
+    @pytest.mark.parametrize(
+        "count, k, intervals",
+        [(5, 5, 12), (3, 3, 3), (2, 2, 9), (2, 2, 2), (4, 2, 2)],
+        ids=["k-is-N", "k-is-N-is-intervals", "N-is-2", "N-is-2-is-intervals", "intervals-is-k"],
+    )
+    def test_edge_shapes(self, count, k, intervals):
+        config = McConfig(trials=30, intervals=intervals, k=k, master_seed=count + k)
+        TestStudyMatchesPerStepReference.assert_matches(config, generated_similarity(count, seed=k))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_generated_48_platform_matrix(self, seed):
+        config = McConfig(trials=12, intervals=20, k=4, master_seed=seed)
+        TestStudyMatchesPerStepReference.assert_matches(config, generated_similarity(48, seed=seed))
+
+
 class TestBatchedDrawsEqualScalarDraws:
     """PCG64 identities the batched study relies on to keep every artifact unchanged."""
 
@@ -338,12 +401,12 @@ class TestPoolErrorsBeforeAnyTrial:
 
     @pytest.fixture
     def no_streams(self, monkeypatch):
-        def refuse(*key):
-            raise AssertionError(f"a trial started: substream{key}")
+        def refuse(*key, **options):
+            raise AssertionError(f"a trial started: stream {key}")
 
-        # the study derives every stream through substreams; refuse both names
+        # the study takes its words from stream_words and reruns trials on substream
         monkeypatch.setattr(simulator, "substream", refuse)
-        monkeypatch.setattr(simulator, "substreams", refuse)
+        monkeypatch.setattr(simulator, "stream_words", refuse)
 
     def test_streams_are_refused(self, five_platform_sim, no_streams):
         with pytest.raises(AssertionError, match="a trial started"):
