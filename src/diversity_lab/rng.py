@@ -7,43 +7,41 @@ streams, so trials can run in any order or concurrently without
 changing results.
 
 ``substream`` is the reference: it seeds PCG64 through NumPy's
-``SeedSequence``. ``substreams`` gives the same streams for many keys at
-a fraction of the cost. It runs SeedSequence's pool mixing and
-``generate_state(4, uint64)`` as uint32 array arithmetic over a block of
-keys, applies PCG64's seeding to each result, and resets one reused
-generator to each key's state.
-
-``stream_words`` makes no generator at all: it returns each stream's
-first raw words. PCG64 seeds with ``inc = 2·initseq + 1`` and
-``s = (initstate + inc)·MULT + inc``, steps by ``s ↦ s·MULT + inc`` and
-outputs each new state's XSL-RR, ``rotr64(hi ^ lo, hi >> 58)``. So the
-state behind word j is ``A_j·s + B_j·inc mod 2**128``, with
-``A_j = MULT**(j+1)`` and ``B_j`` the sum of ``MULT**i`` for i <= j: one
-array expression over every (stream, word) cell, computed in 32-bit
-limbs. ``_halves`` and ``_bounded32`` decode the words into
-``Generator.integers`` draws.
+``SeedSequence``. ``stream_words`` gives the first raw words of many
+streams at once with no generator at all. It runs SeedSequence's pool
+mixing and ``generate_state(4, uint64)`` as uint32 array arithmetic over
+a block of keys, then PCG64's seeding, ``inc = 2·initseq + 1`` and
+``s = (initstate + inc)·MULT + inc``. PCG64 steps by
+``s ↦ s·MULT + inc`` and outputs each new state's XSL-RR,
+``rotr64(hi ^ lo, hi >> 58)``. So the state behind word j is
+``A_j·s + B_j·inc mod 2**128``, with ``A_j = MULT**(j+1)`` and ``B_j``
+the sum of ``MULT**i`` for i <= j, and the state behind word j + g is
+``MULT**g`` times that of word j plus ``Q_g·inc``, with ``Q_g`` the sum
+of ``MULT**i`` for i < g. ``stream_words`` jumps to the first g words of
+every key and then steps all g lanes together by g words. A 128-bit
+value is a pair of uint64 arrays, high word first. ``_halves`` and
+``_bounded32`` decode the words into ``Generator.integers`` draws.
 
 All of this reimplements NumPy internals (``SeedSequence`` in
 ``bit_generator.pyx``, ``pcg64_set_seed`` and ``pcg64_next64`` in
 ``pcg64.h``, Lemire's method in ``distributions.c``), not documented
 guarantees. If a NumPy release changes them, ``tests/test_rng.py``
-fails: it compares the derived states with NumPy's own and
+fails: it compares the mixed words with ``generate_state`` and
 ``stream_words`` with ``random_raw``.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
 
 import numpy as np
 
-#: Keys whose states one array pass derives; it bounds the memory of a pass.
-KEY_BLOCK = 512
-#: Cells (rows × words) that one array pass of ``stream_words`` derives.
+#: Cells (rows × words) that one array operation of ``stream_words`` covers
+#: at most; it is also the most key rows that share one derivation pass.
 WORD_BLOCK = 4096
 
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 # SeedSequence's pool size and hash constants
 _POOL = 4
@@ -51,7 +49,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_LIMB, _SHIFT32, _ONE = np.uint64(_MASK32), np.uint64(32), np.uint64(1)
+_HALF, _SHIFT32, _ONE = np.uint64(_MASK32), np.uint64(32), np.uint64(1)
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
@@ -62,65 +60,38 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
 
 
-def substreams(master_seed: int, *key) -> Iterator[np.random.Generator]:
-    """``substream(master_seed, *row)`` for each key row, in order, as one reused generator.
-
-    The key parts are integers or arrays of integers in ``[0, 2**64)``;
-    they broadcast against each other, and the rows of the result are
-    taken in C order, so ``substreams(s, trials[:, None], ids)`` gives
-    ``(s, trial, id)`` for each id of each trial. Every item yielded is
-    the same ``Generator``, reset to the next row's stream with no cached
-    32-bit half, so finish drawing from one item before taking the next.
-    States are derived ``KEY_BLOCK`` rows at a time.
-    """
-    seed_words, columns, rows = _key_columns(master_seed, key)
-    bitgen = np.random.PCG64(0)
-    generator = np.random.Generator(bitgen)
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for first in range(0, rows, KEY_BLOCK):
-        block = _key_block(columns, first, KEY_BLOCK)
-        # pcg64_set_seed: initstate is words 0-1 and initseq words 2-3, high word first
-        seeds = _generate_state(*_entropy(seed_words, block)).tolist()
-        for state_hi, state_lo, seq_hi, seq_lo in seeds:
-            inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
-            pcg["inc"] = inc
-            pcg["state"] = (((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc) & _MASK128
-            bitgen.state = state
-            yield generator
-
-
 def stream_words(master_seed: int, *key, words: int) -> np.ndarray:
     """The first ``words`` raw outputs of each key row's stream, as a (rows, words) uint64 array.
 
-    Row r equals ``substream(master_seed, *row_r).bit_generator.random_raw(words)``;
-    the key parts broadcast and give their rows in C order, as in
-    ``substreams``. No generator is made: after PCG64's seeding, the
-    state before word j is ``A_j·s + B_j·inc mod 2**128`` with the
-    per-word constants ``A_j = MULT**(j+1)`` and ``B_j`` the sum of
-    ``MULT**i`` for i <= j, so every word of every row is one array
-    expression. Words are derived ``WORD_BLOCK`` cells at a time.
+    Row r equals ``substream(master_seed, *row_r).bit_generator.random_raw(words)``.
+    The key parts are integers or arrays of integers in ``[0, 2**64)``;
+    they broadcast against each other, and the rows are taken in C order,
+    so ``stream_words(s, trials[:, None], ids, words=w)`` gives
+    ``(s, trial, id)`` for each id of each trial. Keys are derived
+    ``WORD_BLOCK`` rows at a time. For a block of R rows, g =
+    ``WORD_BLOCK // R`` lanes (at least 1, at most ``words``) jump to the
+    states behind words 0 to g - 1, and then every lane steps by g words
+    at once, so each array operation covers at most ``WORD_BLOCK`` cells.
     """
     seed_words, columns, rows = _key_columns(master_seed, key)
     out = np.empty((rows, words), dtype=np.uint64)
     if not words:
         return out
-    constants = _jump_constants(words)
-    span, per_pass = min(words, WORD_BLOCK), max(1, WORD_BLOCK // words)
-    # seeds are derived for whole passes, at least KEY_BLOCK rows at a time
-    per_seed_block = per_pass * -(-KEY_BLOCK // per_pass)
-    for first in range(0, rows, per_seed_block):
-        block = _key_block(columns, first, per_seed_block)
-        # cells are laid out word by row, so the long axis of each array op runs over rows
-        seeds = _generate_state(*_entropy(seed_words, block)).T[:, None, :]
-        for row in range(0, len(block), per_pass):
-            init_hi, init_lo, seq_hi, seq_lo = seeds[:, :, row : row + per_pass]
-            init = _limbs(init_hi, init_lo)
-            inc = _limbs((seq_hi << _ONE) | (seq_lo >> np.uint64(63)), (seq_lo << _ONE) | _ONE)
-            rows_out = out[first + row : first + row + per_pass]
-            for col in range(0, words, span):
-                power, total = np.split(constants[:, col : col + span, None], 2)
-                rows_out[:, col : col + span] = _xsl_rr(_mul_add(power, init, total, inc)).T
+    for first in range(0, rows, WORD_BLOCK):
+        block = _key_block(columns, first, WORD_BLOCK)
+        # lanes are laid out lane by row, so the long axis of each array op runs over rows
+        init_hi, init_lo, seq_hi, seq_lo = _generate_state(*_entropy(seed_words, block)).T[:, None, :]
+        inc = (seq_hi << _ONE) | (seq_lo >> np.uint64(63)), (seq_lo << _ONE) | _ONE
+        lanes = max(1, min(words, WORD_BLOCK // len(block)))
+        power, total, leap, stride = _leapfrog_constants(lanes)
+        state = _add(_mul(power, (init_hi, init_lo)), _mul(total, inc))
+        advance = _mul(stride, inc)
+        rows_out = out[first : first + len(block)]
+        for col in range(0, words, lanes):
+            width = min(lanes, words - col)
+            rows_out[:, col : col + width] = _xsl_rr(*state)[:width].T
+            if col + lanes < words:
+                state = _add(_mul(leap, state), advance)
     return out
 
 
@@ -145,64 +116,71 @@ def _key_block(columns: list[np.ndarray], first: int, size: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _jump_constants(words: int) -> np.ndarray:
-    """Limbs of the jump constants of words 0 to ``words - 1``, one column per word.
+def _leapfrog_constants(lanes: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The 128-bit constants of ``stream_words`` with ``lanes`` lanes, as (high, low) word pairs.
 
     PCG64's seeding sets ``s = (init + inc)·MULT + inc``, so the state
     before word j, ``A_j·s + B_j·inc``, is also ``MULT**(j+2)·init`` plus
-    the sum of ``MULT**i`` for i <= j + 2, times ``inc``. Rows 0-3 hold
-    the first factor and rows 4-7 the second, low limb first. Built on
-    first use, not at import.
+    the sum of ``MULT**i`` for i <= j + 2, times ``inc``. The first two
+    pairs hold these factors for lanes 0 to ``lanes - 1``, one per row;
+    the last two hold ``MULT**lanes`` and ``Q``, the sum of ``MULT**i``
+    for i < lanes, which advance a lane by ``lanes`` words:
+    ``s ↦ MULT**lanes·s + Q·inc``. Built on first use, not at import.
     """
     power = _PCG64_MULT * _PCG64_MULT & _MASK128
     total = (1 + _PCG64_MULT + power) & _MASK128
-    columns = []
-    for _ in range(words):
-        limbs = [value >> shift & _MASK32 for value in (power, total) for shift in range(0, 128, 32)]
-        columns.append(limbs)
+    leap, stride = 1, 0
+    powers, totals = [], []
+    for _ in range(lanes):
+        powers.append(power)
+        totals.append(total)
         power = power * _PCG64_MULT & _MASK128
         total = (total + power) & _MASK128
-    constants = np.array(columns, dtype=np.uint64).T.copy()
-    constants.flags.writeable = False
-    return constants
+        stride = (stride + leap) & _MASK128
+        leap = leap * _PCG64_MULT & _MASK128
+    return _split128(powers), _split128(totals), _split128([leap]), _split128([stride])
 
 
-def _limbs(high: np.ndarray, low: np.ndarray) -> list[np.ndarray]:
-    """32-bit limbs, least significant first, of the 128-bit values ``high·2**64 + low``."""
-    return [low & _LIMB, low >> _SHIFT32, high & _LIMB, high >> _SHIFT32]
+def _split128(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit ints as a column of high words and a column of low words, read-only."""
+    pair = (
+        np.array([[value >> 64] for value in values], dtype=np.uint64),
+        np.array([[value & _MASK64] for value in values], dtype=np.uint64),
+    )
+    for half in pair:
+        half.flags.writeable = False
+    return pair
 
 
-def _mul_add(a: list, x: list, b: list, y: list) -> np.ndarray:
-    """Limbs of ``(a·x + b·y) mod 2**128`` from limb lists; the products broadcast.
+def _mulhi64(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The high 64 bits of each 128-bit product ``x·y``, from four products of 32-bit halves.
 
-    A product of two limbs fits in 64 bits. Its low half adds into limb
-    ``i + j`` and its high half into the next; each limb sum stays below
-    2**37 before the carries run. Limb 3 keeps only its low 32 bits, so
-    its products add whole: a uint64 sum wraps without touching them.
+    Each partial sum stays below 2**64: a product of halves is at most
+    ``(2**32 - 1)**2``, and adding a half to it cannot carry out.
     """
-    shape = np.broadcast_shapes(a[0].shape, x[0].shape)
-    acc = np.zeros((4, *shape), dtype=np.uint64)
-    product, part = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
-    for i in range(4):
-        for j in range(4 - i):
-            for u, v in ((a, x), (b, y)):
-                np.multiply(u[i], v[j], out=product)
-                if i + j == 3:
-                    acc[3] += product
-                    continue
-                acc[i + j] += np.bitwise_and(product, _LIMB, out=part)
-                acc[i + j + 1] += np.right_shift(product, _SHIFT32, out=product)
-    for limb in range(3):
-        acc[limb + 1] += acc[limb] >> _SHIFT32
-        acc[limb] &= _LIMB
-    acc[3] &= _LIMB
-    return acc
+    x_lo, x_hi = x & _HALF, x >> _SHIFT32
+    y_lo, y_hi = y & _HALF, y >> _SHIFT32
+    upper = x_hi * y_lo + (x_lo * y_lo >> _SHIFT32)
+    lower = x_lo * y_hi + (upper & _HALF)
+    return x_hi * y_hi + (upper >> _SHIFT32) + (lower >> _SHIFT32)
 
 
-def _xsl_rr(state: list[np.ndarray]) -> np.ndarray:
-    """PCG64's output of each state: ``rotr64(hi ^ lo, hi >> 58)`` of its two 64-bit halves."""
-    mixed = ((state[3] ^ state[1]) << _SHIFT32) | (state[2] ^ state[0])
-    rotation = state[3] >> np.uint64(26)
+def _mul(a: tuple, x: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``a·x mod 2**128`` of (high, low) pairs: uint64 products wrap, so only one high word is missing."""
+    (a_hi, a_lo), (x_hi, x_lo) = a, x
+    return a_hi * x_lo + a_lo * x_hi + _mulhi64(a_lo, x_lo), a_lo * x_lo
+
+
+def _add(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``a + b mod 2**128`` of (high, low) pairs; the low sum wraps below ``b``'s low word on a carry."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < b[1]), low
+
+
+def _xsl_rr(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """PCG64's output of each state: ``rotr64(hi ^ lo, hi >> 58)``."""
+    mixed = high ^ low
+    rotation = high >> np.uint64(58)
     return (mixed >> rotation) | (mixed << ((np.uint64(64) - rotation) & np.uint64(63)))
 
 

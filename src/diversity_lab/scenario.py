@@ -9,11 +9,11 @@ for at least T contiguous seconds within the trial duration. Simulation
 is event-driven (migrations and exploit arrivals), not tick-based.
 
 ``max_control_run`` simulates one sample with scalar draws.
-``run_scenario_study`` gets the same draws in bulk: it takes each
-sample's stream from ``rng.substreams``, decodes the stream's raw PCG64
-words the way NumPy's ``Generator`` would, and then evaluates a block of
-samples as arrays. A sample the decoding cannot reproduce goes back
-through ``max_control_run`` on its ``substream``.
+``run_scenario_study`` gets the same draws in bulk: it takes the raw
+PCG64 words of many samples' streams at once from ``rng.stream_words``,
+decodes them the way NumPy's ``Generator`` would, and then evaluates a
+block of samples as arrays. A sample the decoding cannot reproduce goes
+back through ``max_control_run`` on its ``substream``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import is_int, is_number, list_of, manifest_value
-from .rng import _bounded32, _halves, substream, substreams
+from .rng import _bounded32, _halves, stream_words, substream
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,11 @@ def max_control_run(
 MAX_STAYS = 100_000
 #: Stay slots (samples x stays) decoded in one array pass. It bounds the
 #: memory of a pass; a sample that needs more stays takes the scalar path.
-_BLOCK_CELLS = 4096
+#: A pass steps through its stays in Python, so fewer, wider passes cost less.
+_BLOCK_CELLS = 8192
+#: Word cells (samples x words) that one ``stream_words`` call derives. It
+#: bounds the memory of the words whatever the sample count.
+_WORD_CELLS = 1 << 17
 
 
 def _uniform(halves: np.ndarray, words: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -305,7 +309,7 @@ def _control_runs(
         platform[:, 0] = draws.start
         for k in range(1, bounds.shape[1]):
             move = draws.moves[:, k - 1]
-            platform[:, k] = np.where(move >= platform[:, k - 1], move + 1, move)
+            platform[:, k] = move + (move >= platform[:, k - 1])
     ends = np.minimum(bounds, duration)
     starts = np.zeros_like(ends)
     starts[:, 1:] = ends[:, :-1]
@@ -352,10 +356,12 @@ def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
     A sweep with N > 1 whose samples may need more than ``MAX_STAYS``
     stays raises ValueError before any sample is drawn.
 
-    Each result equals ``max_control_run`` on the sample's stream: blocks
-    of samples are decoded from raw words and evaluated as arrays, and a
-    sample with a draw NumPy would redraw, or whose decoded stays end
-    before ``duration``, is rerun through ``max_control_run``.
+    Each result equals ``max_control_run`` on the sample's stream: the
+    raw words of up to ``_WORD_CELLS`` cells of samples come from one
+    ``stream_words`` call, blocks of samples are decoded from them and
+    evaluated as arrays, and a sample with a draw NumPy would redraw, or
+    whose decoded stays end before ``duration``, is rerun through
+    ``max_control_run``.
     """
     duration = float(config.duration)
     ratio = duration / config.delay[0]
@@ -374,13 +380,14 @@ def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
         layout = _draw_layout(n, len(drawn), 1 if n == 1 else max_stays)
         targets = _platform_mask(config.exploits, n)
         block = _BLOCK_CELLS // max(1, len(layout.dwells))
+        chunk = block * max(1, _WORD_CELLS // (block * max(1, layout.words)))
         runs = np.empty(config.samples)
-        streams = substreams(config.master_seed, n, np.arange(config.samples))
         for first in range(0, config.samples, block):
             samples = range(first, min(first + block, config.samples))
-            raw = np.empty((len(samples), layout.words), dtype=np.uint64)
-            for row in raw:
-                row[:] = next(streams).bit_generator.random_raw(layout.words)
+            if first % chunk == 0:
+                rows = np.arange(first, min(first + chunk, config.samples))
+                chunk_raw = stream_words(config.master_seed, n, rows, words=layout.words)
+            raw = chunk_raw[first % chunk : first % chunk + len(samples)]
             draws = _decode(raw, layout, n, duration, config.delay)
             arrivals = np.empty((len(samples), len(fixed)))
             arrivals[:] = fixed

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -288,6 +289,37 @@ class TestScenarioCommand:
         for name in ("success_fraction.csv", "run_manifest.json"):
             assert (outdir / name).read_bytes() == (rerun / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "seed, sweep_digest, manifest_digest",
+        [
+            (
+                0,
+                "a9e291bb33dedb861d1e633a1a0bb01792fbb7f166157b19fa00a6962e2536f0",
+                "d07d737f3eb6d12fd93b0789cf15ab1020dea614717932cc17b25df236f0ab7d",
+            ),
+            (
+                1,
+                "e9741903ce194bfdbe3d7d6ba488c8ac1e5cb262e6b92e2a54e61e712a5dc555",
+                "7dcb3d8ea077eff6b62f28c44fcb446f02abc9b147714279ca22918f74615b94",
+            ),
+            (
+                2**32,
+                "b9a0c69b2c703d18ec6d7592b04a18b25e6d63d0124098d6f09dc7e553cbb445",
+                "a9a58568473f5a2201e34f4b5568cededd7695e4f5b3da35773030508d6df728",
+            ),
+        ],
+    )
+    def test_default_exploit_sweep_pinned(self, tmp_path, seed, sweep_digest, manifest_digest):
+        # sha256 of the artifacts as the per-sample generator wrote them; a change to
+        # stream derivation or decoding that moves any draw changes them
+        argv = ["scenario", "--N", "1,3,8", "--T-sweep", "0:900:75", "--samples", "300"]
+        assert main([*argv, "--seed", str(seed), "--outdir", str(tmp_path)]) == 0
+        digests = [
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("success_fraction.csv", "run_manifest.json")
+        ]
+        assert digests == [sweep_digest, manifest_digest]
+
     def test_t_and_sweep_mutually_exclusive(self, tmp_path):
         assert main(["scenario", "--N", "1", "--outdir", str(tmp_path / "a")]) == 2
         assert (
@@ -316,6 +348,16 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    def test_calls_in_one_process_share_no_parsed_state(self, tmp_path):
+        # --exploit appends to a list; a second call without it must get the default pair
+        argv = ["scenario", "--N", "3", "--T", "10", "--samples", "5"]
+        assert main([*argv, "--exploit", "0@5", "--outdir", str(tmp_path / "first")]) == 0
+        assert main([*argv, "--outdir", str(tmp_path / "second")]) == 0
+        first = read_json(tmp_path / "first" / "run_manifest.json")["exploits"]
+        second = read_json(tmp_path / "second" / "run_manifest.json")["exploits"]
+        assert first == [{"platforms": [0], "arrival": 5.0}]
+        assert second == [{"platforms": [0], "arrival": None}, {"platforms": [1, 2], "arrival": None}]
 
 
 class TestManifestSchema:

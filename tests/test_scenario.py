@@ -12,7 +12,7 @@ from diversity_lab import (
     run_scenario_study,
 )
 from diversity_lab import scenario
-from diversity_lab.rng import KEY_BLOCK, substream
+from diversity_lab.rng import stream_words, substream
 
 
 def study_fraction(config):
@@ -94,7 +94,8 @@ class TestStayBound:
         def refuse(*args, **kwargs):
             raise AssertionError("a sample started")
 
-        monkeypatch.setattr(scenario, "substreams", refuse)
+        monkeypatch.setattr(scenario, "stream_words", refuse)
+        monkeypatch.setattr(scenario, "substream", refuse)
         with pytest.raises(ValueError, match=f"more than {scenario.MAX_STAYS} stays per sample"):
             run_scenario_study(self.huge(n_values=n_values))
 
@@ -333,12 +334,23 @@ class TestStudyEqualsScalarRebuild:
         self.assert_matches(config)
         assert fallbacks == []
 
-    def test_one_sample_past_the_derivation_block(self, fallbacks):
+    def test_one_sample_past_the_derivation_block(self, fallbacks, monkeypatch):
+        # a sample takes 50 words at N = 2 and more at larger N, so for every N > 1 the
+        # words come from two stream_words calls, each cut into many decode blocks
+        calls = []
+
+        def counted(seed, n, rows, words):
+            calls.append(n)
+            return stream_words(seed, n, rows, words=words)
+
+        monkeypatch.setattr(scenario, "stream_words", counted)
         config = ScenarioConfig(
-            t_values=(0.0,), n_values=self.N_VALUES, samples=KEY_BLOCK + 1, master_seed=2**32
+            t_values=(0.0,), n_values=self.N_VALUES, samples=scenario._WORD_CELLS // 50 + 1,
+            master_seed=2**32,
         )
         self.assert_matches(config)
         assert fallbacks == []
+        assert calls == [1] + [n for n in self.N_VALUES[1:] for _ in range(2)]
 
     @pytest.mark.filterwarnings("error")
     def test_fixed_dwell_overlapping_exploits_and_platforms_beyond_n(self, fallbacks):

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diversity_lab import simulator
-from diversity_lab.rng import KEY_BLOCK, substream
+from diversity_lab.rng import WORD_BLOCK, substream
 from diversity_lab.simulator import DEFAULT_POLICY_KINDS
 from diversity_lab import (
     EmpiricalCdf,
@@ -303,10 +303,10 @@ class TestStudyMatchesPerStepReference:
         ids=["four-streams", "three-streams"],
     )
     def test_one_trial_past_the_derivation_block(self, five_platform_sim, kinds):
-        # four streams a trial leave the last trial alone in a fifth block; with
-        # three, trial 170's streams straddle the first block boundary
+        # the trials span two decode blocks; with the diversity policy, every trial's
+        # start comes from one stream_words call, whose last key is alone in a second seed block
         config = McConfig(
-            trials=KEY_BLOCK + 1, intervals=6, policy_kinds=kinds, master_seed=2**64
+            trials=WORD_BLOCK + 1, intervals=6, policy_kinds=kinds, master_seed=2**64
         )
         self.assert_matches(config, five_platform_sim)
 
