@@ -26,13 +26,12 @@ from .core import (
     PlatformSet,
     PolicyKind,
     SimilarityMatrix,
-    VulnerabilityLabeling,
     bundled_similarity_path,
     load_bundled_similarity,
     load_similarity_matrix,
     save_similarity_matrix,
 )
-from .rng import as_generator, substream
+from .rng import substream
 from .scenario import (
     DEFAULT_EXPLOITS,
     ExploitSpec,
@@ -70,8 +69,6 @@ __all__ = [
     "RunLengthChain",
     "ScenarioConfig",
     "SimilarityMatrix",
-    "VulnerabilityLabeling",
-    "as_generator",
     "assign_vulnerabilities",
     "bundled_similarity_path",
     "check_pool",

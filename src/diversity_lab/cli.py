@@ -213,14 +213,14 @@ def cmd_mc(args) -> int:
             policy_kinds=_parse_policies(args.policies),
             master_seed=_resolve_seed(args.seed),
         )
-    report = run_mc_study(config, sim)
+    study = run_mc_study(config, sim)
     outdir = _outdir(args)
 
     manifest = {"command": "mc", "version": __version__, **config.to_manifest(sim)}
     _write_json(outdir / "run_manifest.json", manifest)
 
     metrics = {}
-    for name, policy_metrics in report.per_policy.items():
+    for name, policy_metrics in study.items():
         metrics[name] = {
             "trials": policy_metrics.trials,
             "intervals": policy_metrics.intervals,
@@ -239,7 +239,7 @@ def cmd_mc(args) -> int:
     }
     for filename, extract in curves.items():
         rows = []
-        for name, policy_metrics in report.per_policy.items():
+        for name, policy_metrics in study.items():
             cdf = extract(policy_metrics)
             rows.extend((name, value, prob) for value, prob in zip(cdf.values, cdf.probs))
         _write_cdf_csv(outdir / filename, rows)

@@ -1,9 +1,10 @@
 """Domain types shared across the library.
 
-Platforms and their pairwise code-similarity scores, per-platform
-vulnerability flags, and migration policies. All types here are
-immutable after construction and safe to share between concurrent
-workers. ``manifest_value`` reads one type-checked key of a run manifest.
+Platforms and their pairwise code-similarity scores, and migration
+policies; a labeling of vulnerable platforms is a plain bool array, one
+flag per platform. All types here are immutable after construction and
+safe to share between concurrent workers. ``manifest_value`` reads one
+type-checked key of a run manifest.
 """
 
 from __future__ import annotations
@@ -166,38 +167,6 @@ def load_bundled_similarity() -> SimilarityMatrix:
     return load_similarity_matrix(bundled_similarity_path())
 
 
-@dataclass(frozen=True)
-class VulnerabilityLabeling:
-    """Boolean vulnerability flag per platform (True = attacker holds an exploit)."""
-
-    flags: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.flags) < 1:
-            raise ValueError("labeling must cover at least one platform")
-        object.__setattr__(self, "flags", tuple(bool(f) for f in self.flags))
-
-    @classmethod
-    def from_vulnerable_indices(cls, count: int, vulnerable: set[int] | frozenset[int]) -> VulnerabilityLabeling:
-        bad = [i for i in vulnerable if not 0 <= i < count]
-        if bad:
-            raise ValueError(f"vulnerable indices out of range: {bad}")
-        return cls(tuple(i in vulnerable for i in range(count)))
-
-    @property
-    def m(self) -> int:
-        """Number of vulnerable platforms."""
-        return sum(self.flags)
-
-    @property
-    def n(self) -> int:
-        """Number of invulnerable platforms."""
-        return len(self.flags) - self.m
-
-    def __len__(self) -> int:
-        return len(self.flags)
-
-
 class PolicyKind(Enum):
     """Migration strategy families."""
 
@@ -229,6 +198,8 @@ class MigrationPolicy:
             seq = self.sequence
             if not seq:
                 raise ValueError("fixed periodic policy requires a non-empty sequence")
+            if min(seq) < 0:
+                raise ValueError(f"fixed periodic sequence has a negative platform: {seq!r}")
             for i, platform in enumerate(seq):
                 nxt = seq[(i + 1) % len(seq)]
                 if platform == nxt:

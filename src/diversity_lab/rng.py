@@ -282,9 +282,3 @@ def _bounded32(draws: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     value = np.floor(product * (1 / 4294967296))
     return value, (product - value * 4294967296 < 2**32 % m) | (m > 1 << 21)
 
-
-def as_generator(seed) -> np.random.Generator:
-    """Coerce an int seed, SeedSequence, or Generator into a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)

@@ -12,8 +12,10 @@ is event-driven (migrations and exploit arrivals), not tick-based.
 ``run_scenario_study`` gets the same draws in bulk: it takes the raw
 PCG64 words of many samples' streams at once from ``rng.stream_words``,
 decodes them the way NumPy's ``Generator`` would, and then evaluates a
-block of samples as arrays. A sample the decoding cannot reproduce goes
-back through ``max_control_run`` on its ``substream``.
+block of samples as arrays, walking the platforms with
+``scheduler.uniform_walks``, the no-repeat walk of the Monte Carlo
+study. A sample the decoding cannot reproduce goes back through
+``max_control_run`` on its ``substream``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 
 from .core import is_int, is_number, list_of, manifest_value
 from .rng import _bounded32, _halves, stream_words, substream
+from .scheduler import uniform_walks
 
 
 @dataclass(frozen=True)
@@ -302,18 +305,15 @@ def _control_runs(
     samples, n = exploited_at.shape
     if n == 1:
         bounds = np.full((samples, 1), duration)
-        platform = np.zeros((samples, 1))
+        platform = np.zeros((samples, 1), dtype=np.intp)
     else:
         bounds = np.cumsum(draws.dwells, axis=1)
-        platform = np.empty(bounds.shape)
-        platform[:, 0] = draws.start
-        for k in range(1, bounds.shape[1]):
-            move = draws.moves[:, k - 1]
-            platform[:, k] = move + (move >= platform[:, k - 1])
+        # the move after the last stay leads nowhere
+        platform = uniform_walks(draws.start, draws.moves[:, :-1])
     ends = np.minimum(bounds, duration)
     starts = np.zeros_like(ends)
     starts[:, 1:] = ends[:, :-1]
-    arrival = np.take_along_axis(exploited_at, platform.astype(np.intp), axis=1)
+    arrival = np.take_along_axis(exploited_at, platform, axis=1)
     # slots past the trial end are empty stays at ``duration``: they add no time to any run
     control = arrival < ends
     seg_start = np.maximum(starts, arrival)

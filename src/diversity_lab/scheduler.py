@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MigrationPolicy, PlatformSet, PolicyKind, SimilarityMatrix
-from .rng import as_generator
 
 logger = logging.getLogger(__name__)
 
@@ -91,7 +90,10 @@ def diversity_walks(dist: np.ndarray, starts: np.ndarray, steps: int, k: int) ->
 
 
 def uniform_walks(starts: np.ndarray, moves: np.ndarray) -> np.ndarray:
-    """No-repeat walks, one row per start: move ``m`` goes to the m-th of the other platforms."""
+    """No-repeat walks, one row per start: move ``m`` goes to the m-th of the other platforms.
+
+    Both engines walk with it; starts and moves may be integers or integral doubles.
+    """
     walks = np.empty((len(starts), moves.shape[1] + 1), dtype=np.intp)
     walks[:, 0] = starts
     for step, move in enumerate(moves.T):
@@ -120,7 +122,7 @@ def make_random_k_policy(platforms: PlatformSet | int, k: int, seed) -> Migratio
     if k < 2:
         raise ValueError("random-k rotation requires k >= 2")
     check_pool(MigrationPolicy.random_k(k), count)
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     subset = rng.choice(count, size=k, replace=False)
     return MigrationPolicy.fixed_periodic(tuple(int(p) for p in subset))
 

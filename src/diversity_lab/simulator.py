@@ -26,11 +26,13 @@ Lemire's method; ``random()`` takes a whole word ``w`` as
   down to 1.
 
 Each policy's trials × intervals vulnerability matrix is built as
-arrays: the uniform walk steps every trial at once, and the diversity
-trace, which depends only on (similarity, k, start), comes from one
-batched walk over the distinct starts. A trial with a draw NumPy would
-redraw, or a random-k trial with N > 10,000 (where NumPy may draw by a
-tail shuffle), reruns through ``_scalar_trial`` on its ``substream``s.
+arrays: ``scheduler.uniform_walks``, the no-repeat walk the scenario
+engine also uses, steps every trial at once, and the diversity trace,
+which depends only on (similarity, k, start), comes from one batched
+walk over the distinct starts. The metrics stay arrays up to the CLI's
+writers. A trial with a draw NumPy would redraw, or a random-k trial
+with N > 10,000 (where NumPy may draw by a tail shuffle), reruns
+through ``_scalar_trial`` on its ``substream``s.
 The layout reimplements NumPy internals, not documented guarantees; if
 a NumPy release changes them,
 ``tests/test_simulator.py::TestDecodedDrawsEqualGeneratorDraws`` and
@@ -39,7 +41,7 @@ a NumPy release changes them,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +50,6 @@ from .core import (
     PlatformSet,
     PolicyKind,
     SimilarityMatrix,
-    VulnerabilityLabeling,
     is_int,
     is_number,
     list_of,
@@ -127,14 +128,14 @@ class McConfig:
         return config, SimilarityMatrix(PlatformSet(tuple(names)), np.array(scores, dtype=float))
 
 
-def assign_vulnerabilities(sim: SimilarityMatrix, rng: np.random.Generator) -> VulnerabilityLabeling:
-    """Draw a labeling: uniform seed platform, then per-platform Bernoulli by similarity."""
+def assign_vulnerabilities(sim: SimilarityMatrix, rng: np.random.Generator) -> np.ndarray:
+    """Draw a bool flag per platform: uniform seed platform, then per-platform Bernoulli by similarity."""
     count = sim.count
     seed_platform = int(rng.integers(count))
     others = np.arange(count) != seed_platform
     flags = np.ones(count, dtype=bool)
     flags[others] = rng.random(count - 1) < sim.scores[seed_platform, others]
-    return VulnerabilityLabeling(tuple(flags.tolist()))
+    return flags
 
 
 @dataclass(frozen=True)
@@ -162,21 +163,21 @@ class EmpiricalCdf:
         return float(np.dot(self.probs, np.diff(self.values, append=upper)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolicyMetrics:
-    """Per-trial evaluation metrics for one policy.
+    """Per-trial evaluation metrics for one policy, one read-only array entry per trial.
 
     An interval is compromised when the ``k`` most recent intervals
     (ending at it) were all vulnerable. ``time_to_first_compromise``
-    entries are 1-based interval indices, or None for trials that were
+    entries are 1-based interval indices, or 0 for trials that were
     never compromised.
     """
 
     k: int
     intervals: int
-    vulnerable_fraction: tuple[float, ...]
-    time_to_first_compromise: tuple[int | None, ...]
-    compromised_fraction: tuple[float, ...]
+    vulnerable_fraction: np.ndarray
+    time_to_first_compromise: np.ndarray
+    compromised_fraction: np.ndarray
 
     @property
     def trials(self) -> int:
@@ -193,16 +194,13 @@ class PolicyMetrics:
     @property
     def compromise_incidence(self) -> float:
         """Fraction of trials compromised at least once."""
-        hits = sum(1 for t in self.time_to_first_compromise if t is not None)
-        return hits / self.trials
+        return np.count_nonzero(self.time_to_first_compromise) / self.trials
 
     @property
     def mean_time_to_first_compromise(self) -> float | None:
         """Mean over compromised trials only; None when no trial was compromised."""
-        finite = [t for t in self.time_to_first_compromise if t is not None]
-        if not finite:
-            return None
-        return float(np.mean(finite))
+        finite = self.time_to_first_compromise[self.time_to_first_compromise > 0]
+        return float(np.mean(finite)) if finite.size else None
 
     def cdf_vulnerable_fraction(self) -> EmpiricalCdf:
         return EmpiricalCdf.from_samples(self.vulnerable_fraction)
@@ -211,7 +209,7 @@ class PolicyMetrics:
         return EmpiricalCdf.from_samples(self.compromised_fraction)
 
     def cdf_time_to_first_compromise(self) -> EmpiricalCdf:
-        finite = [t for t in self.time_to_first_compromise if t is not None]
+        finite = self.time_to_first_compromise[self.time_to_first_compromise > 0]
         return EmpiricalCdf.from_samples(finite, total=self.trials)
 
 
@@ -229,28 +227,18 @@ def compute_metrics(vulnerable, k: int) -> PolicyMetrics:
     for lag in range(1, k):
         hits[:, lag:] &= vulnerable[:, :-lag]
     compromised = np.count_nonzero(hits, axis=1)
-    first = hits.argmax(axis=1) + 1
-    return PolicyMetrics(
-        k=k,
-        intervals=intervals,
-        vulnerable_fraction=tuple((np.count_nonzero(vulnerable, axis=1) / intervals).tolist()),
-        time_to_first_compromise=tuple(
-            at if count else None for at, count in zip(first.tolist(), compromised.tolist())
-        ),
-        compromised_fraction=tuple((compromised / intervals).tolist()),
+    fields = (
+        np.count_nonzero(vulnerable, axis=1) / intervals,
+        np.where(compromised > 0, hits.argmax(axis=1) + 1, 0),
+        compromised / intervals,
     )
+    for array in fields:
+        array.flags.writeable = False
+    return PolicyMetrics(k, intervals, *fields)
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    """Study results: metrics per policy name, keyed as in the config order."""
-
-    config: McConfig
-    per_policy: dict[str, PolicyMetrics] = field(default_factory=dict)
-
-
-def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> MetricsReport:
-    """Run the full paired-policy study; fully reproducible from the master seed.
+def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMetrics]:
+    """Metrics per policy name, in config order, of the paired-policy study; reproducible from the seed.
 
     A policy's trial draws from its own stream, in order: the random-k
     subset, or else the start platform, then for the uniform policy its
@@ -292,16 +280,12 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> MetricsReport:
     for trial in np.flatnonzero(rerun).tolist():
         for kind, row in _scalar_trial(config, sim, trial).items():
             vulnerable[kind][trial] = row
-    per_policy = {
-        kind.value: compute_metrics(vulnerable[kind], config.k) for kind in config.policy_kinds
-    }
-    return MetricsReport(config=config, per_policy=per_policy)
+    return {kind.value: compute_metrics(vulnerable[kind], config.k) for kind in config.policy_kinds}
 
 
 def _scalar_trial(config: McConfig, sim: SimilarityMatrix, trial: int) -> dict:
     """One trial's vulnerability row per policy kind, drawn call by call from its ``substream``s."""
-    labeling = assign_vulnerabilities(sim, substream(config.master_seed, trial, LABELING_STREAM))
-    flags = np.array(labeling.flags)
+    flags = assign_vulnerabilities(sim, substream(config.master_seed, trial, LABELING_STREAM))
     rows = {}
     for kind in config.policy_kinds:
         rng = substream(config.master_seed, trial, POLICY_STREAM[kind])

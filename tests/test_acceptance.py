@@ -120,20 +120,18 @@ def test_criterion_05_mean_vulnerable_fractions(default_study):
     details = []
     ok = True
     for name, target in targets.items():
-        mean = default_study.per_policy[name].mean_vulnerable_fraction
+        mean = default_study[name].mean_vulnerable_fraction
         details.append(f"{name}={mean:.4f} (target {target}±0.03)")
         ok = ok and abs(mean - target) <= 0.03
     assert report(5, "mean vulnerable fractions reproduce study table", ok, " ".join(details))
 
 
 def test_criterion_06_compromise_incidence(default_study):
-    diversity = default_study.per_policy["diversity"]
-    uniform = default_study.per_policy["uniform"]
+    diversity = default_study["diversity"]
+    uniform = default_study["uniform"]
     d_inc = diversity.compromise_incidence
     u_inc = uniform.compromise_incidence
-    late = [
-        t for t in diversity.time_to_first_compromise if t is not None and t > 6
-    ]
+    late = diversity.time_to_first_compromise[diversity.time_to_first_compromise > 6].tolist()
     ok = d_inc <= 0.05 and u_inc >= 0.70 and not late
     assert report(
         6,
@@ -144,9 +142,9 @@ def test_criterion_06_compromise_incidence(default_study):
 
 
 def test_criterion_07_mean_compromised_fraction(default_study, five_platform_sim):
-    config = default_study.config
-    diversity = default_study.per_policy["diversity"].mean_compromised_fraction
-    samples = np.asarray(default_study.per_policy["uniform"].compromised_fraction)
+    diversity = default_study["diversity"].mean_compromised_fraction
+    uniform_metrics = default_study["uniform"]
+    samples = uniform_metrics.compromised_fraction
     uniform = float(samples.mean())
     stderr = float(samples.std(ddof=1)) / math.sqrt(samples.size)
     # Exact expectation of the documented model: uniform no-repeat moves
@@ -159,7 +157,7 @@ def test_criterion_07_mean_compromised_fraction(default_study, five_platform_sim
     # abstract does not say which convention it used, so its source stays
     # unsettled.
     exact = exact_uniform_mean_compromised_fraction(
-        five_platform_sim.scores, config.intervals, config.k
+        five_platform_sim.scores, uniform_metrics.intervals, uniform_metrics.k
     )
     ok_diversity = diversity <= 0.05
     ok_uniform = abs(uniform - exact) <= 4.0 * stderr
@@ -303,9 +301,8 @@ def test_criterion_10_property_suites(five_platform_sim, default_study, tmp_path
 
     # compromised fraction never exceeds vulnerable fraction
     bound_ok = all(
-        cf <= vf
-        for metrics in default_study.per_policy.values()
-        for cf, vf in zip(metrics.compromised_fraction, metrics.vulnerable_fraction)
+        (metrics.compromised_fraction <= metrics.vulnerable_fraction).all()
+        for metrics in default_study.values()
     )
 
     # a manifest rerun reproduces every output byte for byte

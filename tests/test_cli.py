@@ -178,10 +178,10 @@ class TestMcCommand:
         for name in ("cdf_vulnerable.csv", "cdf_ttc.csv", "cdf_compromised.csv"):
             rows = read_csv_rows(outdir / name)
             assert rows[0] == ["policy", "value", "cumulative_probability"]
-            per_policy: dict[str, list[float]] = {}
+            by_policy: dict[str, list[float]] = {}
             for policy, value, prob in rows[1:]:
-                per_policy.setdefault(policy, []).append(float(prob))
-            for probs in per_policy.values():
+                by_policy.setdefault(policy, []).append(float(prob))
+            for probs in by_policy.values():
                 assert all(a <= b for a, b in zip(probs, probs[1:]))
                 assert probs[-1] <= 1.0 + 1e-12
 
@@ -237,6 +237,63 @@ class TestMcCommand:
         )
         assert code == 0
         assert read_json(outdir / "run_manifest.json")["seed"] == 9
+
+    @pytest.mark.parametrize(
+        "extra, seed, digests",
+        [
+            (
+                [],
+                0,
+                (
+                    "41bf7c1a4f9f3d605aefa83353077f096c3efc4a742455139f960e5a9ac32213",
+                    "8263390613c521ff4e528d47ba7e05a3444187f2e7e5c35d15a2a7d60ccaf8d0",
+                    "de5ef4a11ed579e20a8948a837a5f701dd013b5bbfe3cfc54ffa2f41bfdb9e3d",
+                    "c2fefe7ab4b5685120ea9456f4cfcd433b8c11add0c249bc72db160b13faccb7",
+                    "91a8af37c98aa6e63bc57e9944b56337aac1497b723f22b5d17f170b64ff8486",
+                ),
+            ),
+            (
+                [],
+                1,
+                (
+                    "1d9da6c7bd62b15af3178001a05931fac99a4d29bf04ad3fd6784858ede1b658",
+                    "417b251a7bb84c363faf897f512c25389d470be2925e48483bcc65d3d5643183",
+                    "b45434331f2cdc39002df4ffc7d70f73c8e439cb850ebfa039724a49cece4ea7",
+                    "6bd5c1f58834dbf60772603c1943927374ab1724f0cafd1d7d04e0f1e8fabdad",
+                    "aeaa42f502ec75afe214f07158e4ebbd4a5caa3d4b6ff84bd2d7f877b07b9390",
+                ),
+            ),
+            (
+                [],
+                2**32,
+                (
+                    "b64ae91f246d602df4244cdd00cfcc1fd210fcc2b8ba0a967c24040c17ae3b1f",
+                    "9807f60458d0f7e106a22780f5f4f6e8efcfddc85b17486e31a6c9ba5a011aa6",
+                    "d9b234e03f83132f7287ce0bd711d1d0ae7bac67f7f762e1efe47ba54f9e3e55",
+                    "5f1c67749abbcfccd0a6003424fbf553d8c0654c8d092c33615434d81c1a24d1",
+                    "24aa9a36a2a3da58bdd2ed935c6b4d61780ffa7a2940024c2c785e07419ea12b",
+                ),
+            ),
+            (
+                ["--intervals", "8", "--trials", "3000"],
+                0,
+                (
+                    "ec45387503dbb10abfe0d0d875d6ef010183a806751ca274726f0644eed144e5",
+                    "0ff2260cdab7e5f8fc5b712d1b9562f1db3572f1bf7903d5fb81209f5563a11b",
+                    "62d5d192e31e2d7e50f1b0adb5ffaa72cc9dd6eb44072ac9e48ed9b33c13ed5e",
+                    "38a604e382078b8961260af39c735047f21f12529822d2a82ea93b3edb19c3ba",
+                    "2da52fe534cc1a061eca6dd8a4bda521e991a742a4ef8eafbd954360dbf424d0",
+                ),
+            ),
+        ],
+    )
+    def test_default_study_pinned(self, tmp_path, extra, seed, digests):
+        # sha256 of the artifacts as the tuple-per-trial metrics wrote them; a change to
+        # the draws, the metric reduction or the writers that moves any byte changes them
+        assert main(["mc", *extra, "--seed", str(seed), "--outdir", str(tmp_path)]) == 0
+        names = ("metrics.json", "cdf_vulnerable.csv", "cdf_ttc.csv", "cdf_compromised.csv",
+                 "run_manifest.json")
+        assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names) == digests
 
 
 class TestScenarioCommand:

@@ -7,7 +7,6 @@ import diversity_lab
 from diversity_lab import (
     MigrationPolicy,
     PlatformSet,
-    VulnerabilityLabeling,
     load_similarity_matrix,
     save_similarity_matrix,
 )
@@ -152,22 +151,6 @@ def test_save_load_round_trip(tmp_path_factory, sim):
     assert np.array_equal(loaded.scores, sim.scores)
 
 
-class TestVulnerabilityLabeling:
-    def test_counts(self):
-        lab = VulnerabilityLabeling((True, False, True))
-        assert lab.m == 2
-        assert lab.n == 1
-        assert len(lab) == 3
-
-    def test_from_indices(self):
-        lab = VulnerabilityLabeling.from_vulnerable_indices(4, {1, 3})
-        assert lab.flags == (False, True, False, True)
-
-    def test_from_indices_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            VulnerabilityLabeling.from_vulnerable_indices(2, {5})
-
-
 class TestMigrationPolicy:
     def test_diversity_requires_k(self):
         with pytest.raises(ValueError, match="k >= 2"):
@@ -189,6 +172,13 @@ class TestMigrationPolicy:
         with pytest.raises(ValueError, match="non-empty"):
             MigrationPolicy.fixed_periodic(())
 
+    @pytest.mark.parametrize("sequence", [(-1, 4), (-1, 0), (0, 2, -3)])
+    def test_fixed_periodic_negative_platform_rejected(self, sequence):
+        # -1 differs from every neighbour, but as an index it is the last platform:
+        # (-1, 4) over five platforms would sit on platform 4 every interval
+        with pytest.raises(ValueError, match="negative platform"):
+            MigrationPolicy.fixed_periodic(sequence)
+
     def test_valid_rotation(self):
         policy = MigrationPolicy.fixed_periodic((0, 1, 2))
         assert policy.sequence == (0, 1, 2)
@@ -198,3 +188,10 @@ def test_public_names_resolve():
     assert len(set(diversity_lab.__all__)) == len(diversity_lab.__all__)
     for name in diversity_lab.__all__:
         assert getattr(diversity_lab, name) is not None, name
+
+
+def test_star_import_gives_exactly_the_public_names():
+    namespace = {}
+    exec("from diversity_lab import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(diversity_lab.__all__)

@@ -11,7 +11,6 @@ from diversity_lab import (
     McConfig,
     MigrationPolicy,
     PolicyKind,
-    VulnerabilityLabeling,
     assign_vulnerabilities,
     compute_metrics,
     make_random_k_policy,
@@ -26,14 +25,14 @@ class TestAssignVulnerabilities:
     def test_identity_matrix_single_vulnerable(self, identity_sim):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            labeling = assign_vulnerabilities(identity_sim, rng)
-            assert labeling.m == 1
+            flags = assign_vulnerabilities(identity_sim, rng)
+            assert flags.dtype == bool and flags.shape == (5,)
+            assert np.count_nonzero(flags) == 1
 
     def test_clone_matrix_all_vulnerable(self, clone_sim):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            labeling = assign_vulnerabilities(clone_sim, rng)
-            assert labeling.m == 5
+            assert assign_vulnerabilities(clone_sim, rng).all()
 
     def test_conditional_frequency_given_seed_platform(self, five_platform_sim):
         # P(FreeBSD vulnerable | seed platform = CentOS) should track the
@@ -46,8 +45,7 @@ class TestAssignVulnerabilities:
             if int(np.random.default_rng(i).integers(5)) != 0:
                 continue
             centos_seeded += 1
-            labeling = assign_vulnerabilities(five_platform_sim, np.random.default_rng(i))
-            hits += labeling.flags[freebsd]
+            hits += assign_vulnerabilities(five_platform_sim, np.random.default_rng(i))[freebsd]
         assert centos_seeded > 15_000
         assert abs(hits / centos_seeded - 0.0368) < 0.005
 
@@ -57,7 +55,7 @@ class TestAssignVulnerabilities:
         trials = 50_000
         freebsd = five_platform_sim.platforms.index("FreeBSD")
         hits = sum(
-            assign_vulnerabilities(five_platform_sim, rng).flags[freebsd]
+            assign_vulnerabilities(five_platform_sim, rng)[freebsd]
             for _ in range(trials)
         )
         sims = [five_platform_sim.similarity(i, freebsd) for i in range(4)]
@@ -85,20 +83,20 @@ class TestRunMcTrial:
 
     def test_fixed_periodic_alternation(self, five_platform_sim):
         config = McConfig(trials=1, intervals=10)
-        labeling = VulnerabilityLabeling.from_vulnerable_indices(5, {0})
+        flags = np.array([True, False, False, False, False])
         policy = MigrationPolicy.fixed_periodic((0, 1))
         chosen = trace(policy, five_platform_sim, None, config.intervals)
         assert tuple(chosen.tolist()) == (0, 1) * 5
-        assert tuple(np.array(labeling.flags)[chosen].tolist()) == (True, False) * 5
+        assert tuple(flags[chosen].tolist()) == (True, False) * 5
 
     def test_uniform_all_vulnerable(self, five_platform_sim):
         config = McConfig(trials=1, intervals=30, k=3)
-        labeling = VulnerabilityLabeling((True,) * 5)
+        flags = np.ones(5, dtype=bool)
         chosen = trial_trace(MigrationPolicy.uniform(), five_platform_sim, config.intervals, 7)
-        vulnerable = np.array(labeling.flags)[chosen]
+        vulnerable = flags[chosen]
         assert all(vulnerable)
         metrics = compute_metrics([vulnerable], 3)
-        assert metrics.time_to_first_compromise == (3,)
+        assert metrics.time_to_first_compromise.tolist() == [3]
 
     def test_random_k_realization_rotates(self, five_platform_sim):
         config = McConfig(trials=1, intervals=12)
@@ -112,23 +110,62 @@ class TestComputeMetrics:
     def test_hand_counted_example(self):
         flags = [True, True, True] + [False] * 97
         metrics = compute_metrics([flags], 3)
-        assert metrics.vulnerable_fraction == (0.03,)
-        assert metrics.time_to_first_compromise == (3,)
-        assert metrics.compromised_fraction == (0.01,)
+        assert metrics.vulnerable_fraction.tolist() == [0.03]
+        assert metrics.time_to_first_compromise.tolist() == [3]
+        assert metrics.compromised_fraction.tolist() == [0.01]
 
     def test_never_vulnerable(self):
         metrics = compute_metrics([[False] * 50], 3)
-        assert metrics.time_to_first_compromise == (None,)
-        assert metrics.compromised_fraction == (0.0,)
+        assert metrics.time_to_first_compromise.tolist() == [0]
+        assert metrics.compromised_fraction.tolist() == [0.0]
         assert metrics.compromise_incidence == 0.0
         assert metrics.mean_time_to_first_compromise is None
+
+    def test_zero_marks_never_compromised(self):
+        # trial 0 is compromised at interval 2, trial 1 never, trial 2 at interval 4
+        metrics = compute_metrics(
+            [[True, True, False, False], [True, False, True, False], [False, False, True, True]], 2
+        )
+        assert metrics.time_to_first_compromise.tolist() == [2, 0, 4]
+        assert metrics.mean_time_to_first_compromise == 3.0
+        assert metrics.compromise_incidence == 2 / 3
+        cdf = metrics.cdf_time_to_first_compromise()
+        assert cdf.values == (2.0, 4.0)
+        assert cdf.probs == (1 / 3, 2 / 3)
+
+    def test_all_zero_has_no_mean_time(self):
+        metrics = compute_metrics(np.zeros((4, 6), dtype=bool), 3)
+        assert not metrics.time_to_first_compromise.any()
+        assert metrics.mean_time_to_first_compromise is None
+        assert metrics.cdf_time_to_first_compromise().values == ()
+
+    @given(
+        st.lists(st.lists(st.booleans(), min_size=12, max_size=12), min_size=1, max_size=20),
+        st.integers(2, 5),
+    )
+    def test_incidence_counts_nonzero_first_compromises(self, rows, k):
+        metrics = compute_metrics(rows, k)
+        first = metrics.time_to_first_compromise
+        assert metrics.compromise_incidence == np.count_nonzero(first) / len(rows)
+        assert metrics.trials == len(rows)
+
+    def test_arrays_are_read_only(self):
+        metrics = compute_metrics([[True, True, False]], 2)
+        for array in (
+            metrics.vulnerable_fraction,
+            metrics.time_to_first_compromise,
+            metrics.compromised_fraction,
+        ):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
     @given(st.lists(st.booleans(), min_size=5, max_size=120), st.integers(2, 5))
     def test_against_naive_recount(self, flags, k):
         metrics = compute_metrics([flags], k)
         vf, first, cf = naive_trace_metrics(flags, k)
         assert metrics.vulnerable_fraction[0] == pytest.approx(vf, abs=1e-12)
-        assert metrics.time_to_first_compromise[0] == first
+        assert metrics.time_to_first_compromise[0] == (0 if first is None else first)
         assert metrics.compromised_fraction[0] == pytest.approx(cf, abs=1e-12)
 
     @given(st.lists(st.booleans(), min_size=5, max_size=120), st.integers(2, 5))
@@ -136,7 +173,7 @@ class TestComputeMetrics:
         metrics = compute_metrics([flags], k)
         assert metrics.compromised_fraction[0] <= metrics.vulnerable_fraction[0]
         first = metrics.time_to_first_compromise[0]
-        assert first is None or first >= k
+        assert first == 0 or first >= k
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -167,8 +204,7 @@ class TestEmpiricalCdf:
 class TestRunMcStudy:
     def test_identity_matrix_never_compromised(self, identity_sim):
         config = McConfig(trials=60, intervals=40, master_seed=3)
-        report = run_mc_study(config, identity_sim)
-        for metrics in report.per_policy.values():
+        for metrics in run_mc_study(config, identity_sim).values():
             assert metrics.compromise_incidence == 0.0
             assert set(metrics.compromised_fraction) == {0.0}
 
@@ -176,23 +212,25 @@ class TestRunMcStudy:
         config = McConfig(trials=40, intervals=30, master_seed=11)
         first = run_mc_study(config, five_platform_sim)
         second = run_mc_study(config, five_platform_sim)
-        for name in first.per_policy:
-            assert first.per_policy[name] == second.per_policy[name]
+        assert list(first) == list(second)
+        for name, metrics in first.items():
+            assert metrics.k == second[name].k
+            assert metrics.intervals == second[name].intervals
+            for field in ("vulnerable_fraction", "time_to_first_compromise", "compromised_fraction"):
+                np.testing.assert_array_equal(getattr(metrics, field), getattr(second[name], field))
 
     def test_policy_subset(self, five_platform_sim):
         config = McConfig(trials=5, intervals=20, policy_kinds=(PolicyKind.DIVERSITY,))
-        report = run_mc_study(config, five_platform_sim)
-        assert list(report.per_policy) == ["diversity"]
+        assert list(run_mc_study(config, five_platform_sim)) == ["diversity"]
 
     def test_study_invariants(self, default_study):
-        for metrics in default_study.per_policy.values():
-            for cf, vf in zip(metrics.compromised_fraction, metrics.vulnerable_fraction):
-                assert cf <= vf
-            for first in metrics.time_to_first_compromise:
-                assert first is None or first >= metrics.k
+        for metrics in default_study.values():
+            assert (metrics.compromised_fraction <= metrics.vulnerable_fraction).all()
+            first = metrics.time_to_first_compromise
+            assert ((first == 0) | (first >= metrics.k)).all()
 
     def test_mean_vulnerability_equals_one_minus_auc(self, default_study):
-        for metrics in default_study.per_policy.values():
+        for metrics in default_study.values():
             cdf = metrics.cdf_vulnerable_fraction()
             assert 1.0 - cdf.auc() == pytest.approx(metrics.mean_vulnerable_fraction, abs=1e-10)
 
@@ -216,17 +254,14 @@ class TestDiversityUnderLabelings:
         # FreeBSD is in the rotation triple and in every 3-window of every
         # startup trace, so marking it invulnerable blocks all compromises.
         freebsd = five_platform_sim.platforms.index("FreeBSD")
-        labeling = VulnerabilityLabeling(
-            tuple(i != freebsd for i in range(5))
-        )
         config = McConfig(trials=1, intervals=60)
-        flags = np.array(labeling.flags)
+        flags = np.arange(5) != freebsd
         for start_seed in range(30):
             chosen = trial_trace(
                 MigrationPolicy.diversity(3), five_platform_sim, config.intervals, start_seed
             )
             metrics = compute_metrics([flags[chosen]], 3)
-            assert metrics.compromised_fraction == (0.0,)
+            assert metrics.compromised_fraction.tolist() == [0.0]
 
     def test_compromises_only_during_startup(self, five_platform_sim):
         """Once the periodic rotation is reached, a diversity trial is either
@@ -234,13 +269,12 @@ class TestDiversityUnderLabelings:
         rng = np.random.default_rng(17)
         config = McConfig(trials=1, intervals=100)
         for _ in range(200):
-            labeling = assign_vulnerabilities(five_platform_sim, rng)
+            flags = assign_vulnerabilities(five_platform_sim, rng)
             seed = int(rng.integers(1 << 32))
             policy = MigrationPolicy.diversity(3)
             chosen = trial_trace(policy, five_platform_sim, config.intervals, seed)
-            vulnerable = np.array(labeling.flags)[chosen]
-            first = compute_metrics([vulnerable], 3).time_to_first_compromise[0]
-            assert first is None or first <= 6
+            first = compute_metrics([flags[chosen]], 3).time_to_first_compromise[0]
+            assert first <= 6
 
 
 def generated_similarity(count: int, seed: int):
@@ -256,19 +290,20 @@ class TestStudyMatchesPerStepReference:
 
     @staticmethod
     def assert_matches(config, sim):
-        report = run_mc_study(config, sim)
+        study = run_mc_study(config, sim)
         reference = reference_study(config, sim)
-        assert list(report.per_policy) == list(reference)
-        for name, metrics in report.per_policy.items():
+        assert list(study) == list(reference)
+        for name, metrics in study.items():
             vulnerable, first, compromised = reference[name]
             assert metrics.k == config.k
             assert metrics.intervals == config.intervals
-            assert metrics.vulnerable_fraction == tuple(vulnerable)
-            assert metrics.time_to_first_compromise == tuple(first)
-            assert metrics.compromised_fraction == tuple(compromised)
-            for value in metrics.vulnerable_fraction + metrics.compromised_fraction:
-                assert type(value) is float
-            assert all(t is None or type(t) is int for t in metrics.time_to_first_compromise)
+            # the oracle's None (never compromised) is the study's 0
+            first = [0 if at is None else at for at in first]
+            np.testing.assert_array_equal(metrics.vulnerable_fraction, vulnerable, strict=True)
+            np.testing.assert_array_equal(
+                metrics.time_to_first_compromise, np.array(first, dtype=np.intp), strict=True
+            )
+            np.testing.assert_array_equal(metrics.compromised_fraction, compromised, strict=True)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("k", [2, 3, 5])
@@ -327,8 +362,8 @@ class TestDecodedDrawsEqualGeneratorDraws:
         rows = np.arange(200)
         flags, rejected = simulator._labelings(3, rows, five_platform_sim.scores)
         assert not rejected.any()
-        expected = [assign_vulnerabilities(five_platform_sim, substream(3, row, 0)).flags for row in rows]
-        assert [tuple(row) for row in flags.tolist()] == expected
+        expected = [assign_vulnerabilities(five_platform_sim, substream(3, row, 0)) for row in rows]
+        np.testing.assert_array_equal(flags, expected, strict=True)
 
     @pytest.mark.parametrize("count", [2, 3, 7, 48])
     def test_bounded_draws(self, count):
