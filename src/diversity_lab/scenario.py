@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import is_int, is_number, list_of, manifest_value
-from .rng import _bounded32, _halves, stream_words, substream
+from .rng import WORD_CELLS, _bounded32, _halves, stream_words, substream
 from .scheduler import uniform_walks
 
 
@@ -211,9 +211,6 @@ MAX_STAYS = 100_000
 #: memory of a pass; a sample that needs more stays takes the scalar path.
 #: A pass steps through its stays in Python, so fewer, wider passes cost less.
 _BLOCK_CELLS = 8192
-#: Word cells (samples x words) that one ``stream_words`` call derives. It
-#: bounds the memory of the words whatever the sample count.
-_WORD_CELLS = 1 << 17
 
 
 def _uniform(halves: np.ndarray, words: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -357,7 +354,7 @@ def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
     stays raises ValueError before any sample is drawn.
 
     Each result equals ``max_control_run`` on the sample's stream: the
-    raw words of up to ``_WORD_CELLS`` cells of samples come from one
+    raw words of up to ``WORD_CELLS`` cells of samples come from one
     ``stream_words`` call, blocks of samples are decoded from them and
     evaluated as arrays, and a sample with a draw NumPy would redraw, or
     whose decoded stays end before ``duration``, is rerun through
@@ -380,7 +377,7 @@ def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
         layout = _draw_layout(n, len(drawn), 1 if n == 1 else max_stays)
         targets = _platform_mask(config.exploits, n)
         block = _BLOCK_CELLS // max(1, len(layout.dwells))
-        chunk = block * max(1, _WORD_CELLS // (block * max(1, layout.words)))
+        chunk = block * max(1, WORD_CELLS // (block * max(1, layout.words)))
         runs = np.empty(config.samples)
         for first in range(0, config.samples, block):
             samples = range(first, min(first + block, config.samples))

@@ -5,8 +5,11 @@ dissimilar from the recent history: plain maximum distance when only one
 prior platform is relevant, maximum triangle area (Heron's formula on
 pairwise distances) for a two-platform history, and maximum summed
 pairwise distance for longer histories. Ties break toward the lowest
-platform index so schedules are fully deterministic. ``trace`` builds
-the whole schedule of any policy as one array.
+platform index so schedules are fully deterministic. From step k-1 on,
+a step is a pure function of the last k-1 platforms, so a diversity
+walk is periodic from its first repeated window; ``diversity_walks``
+stops there and repeats the cycle. ``trace`` builds the whole schedule
+of any policy as one array.
 """
 
 from __future__ import annotations
@@ -81,11 +84,31 @@ def diversity_walks(dist: np.ndarray, starts: np.ndarray, steps: int, k: int) ->
     """The diversity trace of ``steps`` platforms from each start, one row per start.
 
     The walks advance in lockstep, so each step scores every row at once.
+    Each window of k-1 platforms is compared with one checkpoint window,
+    moved to the current step whenever the distance to it reaches a power
+    of two (Brent's cycle search). Once every row has repeated a window,
+    the remaining columns repeat each row's cycle.
     """
     walks = np.empty((len(starts), steps), dtype=np.intp)
     walks[:, 0] = starts
+    width = k - 1
+    period = np.zeros(len(starts), dtype=np.intp)  # 0 until the row's window repeats
+    checkpoint, reach = width - 1, 1
     for step in range(1, steps):
-        walks[:, step] = _most_diverse(dist, walks[:, max(0, step - (k - 1)) : step])
+        walks[:, step] = _most_diverse(dist, walks[:, max(0, step - width) : step])
+        if step <= checkpoint:
+            continue
+        window = walks[:, step - width + 1 : step + 1]
+        repeated = (window == walks[:, checkpoint - width + 1 : checkpoint + 1]).all(axis=1)
+        period[repeated & (period == 0)] = step - checkpoint
+        if period.all():
+            # columns from first on repeat every period columns, and first + period - 1 <= step
+            first = (step - width + 1 - period)[:, None]
+            later = first + (np.arange(step + 1, steps) - first) % period[:, None]
+            walks[:, step + 1 :] = np.take_along_axis(walks, later, axis=1)
+            break
+        if step - checkpoint == reach:
+            checkpoint, reach = step, 2 * reach
     return walks
 
 

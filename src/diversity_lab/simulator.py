@@ -9,7 +9,8 @@ stream id): stream 0 is the labeling and each policy has a fixed stream
 id, so trials are order-independent and safe to run concurrently.
 
 A study draws nothing trial by trial. It takes the raw PCG64 words of
-every stream from ``rng.stream_words`` and decodes them as NumPy's
+each stream from one ``rng.stream_words`` call per chunk of trials, at
+most ``rng.WORD_CELLS`` cells, and decodes them as NumPy's
 ``Generator`` would draw them. ``integers(m)`` takes one 32-bit half
 of a word (the low half of a fresh word, then its high half) by
 Lemire's method; ``random()`` takes a whole word ``w`` as
@@ -29,10 +30,11 @@ Each policy's trials × intervals vulnerability matrix is built as
 arrays: ``scheduler.uniform_walks``, the no-repeat walk the scenario
 engine also uses, steps every trial at once, and the diversity trace,
 which depends only on (similarity, k, start), comes from one batched
-walk over the distinct starts. The metrics stay arrays up to the CLI's
-writers. A trial with a draw NumPy would redraw, or a random-k trial
-with N > 10,000 (where NumPy may draw by a tail shuffle), reruns
-through ``_scalar_trial`` on its ``substream``s.
+walk over the distinct starts that stops once every start's cycle is
+found. The metrics stay arrays up to the CLI's writers. A trial with a
+draw NumPy would redraw, or a random-k trial with N > 10,000 (where
+NumPy may draw by a tail shuffle), reruns through ``_scalar_trial`` on
+its ``substream``s.
 The layout reimplements NumPy internals, not documented guarantees; if
 a NumPy release changes them,
 ``tests/test_simulator.py::TestDecodedDrawsEqualGeneratorDraws`` and
@@ -55,7 +57,7 @@ from .core import (
     list_of,
     manifest_value,
 )
-from .rng import _bounded32, _halves, stream_words, substream
+from .rng import WORD_CELLS, _bounded32, _halves, stream_words, substream
 from .scheduler import check_pool, diversity_walks, make_random_k_policy, trace, uniform_walks
 
 LABELING_STREAM = 0
@@ -242,10 +244,11 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
 
     A policy's trial draws from its own stream, in order: the random-k
     subset, or else the start platform, then for the uniform policy its
-    moves. Each stream's raw words come from ``stream_words`` and are
-    decoded as NumPy's ``Generator`` would draw them, ``DECODE_CELLS``
-    trial × interval cells at a time. A trial with a draw NumPy would
-    redraw runs again through ``_scalar_trial``.
+    moves. Each stream's raw words come from one ``stream_words`` call
+    per chunk of trials, at most ``WORD_CELLS`` trial × word cells, and
+    are decoded as NumPy's ``Generator`` would draw them,
+    ``DECODE_CELLS`` trial × interval cells at a time. A trial with a
+    draw NumPy would redraw runs again through ``_scalar_trial``.
     """
     policies = {kind: MigrationPolicy(kind, config.k) for kind in config.policy_kinds}
     for policy in policies.values():
@@ -256,27 +259,40 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
     rerun = np.zeros(config.trials, dtype=bool)
     if PolicyKind.DIVERSITY in policies:
         # a diversity trace draws nothing after its start: one walk per distinct start serves all
-        starts, rerun = _bounded_draws(seed, trials, POLICY_STREAM[PolicyKind.DIVERSITY], [count])
+        start_words = stream_words(seed, trials, POLICY_STREAM[PolicyKind.DIVERSITY], words=1)
+        starts, rerun = _bounded_draws(start_words, [count])
         distinct, walk_of = np.unique(starts[:, 0], return_inverse=True)
         walks = diversity_walks(sim.distances(), distinct, intervals, k)
+    bounds = {
+        PolicyKind.UNIFORM: [count] + [count - 1] * (intervals - 1),
+        PolicyKind.RANDOM_K: _floyd_bounds(count, k),
+    }
+    words = {LABELING_STREAM: count}
+    for kind in policies:
+        if kind in bounds:  # one 32-bit half per bound above 1
+            words[POLICY_STREAM[kind]] = (np.count_nonzero(np.array(bounds[kind]) > 1) + 1) // 2
     block = max(1, DECODE_CELLS // max(intervals, count))
-    for first in range(0, config.trials, block):
-        rows = trials[first : first + block]
-        flags, rejected = _labelings(seed, rows, sim.scores)
-        for kind in policies:
-            if kind is PolicyKind.DIVERSITY:
-                chosen = walks[walk_of[rows]]
-            elif kind is PolicyKind.UNIFORM:
-                bounds = [count] + [count - 1] * (intervals - 1)
-                draws, redrawn = _bounded_draws(seed, rows, POLICY_STREAM[kind], bounds)
-                chosen = uniform_walks(draws[:, 0], draws[:, 1:])
-                rejected |= redrawn
-            else:
-                subsets, redrawn = _random_k_subsets(seed, rows, count, k)
-                chosen = subsets[:, np.arange(intervals) % k]
-                rejected |= redrawn
-            vulnerable[kind][rows] = np.take_along_axis(flags, chosen, axis=1)
-        rerun[rows] |= rejected
+    chunk = block * max(1, WORD_CELLS // (block * max(words.values())))
+    for start in range(0, config.trials, chunk):
+        chunk_rows = trials[start : start + chunk]
+        chunk_raw = {stream: stream_words(seed, chunk_rows, stream, words=n) for stream, n in words.items()}
+        for first in range(0, len(chunk_rows), block):
+            rows = chunk_rows[first : first + block]
+            raw = {stream: values[first : first + block] for stream, values in chunk_raw.items()}
+            flags, rejected = _labelings(raw[LABELING_STREAM], sim.scores)
+            for kind in policies:
+                if kind is PolicyKind.DIVERSITY:
+                    chosen = walks[walk_of[rows]]
+                elif kind is PolicyKind.UNIFORM:
+                    draws, redrawn = _bounded_draws(raw[POLICY_STREAM[kind]], bounds[kind])
+                    chosen = uniform_walks(draws[:, 0], draws[:, 1:])
+                    rejected |= redrawn
+                else:
+                    subsets, redrawn = _random_k_subsets(raw[POLICY_STREAM[kind]], count, k)
+                    chosen = subsets[:, np.arange(intervals) % k]
+                    rejected |= redrawn
+                vulnerable[kind][rows] = np.take_along_axis(flags, chosen, axis=1)
+            rerun[rows] |= rejected
     for trial in np.flatnonzero(rerun).tolist():
         for kind, row in _scalar_trial(config, sim, trial).items():
             vulnerable[kind][trial] = row
@@ -299,57 +315,57 @@ def _scalar_trial(config: McConfig, sim: SimilarityMatrix, trial: int) -> dict:
     return rows
 
 
-def _bounded_draws(seed: int, rows: np.ndarray, stream: int, bounds) -> tuple[np.ndarray, ...]:
+def _bounded_draws(raw: np.ndarray, bounds) -> tuple[np.ndarray, ...]:
     """Each row's ``integers(m)`` for each bound m in turn, and whether NumPy would redraw any.
 
-    A draw takes the next 32-bit half of the row's ``(seed, row, stream)``
-    stream; ``integers(1)`` takes none and gives 0.
+    A draw takes the next 32-bit half of the row's raw words;
+    ``integers(1)`` takes none and gives 0.
     """
     bounds = np.asarray(bounds)
     drawn = bounds > 1
-    taken = int(np.count_nonzero(drawn))
-    raw = stream_words(seed, rows, stream, words=(taken + 1) // 2)
-    values, redrawn = _bounded32(_halves(raw)[:, :taken], bounds[drawn])
-    draws = np.zeros((len(rows), len(bounds)), dtype=np.intp)
+    values, redrawn = _bounded32(_halves(raw)[:, : np.count_nonzero(drawn)], bounds[drawn])
+    draws = np.zeros((len(raw), len(bounds)), dtype=np.intp)
     draws[:, drawn] = values
     return draws, redrawn.any(axis=1)
 
 
-def _labelings(seed: int, rows: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``assign_vulnerabilities`` of each row's labeling stream: (rows, N) flags, and its redraws.
+def _labelings(raw: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``assign_vulnerabilities`` of each row's labeling-stream words: (rows, N) flags, and its redraws.
 
     The seed platform is ``integers(N)`` on the low half of word 0; words
     1 to N-1 are the ``random()`` doubles ``(w >> 11)·2**-53`` of the
     other platforms, in index order.
     """
     count = len(scores)
-    raw = stream_words(seed, rows, LABELING_STREAM, words=count)
     seeds, rejected = _bounded32(_halves(raw[:, :1])[:, 0], count)
     seeds = seeds.astype(np.intp)[:, None]
-    uniforms = (raw[:, 1:] >> np.uint64(11)) * (1 / 9007199254740992)
+    uniforms = (raw[:, 1:count] >> np.uint64(11)) * (1 / 9007199254740992)
     others = np.arange(count - 1) + (np.arange(count - 1) >= seeds)
     flags = np.ones((len(raw), count), dtype=bool)
     np.put_along_axis(flags, others, uniforms < scores[seeds, others], axis=1)
     return flags, rejected
 
 
-def _random_k_subsets(seed: int, rows: np.ndarray, count: int, k: int) -> tuple[np.ndarray, ...]:
-    """Each row's ``choice(N, k, replace=False)`` from its random-k stream, and whether to rerun it.
+def _floyd_bounds(count: int, k: int) -> list[int]:
+    """The bounds of ``choice(count, k, replace=False)``'s draws: Floyd's, then the shuffle's."""
+    return list(range(count - k + 1, count + 1)) + list(range(k, 1, -1))
+
+
+def _random_k_subsets(raw: np.ndarray, count: int, k: int) -> tuple[np.ndarray, ...]:
+    """Each row's ``choice(N, k, replace=False)`` from its random-k stream words, and whether to rerun it.
 
     Floyd's algorithm draws on ``[0, j]`` for j = N-k to N-1 and adds the
     value to the subset, or j when the value is in it already. A
     Fisher–Yates shuffle follows: for i = k-1 down to 1, slot i swaps with
     a draw on ``[0, i]``. Above ``FLOYD_POOL_LIMIT`` every row is rerun.
     """
-    floyd = range(count - k, count)
-    bounds = [j + 1 for j in floyd] + list(range(k, 1, -1))
-    draws, rejected = _bounded_draws(seed, rows, POLICY_STREAM[PolicyKind.RANDOM_K], bounds)
-    subset = np.empty((len(rows), k), dtype=np.intp)
-    for slot, j in enumerate(floyd):
+    draws, rejected = _bounded_draws(raw, _floyd_bounds(count, k))
+    subset = np.empty((len(raw), k), dtype=np.intp)
+    for slot, j in enumerate(range(count - k, count)):
         value = draws[:, slot]
         taken = (subset[:, :slot] == value[:, None]).any(axis=1)
         subset[:, slot] = np.where(taken, j, value)
-    index = np.arange(len(rows))
+    index = np.arange(len(raw))
     for swap, i in zip(draws[:, k:].T, range(k - 1, 0, -1)):
         picked = subset[index, swap]
         subset[index, swap] = subset[:, i]

@@ -38,3 +38,25 @@ def identity_sim() -> SimilarityMatrix:
 def clone_sim() -> SimilarityMatrix:
     """Five platforms with identical code (all similarities 1)."""
     return make_similarity(np.ones((5, 5)))
+
+
+def wide_similarity_csv(seed: int, platforms: int = 48, families: int = 8) -> str:
+    """CSV text of a seeded similarity matrix whose platforms fall into families.
+
+    Scores within a family are drawn from [0.55, 0.95), across families
+    from [0, 0.35), rounded to four decimals; the matrix is symmetric with
+    a unit diagonal.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((seed, platforms)))
+    family = rng.permutation(np.repeat(np.arange(families), platforms // families))
+    same = family[:, None] == family[None, :]
+    draws = np.where(
+        same, rng.uniform(0.55, 0.95, (platforms, platforms)), rng.uniform(0.0, 0.35, (platforms, platforms))
+    )
+    upper = np.triu(np.round(draws, 4), k=1)
+    scores = upper + upper.T
+    np.fill_diagonal(scores, 1.0)
+    names = [f"w{i:02d}" for i in range(platforms)]
+    rows = [",".join(names)]
+    rows += [name + "," + ",".join(f"{value:.4f}" for value in row) for name, row in zip(names, scores)]
+    return "\n".join(rows) + "\n"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from diversity_lab.analytic import MAX_AGGREGATE_PLATFORMS
 from diversity_lab import (
     MarkovParams,
     RepeatMode,
@@ -138,6 +139,31 @@ class TestAggregateSuccess:
             p_success_aggregate(3, 2, 2, "0")
         with pytest.raises(ValueError):
             p_success_aggregate(3, 2, 2, "1.5")
+
+    @given(
+        st.integers(min_value=0, max_value=60),
+        st.integers(min_value=0, max_value=60),
+        st.data(),
+    )
+    def test_equals_sum_of_fractions(self, m, n, data):
+        # the integer ratio recurrence gives the exact rational of the term-by-term sum
+        if m + n == 0:
+            return
+        j = data.draw(st.integers(min_value=1, max_value=m + n))
+        p = data.draw(st.fractions(min_value=Fraction(1, 100), max_value=1, max_denominator=100))
+        strict = data.draw(st.booleans())
+        threshold = p * j
+        lowest = int(threshold) + 1 if strict and threshold.denominator == 1 else math.ceil(threshold)
+        mass = Fraction(0)
+        for i in range(max(lowest, j - n), min(m, j) + 1):
+            mass += Fraction(choose(m, i) * choose(n, j - i), choose(m + n, j))
+        assert p_success_aggregate(m, n, j, p, strict=strict) == float(mass)
+
+    def test_platform_bound(self):
+        assert p_success_aggregate(MAX_AGGREGATE_PLATFORMS, 0, 2, "0.5") == 1.0
+        assert p_success_aggregate(1, MAX_AGGREGATE_PLATFORMS - 1, 1, "1") == 1 / MAX_AGGREGATE_PLATFORMS
+        with pytest.raises(ValueError, match="exceeds 40000"):
+            p_success_aggregate(MAX_AGGREGATE_PLATFORMS, 1, 2, "0.5")
 
     @given(
         st.integers(min_value=0, max_value=8),

@@ -14,6 +14,7 @@ import diversity_lab
 from diversity_lab import expected_time_to_compromise, MarkovParams
 from diversity_lab.cli import MAX_SWEEP_POINTS, _parse_t_values, main
 from diversity_lab.scenario import MAX_STAYS
+from conftest import wide_similarity_csv
 
 
 def read_json(path):
@@ -44,6 +45,26 @@ class TestAnalyticCommand:
         assert report["steady_state"] == pytest.approx([0.4, 0.3, 0.3], abs=1e-12)
         library_value = expected_time_to_compromise(MarkovParams(3, 2), 2)
         assert report["expected_time_to_compromise"] == pytest.approx(library_value)
+
+    @pytest.mark.parametrize(
+        "platforms, code",
+        [(("20000", "20000"), 0), (("20000", "20001"), 2), (("100000", "100000"), 2)],
+        ids=["at-the-bound", "one-past-the-bound", "far-past-the-bound"],
+    )
+    def test_large_aggregate_in_a_fresh_interpreter(self, tmp_path, platforms, code):
+        # the exact sum over 20,000 terms of 12,000-digit binomials used to run for minutes
+        m, n = platforms
+        env = {**os.environ, "PYTHONPATH": str(Path(diversity_lab.__file__).parents[1])}
+        argv = ["analytic", "--m", m, "--n", n, "--j", "20000", "--p", "0.5", "--outdir", str(tmp_path)]
+        done = subprocess.run(
+            [sys.executable, "-m", "diversity_lab.cli", *argv], capture_output=True, text=True, env=env, timeout=10
+        )
+        assert done.returncode == code
+        if code == 2:
+            assert done.stderr.startswith("error: platform count m + n") and "Traceback" not in done.stderr
+            assert not (tmp_path / "analytic.json").exists()
+        else:
+            assert read_json(tmp_path / "analytic.json")["aggregate"]["p_success"] == pytest.approx(0.5, abs=0.01)
 
     def test_no_vulnerable_platforms(self, tmp_path):
         code = main(["analytic", "--m", "0", "--n", "5", "--outdir", str(tmp_path)])
@@ -294,6 +315,45 @@ class TestMcCommand:
         names = ("metrics.json", "cdf_vulnerable.csv", "cdf_ttc.csv", "cdf_compromised.csv",
                  "run_manifest.json")
         assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names) == digests
+
+    @pytest.mark.parametrize(
+        "seed, digests",
+        [
+            (
+                0,
+                (
+                    "30a37a3bf0201760703da3035b533713ca3c4f07137508601a2aa67861e4e61b",
+                    "0571b9d901daa9db586f2bed96ab3130403427368de50d9e38be80ee70401603",
+                    "1f546bf6ead53a63fa051751e05e32eaf42934b028d3b9af5523f81e3bec2b92",
+                    "0186efd2907ff5e8f66bf72d58e3f4eb5747e562a50eb862325c47ce7b219641",
+                    "cdabd5d7497295953cb1ed410757b34e8ce2c3439901f2a0365d505700578744",
+                ),
+            ),
+            (
+                1,
+                (
+                    "33ec27b8d28c8298b4915698516a30000ce352ecae322438958238982a018cf0",
+                    "a61ced1ea95b10069c1c16e54219835b47d1589cce4f7358b53ea12219fe36cf",
+                    "fd9ed29816d55528717897d61ce2dc0630c5896c6f18d5b44bb348484e3c036a",
+                    "f7b8405a5eeca8e273f3bd1f612b1cd82c753fe796daf9fb15212f9e855e30e9",
+                    "3cd50fe5086973619fdd9d726eda0935bdd4312999f6ef3a34dc32019d02d04a",
+                ),
+            ),
+        ],
+    )
+    def test_wide_study_pinned(self, tmp_path, seed, digests):
+        # sha256 of every artifact as the walk scored at every step wrote them; the
+        # 48-platform k=4 walks have transients of up to 10 steps before their cycles
+        similarity = tmp_path / "similarity.csv"
+        similarity.write_text(wide_similarity_csv(seed), encoding="utf-8")
+        outdir = tmp_path / "out"
+        argv = ["mc", "--K", "4", "--intervals", "200", "--trials", "50", "--seed", str(seed),
+                "--similarity", str(similarity), "--outdir", str(outdir)]
+        assert main(argv) == 0
+        names = ("metrics.json", "cdf_vulnerable.csv", "cdf_ttc.csv", "cdf_compromised.csv",
+                 "run_manifest.json")
+        assert sorted(path.name for path in outdir.iterdir()) == sorted(names)
+        assert tuple(hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in names) == digests
 
 
 class TestScenarioCommand:

@@ -12,7 +12,7 @@ from diversity_lab import (
     run_scenario_study,
 )
 from diversity_lab import scenario
-from diversity_lab.rng import stream_words, substream
+from diversity_lab.rng import WORD_CELLS, stream_words, substream
 
 
 def study_fraction(config):
@@ -345,7 +345,7 @@ class TestStudyEqualsScalarRebuild:
 
         monkeypatch.setattr(scenario, "stream_words", counted)
         config = ScenarioConfig(
-            t_values=(0.0,), n_values=self.N_VALUES, samples=scenario._WORD_CELLS // 50 + 1,
+            t_values=(0.0,), n_values=self.N_VALUES, samples=WORD_CELLS // 50 + 1,
             master_seed=2**32,
         )
         self.assert_matches(config)

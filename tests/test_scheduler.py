@@ -16,7 +16,8 @@ from diversity_lab import (
     make_random_k_policy,
     trace,
 )
-from diversity_lab.scheduler import _most_diverse
+from diversity_lab import scheduler
+from diversity_lab.scheduler import _most_diverse, diversity_walks
 from conftest import make_similarity
 from oracles import scalar_diversity_trace, triangle_area_from_sides
 
@@ -286,3 +287,99 @@ class TestVectorizedScorerMatchesScalarReference:
         triples = [(3.0, 4.0, 5.0), (1.0, 1.0, 2.5), (0.0, 1.0, 1.0)]
         areas = heron_area(*(np.array(sides) for sides in zip(*triples)))
         assert areas.tolist() == [heron_area(*triple) for triple in triples] == [6.0, 0.0, 0.0]
+
+
+def stepped_walks(dist, starts, steps, k):
+    """The diversity walks scored at every step, with no cycle search."""
+    walks = np.empty((len(starts), steps), dtype=np.intp)
+    walks[:, 0] = starts
+    for step in range(1, steps):
+        walks[:, step] = _most_diverse(dist, walks[:, max(0, step - (k - 1)) : step])
+    return walks
+
+
+def first_repeat(walk, k):
+    """The first column whose window of k - 1 platforms equals an earlier one, or None."""
+    seen = set()
+    for step in range(k - 2, len(walk)):
+        window = tuple(walk[step - k + 2 : step + 1])
+        if window in seen:
+            return step
+        seen.add(window)
+    return None
+
+
+@st.composite
+def distance_matrices(draw):
+    """Symmetric distances with a zero diagonal: random, rounded to 0.1, or all equal."""
+    count = draw(st.integers(min_value=2, max_value=12))
+    kind = draw(st.sampled_from(["random", "tenths", "equal"]))
+    if kind == "equal":
+        upper = np.full((count, count), draw(st.sampled_from([0.0, 0.3, 1.0])))
+    else:
+        cells = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+        upper = np.array(draw(st.lists(cells, min_size=count * count, max_size=count * count)))
+        upper = upper.reshape(count, count)
+        if kind == "tenths":
+            upper = np.round(upper, 1)
+    upper = np.triu(upper, k=1)
+    return upper + upper.T
+
+
+class TestWalksStopAtTheirCycle:
+    """``diversity_walks`` stops once every window has repeated; its walks equal a walk scored every step."""
+
+    @given(distance_matrices(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_stepped_walks(self, dist, data):
+        count = len(dist)
+        k = data.draw(st.integers(min_value=2, max_value=min(count, 6)))
+        steps = data.draw(st.integers(min_value=1, max_value=300))
+        starts = np.arange(count)
+        np.testing.assert_array_equal(
+            diversity_walks(dist, starts, steps, k), stepped_walks(dist, starts, steps, k), strict=True
+        )
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_fewer_steps_than_k(self, five_platform_sim, k):
+        dist = five_platform_sim.distances()
+        for steps in range(1, k):
+            assert diversity_walks(dist, np.arange(5), steps, k).tolist() == stepped_walks(
+                dist, np.arange(5), steps, k
+            ).tolist()
+
+    def test_late_first_repeat_is_tiled(self):
+        # each platform's farthest is the next one, so the walk from 0 runs the whole
+        # chain before it settles into the 38-39 swap; Brent's checkpoint catches it late
+        count = 40
+        dist = np.full((count, count), 0.1)
+        np.fill_diagonal(dist, 0.0)
+        edges = 0.5 + np.arange(count - 1) / 100
+        dist[np.arange(count - 1), np.arange(1, count)] = edges
+        dist[np.arange(1, count), np.arange(count - 1)] = edges
+        expected = stepped_walks(dist, np.arange(count), 300, 2)
+        assert first_repeat(expected[0].tolist(), 2) > 32
+        np.testing.assert_array_equal(diversity_walks(dist, np.arange(count), 300, 2), expected, strict=True)
+
+    @pytest.fixture
+    def scored(self, monkeypatch):
+        histories = []
+
+        def counted(dist, hist):
+            histories.append(hist)
+            return _most_diverse(dist, hist)
+
+        monkeypatch.setattr(scheduler, "_most_diverse", counted)
+        return histories
+
+    @pytest.mark.parametrize("k, most", [(2, 8), (3, 16), (4, 16), (5, 16)])
+    def test_fixture_walks_stop_early(self, five_platform_sim, scored, k, most):
+        walks = diversity_walks(five_platform_sim.distances(), np.arange(5), 100, k)
+        assert len(scored) <= most
+        assert walks.tolist() == stepped_walks(five_platform_sim.distances(), np.arange(5), 100, k).tolist()
+
+    def test_walk_that_never_repeats_scores_every_step(self, five_platform_sim, scored):
+        # with k = 5 the windows of steps 4 and 5 are each one step past their checkpoint,
+        # and a walk never stays on a platform, so neither repeats
+        diversity_walks(five_platform_sim.distances(), np.arange(5), 6, 5)
+        assert len(scored) == 5

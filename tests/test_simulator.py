@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diversity_lab import simulator
-from diversity_lab.rng import WORD_BLOCK, substream
+from diversity_lab.rng import WORD_BLOCK, WORD_CELLS, stream_words, substream
 from diversity_lab.simulator import DEFAULT_POLICY_KINDS
 from diversity_lab import (
     EmpiricalCdf,
@@ -346,6 +346,39 @@ class TestStudyMatchesPerStepReference:
         self.assert_matches(config, five_platform_sim)
 
 
+class TestOneDerivationPerStream:
+    """A study takes each stream's words from one ``stream_words`` call per chunk of trials."""
+
+    @pytest.fixture
+    def derived(self, monkeypatch):
+        streams = []
+
+        def counted(seed, rows, stream, words):
+            streams.append(stream)
+            return stream_words(seed, rows, stream, words=words)
+
+        monkeypatch.setattr(simulator, "stream_words", counted)
+        return streams
+
+    @pytest.mark.parametrize(
+        "kinds, streams",
+        [(DEFAULT_POLICY_KINDS, [0, 1, 2, 3]), ((PolicyKind.UNIFORM, PolicyKind.RANDOM_K), [0, 2, 3])],
+        ids=["default-policies", "uniform-and-random-k"],
+    )
+    def test_default_shape_derives_each_stream_once(self, five_platform_sim, derived, kinds, streams):
+        run_mc_study(McConfig(policy_kinds=kinds), five_platform_sim)
+        assert sorted(derived) == streams
+
+    def test_words_past_the_cell_cap(self, derived):
+        # 219 trials of a 600-platform labeling are 131,400 words, past WORD_CELLS:
+        # every stream but the diversity starts is derived in two chunks
+        sim = generated_similarity(600, seed=1)
+        config = McConfig(trials=WORD_CELLS // 600 + 1, intervals=4, k=2, master_seed=5)
+        assert config.trials * sim.count > WORD_CELLS
+        TestStudyMatchesPerStepReference.assert_matches(config, sim)
+        assert sorted(derived) == [0, 0, 1, 2, 2, 3, 3]
+
+
 class TestDecodedDrawsEqualGeneratorDraws:
     """The study decodes raw PCG64 words as NumPy's ``Generator`` draws them; NumPy is the reference."""
 
@@ -353,14 +386,16 @@ class TestDecodedDrawsEqualGeneratorDraws:
     def test_choice_without_replacement(self, count):
         rows = np.arange(6)
         for k in range(1, count + 1):
-            chosen, rejected = simulator._random_k_subsets(count, rows, count, k)
+            # Floyd's k draws and the shuffle's k - 1 take at most k words
+            chosen, rejected = simulator._random_k_subsets(stream_words(count, rows, 3, words=k), count, k)
             expected = [substream(count, row, 3).choice(count, k, replace=False).tolist() for row in rows]
             assert not rejected.any()
             assert chosen.tolist() == expected
 
     def test_labelings(self, five_platform_sim):
         rows = np.arange(200)
-        flags, rejected = simulator._labelings(3, rows, five_platform_sim.scores)
+        raw = stream_words(3, rows, 0, words=five_platform_sim.count)
+        flags, rejected = simulator._labelings(raw, five_platform_sim.scores)
         assert not rejected.any()
         expected = [assign_vulnerabilities(five_platform_sim, substream(3, row, 0)) for row in rows]
         np.testing.assert_array_equal(flags, expected, strict=True)
@@ -369,7 +404,7 @@ class TestDecodedDrawsEqualGeneratorDraws:
     def test_bounded_draws(self, count):
         # integers(1) takes no half, so the draws after it shift by one half
         bounds = [count, 1, count - 1, 1, 1, count + 1, 2]
-        draws, rejected = simulator._bounded_draws(5, np.arange(40), 2, bounds)
+        draws, rejected = simulator._bounded_draws(stream_words(5, np.arange(40), 2, words=4), bounds)
         assert not rejected.any()
         for row, drawn in enumerate(draws.tolist()):
             rng = substream(5, row, 2)
