@@ -10,12 +10,12 @@ is event-driven (migrations and exploit arrivals), not tick-based.
 
 ``max_control_run`` simulates one sample with scalar draws.
 ``run_scenario_study`` gets the same draws in bulk: it takes the raw
-PCG64 words of many samples' streams at once from ``rng.stream_words``,
-decodes them the way NumPy's ``Generator`` would, and then evaluates a
-block of samples as arrays, walking the platforms with
-``scheduler.uniform_walks``, the no-repeat walk of the Monte Carlo
-study. A sample the decoding cannot reproduce goes back through
-``max_control_run`` on its ``substream``.
+PCG64 words of many samples' streams at once from ``rng.stream_words``
+and decodes them the way NumPy's ``Generator`` would. It then evaluates
+them in one stay-major pass: ``scheduler.uniform_walks``, the no-repeat
+walk of the Monte Carlo study, gives the platforms, and one loop over
+the stays scans the control runs of every sample at once. A sample the
+decoding cannot reproduce goes back through ``max_control_run``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import is_int, is_number, list_of, manifest_value
-from .rng import WORD_CELLS, _bounded32, _halves, stream_words, substream
+from .rng import WORD_BLOCK, WORD_CELLS, _bounded32, stream_words, substream
 from .scheduler import uniform_walks
 
 
@@ -207,19 +207,14 @@ def max_control_run(
 #: Stays a sample may need: a study whose ``duration / delay[0]`` exceeds it
 #: with N > 1 is refused, since the scalar simulation steps through each stay.
 MAX_STAYS = 100_000
-#: Stay slots (samples x stays) decoded in one array pass. It bounds the
-#: memory of a pass; a sample that needs more stays takes the scalar path.
-#: A pass steps through its stays in Python, so fewer, wider passes cost less.
-_BLOCK_CELLS = 8192
 
 
-def _uniform(halves: np.ndarray, words: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """``Generator.uniform(lo, hi)`` of each word: ``lo + (hi - lo) * (word >> 11) / 2**53``.
-
-    ``word >> 11`` is ``high * 2**21 + floor(low / 2**11)``.
-    """
-    top53 = halves[:, 2 * words + 1] * 2097152.0 + np.floor(halves[:, 2 * words] * (1 / 2048))
-    return lo + (hi - lo) * (top53 * (1 / 9007199254740992))
+def _uniform(words: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``Generator.uniform(lo, hi)`` of each raw word: ``lo + (hi - lo) * (word >> 11) / 2**53``."""
+    values = (words >> np.uint64(11)) * (1 / 9007199254740992)
+    values *= hi - lo
+    values += lo
+    return values
 
 
 class _Layout(NamedTuple):
@@ -228,7 +223,7 @@ class _Layout(NamedTuple):
     words: int
     arrivals: np.ndarray  # the random arrivals take the first words
     dwells: np.ndarray
-    draws32: np.ndarray  # the start, then the move after each stay
+    draws32: np.ndarray  # the start, then the move after each stay; half 2w is word w's low half
 
 
 def _draw_layout(n: int, drawn_arrivals: int, stays: int) -> _Layout:
@@ -258,90 +253,112 @@ def _draw_layout(n: int, drawn_arrivals: int, stays: int) -> _Layout:
 
 
 class _Draws(NamedTuple):
-    """A block's decoded draws, one row per sample; platform draws are integral doubles."""
+    """Decoded draws, one row per sample; platform draws are integral doubles."""
 
     arrivals: np.ndarray  # the random arrivals, in exploit order
     start: np.ndarray
-    dwells: np.ndarray  # one column per stay
-    moves: np.ndarray  # the draw after each stay, before the no-repeat shift
+    dwells: np.ndarray  # one column per stay, stored stay-major; with n == 1, the whole trial
+    moves: np.ndarray  # the draw after each stay, before the no-repeat shift, stored stay-major
     rejected: np.ndarray  # whether any 32-bit draw would be redrawn
 
 
 def _decode(
     raw: np.ndarray, layout: _Layout, n: int, duration: float, delay: tuple[float, float]
 ) -> _Draws:
-    """Decode raw PCG64 words (one row per sample) into ``max_control_run``'s draws."""
-    halves = _halves(raw)
-    samples, stays = len(raw), len(layout.dwells)
-    start, moves, rejected = np.zeros(samples), np.zeros((samples, stays)), np.zeros(samples, bool)
+    """Decode raw PCG64 words (one row per sample) into ``max_control_run``'s draws.
+
+    Dwells and moves are decoded ``WORD_BLOCK`` cells, or one stay, at a time.
+    """
+    samples, stays = len(raw), max(1, len(layout.dwells))
+    # column h is half h of every sample's words: word h // 2's low half when h is even
+    halves = raw.astype("<u8", copy=False).view("<u4")
+    start, rejected = np.zeros(samples), np.zeros(samples, bool)
+    dwells, moves = np.full((samples, stays), duration, order="F"), np.zeros((samples, stays), order="F")
     if n > 1:
-        start, rejected = _bounded32(halves[:, layout.draws32[0]], n)
-    if n > 2:
-        moves, redrawn = _bounded32(halves[:, layout.draws32[1:]], n - 1)
-        rejected = rejected | redrawn.any(axis=1)
-    return _Draws(
-        _uniform(halves, layout.arrivals, 0.0, duration),
-        start,
-        _uniform(halves, layout.dwells, *delay),
-        moves,
-        rejected,
-    )
+        start, rejected = _bounded32(halves[:, layout.draws32[0]].astype(np.float64), n)
+    step = max(1, WORD_BLOCK // samples)
+    for first in range(0, len(layout.dwells), step):
+        stay = slice(first, first + step)
+        dwells[:, stay] = _uniform(raw[:, layout.dwells[stay]], *delay)
+        if n > 2:
+            draws32 = halves[:, layout.draws32[1:][stay]].astype(np.float64)
+            moves[:, stay], redrawn = _bounded32(draws32, n - 1)
+            rejected |= redrawn.any(axis=1)
+    return _Draws(_uniform(raw[:, layout.arrivals], 0.0, duration), start, dwells, moves, rejected)
+
+
+def _exploit_table(
+    drawn: np.ndarray, exploits: tuple[ExploitSpec, ...], n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's exploit time per targeted platform, and each platform's row of that table.
+
+    ``drawn`` holds the random arrivals, one column per exploit without a fixed arrival. The table
+    has a row per platform below ``n`` that an exploit targets and a last row of ``inf`` for every
+    other platform, so its size does not grow with ``n``. As with ``min()`` in
+    ``max_control_run``, a platform takes an arrival only if it is earlier.
+    """
+    targeted = sorted({p for spec in exploits for p in spec.platforms if p < n})
+    # platforms past the last targeted one clip to the inf row
+    row = np.full(targeted[-1] + 2 if targeted else 1, len(targeted), dtype=np.intp)
+    row[targeted] = np.arange(len(targeted))
+    table = np.full((len(targeted) + 1, len(drawn)), np.inf)
+    drawn_columns = iter(drawn.T)
+    for spec in exploits:
+        arrival = next(drawn_columns) if spec.arrival is None else spec.arrival
+        for platform in spec.platforms:
+            if platform < n:
+                times = table[row[platform]]
+                np.copyto(times, arrival, where=arrival < times)
+    return table, row
 
 
 def _control_runs(
-    draws: _Draws, exploited_at: np.ndarray, duration: float
+    draws: _Draws, table: np.ndarray, row: np.ndarray, duration: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each sample's longest control run, and whether its drawn stays reach ``duration``.
 
-    ``exploited_at`` holds each sample's exploit time per platform. Stay
-    ends are the running sums of the dwells, summed left to right as
-    ``max_control_run`` does. A stay's control segment runs from
-    ``max(stay start, exploit time)`` to the stay's end; it extends the
-    current run when it starts exactly where the previous segment ended.
+    One loop over stays carries every sample's stay end (summed left to
+    right, as ``max_control_run`` does), run head and best run. A stay's
+    control segment runs from ``max(previous end, exploit time)`` to its
+    end; it continues the run when the previous stay was controlled and
+    the segment starts at that stay's end. Slots past the trial end are
+    empty stays at ``duration``.
     """
-    samples, n = exploited_at.shape
-    if n == 1:
-        bounds = np.full((samples, 1), duration)
-        platform = np.zeros((samples, 1), dtype=np.intp)
-    else:
-        bounds = np.cumsum(draws.dwells, axis=1)
-        # the move after the last stay leads nowhere
-        platform = uniform_walks(draws.start, draws.moves[:, :-1])
-    ends = np.minimum(bounds, duration)
-    starts = np.zeros_like(ends)
-    starts[:, 1:] = ends[:, :-1]
-    arrival = np.take_along_axis(exploited_at, platform, axis=1)
-    # slots past the trial end are empty stays at ``duration``: they add no time to any run
-    control = arrival < ends
-    seg_start = np.maximum(starts, arrival)
-    # stay ends never decrease, so the latest segment end so far is the largest
-    last_end = np.full_like(ends, -np.inf)
-    last_end[:, 1:] = np.maximum.accumulate(np.where(control, ends, -np.inf), axis=1)[:, :-1]
-    head = np.where(control & (seg_start != last_end), seg_start, -np.inf)
-    runs = np.where(control, ends - np.maximum.accumulate(head, axis=1), 0.0)
-    return runs.max(axis=1), bounds[:, -1] >= duration
+    samples = len(draws.start)
+    # the move after the last stay leads nowhere
+    platforms = uniform_walks(draws.start, draws.moves[:, :-1])
+    # a stay's exploit time is the table cell (row of its platform, sample)
+    row, columns, cells = row * samples, np.arange(samples), table.ravel()
+    bound, head, best = np.zeros(samples), np.zeros(samples), np.zeros(samples)
+    previous_end, previous_control = np.zeros(samples), np.zeros(samples, bool)
+    for dwell, platform in zip(draws.dwells.T, platforms.T):
+        bound += dwell
+        end = np.minimum(bound, duration)
+        arrival = cells.take(row.take(platform, mode="clip") + columns)
+        joined = previous_control & (arrival <= previous_end)
+        head = np.where(joined, head, np.maximum(previous_end, arrival))
+        previous_control = arrival < end
+        # uncontrolled, the head is the arrival, not before the end, or an empty stay repeats a run
+        np.maximum(best, end - head, out=best)
+        previous_end = end
+    return best, bound >= duration
 
 
-def _platform_mask(exploits: tuple[ExploitSpec, ...], n: int) -> np.ndarray:
-    """Boolean (exploit, platform) mask of the platforms below ``n`` that each exploit breaches."""
-    mask = np.zeros((len(exploits), n), dtype=bool)
-    for row, spec in zip(mask, exploits):
-        row[[p for p in spec.platforms if p < n]] = True
-    return mask
-
-
-def _exploit_times(arrivals: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Each sample's exploit time per platform: the earliest arrival of an exploit targeting it.
-
-    ``arrivals`` is (sample, exploit) and ``targets`` (exploit, platform).
-    As with ``min()`` in ``max_control_run``, a platform takes an arrival
-    only if it is earlier.
-    """
-    exploited_at = np.full((len(arrivals), targets.shape[1]), np.inf)
-    for i in range(arrivals.shape[1]):
-        arrival = arrivals[:, i, None]
-        exploited_at = np.where(targets[i] & (arrival < exploited_at), arrival, exploited_at)
-    return exploited_at
+def _chunk_runs(config: ScenarioConfig, n: int, layout: _Layout, rows: np.ndarray) -> np.ndarray:
+    """The longest control run of samples ``rows`` at N = ``n``, each equal to ``max_control_run``'s."""
+    duration = float(config.duration)
+    runs, redo = np.empty(len(rows)), np.ones(len(rows), bool)
+    # with room for fewer than 3 samples, array steps through each stay are slower than scalar loops
+    if 3 * layout.words <= WORD_CELLS:
+        raw = stream_words(config.master_seed, n, rows, words=layout.words)
+        draws = _decode(raw, layout, n, duration, config.delay)
+        del raw  # the scan needs only the decoded draws
+        runs, exact = _control_runs(draws, *_exploit_table(draws.arrivals, config.exploits, n), duration)
+        redo = ~exact | draws.rejected
+    for i in np.flatnonzero(redo):
+        rng = substream(config.master_seed, n, rows[i])
+        runs[i] = max_control_run(n, config.duration, config.delay, config.exploits, rng)
+    return runs
 
 
 def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
@@ -353,49 +370,31 @@ def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
     A sweep with N > 1 whose samples may need more than ``MAX_STAYS``
     stays raises ValueError before any sample is drawn.
 
-    Each result equals ``max_control_run`` on the sample's stream: the
-    raw words of up to ``WORD_CELLS`` cells of samples come from one
-    ``stream_words`` call, blocks of samples are decoded from them and
-    evaluated as arrays, and a sample with a draw NumPy would redraw, or
-    whose decoded stays end before ``duration``, is rerun through
-    ``max_control_run``.
+    Each result equals ``max_control_run`` on the sample's stream. The
+    samples of one N come in chunks of up to ``WORD_CELLS`` word cells,
+    one ``stream_words`` call each. A chunk is evaluated in one stay-major
+    pass: its draws are decoded, ``uniform_walks`` gives the platforms,
+    and one loop over the stays scans all its samples' control runs at
+    once. A sample with a draw NumPy would redraw, or whose decoded stays
+    end before ``duration``, is rerun through ``max_control_run``. Where a
+    chunk holds fewer than 3 samples (from about 29,100 stays at N > 2 and
+    43,700 at N = 2, so also where a sample near ``MAX_STAYS`` has more
+    than ``WORD_CELLS`` words), every sample takes ``max_control_run``.
     """
-    duration = float(config.duration)
-    ratio = duration / config.delay[0]
+    ratio = float(config.duration) / config.delay[0]
     if ratio > MAX_STAYS and max(config.n_values) > 1:
         raise ValueError(
             f"trial duration {config.duration} over the shortest delay {config.delay[0]} "
             f"asks for more than {MAX_STAYS} stays per sample"
         )
-    drawn = [i for i, spec in enumerate(config.exploits) if spec.arrival is None]
-    fixed = np.array([np.nan if spec.arrival is None else spec.arrival for spec in config.exploits])
-    # dwells are at least lo, so duration / lo stays reach the trial end, plus
-    # slack for float sums that fall short; a larger ratio takes the cap
-    max_stays = int(ratio) + 2 if ratio < _BLOCK_CELLS - 2 else _BLOCK_CELLS
+    drawn = sum(spec.arrival is None for spec in config.exploits)
     results: list[GridPoint] = []
     for n in config.n_values:
-        layout = _draw_layout(n, len(drawn), 1 if n == 1 else max_stays)
-        targets = _platform_mask(config.exploits, n)
-        block = _BLOCK_CELLS // max(1, len(layout.dwells))
-        chunk = block * max(1, WORD_CELLS // (block * max(1, layout.words)))
-        runs = np.empty(config.samples)
-        for first in range(0, config.samples, block):
-            samples = range(first, min(first + block, config.samples))
-            if first % chunk == 0:
-                rows = np.arange(first, min(first + chunk, config.samples))
-                chunk_raw = stream_words(config.master_seed, n, rows, words=layout.words)
-            raw = chunk_raw[first % chunk : first % chunk + len(samples)]
-            draws = _decode(raw, layout, n, duration, config.delay)
-            arrivals = np.empty((len(samples), len(fixed)))
-            arrivals[:] = fixed
-            arrivals[:, drawn] = draws.arrivals
-            block_runs, exact = _control_runs(draws, _exploit_times(arrivals, targets), duration)
-            for i in np.flatnonzero(~exact | draws.rejected):
-                rng = substream(config.master_seed, n, first + i)
-                block_runs[i] = max_control_run(
-                    n, config.duration, config.delay, config.exploits, rng
-                )
-            runs[first : first + len(samples)] = block_runs
+        # dwells are at least lo, so duration / lo stays reach the trial end,
+        # plus slack for float sums that fall short
+        layout = _draw_layout(n, drawn, 1 if n == 1 else int(ratio) + 2)
+        rows, chunk = np.arange(config.samples), max(1, WORD_CELLS // max(1, layout.words))
+        runs = np.concatenate([_chunk_runs(config, n, layout, rows[i : i + chunk]) for i in rows[::chunk]])
         for t in config.t_values:
             hits = int(np.count_nonzero(runs >= t))
             results.append(GridPoint(n=n, t=t, success_fraction=hits / config.samples, samples=config.samples))

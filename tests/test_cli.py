@@ -437,6 +437,32 @@ class TestScenarioCommand:
         ]
         assert digests == [sweep_digest, manifest_digest]
 
+    @pytest.mark.parametrize(
+        "seed, sweep_digest, manifest_digest",
+        [
+            (
+                0,
+                "83c5f4b375d60d0f6619bf7694db439dbbcd8f302ad10c867e917946484e161b",
+                "bafbd26ec090bd65cc3a8be4cb2c404c53a5ad92e092f7aa94e50a16e12247f5",
+            ),
+            (
+                1,
+                "99dbe683c6c22e7b4eba2877e859680be42558e7d805b6c7d52e70b54ba80bc3",
+                "f01f516186fc46b84a39260ce1ab979cf90d9aa4490e4f779a93d2184baaeaa8",
+            ),
+        ],
+    )
+    def test_benchmark_sweep_pinned(self, tmp_path, seed, sweep_digest, manifest_digest):
+        # the exact argv of the scenario-sweep benchmark workload: 1000 samples per N,
+        # so each N is one stream_words chunk, a pass shape the 300-sample pin does not take
+        argv = ["scenario", "--N", "1,3,5,8", "--T-sweep", "0:900:15", "--samples", "1000"]
+        assert main([*argv, "--seed", str(seed), "--outdir", str(tmp_path)]) == 0
+        digests = [
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("success_fraction.csv", "run_manifest.json")
+        ]
+        assert digests == [sweep_digest, manifest_digest]
+
     def test_t_and_sweep_mutually_exclusive(self, tmp_path):
         assert main(["scenario", "--N", "1", "--outdir", str(tmp_path / "a")]) == 2
         assert (

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from bisect import bisect_left
 from dataclasses import replace
 
@@ -390,6 +391,66 @@ class TestStudyEqualsScalarRebuild:
             samples=50, exploits=(ExploitSpec(frozenset({0, 1})),), master_seed=3,
         )
         self.assert_matches(config)
+        assert fallbacks == []
+
+    def test_fixed_arrival_at_the_trial_end(self, fallbacks):
+        # an exploit that arrives exactly at the trial end never gives control; the
+        # slots past the trial end are empty stays at the duration, where its arrival
+        # equals both the stay's start and end, and they may neither add to nor split a run
+        exploits = (ExploitSpec(frozenset({0}), 900.0), ExploitSpec(frozenset({1, 2})))
+        config = ScenarioConfig(
+            t_values=(0.0,), n_values=self.N_VALUES, samples=100, exploits=exploits, master_seed=8
+        )
+        self.assert_matches(config)
+        assert fallbacks == []
+
+    def test_fixed_arrival_on_a_fixed_dwell_stay_boundary(self, fallbacks):
+        # 25 s dwells alternate between two platforms, so 50 s is a stay boundary: a
+        # sample that starts on platform 1 holds platform 0 from 25 s, and platform 1's
+        # segment then starts exactly where that one ended and continues its run
+        exploits = (ExploitSpec(frozenset({0}), 0.0), ExploitSpec(frozenset({1}), 50.0))
+        config = ScenarioConfig(
+            t_values=(0.0,), n_values=(2,), delay=(25.0, 25.0), samples=40, exploits=exploits,
+            master_seed=2,
+        )
+        runs = scalar_runs(config)[2]
+        assert 875.0 in runs and 850.0 in runs  # both starting platforms occur
+        self.assert_matches(config)
+        assert fallbacks == []
+
+    def test_long_sweep_beyond_eight_thousand_stays(self, fallbacks):
+        # even 30 s dwells need more than 8,192 stays to fill 250,000 s; with about
+        # 12,500 stay slots only 6 samples fit in one chunk of words, yet every stay is
+        # still decoded and scanned as arrays, with no scalar rerun
+        config = ScenarioConfig(
+            t_values=(0.0,), n_values=(1, 3), duration=2.5e5, delay=(20.0, 30.0), samples=8,
+            master_seed=4,
+        )
+        self.assert_matches(config)
+        assert fallbacks == []
+
+    def test_chunks_of_fewer_than_three_samples_take_the_scalar_path(self, fallbacks):
+        # 50,002 stay slots: the words of only one N = 3 sample fit in WORD_CELLS, and
+        # stepping arrays that narrow through every stay is slower than the scalar loop
+        config = ScenarioConfig(
+            t_values=(0.0,), n_values=(1, 3), duration=1e6, delay=(20.0, 30.0), samples=3,
+            master_seed=4,
+        )
+        self.assert_matches(config)
+        assert fallbacks == [3, 3, 3]
+
+    def test_exploit_lookup_does_not_grow_with_n(self, fallbacks):
+        # the lookup has one row per targeted platform and one for the rest; a dense
+        # (samples x N) table of exploit times alone would take 300 * 20000 * 8 B = 46 MiB
+        config = ScenarioConfig(t_values=(10.0,), n_values=(20000,), samples=300, master_seed=3)
+        tracemalloc.start()
+        try:
+            run_scenario_study(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        self.assert_matches(replace(config, samples=30))
         assert fallbacks == []
 
     def test_rejected_draws_take_the_scalar_path(self, fallbacks, monkeypatch):
