@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -65,20 +66,30 @@ def _resolve_seed(seed: int | None) -> int:
     return 0
 
 
-def _jsonable(value):
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, with ±inf as ``"Infinity"`` and str dict keys.
+
+    A list of only strs, only ints or only finite floats (exact types) is joined in one pass.
+    """
+    inner = indent + "  "
     if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, float) and math.isinf(value):
-        return "Infinity"
-    return value
+        ends = "{}"
+        items = (encode_basestring_ascii(key) + ": " + _json_text(value[key], inner) for key in sorted(value))
+    elif isinstance(value, (list, tuple)):
+        ends, types = "[]", set(map(type, value))
+        if types == {str}:
+            items = map(encode_basestring_ascii, value)
+        elif types == {int} or types == {float} and all(map(math.isfinite, value)):
+            items = map(repr, value)
+        else:
+            items = (_json_text(item, inner) for item in value)
+    else:
+        return '"Infinity"' if isinstance(value, float) and math.isinf(value) else json.dumps(value)
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if value else ends
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    path.write_text(_json_text(payload) + "\n", encoding="utf-8")
 
 
 def _outdir(args) -> Path:
@@ -88,8 +99,7 @@ def _outdir(args) -> Path:
 
 
 def _load_similarity(args) -> SimilarityMatrix:
-    path = args.similarity if args.similarity else bundled_similarity_path()
-    return load_similarity_matrix(path)
+    return load_similarity_matrix(args.similarity or bundled_similarity_path())
 
 
 def cmd_analytic(args) -> int:
@@ -176,14 +186,6 @@ def _parse_policies(spec: str) -> tuple[PolicyKind, ...]:
     return tuple(kinds)
 
 
-def _write_cdf_csv(path: Path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["policy", "value", "cumulative_probability"])
-        for policy, value, prob in rows:
-            writer.writerow([policy, repr(float(value)), repr(float(prob))])
-
-
 def _load_manifest(path: Path, command: str, config_type):
     """Read a ``command`` run manifest with ``config_type.from_manifest``.
 
@@ -238,17 +240,15 @@ def cmd_mc(args) -> int:
         "cdf_compromised.csv": lambda pm: pm.cdf_compromised_fraction(),
     }
     for filename, extract in curves.items():
-        rows = []
-        for name, policy_metrics in study.items():
-            cdf = extract(policy_metrics)
-            rows.extend((name, value, prob) for value, prob in zip(cdf.values, cdf.probs))
-        _write_cdf_csv(outdir / filename, rows)
+        with open(outdir / filename, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["policy", "value", "cumulative_probability"])
+            for name, policy_metrics in study.items():
+                cdf = extract(policy_metrics)
+                for value, prob in zip(cdf.values, cdf.probs):
+                    writer.writerow([name, repr(float(value)), repr(float(prob))])
     print(outdir)
     return EXIT_OK
-
-
-def _parse_int_list(spec: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in spec.split(","))
 
 
 def _parse_t_values(args) -> tuple[float, ...]:
@@ -314,7 +314,7 @@ def cmd_scenario(args) -> int:
     if args.from_manifest:
         config = _load_manifest(Path(args.from_manifest), "scenario", ScenarioConfig)
     else:
-        n_values = _parse_int_list(args.N)
+        n_values = tuple(int(part) for part in args.N.split(","))
         t_values = _parse_t_values(args)
         delay = tuple(float(part) for part in args.delay.split(","))
         if len(delay) != 2:

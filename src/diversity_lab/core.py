@@ -9,6 +9,7 @@ type-checked key of a run manifest.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -114,7 +115,7 @@ def load_similarity_matrix(path: str | Path) -> SimilarityMatrix:
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    lines = [line for line in map(str.strip, text.splitlines()) if line]
     if not lines:
         raise ValueError(f"{path}: empty similarity file")
     names = tuple(cell.strip() for cell in lines[0].split(","))
@@ -127,21 +128,22 @@ def load_similarity_matrix(path: str | Path) -> SimilarityMatrix:
         )
     scores = np.zeros((count, count), dtype=float)
     for k, line in enumerate(lines[1:]):
-        cells = [cell.strip() for cell in line.split(",")]
+        # cells keep their blanks: float() ignores them, and only a label is compared
+        cells = line.split(",")
         if len(cells) == count + 1:
             # labeled row: platform name followed by one score per platform
-            if cells[0] != names[k]:
+            label = cells.pop(0).strip()
+            if label != names[k]:
                 raise ValueError(
-                    f"{path}: row {k + 2} is labeled {cells[0]!r}, expected {names[k]!r}"
+                    f"{path}: row {k + 2} is labeled {label!r}, expected {names[k]!r}"
                 )
-            cells = cells[1:]
         elif len(cells) != count:
             raise ValueError(
                 f"{path}: row {k + 2} has {len(cells)} cells, expected "
                 f"{count} scores (optionally preceded by the platform name)"
             )
         try:
-            scores[k] = [float(cell) for cell in cells]
+            scores[k] = list(map(float, cells))
         except ValueError as exc:
             raise ValueError(f"{path}: row {k + 2}: {exc}") from None
     return SimilarityMatrix(platforms, scores)
@@ -231,7 +233,13 @@ def is_int(value) -> bool:
 
 
 def is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A float, or an int that converts to one: an int past the float range does not."""
+    return isinstance(value, float) or is_int(value) and abs(value) <= sys.float_info.max
+
+
+def is_number_list(value) -> bool:
+    """``list_of(is_number)``, decided for a list of exact floats by one type-set test."""
+    return isinstance(value, list) and (set(map(type, value)) <= {float} or all(map(is_number, value)))
 
 
 def list_of(check, length: int | None = None):

@@ -21,12 +21,13 @@ decoding cannot reproduce goes back through ``max_control_run``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import is_int, is_number, list_of, manifest_value
+from .core import is_int, is_number, is_number_list, list_of, manifest_value
 from .rng import WORD_BLOCK, WORD_CELLS, _bounded32, stream_words, substream
 from .scheduler import uniform_walks
 
@@ -79,8 +80,9 @@ class ScenarioConfig:
         bad = [t for t in self.t_values if not 0 <= t < math.inf]
         if bad:
             raise ValueError(f"attacker goals must be finite and non-negative, got {bad[0]}")
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise ValueError("platform counts must be >= 1")
+        # N is the length of the scalar path's per-platform list, so at most sys.maxsize
+        if not self.n_values or any(not 1 <= n <= sys.maxsize for n in self.n_values):
+            raise ValueError(f"platform counts must be between 1 and {sys.maxsize}")
         if not 0 < self.duration < math.inf:
             raise ValueError(f"trial duration must be finite and positive, got {self.duration}")
         lo, hi = self.delay
@@ -114,7 +116,7 @@ class ScenarioConfig:
         return cls(
             master_seed=manifest_value(manifest, "seed", is_int),
             n_values=tuple(manifest_value(manifest, "n_values", list_of(is_int))),
-            t_values=tuple(manifest_value(manifest, "t_values", list_of(is_number))),
+            t_values=tuple(manifest_value(manifest, "t_values", is_number_list)),
             duration=manifest_value(manifest, "duration", is_number),
             delay=tuple(manifest_value(manifest, "delay", list_of(is_number, length=2))),
             samples=manifest_value(manifest, "samples", is_int),

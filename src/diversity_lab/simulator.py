@@ -53,7 +53,7 @@ from .core import (
     PolicyKind,
     SimilarityMatrix,
     is_int,
-    is_number,
+    is_number_list,
     list_of,
     manifest_value,
 )
@@ -125,7 +125,7 @@ class McConfig:
         names = manifest_value(
             similarity, "platforms", list_of(lambda name: isinstance(name, str)), "similarity.platforms"
         )
-        scores = manifest_value(similarity, "scores", list_of(list_of(is_number)), "similarity.scores")
+        scores = manifest_value(similarity, "scores", list_of(is_number_list), "similarity.scores")
         config = cls(trials, intervals, k, tuple(POLICY_BY_NAME[name] for name in policies), seed)
         return config, SimilarityMatrix(PlatformSet(tuple(names)), np.array(scores, dtype=float))
 

@@ -2,17 +2,21 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diversity_lab
-from diversity_lab import expected_time_to_compromise, MarkovParams
-from diversity_lab.cli import MAX_SWEEP_POINTS, _parse_t_values, main
+from diversity_lab import expected_time_to_compromise, load_similarity_matrix, MarkovParams
+from diversity_lab.cli import MAX_SWEEP_POINTS, _json_text, _parse_t_values, main
 from diversity_lab.scenario import MAX_STAYS
 from conftest import wide_similarity_csv
 
@@ -24,6 +28,67 @@ def read_json(path):
 def read_csv_rows(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.reader(handle))
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def jsonable(value):
+    """The JSON artifacts' former encoding step: containers as lists and dicts, ±inf as "Infinity"."""
+    if isinstance(value, dict):
+        return {key: jsonable(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(item) for item in value]
+    if isinstance(value, float) and math.isinf(value):
+        return "Infinity"
+    return value
+
+
+edge_floats = st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308])
+json_numbers = (
+    st.integers(-(10**400), 10**400)
+    | st.integers(2**53, 2**64)
+    | st.floats()
+    | edge_floats
+    | st.floats().map(np.float64)
+)
+json_strings = st.text() | st.sampled_from([", ", "[", "]", '"', "a, [b]", 'say "hi"', "Müller", "日本語", "\n"])
+json_leaves = json_numbers | json_strings | st.booleans() | st.none()
+#: lists that the writer joins in one pass, mixed in with everything else
+flat_lists = (
+    st.lists(st.floats(allow_nan=False, allow_infinity=False) | edge_floats)
+    | st.lists(st.integers(-(10**400), 10**400))
+    | st.lists(json_strings)
+)
+json_values = st.recursive(
+    json_leaves | flat_lists,
+    lambda children: st.lists(children, max_size=6)
+    | st.lists(children, max_size=6).map(tuple)
+    | st.dictionaries(json_strings, children, max_size=6),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(json_values)
+    def test_text_equals_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(jsonable(value), indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            ([], "[]"),
+            ({}, "{}"),
+            ({"a": [1.5, math.inf, -math.inf, math.nan]}, '{\n  "a": [\n    1.5,\n    "Infinity",\n    "Infinity",\n    NaN\n  ]\n}'),
+            ([True, 1, None, "x"], '[\n  true,\n  1,\n  null,\n  "x"\n]'),
+            ((np.float64(0.1), 10**400), f'[\n  0.1,\n  {10**400}\n]'),
+        ],
+        ids=["empty-list", "empty-dict", "infinities", "mixed", "numpy-and-huge-int"],
+    )
+    def test_examples(self, value, text):
+        assert _json_text(value) == text
 
 
 class TestAnalyticCommand:
@@ -82,6 +147,22 @@ class TestAnalyticCommand:
         report = read_json(tmp_path / "analytic.json")
         assert report["finite_window"]["s"] == 900.0
         assert report["finite_window"]["p_success"] == pytest.approx(2 / 3)
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--m", "3", "--n", "2", "--j", "2", "--p", "0.5", "--strict", "--K", "2"],
+             "692fc3b493fbdd89f937d831f2655fbf99444fa4ff5a82d64942d3e5cb2d67b8"),
+            (["--m", "0", "--n", "5"], "7be2241db8a4d30fcf11fe63639ae634ee70572d7e1964aac2d4aa7a363b41bf"),
+            (["--m", "1", "--n", "1", "--a", "300"],
+             "1f586662aafd3d03e4ef07273a5f5736ec4a75d935d6296a840156715193f8b4"),
+        ],
+        ids=["worked-example", "infinity-string", "finite-window"],
+    )
+    def test_report_pinned(self, tmp_path, argv, digest):
+        # sha256 of analytic.json as json.dumps(indent=2, sort_keys=True) wrote it
+        assert main(["analytic", *argv, "--outdir", str(tmp_path)]) == 0
+        assert sha256_of(tmp_path / "analytic.json") == digest
 
     def test_validation_failure_exits_2(self, tmp_path):
         assert main(["analytic", "--m", "-1", "--n", "2", "--outdir", str(tmp_path)]) == 2
@@ -151,6 +232,20 @@ class TestScheduleCommand:
             if periodicity is None
             else {"period": periodicity[0], "transient": periodicity[1]},
         }
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ([], "8448725e9f5b246bccf1e455f3a01ee40b81fc7dacbf5ec5e66838be6be18e29"),
+            (["--policy", "uniform", "--seed", "5", "--start", "Debian"],
+             "ffb8f93600fac8483efc32b413873a6fdc25554d6684d832cf777e1ef8105722"),
+        ],
+        ids=["default", "uniform-periodicity-null"],
+    )
+    def test_report_bytes_pinned(self, tmp_path, argv, digest):
+        # sha256 of schedule.json as json.dumps(indent=2, sort_keys=True) wrote it
+        assert main(["schedule", *argv, "--outdir", str(tmp_path)]) == 0
+        assert sha256_of(tmp_path / "schedule.json") == digest
 
     @pytest.mark.parametrize("policy", ["diversity", "uniform", "random_k"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, policy):
@@ -354,6 +449,36 @@ class TestMcCommand:
                  "run_manifest.json")
         assert sorted(path.name for path in outdir.iterdir()) == sorted(names)
         assert tuple(hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in names) == digests
+
+
+class TestSimilarityInput:
+    def test_wide_manifest_rerun_is_byte_identical(self, tmp_path):
+        similarity = tmp_path / "similarity.csv"
+        similarity.write_text(wide_similarity_csv(3, platforms=300, families=10), encoding="utf-8")
+        first, rerun = tmp_path / "first", tmp_path / "rerun"
+        argv = ["mc", "--trials", "5", "--intervals", "10", "--K", "4", "--seed", "3"]
+        assert main([*argv, "--similarity", str(similarity), "--outdir", str(first)]) == 0
+        manifest = first / "run_manifest.json"
+        assert len(read_json(manifest)["similarity"]["scores"]) == 300
+        assert main(["mc", "--from-manifest", str(manifest), "--outdir", str(rerun)]) == 0
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in rerun.iterdir()) and len(names) == 5
+        for name in names:
+            assert (first / name).read_bytes() == (rerun / name).read_bytes()
+
+    def test_bad_cell_names_its_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("A,B,C\nA,1.0,0.5,0.2\nB,0.5, abc ,0.3\nC,0.2,0.3,1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="row 3: could not convert string to float"):
+            load_similarity_matrix(path)
+
+    def test_padded_labels(self, tmp_path):
+        path = tmp_path / "padded.csv"
+        path.write_text(" A , B \n A ,1.0, 0.5 \n\tB\t, 0.5 ,1.0\n", encoding="utf-8")
+        assert load_similarity_matrix(path).scores.tolist() == [[1.0, 0.5], [0.5, 1.0]]
+        path.write_text("A,B\n A ,1.0,0.5\n C ,0.5,1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="row 3 is labeled 'C', expected 'B'"):
+            load_similarity_matrix(path)
 
 
 class TestScenarioCommand:
@@ -715,6 +840,40 @@ class TestNonFiniteScenarioInput:
         capsys.readouterr()
         argv = ["scenario", "--from-manifest", str(path)]
         self.assert_rejected(capsys, argv, tmp_path / "never", message)
+
+
+class TestOversizedIntegers:
+    """An integer too large for the engines' C types or floats exits 2 with one error line."""
+
+    @pytest.mark.parametrize("n", [2**63, 2**64], ids=["2**63", "2**64"])
+    def test_platform_count_argv(self, tmp_path, capsys, n):
+        argv = ["scenario", "--N", str(n), "--T", "10", "--samples", "2"]
+        TestNonFiniteScenarioInput.assert_rejected(capsys, argv, tmp_path / "never", "platform counts must be")
+
+    @pytest.mark.parametrize(
+        "argv, edit, message",
+        [
+            (["scenario", "--T", "10", "--samples", "2"], lambda m: m.update(t_values=[10**400]),
+             "invalid key 't_values'"),
+            (["scenario", "--T", "10", "--samples", "2"], lambda m: m.update(duration=10**400),
+             "invalid key 'duration'"),
+            (["scenario", "--T", "10", "--samples", "2"], lambda m: m.update(n_values=[2**63]),
+             "platform counts must be"),
+            (["mc", "--trials", "2", "--intervals", "6"],
+             lambda m: m["similarity"]["scores"][1].__setitem__(2, 10**400), "invalid key 'similarity.scores'"),
+        ],
+        ids=["goal", "duration", "platform-count", "score"],
+    )
+    def test_manifest(self, tmp_path, capsys, argv, edit, message):
+        first = tmp_path / "first"
+        assert main([*argv, "--outdir", str(first)]) == 0
+        manifest = read_json(first / "run_manifest.json")
+        edit(manifest)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        command = [manifest["command"], "--from-manifest", str(path)]
+        TestNonFiniteScenarioInput.assert_rejected(capsys, command, tmp_path / "never", message)
 
 
 class TestAttackerGoals:

@@ -11,6 +11,7 @@ import contextlib
 import copy
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from diversity_lab import (
     bundled_similarity_path,
 )
 from diversity_lab.cli import main
+from diversity_lab.core import is_number, is_number_list, list_of
 from diversity_lab.simulator import DEFAULT_POLICY_KINDS
 
 #: Fixed draws, so every run of the suite tries the same examples; the
@@ -48,6 +50,7 @@ MUTATIONS = {
     "infinity": float("inf"),
     "string": "x",
     "empty-list": [],
+    "huge-int": 10**400,
 }
 #: The same menu as command-line or CSV text
 TEXT_MUTATIONS = {
@@ -129,6 +132,24 @@ class TestRoundTrip:
         read = ScenarioConfig.from_manifest(through_json(manifest))
         assert read == config
         assert read.to_manifest() == manifest
+
+
+class TestNumberList:
+    @PROPERTY
+    @given(
+        st.lists(st.floats() | st.integers(-(10**400), 10**400) | st.booleans() | st.none() | st.text(max_size=2))
+        | st.lists(st.floats())
+        | st.floats()
+        | st.none()
+    )
+    def test_equals_the_check_of_each_item(self, value):
+        assert is_number_list(value) == list_of(is_number)(value)
+
+    def test_ints_past_the_float_range_are_refused(self):
+        largest = int(sys.float_info.max)
+        assert is_number_list([0.5, largest, -largest])
+        assert not is_number_list([0.5, largest + 2**971])
+        assert not is_number_list([-(10**400)])
 
 
 def run_cli(argv):
