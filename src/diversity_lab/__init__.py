@@ -22,7 +22,6 @@ from .analytic import (
     steady_state,
 )
 from .core import (
-    MigrationPolicy,
     PlatformSet,
     PolicyKind,
     SimilarityMatrix,
@@ -39,14 +38,7 @@ from .scenario import (
     max_control_run,
     run_scenario_study,
 )
-from .scheduler import (
-    check_pool,
-    detect_periodicity,
-    diversity_schedule,
-    heron_area,
-    make_random_k_policy,
-    trace,
-)
+from .scheduler import check_pool, detect_periodicity, heron_area, schedule
 from .simulator import (
     EmpiricalCdf,
     McConfig,
@@ -62,7 +54,6 @@ __all__ = [
     "ExploitSpec",
     "MarkovParams",
     "McConfig",
-    "MigrationPolicy",
     "PlatformSet",
     "PolicyKind",
     "RepeatMode",
@@ -75,13 +66,11 @@ __all__ = [
     "choose",
     "compute_metrics",
     "detect_periodicity",
-    "diversity_schedule",
     "expected_control_fraction",
     "expected_time_to_compromise",
     "heron_area",
     "load_bundled_similarity",
     "load_similarity_matrix",
-    "make_random_k_policy",
     "max_control_run",
     "p_success_aggregate",
     "p_success_finite_window",
@@ -89,7 +78,7 @@ __all__ = [
     "run_mc_study",
     "run_scenario_study",
     "save_similarity_matrix",
+    "schedule",
     "steady_state",
     "substream",
-    "trace",
 ]

@@ -34,16 +34,10 @@ from .analytic import (
     run_length_chain,
     steady_state,
 )
-from .core import (
-    MigrationPolicy,
-    PolicyKind,
-    SimilarityMatrix,
-    bundled_similarity_path,
-    load_similarity_matrix,
-)
+from .core import PolicyKind, SimilarityMatrix, bundled_similarity_path, load_similarity_matrix
 from .rng import substream
 from .scenario import DEFAULT_EXPLOITS, ExploitSpec, ScenarioConfig, run_scenario_study
-from .scheduler import check_pool, detect_periodicity, make_random_k_policy, trace
+from .scheduler import check_pool, detect_periodicity, schedule
 from .simulator import POLICY_BY_NAME, McConfig, run_mc_study
 
 EXIT_OK = 0
@@ -151,12 +145,8 @@ def cmd_schedule(args) -> int:
     start = sim.platforms.index(args.start if args.start else sim.platforms[0])
     rng = substream(seed)
     kind = POLICY_BY_NAME[args.policy]
-    if kind is PolicyKind.RANDOM_K:
-        policy = make_random_k_policy(sim.platforms, args.K, rng)
-    else:
-        policy = MigrationPolicy(kind, args.K)
-    check_pool(policy, sim.count)
-    chosen = trace(policy, sim, start, args.steps, rng).tolist()
+    check_pool(kind, args.K, sim.count)
+    chosen = schedule(kind, sim, args.K, start, args.steps, rng).tolist()
     periodicity = detect_periodicity(chosen)
     report = {
         "platforms": list(sim.platforms.names),

@@ -1,8 +1,8 @@
 """Domain types shared across the library.
 
-Platforms and their pairwise code-similarity scores, and migration
-policies; a labeling of vulnerable platforms is a plain bool array, one
-flag per platform. All types here are immutable after construction and
+Platforms and their pairwise code-similarity scores, and the migration
+policy kinds; a labeling of vulnerable platforms is a plain bool array,
+one flag per platform. All types here are immutable after construction and
 safe to share between concurrent workers. ``manifest_value`` reads one
 type-checked key of a run manifest.
 """
@@ -170,62 +170,16 @@ def load_bundled_similarity() -> SimilarityMatrix:
 
 
 class PolicyKind(Enum):
-    """Migration strategy families."""
+    """Migration strategy families; a policy is its kind and the persistence horizon ``k``.
+
+    The diversity policy spreads each choice away from the previous ``k - 1``
+    platforms, the random-k policy rotates over ``k`` drawn platforms, and the
+    uniform policy ignores ``k``.
+    """
 
     DIVERSITY = "diversity"
     UNIFORM = "uniform"
     RANDOM_K = "random_k"
-    FIXED_PERIODIC = "fixed_periodic"
-
-
-@dataclass(frozen=True)
-class MigrationPolicy:
-    """Platform selection strategy plus its parameters.
-
-    ``k`` is the persistence horizon: the diversity policy spreads each
-    choice away from the previous ``k - 1`` platforms, and the random-k
-    policy rotates over ``k`` pre-drawn platforms. ``sequence`` is only
-    used by fixed periodic rotations.
-    """
-
-    kind: PolicyKind
-    k: int | None = None
-    sequence: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind in (PolicyKind.DIVERSITY, PolicyKind.RANDOM_K):
-            if self.k is None or self.k < 2:
-                raise ValueError(f"{self.kind.value} policy requires k >= 2")
-        if self.kind is PolicyKind.FIXED_PERIODIC:
-            seq = self.sequence
-            if not seq:
-                raise ValueError("fixed periodic policy requires a non-empty sequence")
-            if min(seq) < 0:
-                raise ValueError(f"fixed periodic sequence has a negative platform: {seq!r}")
-            for i, platform in enumerate(seq):
-                nxt = seq[(i + 1) % len(seq)]
-                if platform == nxt:
-                    raise ValueError(
-                        "fixed periodic sequence must not repeat a platform in "
-                        f"adjacent positions (including wraparound): {seq!r}"
-                    )
-            object.__setattr__(self, "sequence", tuple(int(p) for p in seq))
-
-    @classmethod
-    def diversity(cls, k: int = 3) -> MigrationPolicy:
-        return cls(PolicyKind.DIVERSITY, k=k)
-
-    @classmethod
-    def uniform(cls) -> MigrationPolicy:
-        return cls(PolicyKind.UNIFORM)
-
-    @classmethod
-    def random_k(cls, k: int = 3) -> MigrationPolicy:
-        return cls(PolicyKind.RANDOM_K, k=k)
-
-    @classmethod
-    def fixed_periodic(cls, sequence: tuple[int, ...]) -> MigrationPolicy:
-        return cls(PolicyKind.FIXED_PERIODIC, sequence=tuple(sequence))
 
 
 def is_int(value) -> bool:

@@ -80,7 +80,7 @@ class ScenarioConfig:
         bad = [t for t in self.t_values if not 0 <= t < math.inf]
         if bad:
             raise ValueError(f"attacker goals must be finite and non-negative, got {bad[0]}")
-        # N is the length of the scalar path's per-platform list, so at most sys.maxsize
+        # uniform_walks holds platforms in intp arrays, so N is at most sys.maxsize
         if not self.n_values or any(not 1 <= n <= sys.maxsize for n in self.n_values):
             raise ValueError(f"platform counts must be between 1 and {sys.maxsize}")
         if not 0 < self.duration < math.inf:
@@ -167,11 +167,12 @@ def max_control_run(
         spec.arrival if spec.arrival is not None else float(rng.uniform(0.0, duration))
         for spec in exploits
     ]
-    exploited_at = [math.inf] * n
+    # keyed by the targeted platforms only, so its size does not grow with n
+    exploited_at: dict[int, float] = {}
     for spec, arrival in zip(exploits, arrivals):
         for platform in spec.platforms:
             if platform < n:
-                exploited_at[platform] = min(exploited_at[platform], arrival)
+                exploited_at[platform] = min(exploited_at.get(platform, math.inf), arrival)
 
     current = int(rng.integers(n)) if n > 1 else 0
     segments: list[tuple[float, float]] = []
@@ -181,7 +182,7 @@ def max_control_run(
             dwell_end = duration
         else:
             dwell_end = min(now + float(rng.uniform(lo, hi)), duration)
-        arrival = exploited_at[current]
+        arrival = exploited_at.get(current, math.inf)
         if arrival < dwell_end:
             segments.append((max(now, arrival), dwell_end))
         now = dwell_end

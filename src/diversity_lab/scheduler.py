@@ -8,8 +8,9 @@ pairwise distance for longer histories. Ties break toward the lowest
 platform index so schedules are fully deterministic. From step k-1 on,
 a step is a pure function of the last k-1 platforms, so a diversity
 walk is periodic from its first repeated window; ``diversity_walks``
-stops there and repeats the cycle. ``trace`` builds the whole schedule
-of any policy as one array.
+stops there and repeats the cycle. A policy is a ``PolicyKind`` and its
+``k``: ``check_pool`` says whether it can schedule over a pool, and
+``schedule`` builds its whole schedule as one array.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MigrationPolicy, PlatformSet, PolicyKind, SimilarityMatrix
+from .core import PolicyKind, SimilarityMatrix
 
 logger = logging.getLogger(__name__)
 
@@ -42,18 +43,16 @@ def heron_area(a, b, c):
     return np.sqrt(squared)
 
 
-def check_pool(policy: MigrationPolicy, n_platforms: int) -> None:
-    """Raise ValueError when ``policy`` cannot schedule over ``n_platforms`` platforms."""
-    if policy.kind is PolicyKind.RANDOM_K and policy.k > n_platforms:
-        raise ValueError(f"cannot rotate over k={policy.k} of {n_platforms} platforms")
-    if policy.kind is PolicyKind.DIVERSITY and policy.k > n_platforms:
-        raise ValueError(
-            f"policy requires k={policy.k} distinct platforms, only {n_platforms} available"
-        )
-    if policy.kind in (PolicyKind.DIVERSITY, PolicyKind.UNIFORM) and n_platforms < 2:
+def check_pool(kind: PolicyKind, k: int, count: int) -> None:
+    """Raise ValueError when a ``kind`` policy with horizon ``k`` cannot schedule over ``count`` platforms."""
+    if kind is not PolicyKind.UNIFORM and k < 2:
+        raise ValueError(f"{kind.value} policy requires k >= 2")
+    if kind is PolicyKind.RANDOM_K and k > count:
+        raise ValueError(f"cannot rotate over k={k} of {count} platforms")
+    if kind is PolicyKind.DIVERSITY and k > count:
+        raise ValueError(f"policy requires k={k} distinct platforms, only {count} available")
+    if kind is not PolicyKind.RANDOM_K and count < 2:
         raise ValueError("migration without repeat needs at least two platforms")
-    if policy.kind is PolicyKind.FIXED_PERIODIC and max(policy.sequence) >= n_platforms:
-        raise ValueError("fixed periodic sequence references unknown platforms")
 
 
 def _most_diverse(dist: np.ndarray, hist) -> np.ndarray:
@@ -124,59 +123,27 @@ def uniform_walks(starts: np.ndarray, moves: np.ndarray) -> np.ndarray:
     return walks
 
 
-def diversity_schedule(sim: SimilarityMatrix, start: int, steps: int, k: int) -> list[int]:
-    """Deterministic diversity trace of ``steps`` platforms beginning at ``start``."""
+def schedule(
+    kind: PolicyKind, sim: SimilarityMatrix, k: int, start: int | None, steps: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Platform of each of ``steps`` intervals under a ``kind`` policy with horizon ``k``, from ``start``.
+
+    A diversity trace draws nothing. A uniform trace makes no immediate
+    repeat and draws one batched ``integers(N - 1, size=(1, steps - 1))``
+    from ``rng``: the same values, and the same generator state
+    afterwards, as one scalar draw per step. A random-k trace draws
+    ``choice(N, k, replace=False)`` and rotates through it from its head,
+    ignoring ``start``; the other policies reject a ``start`` outside the
+    pool. The caller checks the pool with ``check_pool``.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    check_pool(MigrationPolicy.diversity(k), sim.count)
+    if kind is PolicyKind.RANDOM_K:
+        return np.resize(rng.choice(sim.count, k, replace=False), steps)
     if not 0 <= start < sim.count:
         raise ValueError(f"start platform {start} out of range")
-    return diversity_walks(sim.distances(), np.array([start]), steps, k)[0].tolist()
-
-
-def make_random_k_policy(platforms: PlatformSet | int, k: int, seed) -> MigrationPolicy:
-    """Realize a random-k policy: draw ``k`` distinct platforms, rotate periodically.
-
-    The subset is uniform over all k-subsets and the rotation order is a
-    uniformly random arrangement of it. ``seed`` may be an int seed or a
-    Generator.
-    """
-    count = platforms if isinstance(platforms, int) else len(platforms)
-    if k < 2:
-        raise ValueError("random-k rotation requires k >= 2")
-    check_pool(MigrationPolicy.random_k(k), count)
-    rng = np.random.default_rng(seed)
-    subset = rng.choice(count, size=k, replace=False)
-    return MigrationPolicy.fixed_periodic(tuple(int(p) for p in subset))
-
-
-def trace(
-    policy: MigrationPolicy,
-    sim: SimilarityMatrix,
-    start: int | None,
-    steps: int,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Platform of each of ``steps`` intervals under ``policy``, beginning at ``start``.
-
-    Diversity and fixed periodic traces draw nothing; a fixed periodic
-    trace begins at the head of its sequence and ignores ``start``. A
-    uniform trace makes no immediate repeat and draws one batched
-    ``integers(N - 1, size=steps - 1)`` from ``rng``: the same values,
-    and the same generator state afterwards, as one scalar draw per
-    step. A random-k policy is realized with ``make_random_k_policy``
-    first. The caller checks the pool with ``check_pool``.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if policy.kind is PolicyKind.FIXED_PERIODIC:
-        return np.resize(np.array(policy.sequence), steps)
-    if policy.kind is PolicyKind.DIVERSITY:
-        return np.array(diversity_schedule(sim, start, steps, policy.k))
-    if policy.kind is not PolicyKind.UNIFORM:
-        raise ValueError(f"policy kind {policy.kind} must be realized before scheduling")
-    if rng is None:
-        raise ValueError("uniform policy requires a random generator")
+    if kind is PolicyKind.DIVERSITY:
+        return diversity_walks(sim.distances(), np.array([start]), steps, k)[0]
     return uniform_walks(np.array([start]), rng.integers(sim.count - 1, size=(1, steps - 1)))[0]
 
 

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    MigrationPolicy,
     PlatformSet,
     PolicyKind,
     SimilarityMatrix,
@@ -58,7 +57,7 @@ from .core import (
     manifest_value,
 )
 from .rng import WORD_CELLS, _bounded32, _halves, stream_words, substream
-from .scheduler import check_pool, diversity_walks, make_random_k_policy, trace, uniform_walks
+from .scheduler import check_pool, diversity_walks, schedule, uniform_walks
 
 LABELING_STREAM = 0
 #: The study policies, each with a stable stream id, so a policy's trials are
@@ -250,9 +249,9 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
     ``DECODE_CELLS`` trial × interval cells at a time. A trial with a
     draw NumPy would redraw runs again through ``_scalar_trial``.
     """
-    policies = {kind: MigrationPolicy(kind, config.k) for kind in config.policy_kinds}
-    for policy in policies.values():
-        check_pool(policy, sim.count)
+    policies = config.policy_kinds
+    for kind in policies:
+        check_pool(kind, config.k, sim.count)
     seed, count, intervals, k = config.master_seed, sim.count, config.intervals, config.k
     vulnerable = {kind: np.empty((config.trials, intervals), dtype=bool) for kind in policies}
     trials = np.arange(config.trials)
@@ -304,14 +303,10 @@ def _scalar_trial(config: McConfig, sim: SimilarityMatrix, trial: int) -> dict:
     flags = assign_vulnerabilities(sim, substream(config.master_seed, trial, LABELING_STREAM))
     rows = {}
     for kind in config.policy_kinds:
+        check_pool(kind, config.k, sim.count)
         rng = substream(config.master_seed, trial, POLICY_STREAM[kind])
-        if kind is PolicyKind.RANDOM_K:
-            rotation = make_random_k_policy(sim.platforms, config.k, rng)
-            chosen = trace(rotation, sim, None, config.intervals)
-        else:
-            policy = MigrationPolicy(kind, config.k)
-            chosen = trace(policy, sim, int(rng.integers(sim.count)), config.intervals, rng)
-        rows[kind] = flags[chosen]
+        start = None if kind is PolicyKind.RANDOM_K else int(rng.integers(sim.count))
+        rows[kind] = flags[schedule(kind, sim, config.k, start, config.intervals, rng)]
     return rows
 
 

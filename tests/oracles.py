@@ -198,6 +198,27 @@ def scalar_diversity_trace(dist, start: int, steps: int, k: int) -> list[int]:
     return trace
 
 
+def reference_schedule(name: str, dist, k: int, start, steps: int, rng) -> list[int]:
+    """One policy's platform per interval, drawn one scalar at a time from ``rng``.
+
+    random-k draws ``k`` distinct platforms and cycles them from the first,
+    ignoring ``start``; diversity walks ``scalar_diversity_trace`` from
+    ``start``; uniform draws one scalar ``integers(N - 1)`` per step,
+    skipping the current platform.
+    """
+    count = len(dist)
+    if name == "random_k":
+        subset = rng.choice(count, size=k, replace=False).tolist()
+        return [subset[i % k] for i in range(steps)]
+    if name == "diversity":
+        return scalar_diversity_trace(dist, start, steps, k)
+    chosen = [start]
+    for _ in range(steps - 1):
+        draw = int(rng.integers(count - 1))
+        chosen.append(draw + 1 if draw >= chosen[-1] else draw)
+    return chosen
+
+
 #: Stream id per policy name; stream 0 draws the labeling.
 POLICY_STREAMS = {"diversity": 1, "uniform": 2, "random_k": 3}
 
@@ -207,10 +228,8 @@ def reference_study(config, sim):
 
     Trial streams are PCG64 generators seeded with ``(master seed, trial,
     stream id)``. A labeling draws its seed platform, then one scalar per
-    other platform. Diversity walks ``scalar_diversity_trace`` from a
-    drawn start; uniform draws a start and then one scalar
-    ``integers(N - 1)`` per step, skipping the current platform; random-k
-    draws ``k`` distinct platforms and cycles them. Metrics come from
+    other platform. Each policy stream draws a start, except random-k's,
+    and then ``reference_schedule``'s draws. Metrics come from
     ``naive_trace_metrics``. Returns {policy name: (vulnerable fractions,
     first compromises, compromised fractions)}.
     """
@@ -231,17 +250,8 @@ def reference_study(config, sim):
         ]
         for name, column in columns.items():
             rng = stream(trial, POLICY_STREAMS[name])
-            if name == "random_k":
-                subset = rng.choice(count, size=config.k, replace=False).tolist()
-                chosen = [subset[i % config.k] for i in range(config.intervals)]
-            elif name == "diversity":
-                start = int(rng.integers(count))
-                chosen = scalar_diversity_trace(1.0 - scores, start, config.intervals, config.k)
-            else:
-                chosen = [int(rng.integers(count))]
-                for _ in range(config.intervals - 1):
-                    draw = int(rng.integers(count - 1))
-                    chosen.append(draw + 1 if draw >= chosen[-1] else draw)
+            start = None if name == "random_k" else int(rng.integers(count))
+            chosen = reference_schedule(name, 1.0 - scores, config.k, start, config.intervals, rng)
             metrics = naive_trace_metrics([flags[p] for p in chosen], config.k)
             for values, value in zip(column, metrics):
                 values.append(value)

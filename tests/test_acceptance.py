@@ -19,20 +19,17 @@ import numpy as np
 from diversity_lab import (
     ExploitSpec,
     MarkovParams,
-    MigrationPolicy,
     PolicyKind,
     RepeatMode,
     ScenarioConfig,
     choose,
     detect_periodicity,
-    diversity_schedule,
     expected_time_to_compromise,
-    make_random_k_policy,
     p_success_aggregate,
     run_length_chain,
     run_scenario_study,
+    schedule,
     steady_state,
-    trace,
 )
 from diversity_lab.cli import main as cli_main
 from oracles import (
@@ -189,7 +186,7 @@ def test_criterion_08_diversity_schedule_periodicity(five_platform_sim):
     details = []
     ok = True
     for start in range(5):
-        trace = diversity_schedule(five_platform_sim, start, 30, 3)
+        trace = schedule(PolicyKind.DIVERSITY, five_platform_sim, 3, start, 30, None).tolist()
         periodicity = detect_periodicity(trace)
         triple = frozenset(trace[-3:])
         good = (
@@ -287,16 +284,8 @@ def test_criterion_10_property_suites(five_platform_sim, default_study, tmp_path
     rng = np.random.default_rng(1010)
     for kind in (PolicyKind.DIVERSITY, PolicyKind.UNIFORM, PolicyKind.RANDOM_K):
         for _ in range(10):
-            if kind is PolicyKind.RANDOM_K:
-                policy = make_random_k_policy(5, 3, rng)
-                chosen = trace(policy, five_platform_sim, None, 81)
-            else:
-                policy = (
-                    MigrationPolicy.diversity(3)
-                    if kind is PolicyKind.DIVERSITY
-                    else MigrationPolicy.uniform()
-                )
-                chosen = trace(policy, five_platform_sim, int(rng.integers(5)), 81, rng)
+            start = None if kind is PolicyKind.RANDOM_K else int(rng.integers(5))
+            chosen = schedule(kind, five_platform_sim, 3, start, 81, rng)
             repeat_ok = repeat_ok and all(a != b for a, b in zip(chosen, chosen[1:]))
 
     # compromised fraction never exceeds vulnerable fraction

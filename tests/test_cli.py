@@ -850,6 +850,16 @@ class TestOversizedIntegers:
         argv = ["scenario", "--N", str(n), "--T", "10", "--samples", "2"]
         TestNonFiniteScenarioInput.assert_rejected(capsys, argv, tmp_path / "never", "platform counts must be")
 
+    def test_largest_platform_count_runs_in_a_fresh_interpreter(self, tmp_path):
+        # every sample reruns through max_control_run, which keeps one exploit time per targeted platform
+        env = {**os.environ, "PYTHONPATH": str(Path(diversity_lab.__file__).parents[1])}
+        argv = ["scenario", "--N", str(sys.maxsize), "--T", "10", "--samples", "3", "--outdir", str(tmp_path)]
+        done = subprocess.run(
+            [sys.executable, "-m", "diversity_lab.cli", *argv], capture_output=True, text=True, env=env, timeout=10
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert read_csv_rows(tmp_path / "success_fraction.csv")[1][0] == str(sys.maxsize)
+
     @pytest.mark.parametrize(
         "argv, edit, message",
         [
@@ -953,18 +963,29 @@ class TestImpossibleAllocation:
 
 class TestNoOutputOnValidationError:
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["mc", "--trials", "0"],
-            ["mc", "--K", "9"],
-            ["mc", "--K", "9", "--policies", "uniform,random_k", "--trials", "2"],
-            ["scenario", "--N", "1", "--samples", "0", "--T", "10"],
+            (["mc", "--trials", "0"], "trials must be >= 1"),
+            (["mc", "--K", "9"], "policy requires k=9 distinct platforms, only 5 available"),
+            (["mc", "--K", "9", "--policies", "uniform,random_k", "--trials", "2"],
+             "cannot rotate over k=9 of 5 platforms"),
+            (["scenario", "--N", "1", "--samples", "0", "--T", "10"], "samples must be >= 1"),
+            (["schedule", "--K", "1"], "diversity policy requires k >= 2"),
+            (["schedule", "--K", "9"], "policy requires k=9 distinct platforms, only 5 available"),
+            (["schedule", "--policy", "random_k", "--K", "1"], "random_k policy requires k >= 2"),
+            (["schedule", "--policy", "random_k", "--K", "9"], "cannot rotate over k=9 of 5 platforms"),
+            (["schedule", "--steps", "0"], "steps must be >= 1"),
         ],
-        ids=["mc-trials-0", "mc-k-above-pool", "mc-random-k-above-pool", "scenario-samples-0"],
+        ids=[
+            "mc-trials-0", "mc-k-above-pool", "mc-random-k-above-pool", "scenario-samples-0",
+            "schedule-diversity-k-1", "schedule-diversity-k-above-pool", "schedule-random-k-k-1",
+            "schedule-random-k-above-pool", "schedule-steps-0",
+        ],
     )
-    def test_outdir_not_created(self, tmp_path, argv):
+    def test_outdir_not_created(self, tmp_path, capsys, argv, message):
         outdir = tmp_path / "never"
         assert main([*argv, "--outdir", str(outdir)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not outdir.exists()
 
     def test_k_above_pool_with_uniform_only_runs(self, tmp_path):

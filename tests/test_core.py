@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import diversity_lab
 from diversity_lab import (
-    MigrationPolicy,
     PlatformSet,
     load_similarity_matrix,
     save_similarity_matrix,
@@ -149,39 +148,6 @@ def test_save_load_round_trip(tmp_path_factory, sim):
     loaded = load_similarity_matrix(path)
     assert loaded.platforms == sim.platforms
     assert np.array_equal(loaded.scores, sim.scores)
-
-
-class TestMigrationPolicy:
-    def test_diversity_requires_k(self):
-        with pytest.raises(ValueError, match="k >= 2"):
-            MigrationPolicy.diversity(1)
-
-    def test_fixed_periodic_adjacent_repeat(self):
-        with pytest.raises(ValueError, match="adjacent"):
-            MigrationPolicy.fixed_periodic((0, 0, 1))
-
-    def test_fixed_periodic_wraparound_repeat(self):
-        with pytest.raises(ValueError, match="adjacent"):
-            MigrationPolicy.fixed_periodic((0, 1, 0))
-
-    def test_fixed_periodic_singleton_rejected(self):
-        with pytest.raises(ValueError, match="adjacent"):
-            MigrationPolicy.fixed_periodic((2,))
-
-    def test_fixed_periodic_empty_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            MigrationPolicy.fixed_periodic(())
-
-    @pytest.mark.parametrize("sequence", [(-1, 4), (-1, 0), (0, 2, -3)])
-    def test_fixed_periodic_negative_platform_rejected(self, sequence):
-        # -1 differs from every neighbour, but as an index it is the last platform:
-        # (-1, 4) over five platforms would sit on platform 4 every interval
-        with pytest.raises(ValueError, match="negative platform"):
-            MigrationPolicy.fixed_periodic(sequence)
-
-    def test_valid_rotation(self):
-        policy = MigrationPolicy.fixed_periodic((0, 1, 2))
-        assert policy.sequence == (0, 1, 2)
 
 
 def test_public_names_resolve():

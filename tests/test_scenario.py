@@ -335,6 +335,13 @@ class TestStudyEqualsScalarRebuild:
         self.assert_matches(config)
         assert fallbacks == []
 
+    def test_pool_past_exact_products_reruns_every_sample(self, fallbacks):
+        # above 2**21 platforms a decoded platform draw may be inexact, so every sample takes the scalar path
+        n = 2**21 + 1
+        config = ScenarioConfig(t_values=(0.0,), n_values=(*self.N_VALUES, n), samples=40, master_seed=3)
+        self.assert_matches(config)
+        assert fallbacks == [n] * 40
+
     def test_one_sample_past_the_derivation_block(self, fallbacks, monkeypatch):
         # a sample takes 50 words at N = 2 and more at larger N, so for every N > 1 the
         # words come from two stream_words calls, each cut into many decode blocks

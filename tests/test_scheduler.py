@@ -6,20 +6,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diversity_lab import (
-    MigrationPolicy,
-    PlatformSet,
-    check_pool,
-    detect_periodicity,
-    diversity_schedule,
-    heron_area,
-    make_random_k_policy,
-    trace,
-)
+from diversity_lab import PolicyKind, check_pool, detect_periodicity, heron_area, schedule
 from diversity_lab import scheduler
 from diversity_lab.scheduler import _most_diverse, diversity_walks
 from conftest import make_similarity
-from oracles import scalar_diversity_trace, triangle_area_from_sides
+from oracles import reference_schedule, scalar_diversity_trace, triangle_area_from_sides
+
+
+def diversity(sim, start, steps, k):
+    """The diversity schedule as a list; it draws nothing, so it takes no generator."""
+    return schedule(PolicyKind.DIVERSITY, sim, k, start, steps, None).tolist()
 
 
 class TestHeronArea:
@@ -37,21 +33,21 @@ class TestHeronArea:
 class TestDiversitySelection:
     def test_pairwise_most_distant(self, five_platform_sim):
         # from CentOS the least similar platform is FreeBSD
-        assert trace(MigrationPolicy.diversity(2), five_platform_sim, 0, 2)[1] == 4
+        assert diversity(five_platform_sim, 0, 2, 2)[1] == 4
 
     def test_two_platforms_forced_alternation(self):
         sim = make_similarity([[1.0, 0.7], [0.7, 1.0]])
-        chosen = trace(MigrationPolicy.diversity(2), sim, 0, 7).tolist()
+        chosen = diversity(sim, 0, 7, 2)
         assert chosen == [0, 1, 0, 1, 0, 1, 0]
 
     def test_deterministic_given_start(self, five_platform_sim):
-        first = diversity_schedule(five_platform_sim, 2, 40, 3)
-        second = diversity_schedule(five_platform_sim, 2, 40, 3)
+        first = diversity(five_platform_sim, 2, 40, 3)
+        second = diversity(five_platform_sim, 2, 40, 3)
         assert first == second
 
     def test_never_repeats_current(self, five_platform_sim):
         for start in range(5):
-            trace = diversity_schedule(five_platform_sim, start, 50, 3)
+            trace = diversity(five_platform_sim, start, 50, 3)
             assert all(a != b for a, b in zip(trace, trace[1:]))
 
     def test_tie_breaks_to_lowest_index(self):
@@ -64,7 +60,7 @@ class TestDiversitySelection:
                 [0.9, 0.9, 0.9, 1.0],
             ]
         )
-        assert trace(MigrationPolicy.diversity(2), sim, 0, 2)[1] == 1
+        assert diversity(sim, 0, 2, 2)[1] == 1
 
     def test_converges_to_max_area_triple(self, five_platform_sim):
         dist = five_platform_sim.distances()
@@ -75,13 +71,13 @@ class TestDiversitySelection:
             ),
         )
         for start in range(5):
-            trace = diversity_schedule(five_platform_sim, start, 20, 3)
+            trace = diversity(five_platform_sim, start, 20, 3)
             assert set(trace[-3:]) == set(best_triple)
 
     def test_k4_uses_summed_distances(self, five_platform_sim):
         # after three moves the history is the last 3 platforms; the next pick
         # must maximize the summed distance to all of them
-        chosen = trace(MigrationPolicy.diversity(4), five_platform_sim, 0, 5).tolist()
+        chosen = diversity(five_platform_sim, 0, 5, 4)
         hist = chosen[1:4]
         dist = five_platform_sim.distances()
         scores = {
@@ -93,7 +89,7 @@ class TestDiversitySelection:
     def test_too_few_platforms_rejected(self):
         sim = make_similarity([[1.0, 0.5], [0.5, 1.0]])
         with pytest.raises(ValueError, match="distinct platforms"):
-            trace(MigrationPolicy.diversity(3), sim, 0, 5)
+            check_pool(PolicyKind.DIVERSITY, 3, sim.count)
 
 
 @st.composite
@@ -143,66 +139,100 @@ def test_argmax_invariant_under_distance_scaling(sim, scale_tenths, data):
 class TestUniformSelection:
     def test_two_platforms_alternate(self):
         sim = make_similarity([[1.0, 0.5], [0.5, 1.0]])
-        chosen = trace(MigrationPolicy.uniform(), sim, 0, 6, np.random.default_rng(1)).tolist()
+        chosen = schedule(PolicyKind.UNIFORM, sim, 3, 0, 6, np.random.default_rng(1)).tolist()
         assert chosen == [0, 1, 0, 1, 0, 1]
 
     def test_never_returns_current(self, five_platform_sim):
         rng = np.random.default_rng(3)
-        chosen = trace(MigrationPolicy.uniform(), five_platform_sim, 2, 10_001, rng).tolist()
+        chosen = schedule(PolicyKind.UNIFORM, five_platform_sim, 3, 2, 10_001, rng).tolist()
         for current, nxt in zip(chosen, chosen[1:]):
             assert nxt != current
 
     def test_uniform_over_others(self, five_platform_sim):
         rng = np.random.default_rng(123)
-        policy = MigrationPolicy.uniform()
         counts = {0: 0, 1: 0, 3: 0, 4: 0}
         draws = 100_000
         for _ in range(draws):
-            counts[int(trace(policy, five_platform_sim, 2, 2, rng)[1])] += 1
+            counts[int(schedule(PolicyKind.UNIFORM, five_platform_sim, 3, 2, 2, rng)[1])] += 1
         expected = draws / 4
         chi_square = sum((c - expected) ** 2 / expected for c in counts.values())
         # 3 degrees of freedom; 16.27 is the 0.999 quantile
         assert chi_square < 16.27
 
-    def test_requires_rng(self, five_platform_sim):
-        with pytest.raises(ValueError, match="random generator"):
-            trace(MigrationPolicy.uniform(), five_platform_sim, 1, 2)
-
     def test_single_platform_rejected(self):
         with pytest.raises(ValueError):
-            check_pool(MigrationPolicy.uniform(), 1)
+            check_pool(PolicyKind.UNIFORM, 3, 1)
 
 
 class TestRandomKPolicy:
     def test_rotation_has_period_k(self, five_platform_sim):
-        policy = make_random_k_policy(5, 3, seed=9)
-        periodicity = detect_periodicity(trace(policy, five_platform_sim, None, 12).tolist())
+        chosen = schedule(PolicyKind.RANDOM_K, five_platform_sim, 3, None, 12, np.random.default_rng(9))
+        periodicity = detect_periodicity(chosen.tolist())
         assert periodicity is not None
         assert periodicity.period == 3
         assert periodicity.transient == 0
 
     def test_k_equals_count_rotates_everything(self):
-        policy = make_random_k_policy(4, 4, seed=0)
-        assert sorted(policy.sequence) == [0, 1, 2, 3]
+        chosen = schedule(PolicyKind.RANDOM_K, make_similarity(np.eye(4)), 4, None, 4, np.random.default_rng(0))
+        assert sorted(chosen.tolist()) == [0, 1, 2, 3]
 
     def test_k_larger_than_count_rejected(self):
         with pytest.raises(ValueError):
-            make_random_k_policy(3, 4, seed=0)
+            check_pool(PolicyKind.RANDOM_K, 4, 3)
 
-    def test_subsets_uniform(self):
-        platforms = PlatformSet(tuple("abcde"))
+    def test_subsets_uniform(self, five_platform_sim):
         rng = np.random.default_rng(2718)
         counts: dict[frozenset, int] = {}
         draws = 20_000
         for _ in range(draws):
-            policy = make_random_k_policy(platforms, 3, rng)
-            key = frozenset(policy.sequence)
+            key = frozenset(schedule(PolicyKind.RANDOM_K, five_platform_sim, 3, None, 3, rng).tolist())
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 10
         expected = draws / 10
         chi_square = sum((c - expected) ** 2 / expected for c in counts.values())
         # 9 degrees of freedom; 27.88 is the 0.999 quantile
         assert chi_square < 27.88
+
+
+class TestCheckPool:
+    def test_diversity_requires_k(self):
+        with pytest.raises(ValueError, match="k >= 2"):
+            check_pool(PolicyKind.DIVERSITY, 1, 5)
+
+    @pytest.mark.parametrize("k", [1, 9])
+    def test_uniform_ignores_k(self, k):
+        check_pool(PolicyKind.UNIFORM, k, 5)
+
+
+@pytest.mark.parametrize("kind", [PolicyKind.DIVERSITY, PolicyKind.UNIFORM])
+@pytest.mark.parametrize("start", [-1, 5])
+def test_start_out_of_range_rejected(five_platform_sim, kind, start):
+    # as an index, -1 would start the walk on the last platform
+    with pytest.raises(ValueError, match=f"start platform {start} out of range"):
+        schedule(kind, five_platform_sim, 3, start, 10, np.random.default_rng(0))
+
+
+class TestScheduleEqualsReference:
+    """``schedule`` equals the one-scalar-at-a-time oracle, and leaves the generator where it leaves it."""
+
+    @given(
+        st.sampled_from(list(PolicyKind)),
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reference_schedule(self, kind, count, seed, data):
+        k = data.draw(st.integers(min_value=2, max_value=min(count, 6)))
+        steps = data.draw(st.integers(min_value=1, max_value=60))
+        start = data.draw(st.integers(min_value=0, max_value=count - 1))
+        scorer = TestVectorizedScorerMatchesScalarReference
+        levels = data.draw(st.sampled_from(sorted(scorer.LEVELS)))
+        sim = scorer.random_sim(np.random.default_rng(seed), count, scorer.LEVELS[levels])
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        chosen = schedule(kind, sim, k, start, steps, ours)
+        assert chosen.tolist() == reference_schedule(kind.value, sim.distances(), k, start, steps, theirs)
+        assert ours.random() == theirs.random()
 
 
 class TestDetectPeriodicity:
@@ -238,9 +268,9 @@ class TestNoAdjacentRepeats:
     def test_all_policies(self, five_platform_sim, seed):
         rng = np.random.default_rng(seed)
         sim = five_platform_sim
-        traces = [trace(MigrationPolicy.diversity(3), sim, int(rng.integers(5)), 61)]
-        traces.append(trace(MigrationPolicy.uniform(), sim, int(rng.integers(5)), 61, rng))
-        traces.append(trace(make_random_k_policy(5, 3, rng), sim, None, 61))
+        traces = [schedule(PolicyKind.DIVERSITY, sim, 3, int(rng.integers(5)), 61, rng)]
+        traces.append(schedule(PolicyKind.UNIFORM, sim, 3, int(rng.integers(5)), 61, rng))
+        traces.append(schedule(PolicyKind.RANDOM_K, sim, 3, None, 61, rng))
         for chosen in traces:
             assert all(a != b for a, b in zip(chosen, chosen[1:]))
 
@@ -276,7 +306,7 @@ class TestVectorizedScorerMatchesScalarReference:
                 dist = sim.distances()
                 for start in range(sim.count):
                     expected = scalar_diversity_trace(dist, start, 24, k)
-                    assert diversity_schedule(sim, start, 24, k) == expected
+                    assert diversity(sim, start, 24, k) == expected
                     compared += 1
         assert compared >= 18
         if k == 3 and kind != "uniform":

@@ -9,13 +9,11 @@ from diversity_lab.simulator import DEFAULT_POLICY_KINDS
 from diversity_lab import (
     EmpiricalCdf,
     McConfig,
-    MigrationPolicy,
     PolicyKind,
     assign_vulnerabilities,
     compute_metrics,
-    make_random_k_policy,
     run_mc_study,
-    trace,
+    schedule,
 )
 from conftest import make_similarity
 from oracles import naive_trace_metrics, reference_study
@@ -63,12 +61,11 @@ class TestAssignVulnerabilities:
         assert abs(hits / trials - expected) < 0.006
 
 
-def trial_trace(policy, sim, intervals, seed):
-    """One trial's platforms under ``policy``, drawn from ``seed`` as the study draws them."""
+def trial_trace(kind, sim, intervals, seed):
+    """One trial's platforms under a ``kind`` policy with k = 3, drawn from ``seed`` as the study draws them."""
     rng = np.random.default_rng(seed)
-    if policy.kind is PolicyKind.RANDOM_K:
-        return trace(make_random_k_policy(sim.platforms, policy.k, rng), sim, None, intervals)
-    return trace(policy, sim, int(rng.integers(sim.count)), intervals, rng)
+    start = None if kind is PolicyKind.RANDOM_K else int(rng.integers(sim.count))
+    return schedule(kind, sim, 3, start, intervals, rng)
 
 
 class TestRunMcTrial:
@@ -76,23 +73,14 @@ class TestRunMcTrial:
 
     def test_deterministic_given_seed(self, five_platform_sim):
         config = McConfig(trials=1, intervals=50)
-        policy = MigrationPolicy.uniform()
-        first = trial_trace(policy, five_platform_sim, config.intervals, 42)
-        second = trial_trace(policy, five_platform_sim, config.intervals, 42)
+        first = trial_trace(PolicyKind.UNIFORM, five_platform_sim, config.intervals, 42)
+        second = trial_trace(PolicyKind.UNIFORM, five_platform_sim, config.intervals, 42)
         assert first.tolist() == second.tolist()
-
-    def test_fixed_periodic_alternation(self, five_platform_sim):
-        config = McConfig(trials=1, intervals=10)
-        flags = np.array([True, False, False, False, False])
-        policy = MigrationPolicy.fixed_periodic((0, 1))
-        chosen = trace(policy, five_platform_sim, None, config.intervals)
-        assert tuple(chosen.tolist()) == (0, 1) * 5
-        assert tuple(flags[chosen].tolist()) == (True, False) * 5
 
     def test_uniform_all_vulnerable(self, five_platform_sim):
         config = McConfig(trials=1, intervals=30, k=3)
         flags = np.ones(5, dtype=bool)
-        chosen = trial_trace(MigrationPolicy.uniform(), five_platform_sim, config.intervals, 7)
+        chosen = trial_trace(PolicyKind.UNIFORM, five_platform_sim, config.intervals, 7)
         vulnerable = flags[chosen]
         assert all(vulnerable)
         metrics = compute_metrics([vulnerable], 3)
@@ -100,7 +88,7 @@ class TestRunMcTrial:
 
     def test_random_k_realization_rotates(self, five_platform_sim):
         config = McConfig(trials=1, intervals=12)
-        chosen = trial_trace(MigrationPolicy.random_k(3), five_platform_sim, config.intervals, 5)
+        chosen = trial_trace(PolicyKind.RANDOM_K, five_platform_sim, config.intervals, 5)
         chosen = tuple(chosen.tolist())
         assert len(set(chosen)) == 3
         assert chosen[:3] * 4 == chosen
@@ -257,9 +245,7 @@ class TestDiversityUnderLabelings:
         config = McConfig(trials=1, intervals=60)
         flags = np.arange(5) != freebsd
         for start_seed in range(30):
-            chosen = trial_trace(
-                MigrationPolicy.diversity(3), five_platform_sim, config.intervals, start_seed
-            )
+            chosen = trial_trace(PolicyKind.DIVERSITY, five_platform_sim, config.intervals, start_seed)
             metrics = compute_metrics([flags[chosen]], 3)
             assert metrics.compromised_fraction.tolist() == [0.0]
 
@@ -271,8 +257,7 @@ class TestDiversityUnderLabelings:
         for _ in range(200):
             flags = assign_vulnerabilities(five_platform_sim, rng)
             seed = int(rng.integers(1 << 32))
-            policy = MigrationPolicy.diversity(3)
-            chosen = trial_trace(policy, five_platform_sim, config.intervals, seed)
+            chosen = trial_trace(PolicyKind.DIVERSITY, five_platform_sim, config.intervals, seed)
             first = compute_metrics([flags[chosen]], 3).time_to_first_compromise[0]
             assert first <= 6
 
