@@ -140,6 +140,8 @@ def cmd_analytic(args) -> int:
 
 
 def cmd_schedule(args) -> int:
+    if args.steps < 2:  # detect_periodicity needs two entries
+        raise ValueError("steps must be >= 2")
     sim = _load_similarity(args)
     seed = _resolve_seed(args.seed)
     start = sim.platforms.index(args.start if args.start else sim.platforms[0])

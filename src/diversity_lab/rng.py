@@ -19,20 +19,27 @@ the sum of ``MULT**i`` for i <= j, and the state behind word j + g is
 ``MULT**g`` times that of word j plus ``Q_g·inc``, with ``Q_g`` the sum
 of ``MULT**i`` for i < g. ``stream_words`` jumps to the first g words of
 every key and then steps all g lanes together by g words. A 128-bit
-value is a pair of uint64 arrays, high word first. ``_halves`` and
-``_bounded32`` decode the words into ``Generator.integers`` draws.
+value is a pair of uint64 arrays, high word first.
+
+A stream's draws, listed as ``random()`` and ``integers(m)`` calls, are
+its ``draw_plan``; ``draws`` derives the words of many streams and
+decodes them as ``Generator`` would draw them. ``_random_k_subsets``
+turns the draws of ``_floyd_bounds`` into ``choice(N, k, replace=False)``.
+This is the only module that knows where a draw sits in a stream.
 
 All of this reimplements NumPy internals (``SeedSequence`` in
 ``bit_generator.pyx``, ``pcg64_set_seed`` and ``pcg64_next64`` in
-``pcg64.h``, Lemire's method in ``distributions.c``), not documented
-guarantees. If a NumPy release changes them, ``tests/test_rng.py``
-fails: it compares the mixed words with ``generate_state`` and
-``stream_words`` with ``random_raw``.
+``pcg64.h``, Lemire's method in ``distributions.c``, ``choice`` in
+``_generator.pyx``), not documented guarantees. If a NumPy release
+changes them, ``tests/test_rng.py`` fails: it compares the mixed words
+with ``generate_state``, ``stream_words`` with ``random_raw`` and
+``draws`` with scalar ``Generator`` calls.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +49,9 @@ WORD_BLOCK = 4096
 #: Cells (rows × words) that one ``stream_words`` call of either engine derives
 #: at most: it bounds the memory of the words whatever the trial or sample count.
 WORD_CELLS = 1 << 17
+#: Above this pool size ``Generator.choice`` may draw a random-k subset by a
+#: tail shuffle, which ``_random_k_subsets`` does not follow.
+FLOYD_POOL_LIMIT = 10_000
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
@@ -77,9 +87,10 @@ def stream_words(master_seed: int, *key, words: int) -> np.ndarray:
     at once, so each array operation covers at most ``WORD_BLOCK`` cells.
     """
     seed_words, columns, rows = _key_columns(master_seed, key)
-    out = np.empty((rows, words), dtype=np.uint64)
+    # filled word by word, as the lanes are computed, and returned transposed
+    out = np.empty((words, rows), dtype=np.uint64)
     if not words:
-        return out
+        return out.T
     for first in range(0, rows, WORD_BLOCK):
         block = _key_block(columns, first, WORD_BLOCK)
         # lanes are laid out lane by row, so the long axis of each array op runs over rows
@@ -89,13 +100,13 @@ def stream_words(master_seed: int, *key, words: int) -> np.ndarray:
         power, total, leap, stride = _leapfrog_constants(lanes)
         state = _add(_mul(power, (init_hi, init_lo)), _mul(total, inc))
         advance = _mul(stride, inc)
-        rows_out = out[first : first + len(block)]
+        rows_out = out[:, first : first + len(block)]
         for col in range(0, words, lanes):
             width = min(lanes, words - col)
-            rows_out[:, col : col + width] = _xsl_rr(*state)[:width].T
+            rows_out[col : col + width] = _xsl_rr(*state)[:width]
             if col + lanes < words:
                 state = _add(_mul(leap, state), advance)
-    return out
+    return out.T
 
 
 def _key_columns(master_seed: int, key) -> tuple[list[int], list[np.ndarray], int]:
@@ -264,15 +275,6 @@ def _generate_state(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _halves(raw: np.ndarray) -> np.ndarray:
-    """The 32-bit halves of raw words as doubles: word ``w`` has its low half in column ``2w``.
-
-    A half is an integer below 2**32, so the double is exact, and so is
-    every sum and product below 2**53 made from the halves.
-    """
-    return raw.astype("<u8", copy=False).view("<u4").astype(np.float64)
-
-
 def _bounded32(draws: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """``Generator.integers(m)`` of 32-bit draws, and whether NumPy would redraw each.
 
@@ -285,3 +287,88 @@ def _bounded32(draws: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     value = np.floor(product * (1 / 4294967296))
     return value, (product - value * 4294967296 < 2**32 % m) | (m > 1 << 21)
 
+
+
+class DrawPlan(NamedTuple):
+    """Where each ``Generator`` draw of one stream sits in the stream's raw words."""
+
+    bounds: np.ndarray  # per draw: 0 for random(), m for integers(m)
+    word: np.ndarray  # the word each draw reads; unused for integers(1)
+    half: np.ndarray  # the half a 32-bit draw reads: 0 for the low half, 1 for the cached high half
+    words: int  # the words the stream's draws take
+
+
+def draw_plan(bounds) -> DrawPlan:
+    """The plan of a stream whose draws are, in order, ``random()`` for a bound 0 and ``integers(m)`` for m.
+
+    ``random()`` takes the next word. ``integers(m)`` with m > 1 is a 32-bit
+    draw: PCG64 serves it from the high half that the previous 32-bit draw
+    left cached or, with none cached, from the low half of the next word,
+    whose high half it caches; ``random()`` leaves that cache alone. So the
+    32-bit draws pair up on one word each. ``integers(1)`` takes nothing.
+    """
+    bounds = np.array(bounds, dtype=np.int64).reshape(-1)
+    bits32 = np.flatnonzero(bounds > 1)
+    fresh = bounds == 0
+    fresh[bits32[::2]] = True
+    word = np.cumsum(fresh) - 1
+    cached = bits32[1::2]
+    word[cached] = word[bits32[: 2 * len(cached) : 2]]
+    half = np.zeros(len(bounds), dtype=np.intp)
+    half[cached] = 1
+    return DrawPlan(bounds, word, half, int(np.count_nonzero(fresh)))
+
+
+def draws(plan: DrawPlan, master_seed: int, *key) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of ``plan`` on each key row's stream, and whether NumPy would redraw any of a row's.
+
+    The key parts broadcast as in ``stream_words``. Row i of the values
+    holds draw i of every key row; an ``integers`` draw is an integral
+    double. ``random()`` of a word ``w`` is ``(w >> 11)·2**-53``, and
+    ``integers(m)`` is ``_bounded32`` of its half. Draws are decoded
+    ``WORD_BLOCK`` cells at a time.
+    """
+    raw = stream_words(master_seed, *key, words=plan.words).T
+    keys = raw.shape[1]
+    # halves[w, r, h]: half h of row r's word w, the low half first
+    halves = raw.astype("<u8", copy=False).view("<u4").reshape(plan.words, keys, 2)
+    values, rejected = np.zeros((len(plan.bounds), keys)), np.zeros(keys, dtype=bool)
+    step = max(1, WORD_BLOCK // max(1, keys))
+    doubles, bits32 = np.flatnonzero(plan.bounds == 0), np.flatnonzero(plan.bounds > 1)
+    for first in range(0, len(doubles), step):
+        at = doubles[first : first + step]
+        values[at] = (raw[plan.word[at]] >> np.uint64(11)) * (1 / 9007199254740992)
+    for first in range(0, len(bits32), step):
+        at = bits32[first : first + step]
+        half = halves[plan.word[at], :, plan.half[at]].astype(np.float64)
+        values[at], redrawn = _bounded32(half, plan.bounds[at, None])
+        rejected |= redrawn.any(axis=0)
+    return values, rejected
+
+
+def _floyd_bounds(count: int, k: int) -> list[int]:
+    """The bounds of ``choice(count, k, replace=False)``'s draws: Floyd's, then the shuffle's."""
+    return list(range(count - k + 1, count + 1)) + list(range(k, 1, -1))
+
+
+def _random_k_subsets(values: np.ndarray, count: int, k: int) -> tuple[np.ndarray, bool]:
+    """Each key row's ``choice(count, k, replace=False)`` from the draws of ``_floyd_bounds``.
+
+    Floyd's algorithm draws on ``[0, j]`` for j = N-k to N-1 and adds the
+    value to the subset, or j when the value is in it already. A
+    Fisher–Yates shuffle follows: for i = k-1 down to 1, slot i swaps with
+    a draw on ``[0, i]``. Also returns whether NumPy may draw by a tail
+    shuffle instead, above ``FLOYD_POOL_LIMIT``, which every row must rerun.
+    """
+    picks = values.astype(np.intp)
+    subset = np.empty((picks.shape[1], k), dtype=np.intp)
+    for slot, j in enumerate(range(count - k, count)):
+        value = picks[slot]
+        taken = (subset[:, :slot] == value[:, None]).any(axis=1)
+        subset[:, slot] = np.where(taken, j, value)
+    index = np.arange(len(subset))
+    for swap, i in zip(picks[k:], range(k - 1, 0, -1)):
+        picked = subset[index, swap]
+        subset[index, swap] = subset[:, i]
+        subset[:, i] = picked
+    return subset, count > FLOYD_POOL_LIMIT

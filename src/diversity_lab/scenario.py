@@ -9,13 +9,12 @@ for at least T contiguous seconds within the trial duration. Simulation
 is event-driven (migrations and exploit arrivals), not tick-based.
 
 ``max_control_run`` simulates one sample with scalar draws.
-``run_scenario_study`` gets the same draws in bulk: it takes the raw
-PCG64 words of many samples' streams at once from ``rng.stream_words``
-and decodes them the way NumPy's ``Generator`` would. It then evaluates
-them in one stay-major pass: ``scheduler.uniform_walks``, the no-repeat
-walk of the Monte Carlo study, gives the platforms, and one loop over
-the stays scans the control runs of every sample at once. A sample the
-decoding cannot reproduce goes back through ``max_control_run``.
+``run_scenario_study`` gets the same draws for many samples at once from
+``rng.draws`` and evaluates them in one stay-major pass:
+``scheduler.uniform_walks``, the no-repeat walk of the Monte Carlo
+study, gives the platforms, and one loop over the stays scans the
+control runs of every sample at once. A sample whose
+draws NumPy would redraw goes back through ``max_control_run``.
 """
 
 from __future__ import annotations
@@ -23,12 +22,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .core import is_int, is_number, is_number_list, list_of, manifest_value
-from .rng import WORD_BLOCK, WORD_CELLS, _bounded32, stream_words, substream
+from .rng import WORD_CELLS, DrawPlan, draw_plan, draws, substream
 from .scheduler import uniform_walks
 
 
@@ -62,6 +60,13 @@ DEFAULT_EXPLOITS = (
 )
 
 
+#: Stays a sample may need: a study whose ``duration / delay[0]`` exceeds it
+#: with N > 1 is refused, since the scalar simulation steps through each stay.
+MAX_STAYS = 100_000
+#: Samples per N: each holds about 16 B of arrays through the sweep, 1.6 GB at the cap.
+MAX_SAMPLES = 100_000_000
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Grid of (N, T) scenario configurations sharing one engine setup."""
@@ -90,6 +95,8 @@ class ScenarioConfig:
             raise ValueError(f"migration delay must be finite with 0 < lo <= hi, got {self.delay}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.samples > MAX_SAMPLES:
+            raise ValueError(f"samples must be at most {MAX_SAMPLES}")
         if not self.exploits:
             raise ValueError("at least one exploit is required")
         if self.master_seed < 0:
@@ -207,95 +214,12 @@ def max_control_run(
     return best
 
 
-#: Stays a sample may need: a study whose ``duration / delay[0]`` exceeds it
-#: with N > 1 is refused, since the scalar simulation steps through each stay.
-MAX_STAYS = 100_000
-
-
-def _uniform(words: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """``Generator.uniform(lo, hi)`` of each raw word: ``lo + (hi - lo) * (word >> 11) / 2**53``."""
-    values = (words >> np.uint64(11)) * (1 / 9007199254740992)
-    values *= hi - lo
-    values += lo
-    return values
-
-
-class _Layout(NamedTuple):
-    """Where one sample's draws sit in its stream: word indices, or half columns for 32-bit draws."""
-
-    words: int
-    arrivals: np.ndarray  # the random arrivals take the first words
-    dwells: np.ndarray
-    draws32: np.ndarray  # the start, then the move after each stay; half 2w is word w's low half
-
-
-def _draw_layout(n: int, drawn_arrivals: int, stays: int) -> _Layout:
-    """Lay out the draws of one sample with ``stays`` stay slots.
-
-    ``max_control_run`` draws the random arrivals, then (for ``n > 1``)
-    the start and one dwell and one move per stay. A double takes the next
-    word. PCG64 serves a 32-bit draw from the high half that the previous
-    32-bit draw left cached or, with none cached, from the low half of the
-    next word, whose high half it caches. ``integers(1)``, every move when
-    ``n == 2``, takes nothing.
-    """
-    word, cached, dwells, draws32 = drawn_arrivals, None, [], []
-    if n > 1:
-        for bits in [32] + ([64, 32] if n > 2 else [64]) * stays:
-            if bits == 64:
-                dwells.append(word)
-                word += 1
-            elif cached is None:
-                draws32.append(2 * word)
-                cached, word = 2 * word + 1, word + 1
-            else:
-                draws32.append(cached)
-                cached = None
-    dwells, draws32 = np.array(dwells, dtype=np.intp), np.array(draws32, dtype=np.intp)
-    return _Layout(word, np.arange(drawn_arrivals), dwells, draws32)
-
-
-class _Draws(NamedTuple):
-    """Decoded draws, one row per sample; platform draws are integral doubles."""
-
-    arrivals: np.ndarray  # the random arrivals, in exploit order
-    start: np.ndarray
-    dwells: np.ndarray  # one column per stay, stored stay-major; with n == 1, the whole trial
-    moves: np.ndarray  # the draw after each stay, before the no-repeat shift, stored stay-major
-    rejected: np.ndarray  # whether any 32-bit draw would be redrawn
-
-
-def _decode(
-    raw: np.ndarray, layout: _Layout, n: int, duration: float, delay: tuple[float, float]
-) -> _Draws:
-    """Decode raw PCG64 words (one row per sample) into ``max_control_run``'s draws.
-
-    Dwells and moves are decoded ``WORD_BLOCK`` cells, or one stay, at a time.
-    """
-    samples, stays = len(raw), max(1, len(layout.dwells))
-    # column h is half h of every sample's words: word h // 2's low half when h is even
-    halves = raw.astype("<u8", copy=False).view("<u4")
-    start, rejected = np.zeros(samples), np.zeros(samples, bool)
-    dwells, moves = np.full((samples, stays), duration, order="F"), np.zeros((samples, stays), order="F")
-    if n > 1:
-        start, rejected = _bounded32(halves[:, layout.draws32[0]].astype(np.float64), n)
-    step = max(1, WORD_BLOCK // samples)
-    for first in range(0, len(layout.dwells), step):
-        stay = slice(first, first + step)
-        dwells[:, stay] = _uniform(raw[:, layout.dwells[stay]], *delay)
-        if n > 2:
-            draws32 = halves[:, layout.draws32[1:][stay]].astype(np.float64)
-            moves[:, stay], redrawn = _bounded32(draws32, n - 1)
-            rejected |= redrawn.any(axis=1)
-    return _Draws(_uniform(raw[:, layout.arrivals], 0.0, duration), start, dwells, moves, rejected)
-
-
 def _exploit_table(
     drawn: np.ndarray, exploits: tuple[ExploitSpec, ...], n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each sample's exploit time per targeted platform, and each platform's row of that table.
 
-    ``drawn`` holds the random arrivals, one column per exploit without a fixed arrival. The table
+    ``drawn`` holds the random arrivals, one row per exploit without a fixed arrival. The table
     has a row per platform below ``n`` that an exploit targets and a last row of ``inf`` for every
     other platform, so its size does not grow with ``n``. As with ``min()`` in
     ``max_control_run``, a platform takes an arrival only if it is earlier.
@@ -304,10 +228,10 @@ def _exploit_table(
     # platforms past the last targeted one clip to the inf row
     row = np.full(targeted[-1] + 2 if targeted else 1, len(targeted), dtype=np.intp)
     row[targeted] = np.arange(len(targeted))
-    table = np.full((len(targeted) + 1, len(drawn)), np.inf)
-    drawn_columns = iter(drawn.T)
+    table = np.full((len(targeted) + 1, drawn.shape[1]), np.inf)
+    drawn_rows = iter(drawn)
     for spec in exploits:
-        arrival = next(drawn_columns) if spec.arrival is None else spec.arrival
+        arrival = next(drawn_rows) if spec.arrival is None else spec.arrival
         for platform in spec.platforms:
             if platform < n:
                 times = table[row[platform]]
@@ -316,25 +240,27 @@ def _exploit_table(
 
 
 def _control_runs(
-    draws: _Draws, table: np.ndarray, row: np.ndarray, duration: float
+    start: np.ndarray, dwells: np.ndarray, moves: np.ndarray, table: np.ndarray, row: np.ndarray,
+    duration: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each sample's longest control run, and whether its drawn stays reach ``duration``.
 
-    One loop over stays carries every sample's stay end (summed left to
-    right, as ``max_control_run`` does), run head and best run. A stay's
-    control segment runs from ``max(previous end, exploit time)`` to its
-    end; it continues the run when the previous stay was controlled and
-    the segment starts at that stay's end. Slots past the trial end are
-    empty stays at ``duration``.
+    ``dwells`` and ``moves`` hold one row per stay: its dwell, and the draw
+    after it before the no-repeat shift. One loop over stays carries every
+    sample's stay end (summed left to right, as ``max_control_run`` does),
+    run head and best run. A stay's control segment runs from
+    ``max(previous end, exploit time)`` to its end; it continues the run
+    when the previous stay was controlled and the segment starts at that
+    stay's end. Slots past the trial end are empty stays at ``duration``.
     """
-    samples = len(draws.start)
+    samples = len(start)
     # the move after the last stay leads nowhere
-    platforms = uniform_walks(draws.start, draws.moves[:, :-1])
+    platforms = uniform_walks(start, moves[:-1].T)
     # a stay's exploit time is the table cell (row of its platform, sample)
     row, columns, cells = row * samples, np.arange(samples), table.ravel()
     bound, head, best = np.zeros(samples), np.zeros(samples), np.zeros(samples)
     previous_end, previous_control = np.zeros(samples), np.zeros(samples, bool)
-    for dwell, platform in zip(draws.dwells.T, platforms.T):
+    for dwell, platform in zip(dwells, platforms.T):
         bound += dwell
         end = np.minimum(bound, duration)
         arrival = cells.take(row.take(platform, mode="clip") + columns)
@@ -347,17 +273,27 @@ def _control_runs(
     return best, bound >= duration
 
 
-def _chunk_runs(config: ScenarioConfig, n: int, layout: _Layout, rows: np.ndarray) -> np.ndarray:
-    """The longest control run of samples ``rows`` at N = ``n``, each equal to ``max_control_run``'s."""
-    duration = float(config.duration)
+def _chunk_runs(config: ScenarioConfig, n: int, drawn: int, plan: DrawPlan, rows: np.ndarray) -> np.ndarray:
+    """The longest control run of samples ``rows`` at N = ``n``, each equal to ``max_control_run``'s.
+
+    ``plan`` holds the ``drawn`` random arrivals, the start and then each
+    stay's dwell and move.
+    """
+    duration, (lo, hi) = float(config.duration), config.delay
     runs, redo = np.empty(len(rows)), np.ones(len(rows), bool)
     # with room for fewer than 3 samples, array steps through each stay are slower than scalar loops
-    if 3 * layout.words <= WORD_CELLS:
-        raw = stream_words(config.master_seed, n, rows, words=layout.words)
-        draws = _decode(raw, layout, n, duration, config.delay)
-        del raw  # the scan needs only the decoded draws
-        runs, exact = _control_runs(draws, *_exploit_table(draws.arrivals, config.exploits, n), duration)
-        redo = ~exact | draws.rejected
+    if 3 * plan.words <= WORD_CELLS:
+        values, rejected = draws(plan, config.master_seed, n, rows)
+        arrivals, start = values[:drawn], values[drawn]
+        arrivals *= duration
+        dwells, moves = values[drawn + 1 :: 2], values[drawn + 2 :: 2]
+        dwells *= hi - lo
+        dwells += lo
+        if n == 1:  # no dwell is drawn: one stay, the whole trial
+            dwells = np.full((1, len(rows)), duration)
+        table, row = _exploit_table(arrivals, config.exploits, n)
+        runs, exact = _control_runs(start, dwells, moves, table, row, duration)
+        redo = ~exact | rejected
     for i in np.flatnonzero(redo):
         rng = substream(config.master_seed, n, rows[i])
         runs[i] = max_control_run(n, config.duration, config.delay, config.exploits, rng)
@@ -375,14 +311,14 @@ def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
 
     Each result equals ``max_control_run`` on the sample's stream. The
     samples of one N come in chunks of up to ``WORD_CELLS`` word cells,
-    one ``stream_words`` call each. A chunk is evaluated in one stay-major
-    pass: its draws are decoded, ``uniform_walks`` gives the platforms,
-    and one loop over the stays scans all its samples' control runs at
-    once. A sample with a draw NumPy would redraw, or whose decoded stays
-    end before ``duration``, is rerun through ``max_control_run``. Where a
-    chunk holds fewer than 3 samples (from about 29,100 stays at N > 2 and
-    43,700 at N = 2, so also where a sample near ``MAX_STAYS`` has more
-    than ``WORD_CELLS`` words), every sample takes ``max_control_run``.
+    one ``rng.draws`` call each. A chunk is evaluated in one stay-major
+    pass: ``uniform_walks`` gives the platforms, and one loop over the
+    stays scans all its samples' control runs at once. A sample with a
+    draw NumPy would redraw, or whose drawn stays end before ``duration``,
+    is rerun through ``max_control_run``. Where a chunk holds fewer than 3
+    samples (from about 29,100 stays at N > 2 and 43,700 at N = 2, so also
+    where a sample near ``MAX_STAYS`` has more than ``WORD_CELLS`` words),
+    every sample takes ``max_control_run``.
     """
     ratio = float(config.duration) / config.delay[0]
     if ratio > MAX_STAYS and max(config.n_values) > 1:
@@ -394,10 +330,11 @@ def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
     results: list[GridPoint] = []
     for n in config.n_values:
         # dwells are at least lo, so duration / lo stays reach the trial end,
-        # plus slack for float sums that fall short
-        layout = _draw_layout(n, drawn, 1 if n == 1 else int(ratio) + 2)
-        rows, chunk = np.arange(config.samples), max(1, WORD_CELLS // max(1, layout.words))
-        runs = np.concatenate([_chunk_runs(config, n, layout, rows[i : i + chunk]) for i in rows[::chunk]])
+        # plus slack for float sums that fall short; with N = 1 nothing is drawn after the start
+        stays = 0 if n == 1 else int(ratio) + 2
+        plan = draw_plan([0] * drawn + [n] + [0, n - 1] * stays)
+        rows, chunk = np.arange(config.samples), max(1, WORD_CELLS // max(1, plan.words))
+        runs = np.concatenate([_chunk_runs(config, n, drawn, plan, rows[i : i + chunk]) for i in rows[::chunk]])
         for t in config.t_values:
             hits = int(np.count_nonzero(runs >= t))
             results.append(GridPoint(n=n, t=t, success_fraction=hits / config.samples, samples=config.samples))

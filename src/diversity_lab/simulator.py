@@ -8,23 +8,15 @@ comparisons are paired. Streams derive from (master seed, trial index,
 stream id): stream 0 is the labeling and each policy has a fixed stream
 id, so trials are order-independent and safe to run concurrently.
 
-A study draws nothing trial by trial. It takes the raw PCG64 words of
-each stream from one ``rng.stream_words`` call per chunk of trials, at
-most ``rng.WORD_CELLS`` cells, and decodes them as NumPy's
-``Generator`` would draw them. ``integers(m)`` takes one 32-bit half
-of a word (the low half of a fresh word, then its high half) by
-Lemire's method; ``random()`` takes a whole word ``w`` as
-``(w >> 11)·2**-53``. Per stream:
+A study draws nothing trial by trial. Each stream states its draws as
+an ``rng.draw_plan``, and ``rng.draws`` gives them for a chunk of trials
+at once:
 
-- labeling: half 0 is the seed platform, ``integers(N)``; words 1 to
-  N-1 are the ``random()`` doubles of the other platforms;
-- diversity: half 0 is the start;
-- uniform: halves 0 to intervals-1 are the start and then the moves;
-  with N = 2 a move is ``integers(1)``, which takes nothing;
-- random-k: ``choice(N, k, replace=False)`` is Floyd's algorithm, a
-  Lemire draw on ``[0, j]`` for j = N-k to N-1 (none when j = 0), then
-  a Fisher–Yates shuffle with a Lemire draw on ``[0, i]`` for i = k-1
-  down to 1.
+- labeling: ``integers(N)`` for the seed platform, then a ``random()``
+  double for each other platform;
+- diversity: ``integers(N)`` for the start;
+- uniform: the start and then one ``integers(N - 1)`` per move;
+- random-k: ``choice(N, k, replace=False)``'s draws, ``rng._floyd_bounds``.
 
 Each policy's trials × intervals vulnerability matrix is built as
 arrays: ``scheduler.uniform_walks``, the no-repeat walk the scenario
@@ -35,10 +27,6 @@ found. The metrics stay arrays up to the CLI's writers. A trial with a
 draw NumPy would redraw, or a random-k trial with N > 10,000 (where
 NumPy may draw by a tail shuffle), reruns through ``_scalar_trial`` on
 its ``substream``s.
-The layout reimplements NumPy internals, not documented guarantees; if
-a NumPy release changes them,
-``tests/test_simulator.py::TestDecodedDrawsEqualGeneratorDraws`` and
-``TestStudyMatchesPerStepReference`` fail.
 """
 
 from __future__ import annotations
@@ -56,7 +44,7 @@ from .core import (
     list_of,
     manifest_value,
 )
-from .rng import WORD_CELLS, _bounded32, _halves, stream_words, substream
+from .rng import WORD_CELLS, _floyd_bounds, _random_k_subsets, draw_plan, draws, substream
 from .scheduler import check_pool, diversity_walks, schedule, uniform_walks
 
 LABELING_STREAM = 0
@@ -69,11 +57,6 @@ POLICY_STREAM = {
 }
 DEFAULT_POLICY_KINDS = tuple(POLICY_STREAM)
 POLICY_BY_NAME = {kind.value: kind for kind in POLICY_STREAM}
-#: Trial × interval cells decoded in one array pass; it bounds the memory of a pass.
-DECODE_CELLS = 16384
-#: Above this pool size ``Generator.choice`` may draw a random-k subset by a
-#: tail shuffle, which the decoding does not follow; such trials run scalar.
-FLOYD_POOL_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -243,11 +226,10 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
 
     A policy's trial draws from its own stream, in order: the random-k
     subset, or else the start platform, then for the uniform policy its
-    moves. Each stream's raw words come from one ``stream_words`` call
-    per chunk of trials, at most ``WORD_CELLS`` trial × word cells, and
-    are decoded as NumPy's ``Generator`` would draw them,
-    ``DECODE_CELLS`` trial × interval cells at a time. A trial with a
-    draw NumPy would redraw runs again through ``_scalar_trial``.
+    moves. Each stream's draws come from one ``rng.draws`` call per chunk
+    of trials, at most ``WORD_CELLS`` trial × interval or trial × platform
+    cells. A trial with a draw NumPy would redraw runs again through
+    ``_scalar_trial``.
     """
     policies = config.policy_kinds
     for kind in policies:
@@ -258,40 +240,34 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
     rerun = np.zeros(config.trials, dtype=bool)
     if PolicyKind.DIVERSITY in policies:
         # a diversity trace draws nothing after its start: one walk per distinct start serves all
-        start_words = stream_words(seed, trials, POLICY_STREAM[PolicyKind.DIVERSITY], words=1)
-        starts, rerun = _bounded_draws(start_words, [count])
-        distinct, walk_of = np.unique(starts[:, 0], return_inverse=True)
+        starts, rerun = draws(draw_plan([count]), seed, trials, POLICY_STREAM[PolicyKind.DIVERSITY])
+        distinct, walk_of = np.unique(starts[0].astype(np.intp), return_inverse=True)
         walks = diversity_walks(sim.distances(), distinct, intervals, k)
+    labeling = draw_plan([count] + [0] * (count - 1))
     bounds = {
         PolicyKind.UNIFORM: [count] + [count - 1] * (intervals - 1),
         PolicyKind.RANDOM_K: _floyd_bounds(count, k),
     }
-    words = {LABELING_STREAM: count}
-    for kind in policies:
-        if kind in bounds:  # one 32-bit half per bound above 1
-            words[POLICY_STREAM[kind]] = (np.count_nonzero(np.array(bounds[kind]) > 1) + 1) // 2
-    block = max(1, DECODE_CELLS // max(intervals, count))
-    chunk = block * max(1, WORD_CELLS // (block * max(words.values())))
-    for start in range(0, config.trials, chunk):
-        chunk_rows = trials[start : start + chunk]
-        chunk_raw = {stream: stream_words(seed, chunk_rows, stream, words=n) for stream, n in words.items()}
-        for first in range(0, len(chunk_rows), block):
-            rows = chunk_rows[first : first + block]
-            raw = {stream: values[first : first + block] for stream, values in chunk_raw.items()}
-            flags, rejected = _labelings(raw[LABELING_STREAM], sim.scores)
-            for kind in policies:
-                if kind is PolicyKind.DIVERSITY:
-                    chosen = walks[walk_of[rows]]
-                elif kind is PolicyKind.UNIFORM:
-                    draws, redrawn = _bounded_draws(raw[POLICY_STREAM[kind]], bounds[kind])
-                    chosen = uniform_walks(draws[:, 0], draws[:, 1:])
-                    rejected |= redrawn
+    plans = {kind: draw_plan(bounds[kind]) for kind in policies if kind in bounds}
+    chunk = max(1, WORD_CELLS // max(intervals, count))
+    for first in range(0, config.trials, chunk):
+        rows = trials[first : first + chunk]
+        values, rejected = draws(labeling, seed, rows, LABELING_STREAM)
+        flags = _labelings(values, sim.scores)
+        for kind in policies:
+            if kind is PolicyKind.DIVERSITY:
+                chosen = walks[walk_of[rows]]
+            else:
+                values, redrawn = draws(plans[kind], seed, rows, POLICY_STREAM[kind])
+                rejected |= redrawn
+                if kind is PolicyKind.UNIFORM:
+                    chosen = uniform_walks(values[0], values[1:].T)
                 else:
-                    subsets, redrawn = _random_k_subsets(raw[POLICY_STREAM[kind]], count, k)
+                    subsets, tail = _random_k_subsets(values, count, k)
                     chosen = subsets[:, np.arange(intervals) % k]
-                    rejected |= redrawn
-                vulnerable[kind][rows] = np.take_along_axis(flags, chosen, axis=1)
-            rerun[rows] |= rejected
+                    rejected |= tail
+            vulnerable[kind][rows] = np.take_along_axis(flags, chosen, axis=1)
+        rerun[rows] |= rejected
     for trial in np.flatnonzero(rerun).tolist():
         for kind, row in _scalar_trial(config, sim, trial).items():
             vulnerable[kind][trial] = row
@@ -310,59 +286,15 @@ def _scalar_trial(config: McConfig, sim: SimilarityMatrix, trial: int) -> dict:
     return rows
 
 
-def _bounded_draws(raw: np.ndarray, bounds) -> tuple[np.ndarray, ...]:
-    """Each row's ``integers(m)`` for each bound m in turn, and whether NumPy would redraw any.
+def _labelings(values: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """``assign_vulnerabilities`` of each trial's labeling draws, one column per trial: (trials, N) flags.
 
-    A draw takes the next 32-bit half of the row's raw words;
-    ``integers(1)`` takes none and gives 0.
-    """
-    bounds = np.asarray(bounds)
-    drawn = bounds > 1
-    values, redrawn = _bounded32(_halves(raw)[:, : np.count_nonzero(drawn)], bounds[drawn])
-    draws = np.zeros((len(raw), len(bounds)), dtype=np.intp)
-    draws[:, drawn] = values
-    return draws, redrawn.any(axis=1)
-
-
-def _labelings(raw: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``assign_vulnerabilities`` of each row's labeling-stream words: (rows, N) flags, and its redraws.
-
-    The seed platform is ``integers(N)`` on the low half of word 0; words
-    1 to N-1 are the ``random()`` doubles ``(w >> 11)·2**-53`` of the
-    other platforms, in index order.
+    Row 0 holds the seed platforms; rows 1 to N-1 hold the ``random()``
+    doubles of the other platforms, in index order.
     """
     count = len(scores)
-    seeds, rejected = _bounded32(_halves(raw[:, :1])[:, 0], count)
-    seeds = seeds.astype(np.intp)[:, None]
-    uniforms = (raw[:, 1:count] >> np.uint64(11)) * (1 / 9007199254740992)
+    seeds = values[0].astype(np.intp)[:, None]
     others = np.arange(count - 1) + (np.arange(count - 1) >= seeds)
-    flags = np.ones((len(raw), count), dtype=bool)
-    np.put_along_axis(flags, others, uniforms < scores[seeds, others], axis=1)
-    return flags, rejected
-
-
-def _floyd_bounds(count: int, k: int) -> list[int]:
-    """The bounds of ``choice(count, k, replace=False)``'s draws: Floyd's, then the shuffle's."""
-    return list(range(count - k + 1, count + 1)) + list(range(k, 1, -1))
-
-
-def _random_k_subsets(raw: np.ndarray, count: int, k: int) -> tuple[np.ndarray, ...]:
-    """Each row's ``choice(N, k, replace=False)`` from its random-k stream words, and whether to rerun it.
-
-    Floyd's algorithm draws on ``[0, j]`` for j = N-k to N-1 and adds the
-    value to the subset, or j when the value is in it already. A
-    Fisher–Yates shuffle follows: for i = k-1 down to 1, slot i swaps with
-    a draw on ``[0, i]``. Above ``FLOYD_POOL_LIMIT`` every row is rerun.
-    """
-    draws, rejected = _bounded_draws(raw, _floyd_bounds(count, k))
-    subset = np.empty((len(raw), k), dtype=np.intp)
-    for slot, j in enumerate(range(count - k, count)):
-        value = draws[:, slot]
-        taken = (subset[:, :slot] == value[:, None]).any(axis=1)
-        subset[:, slot] = np.where(taken, j, value)
-    index = np.arange(len(raw))
-    for swap, i in zip(draws[:, k:].T, range(k - 1, 0, -1)):
-        picked = subset[index, swap]
-        subset[index, swap] = subset[:, i]
-        subset[:, i] = picked
-    return subset, rejected | (count > FLOYD_POOL_LIMIT)
+    flags = np.ones((len(seeds), count), dtype=bool)
+    np.put_along_axis(flags, others, values[1:].T < scores[seeds, others], axis=1)
+    return flags

@@ -401,6 +401,18 @@ class TestMcCommand:
                     "2da52fe534cc1a061eca6dd8a4bda521e991a742a4ef8eafbd954360dbf424d0",
                 ),
             ),
+            (
+                # 3000 trials of 100 intervals take three chunks of draws
+                ["--trials", "3000"],
+                0,
+                (
+                    "9673020bb53f8b4af6c60626a6f2b25f6630f8f286f208eecae767f39340a63e",
+                    "97ca02b3acd0dc8e204a362acc753a85726cc32e145bea60871e094ceb80baa2",
+                    "17f0ae40f2e870804841840a5898a33f17c823905859a3e9de6f505d60cede49",
+                    "1202a5dcc04bf57090c0559fb449f55e7199ec30b553a8ae01944050d5014b60",
+                    "601ec74e093b15693287d34b10665b7266424d678f2f5eb2dd590a4ce1ca0297",
+                ),
+            ),
         ],
     )
     def test_default_study_pinned(self, tmp_path, extra, seed, digests):
@@ -949,9 +961,8 @@ class TestImpossibleAllocation:
         "argv",
         [
             ["mc", "--trials", "100000000000000", "--intervals", "10000"],
-            ["scenario", "--N", "3", "--T", "10", "--samples", "100000000000000000"],
         ],
-        ids=["mc-888-PiB", "scenario-711-PiB"],
+        ids=["mc-888-PiB"],
     )
     def test_exits_3_with_one_error_line(self, tmp_path, capsys, argv):
         outdir = tmp_path / "never"
@@ -974,12 +985,21 @@ class TestNoOutputOnValidationError:
             (["schedule", "--K", "9"], "policy requires k=9 distinct platforms, only 5 available"),
             (["schedule", "--policy", "random_k", "--K", "1"], "random_k policy requires k >= 2"),
             (["schedule", "--policy", "random_k", "--K", "9"], "cannot rotate over k=9 of 5 platforms"),
-            (["schedule", "--steps", "0"], "steps must be >= 1"),
+            (["schedule", "--steps", "0"], "steps must be >= 2"),
+            (["schedule", "--steps", "1"], "steps must be >= 2"),
+            *(
+                (["scenario", "--N", "3", "--T", "10", "--samples", str(samples)],
+                 "samples must be at most 100000000")
+                for samples in (2**63, 2**62, 10**11, 10**17)
+            ),
         ],
         ids=[
             "mc-trials-0", "mc-k-above-pool", "mc-random-k-above-pool", "scenario-samples-0",
             "schedule-diversity-k-1", "schedule-diversity-k-above-pool", "schedule-random-k-k-1",
-            "schedule-random-k-above-pool", "schedule-steps-0",
+            "schedule-random-k-above-pool", "schedule-steps-0", "schedule-steps-1",
+            # these used to end in a NumPy error, "array is too big" or an allocation failure
+            "scenario-samples-2-63", "scenario-samples-2-62", "scenario-samples-1e11",
+            "scenario-samples-711-PiB",
         ],
     )
     def test_outdir_not_created(self, tmp_path, capsys, argv, message):

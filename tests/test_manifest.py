@@ -227,6 +227,16 @@ VALID_ARGV = {
 }
 
 
+@pytest.mark.parametrize("samples", [2**63, 2**62, 10**11], ids=["2-63", "2-62", "1e11"])
+def test_scenario_samples_past_the_cap(valid_manifests, tmp_path, samples):
+    # each used to end in a NumPy error or an allocation failure, not a message naming the field
+    source = tmp_path / "run_manifest.json"
+    source.write_text(json.dumps({**valid_manifests["scenario"], "samples": samples}), encoding="utf-8")
+    code, err = run_cli(["scenario", "--from-manifest", str(source), "--outdir", str(tmp_path / "out")])
+    assert (code, err) == (2, f"error: {source}: samples must be at most 100000000\n")
+    assert not (tmp_path / "out").exists()
+
+
 class TestFuzzedInputKeepsExitContract:
     @FUZZ
     @given(st.data(), st.sampled_from(["mc", "scenario"]), st.sampled_from(sorted(MUTATIONS)))

@@ -1,5 +1,6 @@
 """``rng.stream_words`` reimplements SeedSequence mixing, PCG64 seeding, PCG64's
-128-bit arithmetic and its output; NumPy and Python ints are the reference.
+128-bit arithmetic and its output, and ``rng.draws`` the ``Generator`` draws made
+from those words; NumPy and Python ints are the reference.
 
 If a NumPy release changes any of these internals, these tests fail.
 """
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diversity_lab import rng
-from diversity_lab.rng import WORD_BLOCK, stream_words, substream
+from diversity_lab.rng import WORD_BLOCK, draw_plan, draws, stream_words, substream
 
 #: 0 and the edges of one and two uint32 words; 2**200 is seven words,
 #: longer than SeedSequence's four-word pool, so it takes the extra mixing loop
@@ -140,3 +141,45 @@ class TestStreamWords:
             stream_words(-1, 0, words=1)
         with pytest.raises(ValueError, match="key parts"):
             stream_words(0, np.array([0, -1]), words=1)
+
+
+#: ``random()``, ``integers(1)`` (which takes nothing), small bounds, a power of
+#: two, the largest exact bound 2**21 and the first one past it
+PLAN_BOUNDS = [0, 1, 2, 3, 7, 48, 1000, 2**21, 2**21 + 1]
+
+
+class TestDraws:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.sampled_from(PLAN_BOUNDS), max_size=12),
+        st.sampled_from(BOUNDARY_SEEDS) | st.integers(0, 2**70),
+        st.lists(st.tuples(key_parts, key_parts), min_size=1, max_size=5),
+    )
+    def test_equal_scalar_draws(self, bounds, master_seed, keys):
+        plan = draw_plan(bounds)
+        values, rejected = draws(plan, master_seed, *np.array(keys, dtype=np.uint64).T)
+        assert values.shape == (len(bounds), len(keys)) and rejected.shape == (len(keys),)
+        if any(bound > 2**21 for bound in bounds):
+            assert rejected.all()
+        for column, key in enumerate(keys):
+            if rejected[column]:
+                continue
+            replay = substream(master_seed, *key)
+            expected = [replay.random() if bound == 0 else int(replay.integers(bound)) for bound in bounds]
+            assert values[:, column].tolist() == expected
+            # the draws took exactly the planned words
+            next_word = substream(master_seed, *key).bit_generator.random_raw(plan.words + 1)[-1]
+            assert replay.bit_generator.random_raw() == next_word
+
+    def test_plan_without_words(self):
+        plan = draw_plan([1, 1])
+        assert plan.words == 0
+        values, rejected = draws(plan, 4, np.arange(3), 0)
+        assert values.tolist() == [[0.0] * 3] * 2 and not rejected.any()
+
+    def test_cached_half_outlives_doubles(self):
+        # a double between two 32-bit draws takes its own word; the second 32-bit draw
+        # reads the high half of the first one's word
+        plan = draw_plan([5, 0, 0, 5, 5])
+        assert plan.word.tolist() == [0, 1, 2, 0, 3] and plan.half.tolist() == [0, 0, 0, 1, 0]
+        assert plan.words == 4

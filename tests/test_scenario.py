@@ -13,7 +13,7 @@ from diversity_lab import (
     run_scenario_study,
 )
 from diversity_lab import scenario
-from diversity_lab.rng import WORD_CELLS, stream_words, substream
+from diversity_lab.rng import WORD_CELLS, _bounded32, draw_plan, draws, stream_words, substream
 
 
 def study_fraction(config):
@@ -95,7 +95,7 @@ class TestStayBound:
         def refuse(*args, **kwargs):
             raise AssertionError("a sample started")
 
-        monkeypatch.setattr(scenario, "stream_words", refuse)
+        monkeypatch.setattr("diversity_lab.rng.stream_words", refuse)
         monkeypatch.setattr(scenario, "substream", refuse)
         with pytest.raises(ValueError, match=f"more than {scenario.MAX_STAYS} stays per sample"):
             run_scenario_study(self.huge(n_values=n_values))
@@ -224,48 +224,52 @@ class TestScenarioStudy:
 
 
 class TestDecodedDrawsEqualScalarDraws:
-    """The study decodes raw PCG64 words; each decoded draw equals the scalar draw of the same stream."""
+    """The study's draws come from raw PCG64 words; each equals the scalar draw of the same stream."""
 
     DURATION, DELAY, STAYS, SAMPLES = 900.0, (20.0, 30.0), 12, 25
+
+    @staticmethod
+    def plan(n, drawn_arrivals, stays):
+        """The scenario study's draw order: the arrivals, the start, then each stay's dwell and move."""
+        return draw_plan([0] * drawn_arrivals + [n] + [0, n - 1] * (stays if n > 1 else 0))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("drawn_arrivals", [0, 2], ids=["fixed-arrivals", "free-arrivals"])
     def test_decoded_sequence(self, n, drawn_arrivals):
-        layout = scenario._draw_layout(n, drawn_arrivals, self.STAYS)
-        raw = np.stack(
-            [substream(3, n, s).bit_generator.random_raw(layout.words) for s in range(self.SAMPLES)]
-        )
-        draws = scenario._decode(raw, layout, n, self.DURATION, self.DELAY)
-        assert not draws.rejected.any()
+        plan = self.plan(n, drawn_arrivals, self.STAYS)
+        values, rejected = draws(plan, 3, n, np.arange(self.SAMPLES))
+        assert not rejected.any()
+        lo, hi = self.DELAY
         for s in range(self.SAMPLES):
             rng = substream(3, n, s)
             arrivals = [rng.uniform(0.0, self.DURATION) for _ in range(drawn_arrivals)]
-            assert draws.arrivals[s].tolist() == arrivals
-            assert draws.start[s] == (rng.integers(n) if n > 1 else 0)
+            assert (values[:drawn_arrivals, s] * self.DURATION).tolist() == arrivals
+            assert values[drawn_arrivals, s] == (rng.integers(n) if n > 1 else 0)
             if n == 1:
-                assert layout.words == drawn_arrivals
+                assert plan.words == drawn_arrivals
                 continue
             dwells, moves = [], []
             for _ in range(self.STAYS):
                 dwells.append(rng.uniform(*self.DELAY))
                 moves.append(int(rng.integers(n - 1)))
-            assert draws.dwells[s].tolist() == dwells
-            assert draws.moves[s].tolist() == moves
-            # the scalar draws used exactly the decoded words
+            assert (values[drawn_arrivals + 1 :: 2, s] * (hi - lo) + lo).tolist() == dwells
+            assert values[drawn_arrivals + 2 :: 2, s].tolist() == moves
+            # the scalar draws used exactly the planned words
             assert rng.bit_generator.random_raw() == substream(3, n, s).bit_generator.random_raw(
-                layout.words + 1
+                plan.words + 1
             )[-1]
 
-    def test_zero_low_half_is_a_rejection(self):
+    def test_zero_low_half_is_a_rejection(self, monkeypatch):
         # 2**32 % 3 == 1, so a start draw of 0 is one NumPy redraws
-        layout = scenario._draw_layout(3, 0, 1)
-        raw = np.array([[0xABCDEF0100000000, 0, 0]], dtype=np.uint64)[:, : layout.words]
-        assert scenario._decode(raw, layout, 3, 900.0, (20.0, 30.0)).rejected.tolist() == [True]
+        plan = self.plan(3, 0, 1)
+        raw = np.array([[0xABCDEF0100000000, 0, 0]], dtype=np.uint64)[:, : plan.words]
+        monkeypatch.setattr("diversity_lab.rng.stream_words", lambda *key, words: raw)
+        assert draws(plan, 0, 3, [0])[1].tolist() == [True]
         # no power of two rejects
-        value, rejected = scenario._bounded32(np.array([0.0, 4294967295.0]), 4)
+        value, rejected = _bounded32(np.array([0.0, 4294967295.0]), 4)
         assert value.tolist() == [0.0, 3.0] and not rejected.any()
         # above 2**21 the product may not be exact in a double, so every draw goes to the scalar path
-        assert scenario._bounded32(np.array([5.0]), 2**21 + 1)[1].tolist() == [True]
+        assert _bounded32(np.array([5.0]), 2**21 + 1)[1].tolist() == [True]
 
     def test_numpy_redraws_a_zero_draw(self):
         # cache a 32-bit draw of 0: integers(3) rejects it and takes the low half of the next word
@@ -274,7 +278,7 @@ class TestDecodedDrawsEqualScalarDraws:
         state["has_uint32"], state["uinteger"] = 1, 0
         bitgen.state = state
         low_half = float(np.random.PCG64(11).random_raw() & 0xFFFFFFFF)
-        value, rejected = scenario._bounded32(np.array([0.0, low_half]), 3)
+        value, rejected = _bounded32(np.array([0.0, low_half]), 3)
         assert rejected.tolist() == [True, False]
         assert int(np.random.Generator(bitgen).integers(3)) == value[1]
 
@@ -344,14 +348,14 @@ class TestStudyEqualsScalarRebuild:
 
     def test_one_sample_past_the_derivation_block(self, fallbacks, monkeypatch):
         # a sample takes 50 words at N = 2 and more at larger N, so for every N > 1 the
-        # words come from two stream_words calls, each cut into many decode blocks
+        # words come from two stream_words calls, each decoded in many blocks
         calls = []
 
         def counted(seed, n, rows, words):
             calls.append(n)
             return stream_words(seed, n, rows, words=words)
 
-        monkeypatch.setattr(scenario, "stream_words", counted)
+        monkeypatch.setattr("diversity_lab.rng.stream_words", counted)
         config = ScenarioConfig(
             t_values=(0.0,), n_values=self.N_VALUES, samples=WORD_CELLS // 50 + 1,
             master_seed=2**32,
@@ -461,13 +465,12 @@ class TestStudyEqualsScalarRebuild:
         assert fallbacks == []
 
     def test_rejected_draws_take_the_scalar_path(self, fallbacks, monkeypatch):
-        bounded32 = scenario._bounded32
 
         def every_draw_rejected(draws, m):
-            value, rejected = bounded32(draws, m)
+            value, rejected = _bounded32(draws, m)
             return value, np.ones_like(rejected)
 
-        monkeypatch.setattr(scenario, "_bounded32", every_draw_rejected)
+        monkeypatch.setattr("diversity_lab.rng._bounded32", every_draw_rejected)
         config = ScenarioConfig(t_values=(0.0,), n_values=self.N_VALUES, samples=40, master_seed=9)
         self.assert_matches(config)
         # every sample with a platform draw (N > 1) was rerun

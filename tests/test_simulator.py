@@ -4,7 +4,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diversity_lab import simulator
-from diversity_lab.rng import WORD_BLOCK, WORD_CELLS, stream_words, substream
+from diversity_lab.rng import (
+    WORD_BLOCK,
+    WORD_CELLS,
+    _bounded32,
+    _floyd_bounds,
+    _random_k_subsets,
+    draw_plan,
+    draws,
+    stream_words,
+    substream,
+)
 from diversity_lab.simulator import DEFAULT_POLICY_KINDS
 from diversity_lab import (
     EmpiricalCdf,
@@ -323,8 +333,8 @@ class TestStudyMatchesPerStepReference:
         ids=["four-streams", "three-streams"],
     )
     def test_one_trial_past_the_derivation_block(self, five_platform_sim, kinds):
-        # the trials span two decode blocks; with the diversity policy, every trial's
-        # start comes from one stream_words call, whose last key is alone in a second seed block
+        # with the diversity policy, every trial's start comes from one stream_words
+        # call, whose last key is alone in a second seed block
         config = McConfig(
             trials=WORD_BLOCK + 1, intervals=6, policy_kinds=kinds, master_seed=2**64
         )
@@ -342,7 +352,7 @@ class TestOneDerivationPerStream:
             streams.append(stream)
             return stream_words(seed, rows, stream, words=words)
 
-        monkeypatch.setattr(simulator, "stream_words", counted)
+        monkeypatch.setattr("diversity_lab.rng.stream_words", counted)
         return streams
 
     @pytest.mark.parametrize(
@@ -372,15 +382,18 @@ class TestDecodedDrawsEqualGeneratorDraws:
         rows = np.arange(6)
         for k in range(1, count + 1):
             # Floyd's k draws and the shuffle's k - 1 take at most k words
-            chosen, rejected = simulator._random_k_subsets(stream_words(count, rows, 3, words=k), count, k)
+            plan = draw_plan(_floyd_bounds(count, k))
+            assert plan.words <= k
+            values, rejected = draws(plan, count, rows, 3)
+            chosen, tail = _random_k_subsets(values, count, k)
             expected = [substream(count, row, 3).choice(count, k, replace=False).tolist() for row in rows]
-            assert not rejected.any()
+            assert not rejected.any() and not tail
             assert chosen.tolist() == expected
 
     def test_labelings(self, five_platform_sim):
-        rows = np.arange(200)
-        raw = stream_words(3, rows, 0, words=five_platform_sim.count)
-        flags, rejected = simulator._labelings(raw, five_platform_sim.scores)
+        rows, count = np.arange(200), five_platform_sim.count
+        values, rejected = draws(draw_plan([count] + [0] * (count - 1)), 3, rows, 0)
+        flags = simulator._labelings(values, five_platform_sim.scores)
         assert not rejected.any()
         expected = [assign_vulnerabilities(five_platform_sim, substream(3, row, 0)) for row in rows]
         np.testing.assert_array_equal(flags, expected, strict=True)
@@ -389,26 +402,25 @@ class TestDecodedDrawsEqualGeneratorDraws:
     def test_bounded_draws(self, count):
         # integers(1) takes no half, so the draws after it shift by one half
         bounds = [count, 1, count - 1, 1, 1, count + 1, 2]
-        draws, rejected = simulator._bounded_draws(stream_words(5, np.arange(40), 2, words=4), bounds)
+        values, rejected = draws(draw_plan(bounds), 5, np.arange(40), 2)
         assert not rejected.any()
-        for row, drawn in enumerate(draws.tolist()):
-            rng = substream(5, row, 2)
-            assert drawn == [int(rng.integers(bound)) for bound in bounds]
+        for row, drawn in enumerate(values.T.tolist()):
+            scalar = substream(5, row, 2)
+            assert drawn == [int(scalar.integers(bound)) for bound in bounds]
 
     def test_every_draw_rejected_reruns_every_trial(self, five_platform_sim, monkeypatch):
-        bounded32 = simulator._bounded32
         reruns = []
         scalar_trial = simulator._scalar_trial
 
         def every_draw_rejected(draws, m):
-            value, rejected = bounded32(draws, m)
+            value, rejected = _bounded32(draws, m)
             return value, np.ones_like(rejected)
 
         def counted(config, sim, trial):
             reruns.append(trial)
             return scalar_trial(config, sim, trial)
 
-        monkeypatch.setattr(simulator, "_bounded32", every_draw_rejected)
+        monkeypatch.setattr("diversity_lab.rng._bounded32", every_draw_rejected)
         monkeypatch.setattr(simulator, "_scalar_trial", counted)
         config = McConfig(trials=25, intervals=12, master_seed=4)
         TestStudyMatchesPerStepReference.assert_matches(config, five_platform_sim)
@@ -461,7 +473,7 @@ class TestPoolErrorsBeforeAnyTrial:
 
         # the study takes its words from stream_words and reruns trials on substream
         monkeypatch.setattr(simulator, "substream", refuse)
-        monkeypatch.setattr(simulator, "stream_words", refuse)
+        monkeypatch.setattr("diversity_lab.rng.stream_words", refuse)
 
     def test_streams_are_refused(self, five_platform_sim, no_streams):
         with pytest.raises(AssertionError, match="a trial started"):
