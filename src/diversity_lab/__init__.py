@@ -42,7 +42,6 @@ from .scheduler import check_pool, detect_periodicity, heron_area, schedule
 from .simulator import (
     EmpiricalCdf,
     McConfig,
-    assign_vulnerabilities,
     compute_metrics,
     run_mc_study,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "RunLengthChain",
     "ScenarioConfig",
     "SimilarityMatrix",
-    "assign_vulnerabilities",
     "bundled_similarity_path",
     "check_pool",
     "choose",

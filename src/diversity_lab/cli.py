@@ -36,7 +36,7 @@ from .analytic import (
 )
 from .core import PolicyKind, SimilarityMatrix, bundled_similarity_path, load_similarity_matrix
 from .rng import substream
-from .scenario import DEFAULT_EXPLOITS, ExploitSpec, ScenarioConfig, run_scenario_study
+from .scenario import DEFAULT_EXPLOITS, MAX_TARGETED, ExploitSpec, ScenarioConfig, run_scenario_study
 from .scheduler import check_pool, detect_periodicity, schedule
 from .simulator import POLICY_BY_NAME, McConfig, run_mc_study
 
@@ -149,7 +149,8 @@ def cmd_schedule(args) -> int:
     kind = POLICY_BY_NAME[args.policy]
     check_pool(kind, args.K, sim.count)
     chosen = schedule(kind, sim, args.K, start, args.steps, rng).tolist()
-    periodicity = detect_periodicity(chosen)
+    # a uniform schedule is a random walk: a repeated window in it is no period
+    periodicity = None if kind is PolicyKind.UNIFORM else detect_periodicity(chosen)
     report = {
         "platforms": list(sim.platforms.names),
         "policy": args.policy,
@@ -274,6 +275,8 @@ def _parse_t_values(args) -> tuple[float, ...]:
 def _parse_exploit(spec: str, max_n: int) -> ExploitSpec:
     platforms_part, _, arrival_part = spec.partition("@")
     if platforms_part.strip() == "all":
+        if max_n > MAX_TARGETED:
+            raise ValueError(f"exploits may target at most {MAX_TARGETED} platforms below the largest N")
         platforms = frozenset(range(max_n))
     else:
         platforms = frozenset(int(p) for p in platforms_part.split(","))

@@ -319,20 +319,22 @@ def draw_plan(bounds) -> DrawPlan:
     return DrawPlan(bounds, word, half, int(np.count_nonzero(fresh)))
 
 
-def draws(plan: DrawPlan, master_seed: int, *key) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of ``plan`` on each key row's stream, and whether NumPy would redraw any of a row's.
+def draws(plan: DrawPlan, master_seed: int, *key) -> np.ndarray:
+    """The draws of ``plan`` on each key row's stream, exactly as ``Generator`` gives them.
 
-    The key parts broadcast as in ``stream_words``. Row i of the values
-    holds draw i of every key row; an ``integers`` draw is an integral
-    double. ``random()`` of a word ``w`` is ``(w >> 11)·2**-53``, and
-    ``integers(m)`` is ``_bounded32`` of its half. Draws are decoded
-    ``WORD_BLOCK`` cells at a time.
+    The key parts broadcast as in ``stream_words``. Row i holds draw i of
+    every key row; an ``integers`` draw is an integral double, exact for
+    bounds up to 2**53. ``random()`` of a word ``w`` is
+    ``(w >> 11)·2**-53``, and ``integers(m)`` is ``_bounded32`` of its
+    half; draws are decoded ``WORD_BLOCK`` cells at a time. A key row with
+    a draw NumPy would redraw, or with a bound above 2**21, is drawn again
+    on its ``substream``, one ``random()`` or ``integers(m)`` call at a time.
     """
     raw = stream_words(master_seed, *key, words=plan.words).T
     keys = raw.shape[1]
     # halves[w, r, h]: half h of row r's word w, the low half first
     halves = raw.astype("<u8", copy=False).view("<u4").reshape(plan.words, keys, 2)
-    values, rejected = np.zeros((len(plan.bounds), keys)), np.zeros(keys, dtype=bool)
+    values, redraw = np.zeros((len(plan.bounds), keys)), np.zeros(keys, dtype=bool)
     step = max(1, WORD_BLOCK // max(1, keys))
     doubles, bits32 = np.flatnonzero(plan.bounds == 0), np.flatnonzero(plan.bounds > 1)
     for first in range(0, len(doubles), step):
@@ -342,8 +344,14 @@ def draws(plan: DrawPlan, master_seed: int, *key) -> tuple[np.ndarray, np.ndarra
         at = bits32[first : first + step]
         half = halves[plan.word[at], :, plan.half[at]].astype(np.float64)
         values[at], redrawn = _bounded32(half, plan.bounds[at, None])
-        rejected |= redrawn.any(axis=0)
-    return values, rejected
+        redraw |= redrawn.any(axis=0)
+    if redraw.any():
+        columns = _key_columns(master_seed, key)[1]
+        bounds = plan.bounds.tolist()
+        for row in np.flatnonzero(redraw).tolist():
+            replay = substream(master_seed, *(int(column[row]) for column in columns))
+            values[:, row] = [replay.integers(m) if m else replay.random() for m in bounds]
+    return values
 
 
 def _floyd_bounds(count: int, k: int) -> list[int]:
@@ -351,14 +359,14 @@ def _floyd_bounds(count: int, k: int) -> list[int]:
     return list(range(count - k + 1, count + 1)) + list(range(k, 1, -1))
 
 
-def _random_k_subsets(values: np.ndarray, count: int, k: int) -> tuple[np.ndarray, bool]:
+def _random_k_subsets(values: np.ndarray, count: int, k: int) -> np.ndarray:
     """Each key row's ``choice(count, k, replace=False)`` from the draws of ``_floyd_bounds``.
 
     Floyd's algorithm draws on ``[0, j]`` for j = N-k to N-1 and adds the
     value to the subset, or j when the value is in it already. A
     Fisher–Yates shuffle follows: for i = k-1 down to 1, slot i swaps with
-    a draw on ``[0, i]``. Also returns whether NumPy may draw by a tail
-    shuffle instead, above ``FLOYD_POOL_LIMIT``, which every row must rerun.
+    a draw on ``[0, i]``. NumPy follows these draws up to
+    ``FLOYD_POOL_LIMIT`` platforms only.
     """
     picks = values.astype(np.intp)
     subset = np.empty((picks.shape[1], k), dtype=np.intp)
@@ -371,4 +379,4 @@ def _random_k_subsets(values: np.ndarray, count: int, k: int) -> tuple[np.ndarra
         picked = subset[index, swap]
         subset[index, swap] = subset[:, i]
         subset[:, i] = picked
-    return subset, count > FLOYD_POOL_LIMIT
+    return subset

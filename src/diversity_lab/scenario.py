@@ -13,8 +13,7 @@ is event-driven (migrations and exploit arrivals), not tick-based.
 ``rng.draws`` and evaluates them in one stay-major pass:
 ``scheduler.uniform_walks``, the no-repeat walk of the Monte Carlo
 study, gives the platforms, and one loop over the stays scans the
-control runs of every sample at once. A sample whose
-draws NumPy would redraw goes back through ``max_control_run``.
+control runs of every sample at once.
 """
 
 from __future__ import annotations
@@ -65,6 +64,8 @@ DEFAULT_EXPLOITS = (
 MAX_STAYS = 100_000
 #: Samples per N: each holds about 16 B of arrays through the sweep, 1.6 GB at the cap.
 MAX_SAMPLES = 100_000_000
+#: Distinct platforms below the largest N that exploits may target; each holds a time per sample.
+MAX_TARGETED = 10_000
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,9 @@ class ScenarioConfig:
             raise ValueError(f"samples must be at most {MAX_SAMPLES}")
         if not self.exploits:
             raise ValueError("at least one exploit is required")
+        largest = max(self.n_values)
+        if len({p for spec in self.exploits for p in spec.platforms if p < largest}) > MAX_TARGETED:
+            raise ValueError(f"exploits may target at most {MAX_TARGETED} platforms below the largest N")
         if self.master_seed < 0:
             raise ValueError("master seed must be non-negative")
 
@@ -215,28 +219,21 @@ def max_control_run(
 
 
 def _exploit_table(
-    drawn: np.ndarray, exploits: tuple[ExploitSpec, ...], n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each sample's exploit time per targeted platform, and each platform's row of that table.
+    drawn: np.ndarray, exploits: tuple[ExploitSpec, ...], spec_rows: list[np.ndarray], size: int
+) -> np.ndarray:
+    """Each sample's exploit time in each of ``size`` rows; ``spec_rows`` holds each exploit's rows.
 
-    ``drawn`` holds the random arrivals, one row per exploit without a fixed arrival. The table
-    has a row per platform below ``n`` that an exploit targets and a last row of ``inf`` for every
-    other platform, so its size does not grow with ``n``. As with ``min()`` in
-    ``max_control_run``, a platform takes an arrival only if it is earlier.
+    ``drawn`` holds the random arrivals, one row per exploit without a fixed arrival. A row no
+    exploit sets stays ``inf``. As with ``min()`` in ``max_control_run``, a platform takes an
+    arrival only if it is earlier.
     """
-    targeted = sorted({p for spec in exploits for p in spec.platforms if p < n})
-    # platforms past the last targeted one clip to the inf row
-    row = np.full(targeted[-1] + 2 if targeted else 1, len(targeted), dtype=np.intp)
-    row[targeted] = np.arange(len(targeted))
-    table = np.full((len(targeted) + 1, drawn.shape[1]), np.inf)
+    table = np.full((size, drawn.shape[1]), np.inf)
     drawn_rows = iter(drawn)
-    for spec in exploits:
+    for spec, at in zip(exploits, spec_rows):
         arrival = next(drawn_rows) if spec.arrival is None else spec.arrival
-        for platform in spec.platforms:
-            if platform < n:
-                times = table[row[platform]]
-                np.copyto(times, arrival, where=arrival < times)
-    return table, row
+        # np.minimum keeps its second operand on a tie, as min() keeps its first
+        table[at] = np.minimum(arrival, table[at])
+    return table
 
 
 def _control_runs(
@@ -273,29 +270,38 @@ def _control_runs(
     return best, bound >= duration
 
 
-def _chunk_runs(config: ScenarioConfig, n: int, drawn: int, plan: DrawPlan, rows: np.ndarray) -> np.ndarray:
-    """The longest control run of samples ``rows`` at N = ``n``, each equal to ``max_control_run``'s.
+def _runs(config: ScenarioConfig, n: int, drawn: int, plan: DrawPlan) -> np.ndarray:
+    """The longest control run of each sample at N = ``n``, each equal to ``max_control_run``'s.
 
     ``plan`` holds the ``drawn`` random arrivals, the start and then each
     stay's dwell and move.
     """
     duration, (lo, hi) = float(config.duration), config.delay
-    runs, redo = np.empty(len(rows)), np.ones(len(rows), bool)
+    targeted = sorted({p for spec in config.exploits for p in spec.platforms if p < n})
+    # a sample holds its words and its column of the exploit table: a row per targeted platform and
+    # a last row of inf for every other platform
+    cells = max(plan.words, len(targeted) + 1)
+    runs, exact = np.empty(config.samples), np.zeros(config.samples, bool)
     # with room for fewer than 3 samples, array steps through each stay are slower than scalar loops
-    if 3 * plan.words <= WORD_CELLS:
-        values, rejected = draws(plan, config.master_seed, n, rows)
-        arrivals, start = values[:drawn], values[drawn]
-        arrivals *= duration
-        dwells, moves = values[drawn + 1 :: 2], values[drawn + 2 :: 2]
-        dwells *= hi - lo
-        dwells += lo
-        if n == 1:  # no dwell is drawn: one stay, the whole trial
-            dwells = np.full((1, len(rows)), duration)
-        table, row = _exploit_table(arrivals, config.exploits, n)
-        runs, exact = _control_runs(start, dwells, moves, table, row, duration)
-        redo = ~exact | rejected
-    for i in np.flatnonzero(redo):
-        rng = substream(config.master_seed, n, rows[i])
+    if 3 * cells <= WORD_CELLS and targeted[-1:] < [WORD_CELLS] and n <= 2**53:
+        # each platform's table row; platforms past the last targeted one clip to the inf row
+        row = np.full(targeted[-1] + 2 if targeted else 1, len(targeted), dtype=np.intp)
+        row[targeted] = np.arange(len(targeted))
+        spec_rows = [row[[p for p in spec.platforms if p < n]] for spec in config.exploits]
+        for first in range(0, config.samples, WORD_CELLS // cells):
+            rows = np.arange(first, min(first + WORD_CELLS // cells, config.samples))
+            values = draws(plan, config.master_seed, n, rows)
+            arrivals, start = values[:drawn], values[drawn]
+            arrivals *= duration
+            dwells, moves = values[drawn + 1 :: 2], values[drawn + 2 :: 2]
+            dwells *= hi - lo
+            dwells += lo
+            if n == 1:  # no dwell is drawn: one stay, the whole trial
+                dwells = np.full((1, len(rows)), duration)
+            table = _exploit_table(arrivals, config.exploits, spec_rows, len(targeted) + 1)
+            runs[rows], exact[rows] = _control_runs(start, dwells, moves, table, row, duration)
+    for i in np.flatnonzero(~exact).tolist():
+        rng = substream(config.master_seed, n, i)
         runs[i] = max_control_run(n, config.duration, config.delay, config.exploits, rng)
     return runs
 
@@ -310,15 +316,16 @@ def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
     stays raises ValueError before any sample is drawn.
 
     Each result equals ``max_control_run`` on the sample's stream. The
-    samples of one N come in chunks of up to ``WORD_CELLS`` word cells,
-    one ``rng.draws`` call each. A chunk is evaluated in one stay-major
+    samples of one N come in chunks of up to ``WORD_CELLS`` cells, one
+    ``rng.draws`` call each; a sample's cells are the larger of its words
+    and its exploit table rows. A chunk is evaluated in one stay-major
     pass: ``uniform_walks`` gives the platforms, and one loop over the
-    stays scans all its samples' control runs at once. A sample with a
-    draw NumPy would redraw, or whose drawn stays end before ``duration``,
-    is rerun through ``max_control_run``. Where a chunk holds fewer than 3
-    samples (from about 29,100 stays at N > 2 and 43,700 at N = 2, so also
-    where a sample near ``MAX_STAYS`` has more than ``WORD_CELLS`` words),
-    every sample takes ``max_control_run``.
+    stays scans all its samples' control runs at once. A sample whose
+    drawn stays end before ``duration`` is rerun through
+    ``max_control_run``. Every sample takes ``max_control_run`` where a
+    chunk holds fewer than 3 samples (from about 29,100 stays at N > 2 and
+    43,700 at N = 2), where a targeted platform is at least ``WORD_CELLS``,
+    or where N exceeds 2**53, past exact doubles.
     """
     ratio = float(config.duration) / config.delay[0]
     if ratio > MAX_STAYS and max(config.n_values) > 1:
@@ -332,9 +339,7 @@ def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
         # dwells are at least lo, so duration / lo stays reach the trial end,
         # plus slack for float sums that fall short; with N = 1 nothing is drawn after the start
         stays = 0 if n == 1 else int(ratio) + 2
-        plan = draw_plan([0] * drawn + [n] + [0, n - 1] * stays)
-        rows, chunk = np.arange(config.samples), max(1, WORD_CELLS // max(1, plan.words))
-        runs = np.concatenate([_chunk_runs(config, n, drawn, plan, rows[i : i + chunk]) for i in rows[::chunk]])
+        runs = _runs(config, n, drawn, draw_plan([0] * drawn + [n] + [0, n - 1] * stays))
         for t in config.t_values:
             hits = int(np.count_nonzero(runs >= t))
             results.append(GridPoint(n=n, t=t, success_fraction=hits / config.samples, samples=config.samples))

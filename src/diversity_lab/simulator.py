@@ -23,10 +23,10 @@ arrays: ``scheduler.uniform_walks``, the no-repeat walk the scenario
 engine also uses, steps every trial at once, and the diversity trace,
 which depends only on (similarity, k, start), comes from one batched
 walk over the distinct starts that stops once every start's cycle is
-found. The metrics stay arrays up to the CLI's writers. A trial with a
-draw NumPy would redraw, or a random-k trial with N > 10,000 (where
-NumPy may draw by a tail shuffle), reruns through ``_scalar_trial`` on
-its ``substream``s.
+found. The metrics stay arrays up to the CLI's writers. With N above
+``rng.FLOYD_POOL_LIMIT``, where NumPy may draw a random-k subset by a
+tail shuffle, each trial's subset comes from ``choice`` on its
+``substream``.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .core import (
     list_of,
     manifest_value,
 )
-from .rng import WORD_CELLS, _floyd_bounds, _random_k_subsets, draw_plan, draws, substream
-from .scheduler import check_pool, diversity_walks, schedule, uniform_walks
+from .rng import FLOYD_POOL_LIMIT, WORD_CELLS, _floyd_bounds, _random_k_subsets, draw_plan, draws, substream
+from .scheduler import check_pool, diversity_walks, uniform_walks
 
 LABELING_STREAM = 0
 #: The study policies, each with a stable stream id, so a policy's trials are
@@ -110,16 +110,6 @@ class McConfig:
         scores = manifest_value(similarity, "scores", list_of(is_number_list), "similarity.scores")
         config = cls(trials, intervals, k, tuple(POLICY_BY_NAME[name] for name in policies), seed)
         return config, SimilarityMatrix(PlatformSet(tuple(names)), np.array(scores, dtype=float))
-
-
-def assign_vulnerabilities(sim: SimilarityMatrix, rng: np.random.Generator) -> np.ndarray:
-    """Draw a bool flag per platform: uniform seed platform, then per-platform Bernoulli by similarity."""
-    count = sim.count
-    seed_platform = int(rng.integers(count))
-    others = np.arange(count) != seed_platform
-    flags = np.ones(count, dtype=bool)
-    flags[others] = rng.random(count - 1) < sim.scores[seed_platform, others]
-    return flags
 
 
 @dataclass(frozen=True)
@@ -226,10 +216,8 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
 
     A policy's trial draws from its own stream, in order: the random-k
     subset, or else the start platform, then for the uniform policy its
-    moves. Each stream's draws come from one ``rng.draws`` call per chunk
-    of trials, at most ``WORD_CELLS`` trial × interval or trial × platform
-    cells. A trial with a draw NumPy would redraw runs again through
-    ``_scalar_trial``.
+    moves. A chunk of trials, at most ``WORD_CELLS`` trial × interval or
+    trial × platform cells, takes one ``rng.draws`` call per stream.
     """
     policies = config.policy_kinds
     for kind in policies:
@@ -237,57 +225,39 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
     seed, count, intervals, k = config.master_seed, sim.count, config.intervals, config.k
     vulnerable = {kind: np.empty((config.trials, intervals), dtype=bool) for kind in policies}
     trials = np.arange(config.trials)
-    rerun = np.zeros(config.trials, dtype=bool)
     if PolicyKind.DIVERSITY in policies:
         # a diversity trace draws nothing after its start: one walk per distinct start serves all
-        starts, rerun = draws(draw_plan([count]), seed, trials, POLICY_STREAM[PolicyKind.DIVERSITY])
-        distinct, walk_of = np.unique(starts[0].astype(np.intp), return_inverse=True)
+        starts = draws(draw_plan([count]), seed, trials, POLICY_STREAM[PolicyKind.DIVERSITY])[0]
+        distinct, walk_of = np.unique(starts.astype(np.intp), return_inverse=True)
         walks = diversity_walks(sim.distances(), distinct, intervals, k)
     labeling = draw_plan([count] + [0] * (count - 1))
-    bounds = {
-        PolicyKind.UNIFORM: [count] + [count - 1] * (intervals - 1),
-        PolicyKind.RANDOM_K: _floyd_bounds(count, k),
-    }
-    plans = {kind: draw_plan(bounds[kind]) for kind in policies if kind in bounds}
+    if PolicyKind.UNIFORM in policies:
+        uniform_plan = draw_plan([count] + [count - 1] * (intervals - 1))
+    if PolicyKind.RANDOM_K in policies:
+        random_k_plan = draw_plan(_floyd_bounds(count, k))
     chunk = max(1, WORD_CELLS // max(intervals, count))
     for first in range(0, config.trials, chunk):
         rows = trials[first : first + chunk]
-        values, rejected = draws(labeling, seed, rows, LABELING_STREAM)
-        flags = _labelings(values, sim.scores)
+        flags = _labelings(draws(labeling, seed, rows, LABELING_STREAM), sim.scores)
         for kind in policies:
             if kind is PolicyKind.DIVERSITY:
                 chosen = walks[walk_of[rows]]
+            elif kind is PolicyKind.UNIFORM:
+                values = draws(uniform_plan, seed, rows, POLICY_STREAM[kind])
+                chosen = uniform_walks(values[0], values[1:].T)
             else:
-                values, redrawn = draws(plans[kind], seed, rows, POLICY_STREAM[kind])
-                rejected |= redrawn
-                if kind is PolicyKind.UNIFORM:
-                    chosen = uniform_walks(values[0], values[1:].T)
+                stream = POLICY_STREAM[kind]
+                if count > FLOYD_POOL_LIMIT:  # NumPy may shuffle a tail, in an order no plan states
+                    subsets = np.array([substream(seed, t, stream).choice(count, k, replace=False) for t in rows])
                 else:
-                    subsets, tail = _random_k_subsets(values, count, k)
-                    chosen = subsets[:, np.arange(intervals) % k]
-                    rejected |= tail
+                    subsets = _random_k_subsets(draws(random_k_plan, seed, rows, stream), count, k)
+                chosen = subsets[:, np.arange(intervals) % k]
             vulnerable[kind][rows] = np.take_along_axis(flags, chosen, axis=1)
-        rerun[rows] |= rejected
-    for trial in np.flatnonzero(rerun).tolist():
-        for kind, row in _scalar_trial(config, sim, trial).items():
-            vulnerable[kind][trial] = row
     return {kind.value: compute_metrics(vulnerable[kind], config.k) for kind in config.policy_kinds}
 
 
-def _scalar_trial(config: McConfig, sim: SimilarityMatrix, trial: int) -> dict:
-    """One trial's vulnerability row per policy kind, drawn call by call from its ``substream``s."""
-    flags = assign_vulnerabilities(sim, substream(config.master_seed, trial, LABELING_STREAM))
-    rows = {}
-    for kind in config.policy_kinds:
-        check_pool(kind, config.k, sim.count)
-        rng = substream(config.master_seed, trial, POLICY_STREAM[kind])
-        start = None if kind is PolicyKind.RANDOM_K else int(rng.integers(sim.count))
-        rows[kind] = flags[schedule(kind, sim, config.k, start, config.intervals, rng)]
-    return rows
-
-
 def _labelings(values: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """``assign_vulnerabilities`` of each trial's labeling draws, one column per trial: (trials, N) flags.
+    """Each trial's labeling from its draws, one column per trial: (trials, N) flags.
 
     Row 0 holds the seed platforms; rows 1 to N-1 hold the ``random()``
     doubles of the other platforms, in index order.

@@ -8,6 +8,7 @@ from diversity_lab import (
     load_bundled_similarity,
     run_mc_study,
 )
+from diversity_lab.rng import substream
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +21,19 @@ def five_platform_sim() -> SimilarityMatrix:
 def default_study(five_platform_sim):
     """The full default study (500 trials, 100 intervals, k=3, seed 0)."""
     return run_mc_study(McConfig(), five_platform_sim)
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """The keys of the streams that ``rng.draws`` draws again, one call at a time."""
+    keys = []
+
+    def counted(master_seed, *key):
+        keys.append((master_seed, *key))
+        return substream(master_seed, *key)
+
+    monkeypatch.setattr("diversity_lab.rng.substream", counted)
+    return keys
 
 
 def make_similarity(scores) -> SimilarityMatrix:

@@ -219,6 +219,19 @@ def reference_schedule(name: str, dist, k: int, start, steps: int, rng) -> list[
     return chosen
 
 
+def reference_labeling(scores, rng) -> np.ndarray:
+    """One bool flag per platform, drawn one scalar at a time from ``rng``.
+
+    The seed platform is uniform and vulnerable; every other platform, in
+    index order, is vulnerable when a ``random()`` falls below its
+    similarity to the seed.
+    """
+    count = len(scores)
+    seed_platform = int(rng.integers(count))
+    flags = [i == seed_platform or bool(rng.random() < scores[seed_platform, i]) for i in range(count)]
+    return np.array(flags, dtype=bool)
+
+
 #: Stream id per policy name; stream 0 draws the labeling.
 POLICY_STREAMS = {"diversity": 1, "uniform": 2, "random_k": 3}
 
@@ -227,8 +240,8 @@ def reference_study(config, sim):
     """The Monte Carlo study rebuilt one scalar draw and one step at a time.
 
     Trial streams are PCG64 generators seeded with ``(master seed, trial,
-    stream id)``. A labeling draws its seed platform, then one scalar per
-    other platform. Each policy stream draws a start, except random-k's,
+    stream id)``. Stream 0 draws ``reference_labeling``'s
+    labeling. Each policy stream draws a start, except random-k's,
     and then ``reference_schedule``'s draws. Metrics come from
     ``naive_trace_metrics``. Returns {policy name: (vulnerable fractions,
     first compromises, compromised fractions)}.
@@ -242,12 +255,7 @@ def reference_study(config, sim):
         return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
 
     for trial in range(config.trials):
-        rng = stream(trial, 0)
-        seed_platform = int(rng.integers(count))
-        flags = [
-            i == seed_platform or bool(rng.random() < scores[seed_platform, i])
-            for i in range(count)
-        ]
+        flags = reference_labeling(scores, stream(trial, 0))
         for name, column in columns.items():
             rng = stream(trial, POLICY_STREAMS[name])
             start = None if name == "random_k" else int(rng.integers(count))

@@ -212,11 +212,14 @@ class TestScheduleCommand:
             # a random-k rotation starts at the head of its drawn subset, whatever --start says
             ("random_k", 0, None, [G, B, D] * 4, (3, 0)),
             ("random_k", 5, D, [G, D, C] * 4, (3, 0)),
+            # a random walk that happens to end in a repeated window has no period
+            ("uniform", 18, None, [C, B, F, C, G, B, F, D, C, B, G, D, G, D, G, D, G, B, F, D,
+                                   C, B, F, G, D, G, B, D, B, D], None),
         ],
     )
     def test_schedule_pinned(self, tmp_path, policy, seed, start, trace, periodicity):
         # recorded from the per-step scheduler: a batched uniform draw must reproduce them
-        argv = ["schedule", "--policy", policy, "--seed", str(seed), "--steps", "12"]
+        argv = ["schedule", "--policy", policy, "--seed", str(seed), "--steps", str(len(trace))]
         argv += ["--start", start] if start else []
         assert main([*argv, "--outdir", str(tmp_path)]) == 0
         report = read_json(tmp_path / "schedule.json")
@@ -226,7 +229,7 @@ class TestScheduleCommand:
             "k": 3,
             "seed": seed,
             "start": trace[0],
-            "steps": 12,
+            "steps": len(trace),
             "trace": trace,
             "periodicity": None
             if periodicity is None
@@ -992,6 +995,11 @@ class TestNoOutputOnValidationError:
                  "samples must be at most 100000000")
                 for samples in (2**63, 2**62, 10**11, 10**17)
             ),
+            *(
+                (["scenario", "--N", n, "--T", "10", "--exploit", "all@0"],
+                 "exploits may target at most 10000 platforms below the largest N")
+                for n in ("10001", "100000000")
+            ),
         ],
         ids=[
             "mc-trials-0", "mc-k-above-pool", "mc-random-k-above-pool", "scenario-samples-0",
@@ -1000,6 +1008,8 @@ class TestNoOutputOnValidationError:
             # these used to end in a NumPy error, "array is too big" or an allocation failure
             "scenario-samples-2-63", "scenario-samples-2-62", "scenario-samples-1e11",
             "scenario-samples-711-PiB",
+            # "all" used to list every platform below the largest N before any check
+            "scenario-exploit-all-10001", "scenario-exploit-all-1e8",
         ],
     )
     def test_outdir_not_created(self, tmp_path, capsys, argv, message):

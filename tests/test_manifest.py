@@ -237,6 +237,21 @@ def test_scenario_samples_past_the_cap(valid_manifests, tmp_path, samples):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("n", [10_001, 10**8], ids=["10001", "1e8"])
+def test_scenario_exploits_past_the_target_cap(valid_manifests, tmp_path, n):
+    # two overlapping exploits name 10,001 distinct platforms below N, one more than the cap
+    exploits = [{"platforms": list(range(6_000)), "arrival": 0.0},
+                {"platforms": list(range(5_000, 10_001)), "arrival": None}]
+    source = tmp_path / "run_manifest.json"
+    source.write_text(
+        json.dumps({**valid_manifests["scenario"], "n_values": [n], "exploits": exploits}), encoding="utf-8"
+    )
+    code, err = run_cli(["scenario", "--from-manifest", str(source), "--outdir", str(tmp_path / "out")])
+    message = "exploits may target at most 10000 platforms below the largest N"
+    assert (code, err) == (2, f"error: {source}: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 class TestFuzzedInputKeepsExitContract:
     @FUZZ
     @given(st.data(), st.sampled_from(["mc", "scenario"]), st.sampled_from(sorted(MUTATIONS)))

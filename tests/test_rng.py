@@ -156,14 +156,11 @@ class TestDraws:
         st.lists(st.tuples(key_parts, key_parts), min_size=1, max_size=5),
     )
     def test_equal_scalar_draws(self, bounds, master_seed, keys):
+        # a bound above 2**21 is drawn again on the row's substream, so every row is exact
         plan = draw_plan(bounds)
-        values, rejected = draws(plan, master_seed, *np.array(keys, dtype=np.uint64).T)
-        assert values.shape == (len(bounds), len(keys)) and rejected.shape == (len(keys),)
-        if any(bound > 2**21 for bound in bounds):
-            assert rejected.all()
+        values = draws(plan, master_seed, *np.array(keys, dtype=np.uint64).T)
+        assert values.shape == (len(bounds), len(keys))
         for column, key in enumerate(keys):
-            if rejected[column]:
-                continue
             replay = substream(master_seed, *key)
             expected = [replay.random() if bound == 0 else int(replay.integers(bound)) for bound in bounds]
             assert values[:, column].tolist() == expected
@@ -171,11 +168,21 @@ class TestDraws:
             next_word = substream(master_seed, *key).bit_generator.random_raw(plan.words + 1)[-1]
             assert replay.bit_generator.random_raw() == next_word
 
-    def test_plan_without_words(self):
+    def test_bounds_past_exact_products_are_drawn_again(self, replays):
+        # above 2**21 Lemire's product may not be exact in a double, and past 2**32 NumPy
+        # takes a 64-bit draw: every key row is drawn again, one call at a time
+        bounds = [2**21 + 1, 0, 2**40, 3, 2**53]
+        values = draws(draw_plan(bounds), 7, np.arange(4), 1)
+        assert replays == [(7, row, 1) for row in range(4)]
+        for row in range(4):
+            scalar = substream(7, row, 1)
+            expected = [scalar.random() if bound == 0 else int(scalar.integers(bound)) for bound in bounds]
+            assert values[:, row].tolist() == expected
+
+    def test_plan_without_words(self, replays):
         plan = draw_plan([1, 1])
         assert plan.words == 0
-        values, rejected = draws(plan, 4, np.arange(3), 0)
-        assert values.tolist() == [[0.0] * 3] * 2 and not rejected.any()
+        assert draws(plan, 4, np.arange(3), 0).tolist() == [[0.0] * 3] * 2 and not replays
 
     def test_cached_half_outlives_doubles(self):
         # a double between two 32-bit draws takes its own word; the second 32-bit draw

@@ -235,10 +235,10 @@ class TestDecodedDrawsEqualScalarDraws:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("drawn_arrivals", [0, 2], ids=["fixed-arrivals", "free-arrivals"])
-    def test_decoded_sequence(self, n, drawn_arrivals):
+    def test_decoded_sequence(self, n, drawn_arrivals, replays):
         plan = self.plan(n, drawn_arrivals, self.STAYS)
-        values, rejected = draws(plan, 3, n, np.arange(self.SAMPLES))
-        assert not rejected.any()
+        values = draws(plan, 3, n, np.arange(self.SAMPLES))
+        assert not replays
         lo, hi = self.DELAY
         for s in range(self.SAMPLES):
             rng = substream(3, n, s)
@@ -259,12 +259,15 @@ class TestDecodedDrawsEqualScalarDraws:
                 plan.words + 1
             )[-1]
 
-    def test_zero_low_half_is_a_rejection(self, monkeypatch):
-        # 2**32 % 3 == 1, so a start draw of 0 is one NumPy redraws
+    def test_zero_low_half_is_a_rejection(self, monkeypatch, replays):
+        # 2**32 % 3 == 1, so a start draw of 0 is one NumPy redraws: the sample is drawn again
         plan = self.plan(3, 0, 1)
         raw = np.array([[0xABCDEF0100000000, 0, 0]], dtype=np.uint64)[:, : plan.words]
         monkeypatch.setattr("diversity_lab.rng.stream_words", lambda *key, words: raw)
-        assert draws(plan, 0, 3, [0])[1].tolist() == [True]
+        values = draws(plan, 0, 3, [0])
+        assert replays == [(0, 3, 0)]
+        rng = substream(0, 3, 0)
+        assert values[:, 0].tolist() == [rng.integers(3), rng.random(), rng.integers(2)]
         # no power of two rejects
         value, rejected = _bounded32(np.array([0.0, 4294967295.0]), 4)
         assert value.tolist() == [0.0, 3.0] and not rejected.any()
@@ -339,12 +342,13 @@ class TestStudyEqualsScalarRebuild:
         self.assert_matches(config)
         assert fallbacks == []
 
-    def test_pool_past_exact_products_reruns_every_sample(self, fallbacks):
-        # above 2**21 platforms a decoded platform draw may be inexact, so every sample takes the scalar path
+    def test_pool_past_exact_products_reruns_every_sample(self, fallbacks, replays):
+        # above 2**21 platforms a decoded platform draw may be inexact, so every sample is drawn again
         n = 2**21 + 1
         config = ScenarioConfig(t_values=(0.0,), n_values=(*self.N_VALUES, n), samples=40, master_seed=3)
         self.assert_matches(config)
-        assert fallbacks == [n] * 40
+        assert fallbacks == []
+        assert replays == [(3, n, sample) for sample in range(40)]
 
     def test_one_sample_past_the_derivation_block(self, fallbacks, monkeypatch):
         # a sample takes 50 words at N = 2 and more at larger N, so for every N > 1 the
@@ -464,7 +468,39 @@ class TestStudyEqualsScalarRebuild:
         self.assert_matches(replace(config, samples=30))
         assert fallbacks == []
 
-    def test_rejected_draws_take_the_scalar_path(self, fallbacks, monkeypatch):
+    @pytest.mark.parametrize("last", [WORD_CELLS - 1, WORD_CELLS], ids=["below", "at"])
+    def test_targeted_platforms_from_word_cells_take_the_scalar_path(self, fallbacks, last):
+        # the row map reaches one past the largest targeted platform, so from WORD_CELLS on
+        # every sample takes max_control_run
+        exploits = (ExploitSpec(frozenset({last}), 0.0), ExploitSpec(frozenset({0, 1})))
+        config = ScenarioConfig(
+            t_values=(0.0,), n_values=(WORD_CELLS + 1,), samples=20, exploits=exploits, master_seed=4
+        )
+        self.assert_matches(config)
+        assert fallbacks == ([] if last < WORD_CELLS else [WORD_CELLS + 1] * 20)
+
+    @pytest.mark.parametrize(
+        "n, exploits",
+        [
+            (40_000_000, (ExploitSpec(frozenset({39_999_999}), 0.0), ExploitSpec(frozenset({0, 1})))),
+            (10_000, (ExploitSpec(frozenset(range(10_000)), 0.0), ExploitSpec(frozenset({0, 1})))),
+        ],
+        ids=["row-map-of-40M-platforms", "table-of-10000-targets"],
+    )
+    def test_exploit_table_memory_stays_bounded(self, n, exploits):
+        # a row map to platform 39,999,999 would take 305 MiB, and a table of 10,001 rows
+        # for 300 samples 23 MiB; chunks of WORD_CELLS cells per sample keep both small
+        config = ScenarioConfig(t_values=(10.0,), n_values=(n,), samples=300, exploits=exploits, master_seed=1)
+        tracemalloc.start()
+        try:
+            run_scenario_study(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        self.assert_matches(replace(config, samples=20))
+
+    def test_rejected_draws_take_the_scalar_path(self, fallbacks, monkeypatch, replays):
 
         def every_draw_rejected(draws, m):
             value, rejected = _bounded32(draws, m)
@@ -473,5 +509,6 @@ class TestStudyEqualsScalarRebuild:
         monkeypatch.setattr("diversity_lab.rng._bounded32", every_draw_rejected)
         config = ScenarioConfig(t_values=(0.0,), n_values=self.N_VALUES, samples=40, master_seed=9)
         self.assert_matches(config)
-        # every sample with a platform draw (N > 1) was rerun
-        assert sorted(fallbacks) == sorted([n for n in self.N_VALUES if n > 1] * 40)
+        # every sample with a platform draw (N > 1) was drawn again
+        assert fallbacks == []
+        assert replays == [(9, n, sample) for n in self.N_VALUES if n > 1 for sample in range(40)]

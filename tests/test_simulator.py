@@ -20,27 +20,28 @@ from diversity_lab import (
     EmpiricalCdf,
     McConfig,
     PolicyKind,
-    assign_vulnerabilities,
     compute_metrics,
     run_mc_study,
     schedule,
 )
 from conftest import make_similarity
-from oracles import naive_trace_metrics, reference_study
+from oracles import naive_trace_metrics, reference_labeling, reference_study
 
 
 class TestAssignVulnerabilities:
+    """The labeling distribution, on the scalar labeling that ``test_labelings`` ties to the study's."""
+
     def test_identity_matrix_single_vulnerable(self, identity_sim):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            flags = assign_vulnerabilities(identity_sim, rng)
+            flags = reference_labeling(identity_sim.scores, rng)
             assert flags.dtype == bool and flags.shape == (5,)
             assert np.count_nonzero(flags) == 1
 
     def test_clone_matrix_all_vulnerable(self, clone_sim):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            assert assign_vulnerabilities(clone_sim, rng).all()
+            assert reference_labeling(clone_sim.scores, rng).all()
 
     def test_conditional_frequency_given_seed_platform(self, five_platform_sim):
         # P(FreeBSD vulnerable | seed platform = CentOS) should track the
@@ -53,7 +54,7 @@ class TestAssignVulnerabilities:
             if int(np.random.default_rng(i).integers(5)) != 0:
                 continue
             centos_seeded += 1
-            hits += assign_vulnerabilities(five_platform_sim, np.random.default_rng(i))[freebsd]
+            hits += reference_labeling(five_platform_sim.scores, np.random.default_rng(i))[freebsd]
         assert centos_seeded > 15_000
         assert abs(hits / centos_seeded - 0.0368) < 0.005
 
@@ -63,7 +64,7 @@ class TestAssignVulnerabilities:
         trials = 50_000
         freebsd = five_platform_sim.platforms.index("FreeBSD")
         hits = sum(
-            assign_vulnerabilities(five_platform_sim, rng)[freebsd]
+            reference_labeling(five_platform_sim.scores, rng)[freebsd]
             for _ in range(trials)
         )
         sims = [five_platform_sim.similarity(i, freebsd) for i in range(4)]
@@ -265,7 +266,7 @@ class TestDiversityUnderLabelings:
         rng = np.random.default_rng(17)
         config = McConfig(trials=1, intervals=100)
         for _ in range(200):
-            flags = assign_vulnerabilities(five_platform_sim, rng)
+            flags = reference_labeling(five_platform_sim.scores, rng)
             seed = int(rng.integers(1 << 32))
             chosen = trial_trace(PolicyKind.DIVERSITY, five_platform_sim, config.intervals, seed)
             first = compute_metrics([flags[chosen]], 3).time_to_first_compromise[0]
@@ -378,53 +379,55 @@ class TestDecodedDrawsEqualGeneratorDraws:
     """The study decodes raw PCG64 words as NumPy's ``Generator`` draws them; NumPy is the reference."""
 
     @pytest.mark.parametrize("count", range(2, 65))
-    def test_choice_without_replacement(self, count):
+    def test_choice_without_replacement(self, count, replays):
         rows = np.arange(6)
         for k in range(1, count + 1):
             # Floyd's k draws and the shuffle's k - 1 take at most k words
             plan = draw_plan(_floyd_bounds(count, k))
             assert plan.words <= k
-            values, rejected = draws(plan, count, rows, 3)
-            chosen, tail = _random_k_subsets(values, count, k)
+            chosen = _random_k_subsets(draws(plan, count, rows, 3), count, k)
             expected = [substream(count, row, 3).choice(count, k, replace=False).tolist() for row in rows]
-            assert not rejected.any() and not tail
+            assert not replays
             assert chosen.tolist() == expected
 
-    def test_labelings(self, five_platform_sim):
+    def test_labelings(self, five_platform_sim, replays):
         rows, count = np.arange(200), five_platform_sim.count
-        values, rejected = draws(draw_plan([count] + [0] * (count - 1)), 3, rows, 0)
+        values = draws(draw_plan([count] + [0] * (count - 1)), 3, rows, 0)
         flags = simulator._labelings(values, five_platform_sim.scores)
-        assert not rejected.any()
-        expected = [assign_vulnerabilities(five_platform_sim, substream(3, row, 0)) for row in rows]
+        assert not replays
+        expected = [reference_labeling(five_platform_sim.scores, substream(3, row, 0)) for row in rows]
         np.testing.assert_array_equal(flags, expected, strict=True)
 
     @pytest.mark.parametrize("count", [2, 3, 7, 48])
-    def test_bounded_draws(self, count):
+    def test_bounded_draws(self, count, replays):
         # integers(1) takes no half, so the draws after it shift by one half
         bounds = [count, 1, count - 1, 1, 1, count + 1, 2]
-        values, rejected = draws(draw_plan(bounds), 5, np.arange(40), 2)
-        assert not rejected.any()
+        values = draws(draw_plan(bounds), 5, np.arange(40), 2)
+        assert not replays
         for row, drawn in enumerate(values.T.tolist()):
             scalar = substream(5, row, 2)
             assert drawn == [int(scalar.integers(bound)) for bound in bounds]
 
-    def test_every_draw_rejected_reruns_every_trial(self, five_platform_sim, monkeypatch):
-        reruns = []
-        scalar_trial = simulator._scalar_trial
-
+    def test_every_draw_rejected_reruns_every_trial(self, five_platform_sim, monkeypatch, replays):
         def every_draw_rejected(draws, m):
             value, rejected = _bounded32(draws, m)
             return value, np.ones_like(rejected)
 
-        def counted(config, sim, trial):
-            reruns.append(trial)
-            return scalar_trial(config, sim, trial)
-
         monkeypatch.setattr("diversity_lab.rng._bounded32", every_draw_rejected)
-        monkeypatch.setattr(simulator, "_scalar_trial", counted)
         config = McConfig(trials=25, intervals=12, master_seed=4)
         TestStudyMatchesPerStepReference.assert_matches(config, five_platform_sim)
-        assert reruns == list(range(25))
+        # every stream of every trial, the labeling's and each policy's, is drawn again
+        assert sorted(replays) == [(4, trial, stream) for trial in range(25) for stream in range(4)]
+
+    def test_pool_past_the_floyd_limit(self, five_platform_sim, monkeypatch):
+        # past the limit each random-k subset comes from choice() on the trial's substream
+        def refuse(*args):
+            raise AssertionError("a subset was decoded from Floyd's draws")
+
+        monkeypatch.setattr(simulator, "FLOYD_POOL_LIMIT", 3)
+        monkeypatch.setattr(simulator, "_random_k_subsets", refuse)
+        config = McConfig(trials=30, intervals=12, master_seed=6)
+        TestStudyMatchesPerStepReference.assert_matches(config, five_platform_sim)
 
     @pytest.mark.parametrize(
         "count, k, intervals",
@@ -471,7 +474,7 @@ class TestPoolErrorsBeforeAnyTrial:
         def refuse(*key, **options):
             raise AssertionError(f"a trial started: stream {key}")
 
-        # the study takes its words from stream_words and reruns trials on substream
+        # the study takes its words from stream_words, and past FLOYD_POOL_LIMIT random-k subsets from substream
         monkeypatch.setattr(simulator, "substream", refuse)
         monkeypatch.setattr("diversity_lab.rng.stream_words", refuse)
 
