@@ -10,20 +10,22 @@ changing results.
 ``SeedSequence``. ``stream_words`` gives the first raw words of many
 streams at once with no generator at all. It runs SeedSequence's pool
 mixing and ``generate_state(4, uint64)`` as uint32 array arithmetic over
-a block of keys, then PCG64's seeding, ``inc = 2·initseq + 1`` and
-``s = (initstate + inc)·MULT + inc``. PCG64 steps by
-``s ↦ s·MULT + inc`` and outputs each new state's XSL-RR,
+a block of keys, with hash constants that depend only on their position
+and are computed once, at import. Then it runs PCG64's seeding,
+``inc = 2·initseq + 1`` and ``s = (initstate + inc)·MULT + inc``. PCG64
+steps by ``s ↦ s·MULT + inc`` and outputs each new state's XSL-RR,
 ``rotr64(hi ^ lo, hi >> 58)``. So the state behind word j is
 ``A_j·s + B_j·inc mod 2**128``, with ``A_j = MULT**(j+1)`` and ``B_j``
 the sum of ``MULT**i`` for i <= j, and the state behind word j + g is
 ``MULT**g`` times that of word j plus ``Q_g·inc``, with ``Q_g`` the sum
 of ``MULT**i`` for i < g. ``stream_words`` jumps to the first g words of
-every key and then steps all g lanes together by g words. A 128-bit
-value is a pair of uint64 arrays, high word first.
+every key and then steps all g lanes together by g words, in place. A
+128-bit value is a pair of uint64 arrays, high word first.
 
 A stream's draws, listed as ``random()`` and ``integers(m)`` calls, are
 its ``draw_plan``; ``draws`` derives the words of many streams and
-decodes them as ``Generator`` would draw them. ``_random_k_subsets``
+decodes them as ``Generator`` would draw them, ``integers(m)`` in uint64
+arithmetic, exact for every bound up to 2**32. ``_random_k_subsets``
 turns the draws of ``_floyd_bounds`` into ``choice(N, k, replace=False)``.
 This is the only module that knows where a draw sits in a stream.
 
@@ -98,14 +100,15 @@ def stream_words(master_seed: int, *key, words: int) -> np.ndarray:
         inc = (seq_hi << _ONE) | (seq_lo >> np.uint64(63)), (seq_lo << _ONE) | _ONE
         lanes = max(1, min(words, WORD_BLOCK // len(block)))
         power, total, leap, stride = _leapfrog_constants(lanes)
-        state = _add(_mul(power, (init_hi, init_lo)), _mul(total, inc))
+        high, low = _add(_mul(power, (init_hi, init_lo)), _mul(total, inc))
         advance = _mul(stride, inc)
         rows_out = out[:, first : first + len(block)]
+        scratch = np.empty((3, *high.shape), dtype=np.uint64)
         for col in range(0, words, lanes):
             width = min(lanes, words - col)
-            rows_out[col : col + width] = _xsl_rr(*state)[:width]
+            _xsl_rr(high[:width], low[:width], rows_out[col : col + width], scratch[:, :width])
             if col + lanes < words:
-                state = _add(_mul(leap, state), advance)
+                _leap(high, low, leap, advance, scratch)
     return out.T
 
 
@@ -130,7 +133,7 @@ def _key_block(columns: list[np.ndarray], first: int, size: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _leapfrog_constants(lanes: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _leapfrog_constants(lanes: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """The 128-bit constants of ``stream_words`` with ``lanes`` lanes, as (high, low) word pairs.
 
     PCG64's seeding sets ``s = (init + inc)·MULT + inc``, so the state
@@ -139,7 +142,9 @@ def _leapfrog_constants(lanes: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]
     pairs hold these factors for lanes 0 to ``lanes - 1``, one per row;
     the last two hold ``MULT**lanes`` and ``Q``, the sum of ``MULT**i``
     for i < lanes, which advance a lane by ``lanes`` words:
-    ``s ↦ MULT**lanes·s + Q·inc``. Built on first use, not at import.
+    ``s ↦ MULT**lanes·s + Q·inc``; the leap pair also holds the 32-bit
+    halves of ``MULT**lanes``'s low word, low half first, for ``_leap``.
+    Built on first use, not at import.
     """
     power = _PCG64_MULT * _PCG64_MULT & _MASK128
     total = (1 + _PCG64_MULT + power) & _MASK128
@@ -152,7 +157,8 @@ def _leapfrog_constants(lanes: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]
         total = (total + power) & _MASK128
         stride = (stride + leap) & _MASK128
         leap = leap * _PCG64_MULT & _MASK128
-    return _split128(powers), _split128(totals), _split128([leap]), _split128([stride])
+    halves = [np.array([[leap >> shift & _MASK32]], dtype=np.uint64) for shift in (0, 32)]
+    return _split128(powers), _split128(totals), (*_split128([leap]), *halves), _split128([stride])
 
 
 def _split128(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -191,11 +197,53 @@ def _add(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
     return a[0] + b[0] + (low < b[1]), low
 
 
-def _xsl_rr(high: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """PCG64's output of each state: ``rotr64(hi ^ lo, hi >> 58)``."""
-    mixed = high ^ low
-    rotation = high >> np.uint64(58)
-    return (mixed >> rotation) | (mixed << ((np.uint64(64) - rotation) & np.uint64(63)))
+def _leap(high: np.ndarray, low: np.ndarray, leap: tuple, advance: tuple, scratch: np.ndarray) -> None:
+    """``s ↦ leap·s + advance mod 2**128`` of the (``high``, ``low``) states, in place.
+
+    ``leap`` is a constant (high, low, low word's low half, low word's high
+    half); the high word is ``_mul``'s, with ``_mulhi64`` of the low words
+    from the precomputed halves. ``scratch`` holds three arrays of the
+    states' shape.
+    """
+    (l_hi, l_lo, a_lo, a_hi), (b_hi, b_lo) = leap, advance
+    x_lo, x_hi, part = scratch
+    np.bitwise_and(low, _HALF, out=x_lo)
+    np.right_shift(low, _SHIFT32, out=x_hi)
+    high *= l_lo
+    np.multiply(l_hi, low, out=part)
+    high += part
+    # mulhi(l_lo, low): upper = a_hi·x_lo + (a_lo·x_lo >> 32), lower = a_lo·x_hi + (upper & half)
+    np.multiply(a_lo, x_lo, out=part)
+    part >>= _SHIFT32
+    x_lo *= a_hi
+    x_lo += part
+    np.multiply(a_lo, x_hi, out=part)
+    x_hi *= a_hi
+    high += x_hi
+    np.bitwise_and(x_lo, _HALF, out=x_hi)
+    part += x_hi
+    x_lo >>= _SHIFT32
+    high += x_lo
+    part >>= _SHIFT32
+    high += part
+    low *= l_lo
+    low += b_lo
+    high += b_hi
+    # the low sum wrapped below the advance's low word on a carry
+    high += low < b_lo
+
+
+def _xsl_rr(high: np.ndarray, low: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """PCG64's output of each state, ``rotr64(hi ^ lo, hi >> 58)``, into ``out``; ``scratch`` holds two arrays."""
+    mixed, rotation = scratch[:2]
+    np.bitwise_xor(high, low, out=mixed)
+    np.right_shift(high, np.uint64(58), out=rotation)
+    np.right_shift(mixed, rotation, out=out)
+    # the left rotation by 64 - r, which is 0 for r = 0
+    np.subtract(np.uint64(64), rotation, out=rotation)
+    rotation &= np.uint64(63)
+    mixed <<= rotation
+    out |= mixed
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -209,10 +257,10 @@ def _uint32_words(value: int) -> list[int]:
 
 
 def _entropy(seed_words: list[int], keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each key row's assembled entropy words, zero-padded to one width, and its word count.
+    """Each key row's assembled entropy words as a column, zero-padded to one height, and its word count.
 
     A key part below 2**32 is one word and a larger one two, low word
-    first. The width is at least the pool size: SeedSequence hashes a
+    first. The height is at least the pool size: SeedSequence hashes a
     zero for each pool word past a short entropy, as for a zero word.
     """
     low = (keys & np.uint64(_MASK32)).astype(np.uint32)
@@ -220,22 +268,42 @@ def _entropy(seed_words: list[int], keys: np.ndarray) -> tuple[np.ndarray, np.nd
     counts = 1 + (high > 0)
     ends = len(seed_words) + np.cumsum(counts, axis=1)
     lengths = ends[:, -1] if keys.shape[1] else np.full(len(keys), len(seed_words))
-    entropy = np.zeros((len(keys), max(_POOL, int(lengths.max(initial=0)))), dtype=np.uint32)
-    entropy[:, : len(seed_words)] = seed_words
+    entropy = np.zeros((max(_POOL, int(lengths.max(initial=0))), len(keys)), dtype=np.uint32)
+    entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
     rows = np.broadcast_to(np.arange(len(keys))[:, None], keys.shape)
     starts = ends - counts
-    entropy[rows, starts] = low
+    entropy[starts, rows] = low
     wide = counts == 2
-    entropy[rows[wide], starts[wide] + 1] = high[wide]
+    entropy[starts[wide] + 1, rows[wide]] = high[wide]
     return entropy, lengths
 
 
-def _hashmix(values: np.ndarray, const: int) -> tuple[np.ndarray, int]:
-    """SeedSequence's ``hashmix`` of each value, and the hash constant it leaves."""
-    values = values ^ np.uint32(const)
-    const = const * _MULT_A & _MASK32
-    values = values * np.uint32(const)
-    return values ^ (values >> np.uint32(16)), const
+def _hash_constants(const: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's hash constant at positions 0 to ``count``, as a uint32 column.
+
+    The constant at each position is the previous one times ``mult``; a
+    hash at position i xors the value with constant i and multiplies it
+    by constant i + 1. The constants depend only on the position, not on
+    the entropy.
+    """
+    consts = [const]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+# the pool's hashes: its 4 words, 12 mixes, and the 4 of the first entropy word past the pool
+_POOL_HASH = _hash_constants(_INIT_A, _MULT_A, _POOL + _POOL * (_POOL - 1) + _POOL)
+# the 8 output words' hashes
+_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+# from one entropy word past the pool to the next, the constants move on by _POOL positions
+_NEXT_WORD = np.uint32(pow(_MULT_A, _POOL, 1 << 32))
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` with the constants ``xor`` and ``mult`` of its position."""
+    values = (values ^ xor) * mult
+    return values ^ (values >> np.uint32(16))
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -244,49 +312,40 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _generate_state(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``SeedSequence(entropy).generate_state(4, uint64)`` of each row of ``entropy``.
+    """``SeedSequence(entropy).generate_state(4, uint64)`` of each column of ``entropy``, one row each.
 
-    The hash constant evolves the same way for every row, so rows of
-    different lengths share one pass: a row takes no part in the extra
-    mixing past its own length.
+    The pool is a (4, rows) array. Its words are hashed with one array
+    operation, and each source word is hashed with the constants of its
+    three or four mixes at once. The hash constants depend only on the
+    position, so rows of different lengths share one pass: a row takes
+    no part in the extra mixing past its own length.
     """
-    const = _INIT_A
-    pool = []
-    for i in range(_POOL):
-        word, const = _hashmix(entropy[:, i], const)
-        pool.append(word)
+    at = _POOL
+    pool = _hashmix(entropy[:_POOL], _POOL_HASH[:at], _POOL_HASH[1 : at + 1])
     for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], hashed)
-    for src in range(_POOL, entropy.shape[1]):
-        live = src < lengths
-        for dst in range(_POOL):
-            hashed, const = _hashmix(entropy[:, src], const)
-            pool[dst] = np.where(live, _mix(pool[dst], hashed), pool[dst])
-    const = _INIT_B
-    state = np.empty((len(entropy), 2 * _POOL), dtype=np.uint32)
-    for i in range(2 * _POOL):
-        word = pool[i % _POOL] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        word = word * np.uint32(const)
-        state[:, i] = word ^ (word >> np.uint32(16))
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+        dst = [i for i in range(_POOL) if i != src]
+        hashed = _hashmix(pool[src], _POOL_HASH[at : at + 3], _POOL_HASH[at + 1 : at + 4])
+        pool[dst] = _mix(pool[dst], hashed)
+        at += 3
+    xor, mult = _POOL_HASH[at : at + _POOL], _POOL_HASH[at + 1 :]
+    for src in range(_POOL, len(entropy)):
+        pool = np.where(src < lengths, _mix(pool, _hashmix(entropy[src], xor, mult)), pool)
+        xor, mult = xor * _NEXT_WORD, mult * _NEXT_WORD
+    state = _hashmix(np.concatenate([pool, pool]), _STATE_HASH[:-1], _STATE_HASH[1:])
+    # output word w is state words 2w (low) and 2w + 1 (high)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
-def _bounded32(draws: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``Generator.integers(m)`` of 32-bit draws, and whether NumPy would redraw each.
+def _bounded32(draws: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
+    """``Generator.integers(m)`` of uint64 32-bit draws, and whether NumPy would not return it.
 
-    Lemire's method: the value is ``(draw * m) >> 32``, and NumPy draws
-    again when ``(draw * m) % 2**32`` falls below ``2**32 % m``. The
-    product is exact in a double for ``m <= 2**21``; a larger ``m`` marks
-    every draw for a redraw.
+    Lemire's method: the value is ``(draw·m) >> 32``, and NumPy draws
+    again when ``(draw·m) mod 2**32`` falls below ``2**32 mod m``. With a
+    draw below 2**32 and m at most 2**32, the product is exact in uint64.
+    Above 2**32 NumPy takes a 64-bit draw instead, so every draw is marked.
     """
     product = draws * m
-    value = np.floor(product * (1 / 4294967296))
-    return value, (product - value * 4294967296 < 2**32 % m) | (m > 1 << 21)
-
+    return product >> _SHIFT32, ((product & _HALF) < (1 << 32) % m) | (m > 1 << 32)
 
 
 class DrawPlan(NamedTuple):
@@ -326,9 +385,10 @@ def draws(plan: DrawPlan, master_seed: int, *key) -> np.ndarray:
     every key row; an ``integers`` draw is an integral double, exact for
     bounds up to 2**53. ``random()`` of a word ``w`` is
     ``(w >> 11)·2**-53``, and ``integers(m)`` is ``_bounded32`` of its
-    half; draws are decoded ``WORD_BLOCK`` cells at a time. A key row with
-    a draw NumPy would redraw, or with a bound above 2**21, is drawn again
-    on its ``substream``, one ``random()`` or ``integers(m)`` call at a time.
+    half, in uint64; draws are decoded ``WORD_BLOCK`` cells at a time. A
+    key row with a draw NumPy would redraw, or with a bound above 2**32,
+    where NumPy draws 64 bits, is drawn again on its ``substream``, one
+    ``random()`` or ``integers(m)`` call at a time.
     """
     raw = stream_words(master_seed, *key, words=plan.words).T
     keys = raw.shape[1]
@@ -337,13 +397,14 @@ def draws(plan: DrawPlan, master_seed: int, *key) -> np.ndarray:
     values, redraw = np.zeros((len(plan.bounds), keys)), np.zeros(keys, dtype=bool)
     step = max(1, WORD_BLOCK // max(1, keys))
     doubles, bits32 = np.flatnonzero(plan.bounds == 0), np.flatnonzero(plan.bounds > 1)
+    moduli = plan.bounds.astype(np.uint64)[:, None]
     for first in range(0, len(doubles), step):
         at = doubles[first : first + step]
         values[at] = (raw[plan.word[at]] >> np.uint64(11)) * (1 / 9007199254740992)
     for first in range(0, len(bits32), step):
         at = bits32[first : first + step]
-        half = halves[plan.word[at], :, plan.half[at]].astype(np.float64)
-        values[at], redrawn = _bounded32(half, plan.bounds[at, None])
+        half = halves[plan.word[at], :, plan.half[at]].astype(np.uint64)
+        values[at], redrawn = _bounded32(half, moduli[at])
         redraw |= redrawn.any(axis=0)
     if redraw.any():
         columns = _key_columns(master_seed, key)[1]

@@ -66,6 +66,9 @@ MAX_STAYS = 100_000
 MAX_SAMPLES = 100_000_000
 #: Distinct platforms below the largest N that exploits may target; each holds a time per sample.
 MAX_TARGETED = 10_000
+#: Standard deviations of a sample's summed dwells that the planned stays leave spare. A constant, not
+#: an option: a sample that still falls short is rerun by ``max_control_run``, so it sets cost, not results.
+STAY_MARGIN = 8
 
 
 @dataclass(frozen=True)
@@ -243,31 +246,47 @@ def _control_runs(
     """Each sample's longest control run, and whether its drawn stays reach ``duration``.
 
     ``dwells`` and ``moves`` hold one row per stay: its dwell, and the draw
-    after it before the no-repeat shift. One loop over stays carries every
-    sample's stay end (summed left to right, as ``max_control_run`` does),
-    run head and best run. A stay's control segment runs from
-    ``max(previous end, exploit time)`` to its end; it continues the run
-    when the previous stay was controlled and the segment starts at that
-    stay's end. Slots past the trial end are empty stays at ``duration``.
+    after it before the no-repeat shift. Each sample's stay ends are its
+    dwells summed left to right, as ``max_control_run`` sums them; they
+    overwrite ``dwells``. One loop over the stays carries every sample's
+    run head and best run in preallocated arrays; it stops at the first
+    stay by which every sample has reached ``duration``. A stay's control
+    segment runs from ``max(previous end, exploit time)`` to its end; it
+    continues the run when the previous stay was controlled and the
+    segment starts at that stay's end. Slots past a sample's trial end
+    are empty stays at ``duration``.
     """
     samples = len(start)
+    # the stay ends, summed in place stay by stay: faster than a cumsum down the columns
+    bounds = dwells
+    for previous, bound in zip(bounds, bounds[1:]):
+        bound += previous
+    exact = bounds[-1] >= duration
+    reached = bounds.min(axis=1) >= duration
+    stays = int(reached.argmax()) + 1 if reached[-1] else len(bounds)
+    ends = np.minimum(bounds[:stays], duration, out=bounds[:stays])
     # the move after the last stay leads nowhere
-    platforms = uniform_walks(start, moves[:-1].T)
+    platforms = uniform_walks(start, moves[: stays - 1].T)
     # a stay's exploit time is the table cell (row of its platform, sample)
     row, columns, cells = row * samples, np.arange(samples), table.ravel()
-    bound, head, best = np.zeros(samples), np.zeros(samples), np.zeros(samples)
-    previous_end, previous_control = np.zeros(samples), np.zeros(samples, bool)
-    for dwell, platform in zip(dwells, platforms.T):
-        bound += dwell
-        end = np.minimum(bound, duration)
-        arrival = cells.take(row.take(platform, mode="clip") + columns)
-        joined = previous_control & (arrival <= previous_end)
-        head = np.where(joined, head, np.maximum(previous_end, arrival))
-        previous_control = arrival < end
+    head, best, previous_end = np.zeros(samples), np.zeros(samples), np.zeros(samples)
+    arrival, index = np.empty(samples), np.empty(samples, np.intp)
+    uncontrolled, fresh = np.ones(samples, bool), np.empty(samples, bool)
+    for end, platform in zip(ends, platforms.T):
+        row.take(platform, mode="clip", out=index)
+        index += columns
+        cells.take(index, out=arrival)
+        # a segment starts a new run unless the previous stay was controlled and it starts at its end
+        np.greater(arrival, previous_end, out=fresh)
+        fresh |= uncontrolled
+        np.greater_equal(arrival, end, out=uncontrolled)
+        np.maximum(previous_end, arrival, out=arrival)
+        np.copyto(head, arrival, where=fresh)
         # uncontrolled, the head is the arrival, not before the end, or an empty stay repeats a run
-        np.maximum(best, end - head, out=best)
+        np.subtract(end, head, out=arrival)
+        np.maximum(best, arrival, out=best)
         previous_end = end
-    return best, bound >= duration
+    return best, exact
 
 
 def _runs(config: ScenarioConfig, n: int, drawn: int, plan: DrawPlan) -> np.ndarray:
@@ -315,17 +334,21 @@ def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
     A sweep with N > 1 whose samples may need more than ``MAX_STAYS``
     stays raises ValueError before any sample is drawn.
 
-    Each result equals ``max_control_run`` on the sample's stream. The
-    samples of one N come in chunks of up to ``WORD_CELLS`` cells, one
-    ``rng.draws`` call each; a sample's cells are the larger of its words
-    and its exploit table rows. A chunk is evaluated in one stay-major
-    pass: ``uniform_walks`` gives the platforms, and one loop over the
-    stays scans all its samples' control runs at once. A sample whose
-    drawn stays end before ``duration`` is rerun through
-    ``max_control_run``. Every sample takes ``max_control_run`` where a
-    chunk holds fewer than 3 samples (from about 29,100 stays at N > 2 and
-    43,700 at N = 2), where a targeted platform is at least ``WORD_CELLS``,
-    or where N exceeds 2**53, past exact doubles.
+    Each result equals ``max_control_run`` on the sample's stream. Each
+    sample plans the draws of ``_stays`` stays, as many as the delay
+    distribution calls for with ``STAY_MARGIN`` standard deviations to
+    spare. The samples of one N come in chunks of up to ``WORD_CELLS``
+    cells, one ``rng.draws`` call each; a sample's cells are the larger of
+    its words and its exploit table rows. A chunk is evaluated in one
+    stay-major pass: ``uniform_walks`` gives the platforms, and one loop
+    over the stays scans all its samples' control runs at once, up to the
+    stay by which every sample has ended. A sample whose drawn stays end
+    before ``duration`` is rerun through ``max_control_run``. Every
+    sample takes ``max_control_run`` where a chunk holds fewer than 3
+    samples (from about 29,100 planned stays at N > 2 and 43,700 at
+    N = 2), where a targeted platform is at least ``WORD_CELLS``, or
+    where N exceeds 2**53, past exact doubles. The T sweep sorts each N's
+    runs once and counts the hits of every goal with one ``searchsorted``.
     """
     ratio = float(config.duration) / config.delay[0]
     if ratio > MAX_STAYS and max(config.n_values) > 1:
@@ -335,12 +358,32 @@ def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
         )
     drawn = sum(spec.arrival is None for spec in config.exploits)
     results: list[GridPoint] = []
+    planned = _stays(float(config.duration), config.delay)
+    goals = np.asarray(config.t_values, dtype=float)
     for n in config.n_values:
-        # dwells are at least lo, so duration / lo stays reach the trial end,
-        # plus slack for float sums that fall short; with N = 1 nothing is drawn after the start
-        stays = 0 if n == 1 else int(ratio) + 2
-        runs = _runs(config, n, drawn, draw_plan([0] * drawn + [n] + [0, n - 1] * stays))
-        for t in config.t_values:
-            hits = int(np.count_nonzero(runs >= t))
-            results.append(GridPoint(n=n, t=t, success_fraction=hits / config.samples, samples=config.samples))
+        # with N = 1 nothing is drawn after the start
+        stays = 0 if n == 1 else planned
+        runs = np.sort(_runs(config, n, drawn, draw_plan([0] * drawn + [n] + [0, n - 1] * stays)))
+        # the runs below a goal miss it
+        hits = config.samples - np.searchsorted(runs, goals)
+        for t, hit in zip(config.t_values, hits.tolist()):
+            results.append(GridPoint(n=n, t=t, success_fraction=hit / config.samples, samples=config.samples))
     return results
+
+
+def _stays(duration: float, delay: tuple[float, float]) -> int:
+    """The stays planned per sample: enough for all but a negligible share of samples.
+
+    A sum of s dwells, uniform on ``[lo, hi]``, has mean ``s·(lo + hi)/2``
+    and standard deviation ``√s·(hi − lo)/√12``. The plan takes the least
+    s whose mean, less ``STAY_MARGIN`` standard deviations, reaches
+    ``duration``, plus one for float sums that fall short, and never more
+    than ``duration / lo + 2``, which every sample reaches. It is solved
+    as a quadratic in √s, in units of the mean dwell, so nothing
+    overflows.
+    """
+    lo, hi = delay
+    mean = lo / 2 + hi / 2
+    spread = STAY_MARGIN / math.sqrt(12) * ((hi - lo) / mean)
+    root = (spread + math.sqrt(spread * spread + 4 * (duration / mean))) / 2
+    return min(math.ceil(root * root) + 1, int(duration / lo) + 2)

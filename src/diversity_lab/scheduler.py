@@ -115,11 +115,13 @@ def uniform_walks(starts: np.ndarray, moves: np.ndarray) -> np.ndarray:
     """No-repeat walks, one row per start: move ``m`` goes to the m-th of the other platforms.
 
     Both engines walk with it; starts and moves may be integers or integral doubles.
+    The walks are Fortran-ordered (step-major), so each step, and each column a
+    stay-major scan reads, is contiguous.
     """
-    walks = np.empty((len(starts), moves.shape[1] + 1), dtype=np.intp)
+    walks = np.empty((len(starts), moves.shape[1] + 1), dtype=np.intp, order="F")
     walks[:, 0] = starts
     for step, move in enumerate(moves.T):
-        walks[:, step + 1] = move + (move >= walks[:, step])
+        np.add(move, move >= walks[:, step], out=walks[:, step + 1], casting="unsafe")
     return walks
 
 

@@ -196,7 +196,7 @@ def compute_metrics(vulnerable, k: int) -> PolicyMetrics:
         raise ValueError("persistence requirement k must be >= 1")
     intervals = vulnerable.shape[1]
     # hits[t, i]: the k intervals ending at interval i of trial t were all vulnerable
-    hits = vulnerable.copy()
+    hits = vulnerable.copy(order="K")
     hits[:, : k - 1] = False
     for lag in range(1, k):
         hits[:, lag:] &= vulnerable[:, :-lag]
@@ -223,7 +223,8 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
     for kind in policies:
         check_pool(kind, config.k, sim.count)
     seed, count, intervals, k = config.master_seed, sim.count, config.intervals, config.k
-    vulnerable = {kind: np.empty((config.trials, intervals), dtype=bool) for kind in policies}
+    # step-major, as uniform_walks lays out its walks
+    vulnerable = {kind: np.empty((config.trials, intervals), dtype=bool, order="F") for kind in policies}
     trials = np.arange(config.trials)
     if PolicyKind.DIVERSITY in policies:
         # a diversity trace draws nothing after its start: one walk per distinct start serves all
@@ -238,7 +239,9 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
     chunk = max(1, WORD_CELLS // max(intervals, count))
     for first in range(0, config.trials, chunk):
         rows = trials[first : first + chunk]
-        flags = _labelings(draws(labeling, seed, rows, LABELING_STREAM), sim.scores)
+        flags = _labelings(draws(labeling, seed, rows, LABELING_STREAM), sim.scores).ravel()
+        # trial i's flags start at cell i·N of the flat labelings
+        offsets = (np.arange(len(rows)) * count)[:, None]
         for kind in policies:
             if kind is PolicyKind.DIVERSITY:
                 chosen = walks[walk_of[rows]]
@@ -252,7 +255,8 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
                 else:
                     subsets = _random_k_subsets(draws(random_k_plan, seed, rows, stream), count, k)
                 chosen = subsets[:, np.arange(intervals) % k]
-            vulnerable[kind][rows] = np.take_along_axis(flags, chosen, axis=1)
+            chosen += offsets
+            vulnerable[kind][first : first + len(rows)] = flags.take(chosen)
     return {kind.value: compute_metrics(vulnerable[kind], config.k) for kind in config.policy_kinds}
 
 

@@ -144,7 +144,7 @@ class TestStreamWords:
 
 
 #: ``random()``, ``integers(1)`` (which takes nothing), small bounds, a power of
-#: two, the largest exact bound 2**21 and the first one past it
+#: two, and 2**21 and the bound past it, once the largest exact in a double
 PLAN_BOUNDS = [0, 1, 2, 3, 7, 48, 1000, 2**21, 2**21 + 1]
 
 
@@ -156,7 +156,7 @@ class TestDraws:
         st.lists(st.tuples(key_parts, key_parts), min_size=1, max_size=5),
     )
     def test_equal_scalar_draws(self, bounds, master_seed, keys):
-        # a bound above 2**21 is drawn again on the row's substream, so every row is exact
+        # a row with a draw NumPy redraws is drawn again on its substream, so every row is exact
         plan = draw_plan(bounds)
         values = draws(plan, master_seed, *np.array(keys, dtype=np.uint64).T)
         assert values.shape == (len(bounds), len(keys))
@@ -169,8 +169,8 @@ class TestDraws:
             assert replay.bit_generator.random_raw() == next_word
 
     def test_bounds_past_exact_products_are_drawn_again(self, replays):
-        # above 2**21 Lemire's product may not be exact in a double, and past 2**32 NumPy
-        # takes a 64-bit draw: every key row is drawn again, one call at a time
+        # past 2**32 NumPy takes a 64-bit draw, which no plan lays out: every key row is
+        # drawn again, one call at a time
         bounds = [2**21 + 1, 0, 2**40, 3, 2**53]
         values = draws(draw_plan(bounds), 7, np.arange(4), 1)
         assert replays == [(7, row, 1) for row in range(4)]
@@ -178,6 +178,25 @@ class TestDraws:
             scalar = substream(7, row, 1)
             expected = [scalar.random() if bound == 0 else int(scalar.integers(bound)) for bound in bounds]
             assert values[:, row].tolist() == expected
+
+    @pytest.mark.parametrize("bound", [2**21, 2**21 + 1, 2**31 + 5, 2**32 - 1, 2**32, 2**32 + 1, 2**40])
+    def test_large_bounds_equal_scalar_draws(self, bound, replays):
+        # Lemire's product of a 32-bit draw is exact in uint64 for every bound up to 2**32,
+        # so a row is drawn again only for a draw NumPy redraws, or for a bound past 2**32
+        bounds = [bound, 0, bound, bound]
+        values = draws(draw_plan(bounds), 7, np.arange(40), 1)
+        for row in range(40):
+            scalar = substream(7, row, 1)
+            expected = [scalar.random() if m == 0 else int(scalar.integers(m)) for m in bounds]
+            assert values[:, row].tolist() == expected
+        replayed = [key[1] for key in replays]
+        assert replayed == sorted(set(replayed)) and set(replayed) <= set(range(40))
+        if bound > 2**32:
+            assert replayed == list(range(40))
+        elif bound & (bound - 1) == 0:  # 2**32 % bound == 0: NumPy never redraws
+            assert replayed == []
+        elif bound == 2**31 + 5:  # NumPy redraws almost half of the draws, not all
+            assert 0 < len(replayed) < 40
 
     def test_plan_without_words(self, replays):
         plan = draw_plan([1, 1])

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diversity_lab import (
     ExploitSpec,
@@ -268,11 +270,15 @@ class TestDecodedDrawsEqualScalarDraws:
         assert replays == [(0, 3, 0)]
         rng = substream(0, 3, 0)
         assert values[:, 0].tolist() == [rng.integers(3), rng.random(), rng.integers(2)]
-        # no power of two rejects
-        value, rejected = _bounded32(np.array([0.0, 4294967295.0]), 4)
-        assert value.tolist() == [0.0, 3.0] and not rejected.any()
-        # above 2**21 the product may not be exact in a double, so every draw goes to the scalar path
-        assert _bounded32(np.array([5.0]), 2**21 + 1)[1].tolist() == [True]
+        # no power of two rejects, up to 2**32 itself
+        halves = np.array([0, 2**32 - 1], dtype=np.uint64)
+        for m, top in [(4, 3), (2**32, 2**32 - 1)]:
+            value, rejected = _bounded32(halves, m)
+            assert value.tolist() == [0, top] and not rejected.any()
+        # products stay exact in uint64 past 2**21: 5·(2**21 + 1) leaves 5·2**21 + 5, far above the
+        # threshold 2**32 % (2**21 + 1); above 2**32 NumPy takes a 64-bit draw, so every draw is marked
+        assert _bounded32(np.array([5], dtype=np.uint64), 2**21 + 1)[1].tolist() == [False]
+        assert _bounded32(np.array([2**31], dtype=np.uint64), 2**32 + 1)[1].tolist() == [True]
 
     def test_numpy_redraws_a_zero_draw(self):
         # cache a 32-bit draw of 0: integers(3) rejects it and takes the low half of the next word
@@ -280,8 +286,8 @@ class TestDecodedDrawsEqualScalarDraws:
         state = bitgen.state
         state["has_uint32"], state["uinteger"] = 1, 0
         bitgen.state = state
-        low_half = float(np.random.PCG64(11).random_raw() & 0xFFFFFFFF)
-        value, rejected = _bounded32(np.array([0.0, low_half]), 3)
+        low_half = np.random.PCG64(11).random_raw() & np.uint64(0xFFFFFFFF)
+        value, rejected = _bounded32(np.array([0, low_half], dtype=np.uint64), 3)
         assert rejected.tolist() == [True, False]
         assert int(np.random.Generator(bitgen).integers(3)) == value[1]
 
@@ -295,6 +301,57 @@ def scalar_runs(config):
             rng = substream(config.master_seed, n, s)
             runs[n].append(max_control_run(n, config.duration, config.delay, config.exploits, rng))
     return runs
+
+
+def stays_needed(config, n, sample):
+    """The stays ``max_control_run`` takes on a sample's stream before its dwells reach the trial end."""
+    rng = substream(config.master_seed, n, sample)
+    for spec in config.exploits:
+        if spec.arrival is None:
+            rng.random()
+    rng.integers(n)
+    now, stays = 0.0, 0
+    while now < config.duration:
+        now += float(rng.uniform(*config.delay))
+        stays += 1
+        rng.integers(n - 1)
+    return stays
+
+
+class TestControlRunsStopEarly:
+    """``_control_runs`` stops at the first stay by which every sample has reached the trial end."""
+
+    DURATION, DELAY, TARGETED = 100.0, (10.0, 30.0), 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(2, 6), st.integers(1, 5))
+    def test_stays_past_every_end_change_nothing(self, seed, samples, n, extra):
+        rng = np.random.default_rng(seed)
+        lo, hi = self.DELAY
+        # enough stays for every sample to reach the end, then `extra` more
+        stays = int(self.DURATION / lo) + 1 + extra
+        dwells = rng.uniform(lo, hi, (stays, samples))
+        moves = rng.integers(n - 1, size=(stays, samples)).astype(float)
+        start = rng.integers(n, size=samples).astype(float)
+        # exploit times on the edges: at the start, on a stay end, at the trial end, or random
+        ends = np.minimum(np.cumsum(dwells, axis=0), self.DURATION)
+        picks = rng.integers(4, size=(self.TARGETED, samples))
+        times = np.select(
+            [picks == 0, picks == 1, picks == 2],
+            [0.0, ends[rng.integers(stays, size=(self.TARGETED, samples)), np.arange(samples)], self.DURATION],
+            rng.uniform(0, self.DURATION, (self.TARGETED, samples)),
+        )
+        table = np.vstack([times, np.full((1, samples), np.inf)])
+        row = np.array([0, 1, 2])  # platforms 0 and 1 are targeted; the rest clip to the inf row
+
+        def runs(count):
+            best, exact = scenario._control_runs(
+                start, dwells[:count].copy(), moves[:count], table, row, self.DURATION
+            )
+            return best.tolist(), exact.tolist()
+
+        assert runs(stays - extra) == runs(stays)
+        assert runs(stays)[1] == [True] * samples
 
 
 class TestStudyEqualsScalarRebuild:
@@ -343,16 +400,23 @@ class TestStudyEqualsScalarRebuild:
         assert fallbacks == []
 
     def test_pool_past_exact_products_reruns_every_sample(self, fallbacks, replays):
-        # above 2**21 platforms a decoded platform draw may be inexact, so every sample is drawn again
-        n = 2**21 + 1
-        config = ScenarioConfig(t_values=(0.0,), n_values=(*self.N_VALUES, n), samples=40, master_seed=3)
+        # uint64 products are exact for every pool up to 2**32 platforms: a pool of 2**21 + 1
+        # is decoded with no sample drawn again
+        config = ScenarioConfig(t_values=(0.0,), n_values=(*self.N_VALUES, 2**21 + 1), samples=40, master_seed=3)
         self.assert_matches(config)
+        assert fallbacks == [] and replays == []
+        # past 2**32 NumPy draws a platform from 64 bits, so every sample is drawn again
+        n = 2**32 + 1
+        self.assert_matches(replace(config, n_values=(*self.N_VALUES, n)))
         assert fallbacks == []
         assert replays == [(3, n, sample) for sample in range(40)]
 
     def test_one_sample_past_the_derivation_block(self, fallbacks, monkeypatch):
-        # a sample takes 50 words at N = 2 and more at larger N, so for every N > 1 the
-        # words come from two stream_words calls, each decoded in many blocks
+        # a sample takes the fewest words at N = 2 (two arrivals, the start and a dwell per
+        # stay; integers(1) takes nothing) and more at larger N, so one sample more than fit
+        # in WORD_CELLS at N = 2 puts the words of every N > 1 in two stream_words calls,
+        # each decoded in many blocks
+        per_sample = draw_plan([0, 0, 2] + [0, 1] * scenario._stays(900.0, (20.0, 30.0))).words
         calls = []
 
         def counted(seed, n, rows, words):
@@ -361,12 +425,29 @@ class TestStudyEqualsScalarRebuild:
 
         monkeypatch.setattr("diversity_lab.rng.stream_words", counted)
         config = ScenarioConfig(
-            t_values=(0.0,), n_values=self.N_VALUES, samples=WORD_CELLS // 50 + 1,
+            t_values=(0.0,), n_values=self.N_VALUES, samples=WORD_CELLS // per_sample + 1,
             master_seed=2**32,
         )
         self.assert_matches(config)
         assert fallbacks == []
         assert calls == [1] + [n for n in self.N_VALUES[1:] for _ in range(2)]
+
+    def test_samples_past_a_short_plan_are_rerun(self, fallbacks, monkeypatch):
+        # 37 stays cover 740 to 1,110 s: the samples whose dwells sum below 900 s by then
+        # fall short of the trial end and take max_control_run, each on its own stream
+        monkeypatch.setattr(scenario, "_stays", lambda duration, delay: 37)
+        reruns = []
+
+        def counted(master_seed, *key):
+            reruns.append(key)
+            return substream(master_seed, *key)
+
+        monkeypatch.setattr(scenario, "substream", counted)
+        config = ScenarioConfig(t_values=(0.0,), n_values=self.N_VALUES, samples=60, master_seed=1)
+        self.assert_matches(config)
+        short = [(n, s) for n in self.N_VALUES[1:] for s in range(60) if stays_needed(config, n, s) > 37]
+        assert 0 < len(short) < 4 * 60
+        assert reruns == short and fallbacks == [n for n, _ in short]
 
     @pytest.mark.filterwarnings("error")
     def test_fixed_dwell_overlapping_exploits_and_platforms_beyond_n(self, fallbacks):
@@ -435,7 +516,7 @@ class TestStudyEqualsScalarRebuild:
 
     def test_long_sweep_beyond_eight_thousand_stays(self, fallbacks):
         # even 30 s dwells need more than 8,192 stays to fill 250,000 s; with about
-        # 12,500 stay slots only 6 samples fit in one chunk of words, yet every stay is
+        # 10,100 stay slots only 8 samples fit in one chunk of words, yet every stay is
         # still decoded and scanned as arrays, with no scalar rerun
         config = ScenarioConfig(
             t_values=(0.0,), n_values=(1, 3), duration=2.5e5, delay=(20.0, 30.0), samples=8,
@@ -445,7 +526,7 @@ class TestStudyEqualsScalarRebuild:
         assert fallbacks == []
 
     def test_chunks_of_fewer_than_three_samples_take_the_scalar_path(self, fallbacks):
-        # 50,002 stay slots: the words of only one N = 3 sample fit in WORD_CELLS, and
+        # about 40,200 stay slots: the words of only two N = 3 samples fit in WORD_CELLS, and
         # stepping arrays that narrow through every stay is slower than the scalar loop
         config = ScenarioConfig(
             t_values=(0.0,), n_values=(1, 3), duration=1e6, delay=(20.0, 30.0), samples=3,

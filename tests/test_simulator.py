@@ -174,6 +174,18 @@ class TestComputeMetrics:
         first = metrics.time_to_first_compromise[0]
         assert first == 0 or first >= k
 
+    @given(
+        st.lists(st.lists(st.booleans(), min_size=9, max_size=9), min_size=1, max_size=20),
+        st.integers(1, 5),
+    )
+    def test_memory_order_does_not_change_metrics(self, rows, k):
+        # the study hands over Fortran-ordered (step-major) matrices
+        flags = np.array(rows, dtype=bool)
+        c_order, f_order = compute_metrics(flags, k), compute_metrics(np.asfortranarray(flags), k)
+        for field in ("vulnerable_fraction", "time_to_first_compromise", "compromised_fraction"):
+            left, right = getattr(c_order, field), getattr(f_order, field)
+            assert left.dtype == right.dtype and left.tolist() == right.tolist()
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             compute_metrics([], 2)
