@@ -19,14 +19,18 @@ steps by ``s ↦ s·MULT + inc`` and outputs each new state's XSL-RR,
 the sum of ``MULT**i`` for i <= j, and the state behind word j + g is
 ``MULT**g`` times that of word j plus ``Q_g·inc``, with ``Q_g`` the sum
 of ``MULT**i`` for i < g. ``stream_words`` jumps to the first g words of
-every key and then steps all g lanes together by g words, in place. A
-128-bit value is a pair of uint64 arrays, high word first.
+every key and then steps all g lanes together by g words, in place. It
+takes one word count for every key, or a count per key: then the keys
+are seeded together and each run of keys that share a count is stepped
+on its own, so no key derives more words than its count. A 128-bit
+value is a pair of uint64 arrays, high word first.
 
 A stream's draws, listed as ``random()`` and ``integers(m)`` calls, are
-its ``draw_plan``; ``draws`` derives the words of many streams and
-decodes them as ``Generator`` would draw them, ``integers(m)`` in uint64
-arithmetic, exact for every bound up to 2**32. ``_random_k_subsets``
-turns the draws of ``_floyd_bounds`` into ``choice(N, k, replace=False)``.
+its ``draw_plan``; ``draws`` derives the words of many streams, with a
+plan for each run of keys, and decodes them as ``Generator`` would draw
+them, ``integers(m)`` in uint64 arithmetic, exact for every bound up to
+2**32; runs that fit one seed block share one ``stream_words`` pass.
+``_random_k_subsets`` turns the draws of ``_floyd_bounds`` into ``choice(N, k, replace=False)``.
 This is the only module that knows where a draw sits in a stream.
 
 All of this reimplements NumPy internals (``SeedSequence`` in
@@ -40,7 +44,10 @@ with ``generate_state``, ``stream_words`` with ``random_raw`` and
 
 from __future__ import annotations
 
+import bisect
 import functools
+import math
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -75,41 +82,95 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
 
 
-def stream_words(master_seed: int, *key, words: int) -> np.ndarray:
-    """The first ``words`` raw outputs of each key row's stream, as a (rows, words) uint64 array.
+def stream_words(master_seed: int, *key, words) -> np.ndarray:
+    """The first raw outputs of each key row's stream: ``words`` of them, or each row's own count.
 
-    Row r equals ``substream(master_seed, *row_r).bit_generator.random_raw(words)``.
+    Row r's words equal
+    ``substream(master_seed, *row_r).bit_generator.random_raw(count_r)``.
     The key parts are integers or arrays of integers in ``[0, 2**64)``;
     they broadcast against each other, and the rows are taken in C order,
     so ``stream_words(s, trials[:, None], ids, words=w)`` gives
-    ``(s, trial, id)`` for each id of each trial. Keys are derived
-    ``WORD_BLOCK`` rows at a time. For a block of R rows, g =
-    ``WORD_BLOCK // R`` lanes (at least 1, at most ``words``) jump to the
-    states behind words 0 to g - 1, and then every lane steps by g words
-    at once, so each array operation covers at most ``WORD_BLOCK`` cells.
+    ``(s, trial, id)`` for each id of each trial. ``words`` is one count
+    for every row, and the words come as a (rows, words) uint64 array; or
+    it is an array of counts that broadcasts with the key parts, one per
+    row, and the words come as one flat uint64 array, each row's in turn.
+
+    Keys are seeded ``WORD_BLOCK`` rows at a time, and each run of
+    consecutive rows of a block that share a count is stepped together.
+    For a run of R rows, g = ``WORD_BLOCK // R`` lanes (at least 1, at
+    most the count) jump to the states behind words 0 to g - 1, and then
+    every lane steps by g words at once, so each array operation covers
+    at most ``WORD_BLOCK`` cells. With a single count, each block is one
+    run, stepped straight into the (rows, words) result.
     """
+    if np.ndim(words):
+        return _ragged_words(master_seed, key, np.asarray(words))
     seed_words, columns, rows = _key_columns(master_seed, key)
     # filled word by word, as the lanes are computed, and returned transposed
     out = np.empty((words, rows), dtype=np.uint64)
     if not words:
         return out.T
     for first in range(0, rows, WORD_BLOCK):
-        block = _key_block(columns, first, WORD_BLOCK)
-        # lanes are laid out lane by row, so the long axis of each array op runs over rows
-        init_hi, init_lo, seq_hi, seq_lo = _generate_state(*_entropy(seed_words, block)).T[:, None, :]
-        inc = (seq_hi << _ONE) | (seq_lo >> np.uint64(63)), (seq_lo << _ONE) | _ONE
-        lanes = max(1, min(words, WORD_BLOCK // len(block)))
-        power, total, leap, stride = _leapfrog_constants(lanes)
-        high, low = _add(_mul(power, (init_hi, init_lo)), _mul(total, inc))
-        advance = _mul(stride, inc)
-        rows_out = out[:, first : first + len(block)]
-        scratch = np.empty((3, *high.shape), dtype=np.uint64)
-        for col in range(0, words, lanes):
-            width = min(lanes, words - col)
-            _xsl_rr(high[:width], low[:width], rows_out[col : col + width], scratch[:, :width])
-            if col + lanes < words:
-                _leap(high, low, leap, advance, scratch)
+        block = _key_block(columns, rows, first)
+        _step_lanes(*_seed_states(seed_words, block), out[:, first : first + len(block)])
     return out.T
+
+
+def _ragged_words(master_seed: int, key: tuple, counts: np.ndarray) -> np.ndarray:
+    """``stream_words`` with a count per key row: every row's words in turn, as one flat array.
+
+    A run of consecutive rows that share a count, cut at the seed blocks,
+    is stepped together, and its words fill one slice of the result.
+    """
+    if counts.size and counts.min() < 0:
+        raise ValueError("word counts must be non-negative")
+    seed_words, columns, rows = _key_columns(master_seed, (*key, counts))
+    counts = columns.pop().astype(np.intp)
+    # row r's words are out[offsets[r] : offsets[r + 1]]
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    out = np.empty(offsets[-1], dtype=np.uint64)
+    runs = np.flatnonzero(np.diff(counts, prepend=-1)).tolist()
+    for first in range(0, rows, WORD_BLOCK):
+        block = _key_block(columns, rows, first)
+        (init_hi, init_lo), (inc_hi, inc_lo) = _seed_states(seed_words, block)
+        last = first + len(block)
+        edges = [first, *runs[bisect.bisect_right(runs, first) : bisect.bisect_left(runs, last)], last]
+        for lo, hi in zip(edges, edges[1:]):
+            count, at = int(counts[lo]), slice(lo - first, hi - first)
+            if count:
+                words = out[offsets[lo] : offsets[hi]].reshape(hi - lo, count).T
+                _step_lanes((init_hi[:, at], init_lo[:, at]), (inc_hi[:, at], inc_lo[:, at]), words)
+    return out
+
+
+def _seed_states(seed_words: list[int], block: np.ndarray) -> tuple[tuple, tuple]:
+    """PCG64's initial state and increment of each key row of ``block``, as (1, rows) (high, low) pairs.
+
+    ``_step_lanes`` lays its lanes out lane by row, so the long axis of each array op runs over rows.
+    """
+    init_hi, init_lo, seq_hi, seq_lo = _generate_state(*_entropy(seed_words, block)).T[:, None, :]
+    inc = (seq_hi << _ONE) | (seq_lo >> np.uint64(63)), (seq_lo << _ONE) | _ONE
+    return (init_hi, init_lo), inc
+
+
+def _step_lanes(init: tuple, inc: tuple, out: np.ndarray) -> None:
+    """The first words of each of ``out.shape[1]`` streams into ``out``, one row of ``out`` per word.
+
+    ``init`` and ``inc`` hold each stream's seeded state and increment as
+    ``_seed_states`` gives them; the lanes leap as ``stream_words`` says.
+    """
+    words, rows = out.shape
+    lanes = max(1, min(words, WORD_BLOCK // rows))
+    power, total, leap, stride = _leapfrog_constants(lanes)
+    high, low = _add(_mul(power, init), _mul(total, inc))
+    # a leap's increment, needed only when the lanes hold fewer than all the words
+    advance = _mul(stride, inc) if lanes < words else None
+    scratch = np.empty((3, *high.shape), dtype=np.uint64)
+    for col in range(0, words, lanes):
+        width = min(lanes, words - col)
+        _xsl_rr(high[:width], low[:width], out[col : col + width], scratch[:, :width])
+        if col + lanes < words:
+            _leap(high, low, leap, advance, scratch)
 
 
 def _key_columns(master_seed: int, key) -> tuple[list[int], list[np.ndarray], int]:
@@ -123,12 +184,11 @@ def _key_columns(master_seed: int, key) -> tuple[list[int], list[np.ndarray], in
     return _uint32_words(int(master_seed)), columns, columns[0].size if columns else 1
 
 
-def _key_block(columns: list[np.ndarray], first: int, size: int) -> np.ndarray:
-    """Key rows ``first`` to ``first + size`` (or the last) as a (rows, parts) uint64 array."""
-    rows = columns[0].size if columns else 1
-    block = np.empty((min(size, rows - first), len(columns)), dtype=np.uint64)
+def _key_block(columns: list[np.ndarray], rows: int, first: int) -> np.ndarray:
+    """Key rows ``first`` to ``first + WORD_BLOCK`` (or the last) as a (rows, parts) uint64 array."""
+    block = np.empty((min(WORD_BLOCK, rows - first), len(columns)), dtype=np.uint64)
     for i, column in enumerate(columns):
-        block[:, i] = column[first : first + size]
+        block[:, i] = column[first : first + WORD_BLOCK]
     return block
 
 
@@ -378,22 +438,50 @@ def draw_plan(bounds) -> DrawPlan:
     return DrawPlan(bounds, word, half, int(np.count_nonzero(fresh)))
 
 
-def draws(plan: DrawPlan, master_seed: int, *key) -> np.ndarray:
-    """The draws of ``plan`` on each key row's stream, exactly as ``Generator`` gives them.
+def draws(plans: Sequence[DrawPlan], master_seed: int, *key) -> list[np.ndarray]:
+    """The draws of each plan on its key rows' streams, exactly as ``Generator`` gives them.
 
-    The key parts broadcast as in ``stream_words``. Row i holds draw i of
-    every key row; an ``integers`` draw is an integral double, exact for
-    bounds up to 2**53. ``random()`` of a word ``w`` is
-    ``(w >> 11)·2**-53``, and ``integers(m)`` is ``_bounded32`` of its
-    half, in uint64; draws are decoded ``WORD_BLOCK`` cells at a time. A
-    key row with a draw NumPy would redraw, or with a bound above 2**32,
-    where NumPy draws 64 bits, is drawn again on its ``substream``, one
-    ``random()`` or ``integers(m)`` call at a time.
+    The key parts broadcast as in ``stream_words``, and the key rows, in
+    C order, fall into one equal run per plan, so ``draws(plans, s,
+    trials, ids[:, None])`` draws ``plans[i]`` on the streams ``(s, trial,
+    ids[i])``. Returns one array per plan: row i holds draw i of every key
+    row of its run; an ``integers`` draw is an integral double, exact for
+    bounds up to 2**53.
+
+    With more than one plan and at most ``WORD_BLOCK`` key rows, the key
+    rows are seeded in one ``stream_words`` pass, each row deriving only
+    its own plan's words; otherwise each run takes its own call.
+    ``random()`` of a word ``w`` is ``(w >> 11)·2**-53``, and
+    ``integers(m)`` is ``_bounded32`` of its half, in uint64; draws are
+    decoded ``WORD_BLOCK`` cells at a time. A key row with a draw NumPy
+    would redraw, or with a bound above 2**32, where NumPy draws 64 bits,
+    is drawn again on its ``substream``, one ``random()`` or
+    ``integers(m)`` call at a time.
     """
-    raw = stream_words(master_seed, *key, words=plan.words).T
+    if len(plans) == 1:
+        runs = [key]
+    else:
+        shape = np.broadcast_shapes(*(np.shape(part) for part in key))
+        per, rest = divmod(math.prod(shape), len(plans))
+        if rest:
+            raise ValueError(f"{math.prod(shape)} key rows do not split into {len(plans)} equal runs")
+        runs = list(zip(*(np.broadcast_to(part, shape).reshape(len(plans), per) for part in key)))
+    if len(plans) > 1 and per * len(plans) <= WORD_BLOCK:
+        counts = np.repeat([plan.words for plan in plans], per).reshape(shape)
+        flat = stream_words(master_seed, *key, words=counts)
+        parts = np.split(flat, np.cumsum([per * plan.words for plan in plans[:-1]]))
+        raws = [part.reshape(per, plan.words).T for plan, part in zip(plans, parts)]
+    else:
+        # one run at a time, each run's words decoded and let go before the next is derived
+        raws = (stream_words(master_seed, *run, words=plan.words).T for plan, run in zip(plans, runs))
+    return [_decode(plan, raw, master_seed, run) for plan, raw, run in zip(plans, raws, runs)]
+
+
+def _decode(plan: DrawPlan, raw: np.ndarray, master_seed: int, key: tuple) -> np.ndarray:
+    """The draws of ``plan`` from ``raw[w, r]``, word w of key row r, as ``draws`` gives them."""
     keys = raw.shape[1]
     # halves[w, r, h]: half h of row r's word w, the low half first
-    halves = raw.astype("<u8", copy=False).view("<u4").reshape(plan.words, keys, 2)
+    halves = raw.astype("<u8", copy=False)[..., None].view("<u4")
     values, redraw = np.zeros((len(plan.bounds), keys)), np.zeros(keys, dtype=bool)
     step = max(1, WORD_BLOCK // max(1, keys))
     doubles, bits32 = np.flatnonzero(plan.bounds == 0), np.flatnonzero(plan.bounds > 1)

@@ -221,19 +221,15 @@ def max_control_run(
     return best
 
 
-def _exploit_table(
-    drawn: np.ndarray, exploits: tuple[ExploitSpec, ...], spec_rows: list[np.ndarray], size: int
-) -> np.ndarray:
-    """Each sample's exploit time in each of ``size`` rows; ``spec_rows`` holds each exploit's rows.
+def _exploit_table(drawn: np.ndarray, spec_rows: list[np.ndarray], size: int) -> np.ndarray:
+    """Each sample's drawn exploit time in each of ``size`` rows.
 
-    ``drawn`` holds the random arrivals, one row per exploit without a fixed arrival. A row no
-    exploit sets stays ``inf``. As with ``min()`` in ``max_control_run``, a platform takes an
-    arrival only if it is earlier.
+    ``drawn`` holds the random arrivals, and ``spec_rows`` the rows, of each exploit without a
+    fixed arrival, in order. A row no such exploit sets stays ``inf``. As with ``min()`` in
+    ``max_control_run``, a platform takes an arrival only if it is earlier.
     """
     table = np.full((size, drawn.shape[1]), np.inf)
-    drawn_rows = iter(drawn)
-    for spec, at in zip(exploits, spec_rows):
-        arrival = next(drawn_rows) if spec.arrival is None else spec.arrival
+    for arrival, at in zip(drawn, spec_rows):
         # np.minimum keeps its second operand on a tie, as min() keeps its first
         table[at] = np.minimum(arrival, table[at])
     return table
@@ -241,7 +237,7 @@ def _exploit_table(
 
 def _control_runs(
     start: np.ndarray, dwells: np.ndarray, moves: np.ndarray, table: np.ndarray, row: np.ndarray,
-    duration: float,
+    fixed: np.ndarray | None, duration: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each sample's longest control run, and whether its drawn stays reach ``duration``.
 
@@ -254,7 +250,9 @@ def _control_runs(
     segment runs from ``max(previous end, exploit time)`` to its end; it
     continues the run when the previous stay was controlled and the
     segment starts at that stay's end. Slots past a sample's trial end
-    are empty stays at ``duration``.
+    are empty stays at ``duration``. A stay's exploit time is the earlier
+    of its platform's ``table`` cell, through ``row``, and its platform's
+    entry of ``fixed``, the fixed arrivals, if any.
     """
     samples = len(start)
     # the stay ends, summed in place stay by stay: faster than a cumsum down the columns
@@ -276,6 +274,8 @@ def _control_runs(
         row.take(platform, mode="clip", out=index)
         index += columns
         cells.take(index, out=arrival)
+        if fixed is not None:
+            np.minimum(arrival, fixed.take(platform, mode="clip"), out=arrival)
         # a segment starts a new run unless the previous stay was controlled and it starts at its end
         np.greater(arrival, previous_end, out=fresh)
         fresh |= uncontrolled
@@ -296,20 +296,27 @@ def _runs(config: ScenarioConfig, n: int, drawn: int, plan: DrawPlan) -> np.ndar
     stay's dwell and move.
     """
     duration, (lo, hi) = float(config.duration), config.delay
-    targeted = sorted({p for spec in config.exploits for p in spec.platforms if p < n})
-    # a sample holds its words and its column of the exploit table: a row per targeted platform and
-    # a last row of inf for every other platform
-    cells = max(plan.words, len(targeted) + 1)
+    targets = [[p for p in spec.platforms if p < n] for spec in config.exploits]
+    targeted = sorted({p for at in targets for p in at})
+    # only drawn arrivals differ between samples: a sample holds its words and its column of the
+    # exploit table, a row per platform a drawn arrival targets and a last row of inf for the rest
+    varied = sorted({p for spec, at in zip(config.exploits, targets) if spec.arrival is None for p in at})
+    cells = max(plan.words, len(varied) + 1)
     runs, exact = np.empty(config.samples), np.zeros(config.samples, bool)
     # with room for fewer than 3 samples, array steps through each stay are slower than scalar loops
     if 3 * cells <= WORD_CELLS and targeted[-1:] < [WORD_CELLS] and n <= 2**53:
-        # each platform's table row; platforms past the last targeted one clip to the inf row
-        row = np.full(targeted[-1] + 2 if targeted else 1, len(targeted), dtype=np.intp)
-        row[targeted] = np.arange(len(targeted))
-        spec_rows = [row[[p for p in spec.platforms if p < n]] for spec in config.exploits]
+        # each platform's table row and fixed arrival; platforms past the last targeted one clip to inf
+        row = np.full(targeted[-1] + 2 if targeted else 1, len(varied), dtype=np.intp)
+        row[varied] = np.arange(len(varied))
+        fixed = np.full(len(row), np.inf)
+        for spec, at in zip(config.exploits, targets):
+            if spec.arrival is not None:
+                fixed[at] = np.minimum(spec.arrival, fixed[at])
+        fixed = fixed if np.isfinite(fixed).any() else None
+        spec_rows = [row[at] for spec, at in zip(config.exploits, targets) if spec.arrival is None]
         for first in range(0, config.samples, WORD_CELLS // cells):
             rows = np.arange(first, min(first + WORD_CELLS // cells, config.samples))
-            values = draws(plan, config.master_seed, n, rows)
+            (values,) = draws([plan], config.master_seed, n, rows)
             arrivals, start = values[:drawn], values[drawn]
             arrivals *= duration
             dwells, moves = values[drawn + 1 :: 2], values[drawn + 2 :: 2]
@@ -317,8 +324,8 @@ def _runs(config: ScenarioConfig, n: int, drawn: int, plan: DrawPlan) -> np.ndar
             dwells += lo
             if n == 1:  # no dwell is drawn: one stay, the whole trial
                 dwells = np.full((1, len(rows)), duration)
-            table = _exploit_table(arrivals, config.exploits, spec_rows, len(targeted) + 1)
-            runs[rows], exact[rows] = _control_runs(start, dwells, moves, table, row, duration)
+            table = _exploit_table(arrivals, spec_rows, len(varied) + 1)
+            runs[rows], exact[rows] = _control_runs(start, dwells, moves, table, row, fixed, duration)
     for i in np.flatnonzero(~exact).tolist():
         rng = substream(config.master_seed, n, i)
         runs[i] = max_control_run(n, config.duration, config.delay, config.exploits, rng)
@@ -339,7 +346,8 @@ def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
     distribution calls for with ``STAY_MARGIN`` standard deviations to
     spare. The samples of one N come in chunks of up to ``WORD_CELLS``
     cells, one ``rng.draws`` call each; a sample's cells are the larger of
-    its words and its exploit table rows. A chunk is evaluated in one
+    its words and its exploit table rows, one per platform a drawn arrival
+    targets (fixed arrivals are kept once per N). A chunk is evaluated in one
     stay-major pass: ``uniform_walks`` gives the platforms, and one loop
     over the stays scans all its samples' control runs at once, up to the
     stay by which every sample has ended. A sample whose drawn stays end

@@ -75,7 +75,8 @@ def _most_diverse(dist: np.ndarray, hist) -> np.ndarray:
         # added in history order: the order fixes the rounding, and so the ties
         for prior in np.moveaxis(hist[..., 1:], -1, 0):
             scores += np.take(dist, prior, axis=0)
-    np.put_along_axis(scores, hist[..., -1:], -np.inf, axis=-1)
+    current = hist[..., -1]
+    scores[(*np.indices(current.shape, sparse=True), current)] = -np.inf
     return scores.argmax(axis=-1)
 
 
@@ -114,14 +115,16 @@ def diversity_walks(dist: np.ndarray, starts: np.ndarray, steps: int, k: int) ->
 def uniform_walks(starts: np.ndarray, moves: np.ndarray) -> np.ndarray:
     """No-repeat walks, one row per start: move ``m`` goes to the m-th of the other platforms.
 
-    Both engines walk with it; starts and moves may be integers or integral doubles.
-    The walks are Fortran-ordered (step-major), so each step, and each column a
-    stay-major scan reads, is contiguous.
+    Both engines walk with it; starts and moves may be integers or integral doubles
+    below 2**53, which are cast to platform indices once. The walks are
+    Fortran-ordered (step-major), so each step, and each column a stay-major scan
+    reads, is contiguous.
     """
     walks = np.empty((len(starts), moves.shape[1] + 1), dtype=np.intp, order="F")
     walks[:, 0] = starts
-    for step, move in enumerate(moves.T):
-        np.add(move, move >= walks[:, step], out=walks[:, step + 1], casting="unsafe")
+    walks[:, 1:] = moves
+    for previous, step in zip(walks.T, walks.T[1:]):
+        step += step >= previous
     return walks
 
 

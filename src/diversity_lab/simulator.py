@@ -10,7 +10,8 @@ id, so trials are order-independent and safe to run concurrently.
 
 A study draws nothing trial by trial. Each stream states its draws as
 an ``rng.draw_plan``, and ``rng.draws`` gives them for a chunk of trials
-at once:
+at once, the short streams (labeling, diversity, random-k) in one call
+and the uniform moves in another:
 
 - labeling: ``integers(N)`` for the seed platform, then a ``random()``
   double for each other platform;
@@ -22,11 +23,11 @@ Each policy's trials × intervals vulnerability matrix is built as
 arrays: ``scheduler.uniform_walks``, the no-repeat walk the scenario
 engine also uses, steps every trial at once, and the diversity trace,
 which depends only on (similarity, k, start), comes from one batched
-walk over the distinct starts that stops once every start's cycle is
-found. The metrics stay arrays up to the CLI's writers. With N above
-``rng.FLOYD_POOL_LIMIT``, where NumPy may draw a random-k subset by a
-tail shuffle, each trial's subset comes from ``choice`` on its
-``substream``.
+walk per chunk over the distinct starts no earlier chunk has walked,
+which stops once every start's cycle is found. The metrics stay arrays
+up to the CLI's writers. With N above ``rng.FLOYD_POOL_LIMIT``, where
+NumPy may draw a random-k subset by a tail shuffle, each trial's subset
+comes from ``choice`` on its ``substream``.
 """
 
 from __future__ import annotations
@@ -217,7 +218,9 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
     A policy's trial draws from its own stream, in order: the random-k
     subset, or else the start platform, then for the uniform policy its
     moves. A chunk of trials, at most ``WORD_CELLS`` trial × interval or
-    trial × platform cells, takes one ``rng.draws`` call per stream.
+    trial × platform cells, takes one ``rng.draws`` call for its short
+    streams, the labeling, the diversity starts and the random-k subsets,
+    keyed stream-major with a plan each, and one for the uniform moves.
     """
     policies = config.policy_kinds
     for kind in policies:
@@ -226,34 +229,42 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
     # step-major, as uniform_walks lays out its walks
     vulnerable = {kind: np.empty((config.trials, intervals), dtype=bool, order="F") for kind in policies}
     trials = np.arange(config.trials)
+    # the short streams, each with its plan, drawn together chunk by chunk
+    plans = {LABELING_STREAM: draw_plan([count] + [0] * (count - 1))}
     if PolicyKind.DIVERSITY in policies:
-        # a diversity trace draws nothing after its start: one walk per distinct start serves all
-        starts = draws(draw_plan([count]), seed, trials, POLICY_STREAM[PolicyKind.DIVERSITY])[0]
-        distinct, walk_of = np.unique(starts.astype(np.intp), return_inverse=True)
-        walks = diversity_walks(sim.distances(), distinct, intervals, k)
-    labeling = draw_plan([count] + [0] * (count - 1))
+        plans[POLICY_STREAM[PolicyKind.DIVERSITY]] = draw_plan([count])
+        # a diversity trace draws nothing after its start: one walk per distinct start serves all trials
+        walk_of, walks = np.full(count, -1), np.empty((0, intervals), dtype=np.intp)
+        dist = sim.distances()
+    if PolicyKind.RANDOM_K in policies and count <= FLOYD_POOL_LIMIT:
+        plans[POLICY_STREAM[PolicyKind.RANDOM_K]] = draw_plan(_floyd_bounds(count, k))
     if PolicyKind.UNIFORM in policies:
         uniform_plan = draw_plan([count] + [count - 1] * (intervals - 1))
-    if PolicyKind.RANDOM_K in policies:
-        random_k_plan = draw_plan(_floyd_bounds(count, k))
+    streams = np.array(list(plans))[:, None]
     chunk = max(1, WORD_CELLS // max(intervals, count))
     for first in range(0, config.trials, chunk):
         rows = trials[first : first + chunk]
-        flags = _labelings(draws(labeling, seed, rows, LABELING_STREAM), sim.scores).ravel()
+        values = dict(zip(plans, draws(list(plans.values()), seed, rows, streams)))
+        flags = _labelings(values.pop(LABELING_STREAM), sim.scores).ravel()
         # trial i's flags start at cell i·N of the flat labelings
         offsets = (np.arange(len(rows)) * count)[:, None]
         for kind in policies:
+            stream = POLICY_STREAM[kind]
             if kind is PolicyKind.DIVERSITY:
-                chosen = walks[walk_of[rows]]
+                starts = values[stream][0].astype(np.intp)
+                new = np.flatnonzero((walk_of < 0) & (np.bincount(starts, minlength=count) > 0))
+                if new.size:
+                    walk_of[new] = len(walks) + np.arange(len(new))
+                    walks = np.concatenate([walks, diversity_walks(dist, new, intervals, k)])
+                chosen = walks[walk_of[starts]]
             elif kind is PolicyKind.UNIFORM:
-                values = draws(uniform_plan, seed, rows, POLICY_STREAM[kind])
-                chosen = uniform_walks(values[0], values[1:].T)
+                (moves,) = draws([uniform_plan], seed, rows, stream)
+                chosen = uniform_walks(moves[0], moves[1:].T)
             else:
-                stream = POLICY_STREAM[kind]
                 if count > FLOYD_POOL_LIMIT:  # NumPy may shuffle a tail, in an order no plan states
                     subsets = np.array([substream(seed, t, stream).choice(count, k, replace=False) for t in rows])
                 else:
-                    subsets = _random_k_subsets(draws(random_k_plan, seed, rows, stream), count, k)
+                    subsets = _random_k_subsets(values[stream], count, k)
                 chosen = subsets[:, np.arange(intervals) % k]
             chosen += offsets
             vulnerable[kind][first : first + len(rows)] = flags.take(chosen)

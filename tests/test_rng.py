@@ -141,6 +141,49 @@ class TestStreamWords:
             stream_words(-1, 0, words=1)
         with pytest.raises(ValueError, match="key parts"):
             stream_words(0, np.array([0, -1]), words=1)
+        with pytest.raises(ValueError, match="word counts"):
+            stream_words(0, np.arange(2), words=[1, -1])
+
+
+def numpy_row_words(master_seed, keys, counts):
+    """Each key's first ``count`` raw words, every key's in turn, as one flat list."""
+    return [word for key, count in zip(keys, counts) for word in numpy_words(master_seed, [key], count)[0]]
+
+
+class TestStreamWordsPerRowCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(BOUNDARY_SEEDS) | st.integers(0, 2**70),
+        st.lists(st.tuples(key_parts, key_parts, st.integers(0, 9)), min_size=1, max_size=8),
+    )
+    def test_random_keys_and_counts(self, master_seed, rows):
+        # runs of equal counts step together; a count that recurs later is a new run
+        keys, counts = [row[:2] for row in rows], [row[2] for row in rows]
+        words = stream_words(master_seed, *np.array(keys, dtype=np.uint64).T, words=counts)
+        assert words.dtype == np.uint64
+        assert words.tolist() == numpy_row_words(master_seed, keys, counts)
+
+    def test_counts_broadcast_with_the_key(self):
+        # stream-major rows: a count per stream id, the same for every trial
+        trials, ids, counts = np.arange(4), [0, 1, 3], [5, 1, 3]
+        words = stream_words(8, trials, np.array(ids)[:, None], words=np.array(counts)[:, None])
+        keys = [(t, s) for s in ids for t in trials.tolist()]
+        assert words.tolist() == numpy_row_words(8, keys, np.repeat(counts, 4))
+
+    @pytest.mark.parametrize("master_seed", [0, 2**64])
+    def test_runs_across_a_seed_block(self, master_seed):
+        # the run of one-word rows crosses from the first seed block into the second,
+        # and the last run repeats the first run's count
+        counts = np.repeat([3, 0, 1, 3], [2000, 90, 2010, 3])
+        trials = np.arange(len(counts), dtype=np.uint64)
+        words = stream_words(master_seed, trials, 2, words=counts)
+        assert len(counts) > WORD_BLOCK and words.size == counts.sum()
+        keys = [(t, 2) for t in trials.tolist()]
+        assert words.tolist() == numpy_row_words(master_seed, keys, counts)
+
+    def test_no_rows_and_no_words(self):
+        assert stream_words(3, np.arange(0), words=np.arange(0)).shape == (0,)
+        assert stream_words(3, np.arange(4), words=[0, 0, 0, 0]).shape == (0,)
 
 
 #: ``random()``, ``integers(1)`` (which takes nothing), small bounds, a power of
@@ -158,7 +201,7 @@ class TestDraws:
     def test_equal_scalar_draws(self, bounds, master_seed, keys):
         # a row with a draw NumPy redraws is drawn again on its substream, so every row is exact
         plan = draw_plan(bounds)
-        values = draws(plan, master_seed, *np.array(keys, dtype=np.uint64).T)
+        (values,) = draws([plan], master_seed, *np.array(keys, dtype=np.uint64).T)
         assert values.shape == (len(bounds), len(keys))
         for column, key in enumerate(keys):
             replay = substream(master_seed, *key)
@@ -172,7 +215,7 @@ class TestDraws:
         # past 2**32 NumPy takes a 64-bit draw, which no plan lays out: every key row is
         # drawn again, one call at a time
         bounds = [2**21 + 1, 0, 2**40, 3, 2**53]
-        values = draws(draw_plan(bounds), 7, np.arange(4), 1)
+        (values,) = draws([draw_plan(bounds)], 7, np.arange(4), 1)
         assert replays == [(7, row, 1) for row in range(4)]
         for row in range(4):
             scalar = substream(7, row, 1)
@@ -184,7 +227,7 @@ class TestDraws:
         # Lemire's product of a 32-bit draw is exact in uint64 for every bound up to 2**32,
         # so a row is drawn again only for a draw NumPy redraws, or for a bound past 2**32
         bounds = [bound, 0, bound, bound]
-        values = draws(draw_plan(bounds), 7, np.arange(40), 1)
+        (values,) = draws([draw_plan(bounds)], 7, np.arange(40), 1)
         for row in range(40):
             scalar = substream(7, row, 1)
             expected = [scalar.random() if m == 0 else int(scalar.integers(m)) for m in bounds]
@@ -201,7 +244,38 @@ class TestDraws:
     def test_plan_without_words(self, replays):
         plan = draw_plan([1, 1])
         assert plan.words == 0
-        assert draws(plan, 4, np.arange(3), 0).tolist() == [[0.0] * 3] * 2 and not replays
+        assert draws([plan], 4, np.arange(3), 0)[0].tolist() == [[0.0] * 3] * 2 and not replays
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.lists(st.sampled_from(PLAN_BOUNDS + [2**31 + 5, 2**40]), max_size=8), min_size=1, max_size=4),
+        st.sampled_from(BOUNDARY_SEEDS) | st.integers(0, 2**70),
+        st.lists(key_parts, min_size=1, max_size=5),
+        st.lists(key_parts, min_size=4, max_size=4, unique=True),
+    )
+    def test_plans_equal_one_call_each(self, plan_bounds, master_seed, trials, ids):
+        # one run of key rows per plan, stream-major, as a Monte Carlo chunk draws its short
+        # streams; 2**31 + 5 makes NumPy redraw about half its draws, and 2**40 every one
+        plans = [draw_plan(bounds) for bounds in plan_bounds]
+        trials, ids = np.array(trials, dtype=np.uint64), np.array(ids[: len(plans)], dtype=np.uint64)
+        replays = []
+
+        def counted(seed, *key):
+            replays.append(key)
+            return substream(seed, *key)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng, "substream", counted)
+            joint = draws(plans, master_seed, trials, ids[:, None])
+            joint_replays = replays.copy()
+            replays.clear()
+            single = [draws([plan], master_seed, trials, stream)[0] for plan, stream in zip(plans, ids.tolist())]
+        assert [values.tolist() for values in joint] == [values.tolist() for values in single]
+        assert joint_replays == replays
+
+    def test_key_rows_split_evenly_between_plans(self):
+        with pytest.raises(ValueError, match="equal runs"):
+            draws([draw_plan([3])] * 2, 0, np.arange(3))
 
     def test_cached_half_outlives_doubles(self):
         # a double between two 32-bit draws takes its own word; the second 32-bit draw

@@ -239,7 +239,7 @@ class TestDecodedDrawsEqualScalarDraws:
     @pytest.mark.parametrize("drawn_arrivals", [0, 2], ids=["fixed-arrivals", "free-arrivals"])
     def test_decoded_sequence(self, n, drawn_arrivals, replays):
         plan = self.plan(n, drawn_arrivals, self.STAYS)
-        values = draws(plan, 3, n, np.arange(self.SAMPLES))
+        (values,) = draws([plan], 3, n, np.arange(self.SAMPLES))
         assert not replays
         lo, hi = self.DELAY
         for s in range(self.SAMPLES):
@@ -266,7 +266,7 @@ class TestDecodedDrawsEqualScalarDraws:
         plan = self.plan(3, 0, 1)
         raw = np.array([[0xABCDEF0100000000, 0, 0]], dtype=np.uint64)[:, : plan.words]
         monkeypatch.setattr("diversity_lab.rng.stream_words", lambda *key, words: raw)
-        values = draws(plan, 0, 3, [0])
+        (values,) = draws([plan], 0, 3, [0])
         assert replays == [(0, 3, 0)]
         rng = substream(0, 3, 0)
         assert values[:, 0].tolist() == [rng.integers(3), rng.random(), rng.integers(2)]
@@ -346,7 +346,7 @@ class TestControlRunsStopEarly:
 
         def runs(count):
             best, exact = scenario._control_runs(
-                start, dwells[:count].copy(), moves[:count], table, row, self.DURATION
+                start, dwells[:count].copy(), moves[:count], table, row, None, self.DURATION
             )
             return best.tolist(), exact.tolist()
 
@@ -489,6 +489,25 @@ class TestStudyEqualsScalarRebuild:
         self.assert_matches(config)
         assert fallbacks == []
 
+    def test_fixed_arrivals_take_no_table_rows(self, fallbacks, monkeypatch):
+        # a fixed arrival is the same in every sample, so only platform 1, which the drawn
+        # arrival also targets, takes a row of each sample's exploit table: the 60 samples of
+        # each N fit one stream_words call, where a row per targeted platform would need two
+        calls = []
+
+        def counted(seed, n, rows, words):
+            calls.append(n)
+            return stream_words(seed, n, rows, words=words)
+
+        monkeypatch.setattr("diversity_lab.rng.stream_words", counted)
+        exploits = (ExploitSpec(frozenset(range(3000)), 300.0), ExploitSpec(frozenset({1})))
+        config = ScenarioConfig(
+            t_values=(0.0,), n_values=(3, 3000), samples=60, exploits=exploits, master_seed=9
+        )
+        assert 60 * 3000 > WORD_CELLS
+        self.assert_matches(config)
+        assert fallbacks == [] and calls == [3, 3000]
+
     def test_fixed_arrival_at_the_trial_end(self, fallbacks):
         # an exploit that arrives exactly at the trial end never gives control; the
         # slots past the trial end are empty stays at the duration, where its arrival
@@ -565,12 +584,14 @@ class TestStudyEqualsScalarRebuild:
         [
             (40_000_000, (ExploitSpec(frozenset({39_999_999}), 0.0), ExploitSpec(frozenset({0, 1})))),
             (10_000, (ExploitSpec(frozenset(range(10_000)), 0.0), ExploitSpec(frozenset({0, 1})))),
+            (10_000, (ExploitSpec(frozenset(range(10_000))), ExploitSpec(frozenset({0, 1}), 0.0))),
         ],
-        ids=["row-map-of-40M-platforms", "table-of-10000-targets"],
+        ids=["row-map-of-40M-platforms", "table-of-10000-targets", "table-of-10000-drawn-targets"],
     )
     def test_exploit_table_memory_stays_bounded(self, n, exploits):
         # a row map to platform 39,999,999 would take 305 MiB, and a table of 10,001 rows
-        # for 300 samples 23 MiB; chunks of WORD_CELLS cells per sample keep both small
+        # for 300 samples 23 MiB; chunks of WORD_CELLS cells per sample keep both small, and
+        # fixed arrivals, the same in every sample, take no table rows at all
         config = ScenarioConfig(t_values=(10.0,), n_values=(n,), samples=300, exploits=exploits, master_seed=1)
         tracemalloc.start()
         try:

@@ -355,36 +355,55 @@ class TestStudyMatchesPerStepReference:
 
 
 class TestOneDerivationPerStream:
-    """A study takes each stream's words from one ``stream_words`` call per chunk of trials."""
+    """A chunk of trials derives its short streams (the labeling, the diversity starts and the
+    random-k subsets) in one ``stream_words`` call while their key rows fit one seed block, and
+    each in its own call past it; the uniform moves take their own call."""
 
     @pytest.fixture
     def derived(self, monkeypatch):
-        streams = []
+        calls = []
 
         def counted(seed, rows, stream, words):
-            streams.append(stream)
+            # the stream ids of the call's key rows, in row order, each once
+            calls.append(tuple(dict.fromkeys(np.ravel(stream).tolist())))
             return stream_words(seed, rows, stream, words=words)
 
         monkeypatch.setattr("diversity_lab.rng.stream_words", counted)
-        return streams
+        return calls
 
     @pytest.mark.parametrize(
-        "kinds, streams",
-        [(DEFAULT_POLICY_KINDS, [0, 1, 2, 3]), ((PolicyKind.UNIFORM, PolicyKind.RANDOM_K), [0, 2, 3])],
+        "kinds, calls",
+        [(DEFAULT_POLICY_KINDS, [(0, 1, 3), (2,)]), ((PolicyKind.UNIFORM, PolicyKind.RANDOM_K), [(0, 3), (2,)])],
         ids=["default-policies", "uniform-and-random-k"],
     )
-    def test_default_shape_derives_each_stream_once(self, five_platform_sim, derived, kinds, streams):
+    def test_default_shape_derives_each_stream_once(self, five_platform_sim, derived, kinds, calls):
         run_mc_study(McConfig(policy_kinds=kinds), five_platform_sim)
-        assert sorted(derived) == streams
+        assert derived == calls
+
+    @pytest.mark.parametrize(
+        "kinds, trials, calls",
+        [
+            (DEFAULT_POLICY_KINDS, WORD_BLOCK // 3, [(0, 1, 3), (2,)]),
+            (DEFAULT_POLICY_KINDS, WORD_BLOCK // 3 + 1, [(0,), (1,), (3,), (2,)]),
+            ((PolicyKind.UNIFORM, PolicyKind.RANDOM_K), WORD_BLOCK // 2, [(0, 3), (2,)]),
+            ((PolicyKind.UNIFORM, PolicyKind.RANDOM_K), WORD_BLOCK // 2 + 1, [(0,), (3,), (2,)]),
+        ],
+        ids=["three-streams-fill-a-block", "three-streams-past-a-block", "two-fill-a-block", "two-past-a-block"],
+    )
+    def test_joint_derivation_up_to_one_seed_block(self, five_platform_sim, derived, kinds, trials, calls):
+        # trials × streams at most WORD_BLOCK share one derivation; one more trial takes a call per stream
+        config = McConfig(trials=trials, intervals=5, policy_kinds=kinds, master_seed=2**32)
+        TestStudyMatchesPerStepReference.assert_matches(config, five_platform_sim)
+        assert derived == calls
 
     def test_words_past_the_cell_cap(self, derived):
         # 219 trials of a 600-platform labeling are 131,400 words, past WORD_CELLS:
-        # every stream but the diversity starts is derived in two chunks
+        # each stream is derived in two chunks, the short streams together
         sim = generated_similarity(600, seed=1)
         config = McConfig(trials=WORD_CELLS // 600 + 1, intervals=4, k=2, master_seed=5)
         assert config.trials * sim.count > WORD_CELLS
         TestStudyMatchesPerStepReference.assert_matches(config, sim)
-        assert sorted(derived) == [0, 0, 1, 2, 2, 3, 3]
+        assert derived == [(0, 1, 3), (2,)] * 2
 
 
 class TestDecodedDrawsEqualGeneratorDraws:
@@ -397,14 +416,14 @@ class TestDecodedDrawsEqualGeneratorDraws:
             # Floyd's k draws and the shuffle's k - 1 take at most k words
             plan = draw_plan(_floyd_bounds(count, k))
             assert plan.words <= k
-            chosen = _random_k_subsets(draws(plan, count, rows, 3), count, k)
+            chosen = _random_k_subsets(draws([plan], count, rows, 3)[0], count, k)
             expected = [substream(count, row, 3).choice(count, k, replace=False).tolist() for row in rows]
             assert not replays
             assert chosen.tolist() == expected
 
     def test_labelings(self, five_platform_sim, replays):
         rows, count = np.arange(200), five_platform_sim.count
-        values = draws(draw_plan([count] + [0] * (count - 1)), 3, rows, 0)
+        (values,) = draws([draw_plan([count] + [0] * (count - 1))], 3, rows, 0)
         flags = simulator._labelings(values, five_platform_sim.scores)
         assert not replays
         expected = [reference_labeling(five_platform_sim.scores, substream(3, row, 0)) for row in rows]
@@ -414,7 +433,7 @@ class TestDecodedDrawsEqualGeneratorDraws:
     def test_bounded_draws(self, count, replays):
         # integers(1) takes no half, so the draws after it shift by one half
         bounds = [count, 1, count - 1, 1, 1, count + 1, 2]
-        values = draws(draw_plan(bounds), 5, np.arange(40), 2)
+        (values,) = draws([draw_plan(bounds)], 5, np.arange(40), 2)
         assert not replays
         for row, drawn in enumerate(values.T.tolist()):
             scalar = substream(5, row, 2)
