@@ -144,7 +144,7 @@ def cmd_schedule(args) -> int:
         raise ValueError("steps must be >= 2")
     sim = _load_similarity(args)
     seed = _resolve_seed(args.seed)
-    start = sim.platforms.index(args.start if args.start else sim.platforms[0])
+    start = sim.platforms.index(args.start if args.start is not None else sim.platforms[0])
     rng = substream(seed)
     kind = POLICY_BY_NAME[args.policy]
     check_pool(kind, args.K, sim.count)

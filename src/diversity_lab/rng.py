@@ -7,7 +7,7 @@ streams, so trials can run in any order or concurrently without
 changing results.
 
 ``substream`` is the reference: it seeds PCG64 through NumPy's
-``SeedSequence``. ``stream_words`` gives the first raw words of many
+``SeedSequence``. ``_word_pieces`` gives the first raw words of many
 streams at once with no generator at all. It runs SeedSequence's pool
 mixing and ``generate_state(4, uint64)`` as uint32 array arithmetic over
 a block of keys, with hash constants that depend only on their position
@@ -18,18 +18,19 @@ steps by ``s ↦ s·MULT + inc`` and outputs each new state's XSL-RR,
 ``A_j·s + B_j·inc mod 2**128``, with ``A_j = MULT**(j+1)`` and ``B_j``
 the sum of ``MULT**i`` for i <= j, and the state behind word j + g is
 ``MULT**g`` times that of word j plus ``Q_g·inc``, with ``Q_g`` the sum
-of ``MULT**i`` for i < g. ``stream_words`` jumps to the first g words of
-every key and then steps all g lanes together by g words, in place. It
-takes one word count for every key, or a count per key: then the keys
-are seeded together and each run of keys that share a count is stepped
-on its own, so no key derives more words than its count. A 128-bit
-value is a pair of uint64 arrays, high word first.
+of ``MULT**i`` for i < g. Each piece of keys jumps to the first g words
+of every key and then steps all g lanes together by g words, in place.
+The keys fall into runs, each with its own word count; a seed block
+serves every run it overlaps, so no key derives more words than its
+run's count. A 128-bit value is a pair of uint64 arrays, high word
+first. ``stream_words`` is the single-count form, one (rows, words)
+array.
 
 A stream's draws, listed as ``random()`` and ``integers(m)`` calls, are
 its ``draw_plan``; ``draws`` derives the words of many streams, with a
-plan for each run of keys, and decodes them as ``Generator`` would draw
-them, ``integers(m)`` in uint64 arithmetic, exact for every bound up to
-2**32; runs that fit one seed block share one ``stream_words`` pass.
+plan for each run of keys, in one pass of ``_word_pieces``, and decodes
+each piece as it comes, as ``Generator`` would draw it, ``integers(m)``
+in uint64 arithmetic, exact for every bound up to 2**32.
 ``_random_k_subsets`` turns the draws of ``_floyd_bounds`` into ``choice(N, k, replace=False)``.
 This is the only module that knows where a draw sits in a stream.
 
@@ -44,19 +45,18 @@ with ``generate_state``, ``stream_words`` with ``random_raw`` and
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
 import numpy as np
 
-#: Cells (rows × words) that one array operation of ``stream_words`` covers
-#: at most; it is also the most key rows that share one derivation pass.
+#: Cells (rows × words) that one array operation of ``_word_pieces`` covers
+#: at most; it is also the most key rows that share one seeding pass.
 WORD_BLOCK = 4096
-#: Cells (rows × words) that one ``stream_words`` call of either engine derives
-#: at most: it bounds the memory of the words whatever the trial or sample count.
+#: Cells (rows × words) of one plan that one ``draws`` call of either engine
+#: derives at most: it bounds the memory of the words whatever the trial or sample count.
 WORD_CELLS = 1 << 17
 #: Above this pool size ``Generator.choice`` may draw a random-k subset by a
 #: tail shuffle, which ``_random_k_subsets`` does not follow.
@@ -82,65 +82,45 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
 
 
-def stream_words(master_seed: int, *key, words) -> np.ndarray:
-    """The first raw outputs of each key row's stream: ``words`` of them, or each row's own count.
+def stream_words(master_seed: int, *key, words: int) -> np.ndarray:
+    """The first ``words`` raw outputs of each key row's stream, as a (rows, words) uint64 array.
 
     Row r's words equal
-    ``substream(master_seed, *row_r).bit_generator.random_raw(count_r)``.
+    ``substream(master_seed, *row_r).bit_generator.random_raw(words)``.
     The key parts are integers or arrays of integers in ``[0, 2**64)``;
     they broadcast against each other, and the rows are taken in C order,
     so ``stream_words(s, trials[:, None], ids, words=w)`` gives
-    ``(s, trial, id)`` for each id of each trial. ``words`` is one count
-    for every row, and the words come as a (rows, words) uint64 array; or
-    it is an array of counts that broadcasts with the key parts, one per
-    row, and the words come as one flat uint64 array, each row's in turn.
-
-    Keys are seeded ``WORD_BLOCK`` rows at a time, and each run of
-    consecutive rows of a block that share a count is stepped together.
-    For a run of R rows, g = ``WORD_BLOCK // R`` lanes (at least 1, at
-    most the count) jump to the states behind words 0 to g - 1, and then
-    every lane steps by g words at once, so each array operation covers
-    at most ``WORD_BLOCK`` cells. With a single count, each block is one
-    run, stepped straight into the (rows, words) result.
+    ``(s, trial, id)`` for each id of each trial. The words come from
+    ``_word_pieces``, one piece per seed block.
     """
-    if np.ndim(words):
-        return _ragged_words(master_seed, key, np.asarray(words))
+    pieces = [raw for raw, _ in _word_pieces(master_seed, key, [words])]
+    return np.concatenate([np.empty((words, 0), dtype=np.uint64), *pieces], axis=1).T
+
+
+def _word_pieces(master_seed: int, key: tuple, counts: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The words of the key rows, split in C order into one equal run per count, piece by piece.
+
+    Keys are seeded ``WORD_BLOCK`` rows at a time, whatever the runs. A
+    piece is a run's rows within one block; its R rows are stepped
+    together into a fresh (count, R) array, which is yielded with the
+    piece's (R, parts) key rows. g = ``WORD_BLOCK // R`` lanes (at least
+    1, at most the count) jump to the states behind words 0 to g - 1, and
+    then every lane steps by g words at once, so each array operation
+    covers at most ``WORD_BLOCK`` cells.
+    """
     seed_words, columns, rows = _key_columns(master_seed, key)
-    # filled word by word, as the lanes are computed, and returned transposed
-    out = np.empty((words, rows), dtype=np.uint64)
-    if not words:
-        return out.T
-    for first in range(0, rows, WORD_BLOCK):
-        block = _key_block(columns, rows, first)
-        _step_lanes(*_seed_states(seed_words, block), out[:, first : first + len(block)])
-    return out.T
-
-
-def _ragged_words(master_seed: int, key: tuple, counts: np.ndarray) -> np.ndarray:
-    """``stream_words`` with a count per key row: every row's words in turn, as one flat array.
-
-    A run of consecutive rows that share a count, cut at the seed blocks,
-    is stepped together, and its words fill one slice of the result.
-    """
-    if counts.size and counts.min() < 0:
-        raise ValueError("word counts must be non-negative")
-    seed_words, columns, rows = _key_columns(master_seed, (*key, counts))
-    counts = columns.pop().astype(np.intp)
-    # row r's words are out[offsets[r] : offsets[r + 1]]
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    out = np.empty(offsets[-1], dtype=np.uint64)
-    runs = np.flatnonzero(np.diff(counts, prepend=-1)).tolist()
+    per = rows // len(counts)
     for first in range(0, rows, WORD_BLOCK):
         block = _key_block(columns, rows, first)
         (init_hi, init_lo), (inc_hi, inc_lo) = _seed_states(seed_words, block)
         last = first + len(block)
-        edges = [first, *runs[bisect.bisect_right(runs, first) : bisect.bisect_left(runs, last)], last]
-        for lo, hi in zip(edges, edges[1:]):
-            count, at = int(counts[lo]), slice(lo - first, hi - first)
-            if count:
-                words = out[offsets[lo] : offsets[hi]].reshape(hi - lo, count).T
+        for run in range(first // per, (last - 1) // per + 1):
+            lo, hi = max(first, run * per) - first, min(last, (run + 1) * per) - first
+            words = np.empty((counts[run], hi - lo), dtype=np.uint64)
+            if counts[run]:
+                at = slice(lo, hi)
                 _step_lanes((init_hi[:, at], init_lo[:, at]), (inc_hi[:, at], inc_lo[:, at]), words)
-    return out
+            yield words, block[lo:hi]
 
 
 def _seed_states(seed_words: list[int], block: np.ndarray) -> tuple[tuple, tuple]:
@@ -157,7 +137,7 @@ def _step_lanes(init: tuple, inc: tuple, out: np.ndarray) -> None:
     """The first words of each of ``out.shape[1]`` streams into ``out``, one row of ``out`` per word.
 
     ``init`` and ``inc`` hold each stream's seeded state and increment as
-    ``_seed_states`` gives them; the lanes leap as ``stream_words`` says.
+    ``_seed_states`` gives them; the lanes leap as ``_word_pieces`` says.
     """
     words, rows = out.shape
     lanes = max(1, min(words, WORD_BLOCK // rows))
@@ -194,7 +174,7 @@ def _key_block(columns: list[np.ndarray], rows: int, first: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _leapfrog_constants(lanes: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The 128-bit constants of ``stream_words`` with ``lanes`` lanes, as (high, low) word pairs.
+    """The 128-bit constants of ``_word_pieces`` with ``lanes`` lanes, as (high, low) word pairs.
 
     PCG64's seeding sets ``s = (init + inc)·MULT + inc``, so the state
     before word j, ``A_j·s + B_j·inc``, is also ``MULT**(j+2)·init`` plus
@@ -448,42 +428,38 @@ def draws(plans: Sequence[DrawPlan], master_seed: int, *key) -> list[np.ndarray]
     row of its run; an ``integers`` draw is an integral double, exact for
     bounds up to 2**53.
 
-    With more than one plan and at most ``WORD_BLOCK`` key rows, the key
-    rows are seeded in one ``stream_words`` pass, each row deriving only
-    its own plan's words; otherwise each run takes its own call.
-    ``random()`` of a word ``w`` is ``(w >> 11)·2**-53``, and
-    ``integers(m)`` is ``_bounded32`` of its half, in uint64; draws are
-    decoded ``WORD_BLOCK`` cells at a time. A key row with a draw NumPy
-    would redraw, or with a bound above 2**32, where NumPy draws 64 bits,
-    is drawn again on its ``substream``, one ``random()`` or
-    ``integers(m)`` call at a time.
+    Each row derives only its own plan's words, and each ``_word_pieces``
+    piece is decoded into its plan's array as it comes. ``random()`` of a
+    word ``w`` is ``(w >> 11)·2**-53``, and ``integers(m)`` is
+    ``_bounded32`` of its half, in uint64; draws are decoded
+    ``WORD_BLOCK`` cells at a time. A key row with a draw NumPy would
+    redraw, or with a bound above 2**32, where NumPy draws 64 bits, is
+    drawn again on its ``substream``, one ``random()`` or ``integers(m)``
+    call at a time.
     """
-    if len(plans) == 1:
-        runs = [key]
-    else:
-        shape = np.broadcast_shapes(*(np.shape(part) for part in key))
-        per, rest = divmod(math.prod(shape), len(plans))
-        if rest:
-            raise ValueError(f"{math.prod(shape)} key rows do not split into {len(plans)} equal runs")
-        runs = list(zip(*(np.broadcast_to(part, shape).reshape(len(plans), per) for part in key)))
-    if len(plans) > 1 and per * len(plans) <= WORD_BLOCK:
-        counts = np.repeat([plan.words for plan in plans], per).reshape(shape)
-        flat = stream_words(master_seed, *key, words=counts)
-        parts = np.split(flat, np.cumsum([per * plan.words for plan in plans[:-1]]))
-        raws = [part.reshape(per, plan.words).T for plan, part in zip(plans, parts)]
-    else:
-        # one run at a time, each run's words decoded and let go before the next is derived
-        raws = (stream_words(master_seed, *run, words=plan.words).T for plan, run in zip(plans, runs))
-    return [_decode(plan, raw, master_seed, run) for plan, raw, run in zip(plans, raws, runs)]
+    rows = math.prod(np.broadcast_shapes(*(np.shape(part) for part in key)))
+    per, rest = divmod(rows, len(plans))
+    if rest:
+        raise ValueError(f"{rows} key rows do not split into {len(plans)} equal runs")
+    values = [np.zeros((len(plan.bounds), per)) for plan in plans]
+    done = 0
+    for raw, keys in _word_pieces(master_seed, key, [plan.words for plan in plans]):
+        run, at = divmod(done, per)
+        _decode(plans[run], raw, master_seed, keys, values[run][:, at : at + len(keys)])
+        done += len(keys)
+    return values
 
 
-def _decode(plan: DrawPlan, raw: np.ndarray, master_seed: int, key: tuple) -> np.ndarray:
-    """The draws of ``plan`` from ``raw[w, r]``, word w of key row r, as ``draws`` gives them."""
-    keys = raw.shape[1]
+def _decode(plan: DrawPlan, raw: np.ndarray, master_seed: int, keys: np.ndarray, values: np.ndarray) -> None:
+    """The draws of ``plan`` from ``raw[w, r]``, word w of key row ``keys[r]``, into ``values`` as ``draws`` gives them.
+
+    ``values`` starts at zero, the draw of ``integers(1)``.
+    """
+    rows = len(keys)
     # halves[w, r, h]: half h of row r's word w, the low half first
     halves = raw.astype("<u8", copy=False)[..., None].view("<u4")
-    values, redraw = np.zeros((len(plan.bounds), keys)), np.zeros(keys, dtype=bool)
-    step = max(1, WORD_BLOCK // max(1, keys))
+    redraw = np.zeros(rows, dtype=bool)
+    step = max(1, WORD_BLOCK // max(1, rows))
     doubles, bits32 = np.flatnonzero(plan.bounds == 0), np.flatnonzero(plan.bounds > 1)
     moduli = plan.bounds.astype(np.uint64)[:, None]
     for first in range(0, len(doubles), step):
@@ -494,13 +470,10 @@ def _decode(plan: DrawPlan, raw: np.ndarray, master_seed: int, key: tuple) -> np
         half = halves[plan.word[at], :, plan.half[at]].astype(np.uint64)
         values[at], redrawn = _bounded32(half, moduli[at])
         redraw |= redrawn.any(axis=0)
-    if redraw.any():
-        columns = _key_columns(master_seed, key)[1]
-        bounds = plan.bounds.tolist()
-        for row in np.flatnonzero(redraw).tolist():
-            replay = substream(master_seed, *(int(column[row]) for column in columns))
-            values[:, row] = [replay.integers(m) if m else replay.random() for m in bounds]
-    return values
+    bounds = plan.bounds.tolist()
+    for row in np.flatnonzero(redraw).tolist():
+        replay = substream(master_seed, *keys[row].tolist())
+        values[:, row] = [replay.integers(m) if m else replay.random() for m in bounds]
 
 
 def _floyd_bounds(count: int, k: int) -> list[int]:

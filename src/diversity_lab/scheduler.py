@@ -145,7 +145,7 @@ def schedule(
         raise ValueError("steps must be >= 1")
     if kind is PolicyKind.RANDOM_K:
         return np.resize(rng.choice(sim.count, k, replace=False), steps)
-    if not 0 <= start < sim.count:
+    if start is None or not 0 <= start < sim.count:
         raise ValueError(f"start platform {start} out of range")
     if kind is PolicyKind.DIVERSITY:
         return diversity_walks(sim.distances(), np.array([start]), steps, k)[0]

@@ -9,9 +9,8 @@ stream id): stream 0 is the labeling and each policy has a fixed stream
 id, so trials are order-independent and safe to run concurrently.
 
 A study draws nothing trial by trial. Each stream states its draws as
-an ``rng.draw_plan``, and ``rng.draws`` gives them for a chunk of trials
-at once, the short streams (labeling, diversity, random-k) in one call
-and the uniform moves in another:
+an ``rng.draw_plan``, and one ``rng.draws`` call gives every stream's
+draws for a chunk of trials at once:
 
 - labeling: ``integers(N)`` for the seed platform, then a ``random()``
   double for each other platform;
@@ -218,9 +217,8 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
     A policy's trial draws from its own stream, in order: the random-k
     subset, or else the start platform, then for the uniform policy its
     moves. A chunk of trials, at most ``WORD_CELLS`` trial × interval or
-    trial × platform cells, takes one ``rng.draws`` call for its short
-    streams, the labeling, the diversity starts and the random-k subsets,
-    keyed stream-major with a plan each, and one for the uniform moves.
+    trial × platform cells, takes one ``rng.draws`` call for all its
+    streams, keyed stream-major with a plan each.
     """
     policies = config.policy_kinds
     for kind in policies:
@@ -229,7 +227,7 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
     # step-major, as uniform_walks lays out its walks
     vulnerable = {kind: np.empty((config.trials, intervals), dtype=bool, order="F") for kind in policies}
     trials = np.arange(config.trials)
-    # the short streams, each with its plan, drawn together chunk by chunk
+    # every stream, each with its plan, drawn together chunk by chunk
     plans = {LABELING_STREAM: draw_plan([count] + [0] * (count - 1))}
     if PolicyKind.DIVERSITY in policies:
         plans[POLICY_STREAM[PolicyKind.DIVERSITY]] = draw_plan([count])
@@ -239,7 +237,7 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
     if PolicyKind.RANDOM_K in policies and count <= FLOYD_POOL_LIMIT:
         plans[POLICY_STREAM[PolicyKind.RANDOM_K]] = draw_plan(_floyd_bounds(count, k))
     if PolicyKind.UNIFORM in policies:
-        uniform_plan = draw_plan([count] + [count - 1] * (intervals - 1))
+        plans[POLICY_STREAM[PolicyKind.UNIFORM]] = draw_plan([count] + [count - 1] * (intervals - 1))
     streams = np.array(list(plans))[:, None]
     chunk = max(1, WORD_CELLS // max(intervals, count))
     for first in range(0, config.trials, chunk):
@@ -258,8 +256,7 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
                     walks = np.concatenate([walks, diversity_walks(dist, new, intervals, k)])
                 chosen = walks[walk_of[starts]]
             elif kind is PolicyKind.UNIFORM:
-                (moves,) = draws([uniform_plan], seed, rows, stream)
-                chosen = uniform_walks(moves[0], moves[1:].T)
+                chosen = uniform_walks(values[stream][0], values[stream][1:].T)
             else:
                 if count > FLOYD_POOL_LIMIT:  # NumPy may shuffle a tail, in an order no plan states
                     subsets = np.array([substream(seed, t, stream).choice(count, k, replace=False) for t in rows])

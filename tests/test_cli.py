@@ -200,6 +200,12 @@ class TestScheduleCommand:
     def test_unknown_start_platform(self, tmp_path):
         assert main(["schedule", "--start", "Plan9", "--outdir", str(tmp_path)]) == 2
 
+    def test_empty_start_platform(self, tmp_path, capsys):
+        # an empty name is a name, not the default start
+        assert main(["schedule", "--start", "", "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown platform ''")
+        assert not (tmp_path / "schedule.json").exists()
+
     C, F, D, G, B = "CentOS", "Fedora", "Debian", "Gentoo", "FreeBSD"
 
     @pytest.mark.parametrize(
@@ -594,7 +600,7 @@ class TestScenarioCommand:
     )
     def test_benchmark_sweep_pinned(self, tmp_path, seed, sweep_digest, manifest_digest):
         # the exact argv of the scenario-sweep benchmark workload: 1000 samples per N,
-        # so each N is one stream_words chunk, a pass shape the 300-sample pin does not take
+        # so each N is one draws chunk, a pass shape the 300-sample pin does not take
         argv = ["scenario", "--N", "1,3,5,8", "--T-sweep", "0:900:15", "--samples", "1000"]
         assert main([*argv, "--seed", str(seed), "--outdir", str(tmp_path)]) == 0
         digests = [

@@ -141,49 +141,6 @@ class TestStreamWords:
             stream_words(-1, 0, words=1)
         with pytest.raises(ValueError, match="key parts"):
             stream_words(0, np.array([0, -1]), words=1)
-        with pytest.raises(ValueError, match="word counts"):
-            stream_words(0, np.arange(2), words=[1, -1])
-
-
-def numpy_row_words(master_seed, keys, counts):
-    """Each key's first ``count`` raw words, every key's in turn, as one flat list."""
-    return [word for key, count in zip(keys, counts) for word in numpy_words(master_seed, [key], count)[0]]
-
-
-class TestStreamWordsPerRowCounts:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.sampled_from(BOUNDARY_SEEDS) | st.integers(0, 2**70),
-        st.lists(st.tuples(key_parts, key_parts, st.integers(0, 9)), min_size=1, max_size=8),
-    )
-    def test_random_keys_and_counts(self, master_seed, rows):
-        # runs of equal counts step together; a count that recurs later is a new run
-        keys, counts = [row[:2] for row in rows], [row[2] for row in rows]
-        words = stream_words(master_seed, *np.array(keys, dtype=np.uint64).T, words=counts)
-        assert words.dtype == np.uint64
-        assert words.tolist() == numpy_row_words(master_seed, keys, counts)
-
-    def test_counts_broadcast_with_the_key(self):
-        # stream-major rows: a count per stream id, the same for every trial
-        trials, ids, counts = np.arange(4), [0, 1, 3], [5, 1, 3]
-        words = stream_words(8, trials, np.array(ids)[:, None], words=np.array(counts)[:, None])
-        keys = [(t, s) for s in ids for t in trials.tolist()]
-        assert words.tolist() == numpy_row_words(8, keys, np.repeat(counts, 4))
-
-    @pytest.mark.parametrize("master_seed", [0, 2**64])
-    def test_runs_across_a_seed_block(self, master_seed):
-        # the run of one-word rows crosses from the first seed block into the second,
-        # and the last run repeats the first run's count
-        counts = np.repeat([3, 0, 1, 3], [2000, 90, 2010, 3])
-        trials = np.arange(len(counts), dtype=np.uint64)
-        words = stream_words(master_seed, trials, 2, words=counts)
-        assert len(counts) > WORD_BLOCK and words.size == counts.sum()
-        keys = [(t, 2) for t in trials.tolist()]
-        assert words.tolist() == numpy_row_words(master_seed, keys, counts)
-
-    def test_no_rows_and_no_words(self):
-        assert stream_words(3, np.arange(0), words=np.arange(0)).shape == (0,)
-        assert stream_words(3, np.arange(4), words=[0, 0, 0, 0]).shape == (0,)
 
 
 #: ``random()``, ``integers(1)`` (which takes nothing), small bounds, a power of
@@ -254,10 +211,37 @@ class TestDraws:
         st.lists(key_parts, min_size=4, max_size=4, unique=True),
     )
     def test_plans_equal_one_call_each(self, plan_bounds, master_seed, trials, ids):
-        # one run of key rows per plan, stream-major, as a Monte Carlo chunk draws its short
-        # streams; 2**31 + 5 makes NumPy redraw about half its draws, and 2**40 every one
+        # one run of key rows per plan, stream-major, as a Monte Carlo chunk draws its streams;
+        # 2**31 + 5 makes NumPy redraw about half its draws, and 2**40 every one
         plans = [draw_plan(bounds) for bounds in plan_bounds]
         trials, ids = np.array(trials, dtype=np.uint64), np.array(ids[: len(plans)], dtype=np.uint64)
+        self.assert_joint_equals_single(plans, master_seed, trials, ids)
+
+    @pytest.mark.parametrize("master_seed", [0, 2**64])
+    def test_plan_runs_cross_seed_blocks(self, master_seed):
+        # three runs of 3,000 rows: the first seed block serves the first two plans, and the
+        # second and third runs each cross a block edge, at their rows 1,096 and 2,192
+        plans = [draw_plan(bounds) for bounds in ([5, 0, 2**31 + 5], [0, 7, 0, 1000, 1], [2**40, 3, 0])]
+        trials, ids = np.arange(3000, dtype=np.uint64), np.array([4, 0, 2**40], dtype=np.uint64)
+        assert 2 * WORD_BLOCK < 3 * len(trials) <= 3 * WORD_BLOCK
+        joint, replays = self.assert_joint_equals_single(plans, master_seed, trials, ids)
+        # every row of the 2**40 plan, and some of the 2**31 + 5 plan's
+        assert 3000 < len(replays) < 6000
+        for plan, stream, values in zip(plans, ids.tolist(), joint):
+            for row in (0, 1095, 1096, 2191, 2192, 2999):
+                scalar = substream(master_seed, row, stream)
+                expected = [scalar.random() if m == 0 else int(scalar.integers(m)) for m in plan.bounds.tolist()]
+                assert values[:, row].tolist() == expected
+
+    def test_no_key_rows(self, replays):
+        plans = [draw_plan([5, 0]), draw_plan([])]
+        values = draws(plans, 3, np.arange(0), np.array([0, 1])[:, None])
+        assert [array.shape for array in values] == [(2, 0), (0, 0)] and not replays
+        assert stream_words(3, np.arange(0), words=2).shape == (0, 2)
+
+    @staticmethod
+    def assert_joint_equals_single(plans, master_seed, trials, ids):
+        """``draws`` of every plan in one call equals one call per plan, in values and replayed keys."""
         replays = []
 
         def counted(seed, *key):
@@ -272,6 +256,7 @@ class TestDraws:
             single = [draws([plan], master_seed, trials, stream)[0] for plan, stream in zip(plans, ids.tolist())]
         assert [values.tolist() for values in joint] == [values.tolist() for values in single]
         assert joint_replays == replays
+        return joint, replays
 
     def test_key_rows_split_evenly_between_plans(self):
         with pytest.raises(ValueError, match="equal runs"):

@@ -14,8 +14,8 @@ from diversity_lab import (
     max_control_run,
     run_scenario_study,
 )
-from diversity_lab import scenario
-from diversity_lab.rng import WORD_CELLS, _bounded32, draw_plan, draws, stream_words, substream
+from diversity_lab import rng, scenario
+from diversity_lab.rng import WORD_CELLS, _bounded32, draw_plan, draws, substream
 
 
 def study_fraction(config):
@@ -97,7 +97,7 @@ class TestStayBound:
         def refuse(*args, **kwargs):
             raise AssertionError("a sample started")
 
-        monkeypatch.setattr("diversity_lab.rng.stream_words", refuse)
+        monkeypatch.setattr(rng, "_word_pieces", refuse)
         monkeypatch.setattr(scenario, "substream", refuse)
         with pytest.raises(ValueError, match=f"more than {scenario.MAX_STAYS} stays per sample"):
             run_scenario_study(self.huge(n_values=n_values))
@@ -264,8 +264,9 @@ class TestDecodedDrawsEqualScalarDraws:
     def test_zero_low_half_is_a_rejection(self, monkeypatch, replays):
         # 2**32 % 3 == 1, so a start draw of 0 is one NumPy redraws: the sample is drawn again
         plan = self.plan(3, 0, 1)
-        raw = np.array([[0xABCDEF0100000000, 0, 0]], dtype=np.uint64)[:, : plan.words]
-        monkeypatch.setattr("diversity_lab.rng.stream_words", lambda *key, words: raw)
+        raw = np.array([[0xABCDEF0100000000], [0], [0]], dtype=np.uint64)[: plan.words]
+        key_rows = np.array([[3, 0]], dtype=np.uint64)
+        monkeypatch.setattr("diversity_lab.rng._word_pieces", lambda seed, key, counts: iter([(raw, key_rows)]))
         (values,) = draws([plan], 0, 3, [0])
         assert replays == [(0, 3, 0)]
         rng = substream(0, 3, 0)
@@ -374,6 +375,19 @@ class TestStudyEqualsScalarRebuild:
         monkeypatch.setattr(scenario, "max_control_run", counted)
         return calls
 
+    @staticmethod
+    def count_word_pieces(monkeypatch):
+        """The N of each ``rng._word_pieces`` pass, one per ``draws`` call, in call order."""
+        calls = []
+        word_pieces = rng._word_pieces
+
+        def counted(seed, key, counts):
+            calls.append(key[0])
+            return word_pieces(seed, key, counts)
+
+        monkeypatch.setattr(rng, "_word_pieces", counted)
+        return calls
+
     def assert_matches(self, config):
         runs = scalar_runs(config)
         pooled = np.array([run for values in runs.values() for run in values])
@@ -414,16 +428,10 @@ class TestStudyEqualsScalarRebuild:
     def test_one_sample_past_the_derivation_block(self, fallbacks, monkeypatch):
         # a sample takes the fewest words at N = 2 (two arrivals, the start and a dwell per
         # stay; integers(1) takes nothing) and more at larger N, so one sample more than fit
-        # in WORD_CELLS at N = 2 puts the words of every N > 1 in two stream_words calls,
+        # in WORD_CELLS at N = 2 puts the words of every N > 1 in two draws calls,
         # each decoded in many blocks
         per_sample = draw_plan([0, 0, 2] + [0, 1] * scenario._stays(900.0, (20.0, 30.0))).words
-        calls = []
-
-        def counted(seed, n, rows, words):
-            calls.append(n)
-            return stream_words(seed, n, rows, words=words)
-
-        monkeypatch.setattr("diversity_lab.rng.stream_words", counted)
+        calls = self.count_word_pieces(monkeypatch)
         config = ScenarioConfig(
             t_values=(0.0,), n_values=self.N_VALUES, samples=WORD_CELLS // per_sample + 1,
             master_seed=2**32,
@@ -492,14 +500,8 @@ class TestStudyEqualsScalarRebuild:
     def test_fixed_arrivals_take_no_table_rows(self, fallbacks, monkeypatch):
         # a fixed arrival is the same in every sample, so only platform 1, which the drawn
         # arrival also targets, takes a row of each sample's exploit table: the 60 samples of
-        # each N fit one stream_words call, where a row per targeted platform would need two
-        calls = []
-
-        def counted(seed, n, rows, words):
-            calls.append(n)
-            return stream_words(seed, n, rows, words=words)
-
-        monkeypatch.setattr("diversity_lab.rng.stream_words", counted)
+        # each N fit one draws call, where a row per targeted platform would need two
+        calls = self.count_word_pieces(monkeypatch)
         exploits = (ExploitSpec(frozenset(range(3000)), 300.0), ExploitSpec(frozenset({1})))
         config = ScenarioConfig(
             t_values=(0.0,), n_values=(3, 3000), samples=60, exploits=exploits, master_seed=9

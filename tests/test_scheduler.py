@@ -205,9 +205,9 @@ class TestCheckPool:
 
 
 @pytest.mark.parametrize("kind", [PolicyKind.DIVERSITY, PolicyKind.UNIFORM])
-@pytest.mark.parametrize("start", [-1, 5])
+@pytest.mark.parametrize("start", [-1, 5, None])
 def test_start_out_of_range_rejected(five_platform_sim, kind, start):
-    # as an index, -1 would start the walk on the last platform
+    # as an index, -1 would start the walk on the last platform; None is no platform at all
     with pytest.raises(ValueError, match=f"start platform {start} out of range"):
         schedule(kind, five_platform_sim, 3, start, 10, np.random.default_rng(0))
 

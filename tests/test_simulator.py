@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diversity_lab import simulator
+from diversity_lab import rng, simulator
 from diversity_lab.rng import (
     WORD_BLOCK,
     WORD_CELLS,
@@ -12,7 +12,6 @@ from diversity_lab.rng import (
     _random_k_subsets,
     draw_plan,
     draws,
-    stream_words,
     substream,
 )
 from diversity_lab.simulator import DEFAULT_POLICY_KINDS
@@ -346,8 +345,8 @@ class TestStudyMatchesPerStepReference:
         ids=["four-streams", "three-streams"],
     )
     def test_one_trial_past_the_derivation_block(self, five_platform_sim, kinds):
-        # with the diversity policy, every trial's start comes from one stream_words
-        # call, whose last key is alone in a second seed block
+        # each stream's run of key rows crosses a seed block edge, the last trial of the
+        # first run alone past the first block
         config = McConfig(
             trials=WORD_BLOCK + 1, intervals=6, policy_kinds=kinds, master_seed=2**64
         )
@@ -355,55 +354,78 @@ class TestStudyMatchesPerStepReference:
 
 
 class TestOneDerivationPerStream:
-    """A chunk of trials derives its short streams (the labeling, the diversity starts and the
-    random-k subsets) in one ``stream_words`` call while their key rows fit one seed block, and
-    each in its own call past it; the uniform moves take their own call."""
+    """A chunk of trials derives every stream (the labeling, the diversity starts, the uniform
+    moves and the random-k subsets) in one ``rng._word_pieces`` pass, which seeds the key rows
+    ``WORD_BLOCK`` at a time, whatever the streams' runs."""
 
     @pytest.fixture
     def derived(self, monkeypatch):
+        # per pass: the stream ids of its key rows, in row order, each once, and the rows of each seeding
         calls = []
+        word_pieces, seed_states = rng._word_pieces, rng._seed_states
 
-        def counted(seed, rows, stream, words):
-            # the stream ids of the call's key rows, in row order, each once
-            calls.append(tuple(dict.fromkeys(np.ravel(stream).tolist())))
-            return stream_words(seed, rows, stream, words=words)
+        def pieces(seed, key, counts):
+            calls.append((tuple(dict.fromkeys(np.ravel(key[1]).tolist())), []))
+            return word_pieces(seed, key, counts)
 
-        monkeypatch.setattr("diversity_lab.rng.stream_words", counted)
+        def seeded(seed_words, block):
+            calls[-1][1].append(len(block))
+            return seed_states(seed_words, block)
+
+        monkeypatch.setattr(rng, "_word_pieces", pieces)
+        monkeypatch.setattr(rng, "_seed_states", seeded)
         return calls
 
     @pytest.mark.parametrize(
         "kinds, calls",
-        [(DEFAULT_POLICY_KINDS, [(0, 1, 3), (2,)]), ((PolicyKind.UNIFORM, PolicyKind.RANDOM_K), [(0, 3), (2,)])],
+        [
+            (DEFAULT_POLICY_KINDS, [((0, 1, 3, 2), [2000])]),
+            ((PolicyKind.UNIFORM, PolicyKind.RANDOM_K), [((0, 3, 2), [1500])]),
+        ],
         ids=["default-policies", "uniform-and-random-k"],
     )
     def test_default_shape_derives_each_stream_once(self, five_platform_sim, derived, kinds, calls):
         run_mc_study(McConfig(policy_kinds=kinds), five_platform_sim)
         assert derived == calls
 
+    def test_short_study_seeds_full_blocks(self, five_platform_sim, derived):
+        # the 12,000 key rows of 3,000 eight-interval trials take three seedings, not one per stream
+        run_mc_study(McConfig(trials=3000, intervals=8), five_platform_sim)
+        assert derived == [((0, 1, 3, 2), [WORD_BLOCK, WORD_BLOCK, 12000 - 2 * WORD_BLOCK])]
+
     @pytest.mark.parametrize(
         "kinds, trials, calls",
         [
-            (DEFAULT_POLICY_KINDS, WORD_BLOCK // 3, [(0, 1, 3), (2,)]),
-            (DEFAULT_POLICY_KINDS, WORD_BLOCK // 3 + 1, [(0,), (1,), (3,), (2,)]),
-            ((PolicyKind.UNIFORM, PolicyKind.RANDOM_K), WORD_BLOCK // 2, [(0, 3), (2,)]),
-            ((PolicyKind.UNIFORM, PolicyKind.RANDOM_K), WORD_BLOCK // 2 + 1, [(0,), (3,), (2,)]),
+            (DEFAULT_POLICY_KINDS, WORD_BLOCK // 4, [((0, 1, 3, 2), [WORD_BLOCK])]),
+            (DEFAULT_POLICY_KINDS, WORD_BLOCK // 4 + 1, [((0, 1, 3, 2), [WORD_BLOCK, 4])]),
+            ((PolicyKind.UNIFORM, PolicyKind.RANDOM_K), WORD_BLOCK // 3, [((0, 3, 2), [WORD_BLOCK - 1])]),
+            ((PolicyKind.UNIFORM, PolicyKind.RANDOM_K), WORD_BLOCK // 3 + 1, [((0, 3, 2), [WORD_BLOCK, 2])]),
+            ((PolicyKind.UNIFORM,), WORD_BLOCK // 2, [((0, 2), [WORD_BLOCK])]),
+            ((PolicyKind.UNIFORM,), WORD_BLOCK // 2 + 1, [((0, 2), [WORD_BLOCK, 2])]),
         ],
-        ids=["three-streams-fill-a-block", "three-streams-past-a-block", "two-fill-a-block", "two-past-a-block"],
+        ids=[
+            "four-streams-fill-a-block",
+            "four-streams-past-a-block",
+            "three-streams-fill-a-block",
+            "three-streams-past-a-block",
+            "two-fill-a-block",
+            "two-past-a-block",
+        ],
     )
     def test_joint_derivation_up_to_one_seed_block(self, five_platform_sim, derived, kinds, trials, calls):
-        # trials × streams at most WORD_BLOCK share one derivation; one more trial takes a call per stream
+        # trials × streams at most WORD_BLOCK take one seeding; one more trial takes a second
         config = McConfig(trials=trials, intervals=5, policy_kinds=kinds, master_seed=2**32)
         TestStudyMatchesPerStepReference.assert_matches(config, five_platform_sim)
         assert derived == calls
 
     def test_words_past_the_cell_cap(self, derived):
         # 219 trials of a 600-platform labeling are 131,400 words, past WORD_CELLS:
-        # each stream is derived in two chunks, the short streams together
+        # the study takes two chunks, each with every stream in one pass
         sim = generated_similarity(600, seed=1)
         config = McConfig(trials=WORD_CELLS // 600 + 1, intervals=4, k=2, master_seed=5)
         assert config.trials * sim.count > WORD_CELLS
         TestStudyMatchesPerStepReference.assert_matches(config, sim)
-        assert derived == [(0, 1, 3), (2,)] * 2
+        assert derived == [((0, 1, 3, 2), [4 * (WORD_CELLS // 600)]), ((0, 1, 3, 2), [4])]
 
 
 class TestDecodedDrawsEqualGeneratorDraws:
@@ -505,9 +527,9 @@ class TestPoolErrorsBeforeAnyTrial:
         def refuse(*key, **options):
             raise AssertionError(f"a trial started: stream {key}")
 
-        # the study takes its words from stream_words, and past FLOYD_POOL_LIMIT random-k subsets from substream
+        # the study takes its words from _word_pieces, and past FLOYD_POOL_LIMIT random-k subsets from substream
         monkeypatch.setattr(simulator, "substream", refuse)
-        monkeypatch.setattr("diversity_lab.rng.stream_words", refuse)
+        monkeypatch.setattr(rng, "_word_pieces", refuse)
 
     def test_streams_are_refused(self, five_platform_sim, no_streams):
         with pytest.raises(AssertionError, match="a trial started"):
