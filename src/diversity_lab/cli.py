@@ -34,9 +34,9 @@ from .analytic import (
     run_length_chain,
     steady_state,
 )
-from .core import PolicyKind, SimilarityMatrix, bundled_similarity_path, load_similarity_matrix
+from .core import PolicyKind, SimilarityMatrix, bundled_similarity_path, check_platform_count, load_similarity_matrix
 from .rng import substream
-from .scenario import DEFAULT_EXPLOITS, MAX_TARGETED, ExploitSpec, ScenarioConfig, run_scenario_study
+from .scenario import DEFAULT_EXPLOITS, ExploitSpec, ScenarioConfig, run_scenario_study
 from .scheduler import check_pool, detect_periodicity, schedule
 from .simulator import POLICY_BY_NAME, McConfig, run_mc_study
 
@@ -275,8 +275,7 @@ def _parse_t_values(args) -> tuple[float, ...]:
 def _parse_exploit(spec: str, max_n: int) -> ExploitSpec:
     platforms_part, _, arrival_part = spec.partition("@")
     if platforms_part.strip() == "all":
-        if max_n > MAX_TARGETED:
-            raise ValueError(f"exploits may target at most {MAX_TARGETED} platforms below the largest N")
+        check_platform_count(max_n)
         platforms = frozenset(range(max_n))
     else:
         platforms = frozenset(int(p) for p in platforms_part.split(","))

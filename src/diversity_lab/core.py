@@ -21,6 +21,16 @@ import numpy as np
 SYMMETRY_TOLERANCE = 1e-12
 
 BUNDLED_SIMILARITY_NAME = "moss_5platform.csv"
+#: The most platforms a pool may hold: up to 10,000, ``Generator.choice(N, k, replace=False)``
+#: draws by Floyd's algorithm, which ``rng._random_k_subsets`` decodes, and above it by a tail
+#: shuffle in an order no draw plan states. So every engine decodes every pool with no scalar path.
+MAX_PLATFORMS = 10_000
+
+
+def check_platform_count(count: int) -> None:
+    """Raise ValueError unless a pool of ``count`` platforms is between 1 and ``MAX_PLATFORMS``."""
+    if not 1 <= count <= MAX_PLATFORMS:
+        raise ValueError(f"platform counts must be between 1 and {MAX_PLATFORMS}, got {count}")
 
 
 @dataclass(frozen=True)
@@ -34,8 +44,7 @@ class PlatformSet:
     names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if len(self.names) < 1:
-            raise ValueError("platform set must contain at least one platform")
+        check_platform_count(len(self.names))
         for name in self.names:
             if not name or not name.strip():
                 raise ValueError("platform identifiers must be non-empty")

@@ -30,8 +30,9 @@ A stream's draws, listed as ``random()`` and ``integers(m)`` calls, are
 its ``draw_plan``; ``draws`` derives the words of many streams, with a
 plan for each run of keys, in one pass of ``_word_pieces``, and decodes
 each piece as it comes, as ``Generator`` would draw it, ``integers(m)``
-in uint64 arithmetic, exact for every bound up to 2**32.
-``_random_k_subsets`` turns the draws of ``_floyd_bounds`` into ``choice(N, k, replace=False)``.
+in uint64 arithmetic, exact for every bound up to 2**32, the largest a
+plan takes. ``_random_k_subsets`` turns the draws of ``_floyd_bounds``
+into ``choice(N, k, replace=False)`` for N up to ``core.MAX_PLATFORMS``.
 This is the only module that knows where a draw sits in a stream.
 
 All of this reimplements NumPy internals (``SeedSequence`` in
@@ -58,9 +59,6 @@ WORD_BLOCK = 4096
 #: Cells (rows × words) of one plan that one ``draws`` call of either engine
 #: derives at most: it bounds the memory of the words whatever the trial or sample count.
 WORD_CELLS = 1 << 17
-#: Above this pool size ``Generator.choice`` may draw a random-k subset by a
-#: tail shuffle, which ``_random_k_subsets`` does not follow.
-FLOYD_POOL_LIMIT = 10_000
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
@@ -382,10 +380,9 @@ def _bounded32(draws: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
     Lemire's method: the value is ``(draw·m) >> 32``, and NumPy draws
     again when ``(draw·m) mod 2**32`` falls below ``2**32 mod m``. With a
     draw below 2**32 and m at most 2**32, the product is exact in uint64.
-    Above 2**32 NumPy takes a 64-bit draw instead, so every draw is marked.
     """
     product = draws * m
-    return product >> _SHIFT32, ((product & _HALF) < (1 << 32) % m) | (m > 1 << 32)
+    return product >> _SHIFT32, (product & _HALF) < 2**32 % m
 
 
 class DrawPlan(NamedTuple):
@@ -405,8 +402,11 @@ def draw_plan(bounds) -> DrawPlan:
     left cached or, with none cached, from the low half of the next word,
     whose high half it caches; ``random()`` leaves that cache alone. So the
     32-bit draws pair up on one word each. ``integers(1)`` takes nothing.
+    A bound above 2**32, for which NumPy takes a 64-bit draw, raises ValueError.
     """
     bounds = np.array(bounds, dtype=np.int64).reshape(-1)
+    if bounds.max(initial=0) > 2**32:
+        raise ValueError(f"integers(m) is planned for m up to 2**32, got {bounds.max()}")
     bits32 = np.flatnonzero(bounds > 1)
     fresh = bounds == 0
     fresh[bits32[::2]] = True
@@ -425,17 +425,15 @@ def draws(plans: Sequence[DrawPlan], master_seed: int, *key) -> list[np.ndarray]
     C order, fall into one equal run per plan, so ``draws(plans, s,
     trials, ids[:, None])`` draws ``plans[i]`` on the streams ``(s, trial,
     ids[i])``. Returns one array per plan: row i holds draw i of every key
-    row of its run; an ``integers`` draw is an integral double, exact for
-    bounds up to 2**53.
+    row of its run; an ``integers`` draw is an integral double.
 
     Each row derives only its own plan's words, and each ``_word_pieces``
     piece is decoded into its plan's array as it comes. ``random()`` of a
     word ``w`` is ``(w >> 11)·2**-53``, and ``integers(m)`` is
     ``_bounded32`` of its half, in uint64; draws are decoded
     ``WORD_BLOCK`` cells at a time. A key row with a draw NumPy would
-    redraw, or with a bound above 2**32, where NumPy draws 64 bits, is
-    drawn again on its ``substream``, one ``random()`` or ``integers(m)``
-    call at a time.
+    redraw is drawn again on its ``substream``, one ``random()`` or
+    ``integers(m)`` call at a time.
     """
     rows = math.prod(np.broadcast_shapes(*(np.shape(part) for part in key)))
     per, rest = divmod(rows, len(plans))
@@ -488,7 +486,7 @@ def _random_k_subsets(values: np.ndarray, count: int, k: int) -> np.ndarray:
     value to the subset, or j when the value is in it already. A
     Fisher–Yates shuffle follows: for i = k-1 down to 1, slot i swaps with
     a draw on ``[0, i]``. NumPy follows these draws up to
-    ``FLOYD_POOL_LIMIT`` platforms only.
+    ``core.MAX_PLATFORMS`` platforms only.
     """
     picks = values.astype(np.intp)
     subset = np.empty((picks.shape[1], k), dtype=np.intp)

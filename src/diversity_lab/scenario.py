@@ -19,12 +19,11 @@ control runs of every sample at once.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import is_int, is_number, is_number_list, list_of, manifest_value
+from .core import check_platform_count, is_int, is_number, is_number_list, list_of, manifest_value
 from .rng import WORD_CELLS, DrawPlan, draw_plan, draws, substream
 from .scheduler import uniform_walks
 
@@ -64,8 +63,6 @@ DEFAULT_EXPLOITS = (
 MAX_STAYS = 100_000
 #: Samples per N: each holds about 16 B of arrays through the sweep, 1.6 GB at the cap.
 MAX_SAMPLES = 100_000_000
-#: Distinct platforms below the largest N that exploits may target; each holds a time per sample.
-MAX_TARGETED = 10_000
 #: Standard deviations of a sample's summed dwells that the planned stays leave spare. A constant, not
 #: an option: a sample that still falls short is rerun by ``max_control_run``, so it sets cost, not results.
 STAY_MARGIN = 8
@@ -89,9 +86,10 @@ class ScenarioConfig:
         bad = [t for t in self.t_values if not 0 <= t < math.inf]
         if bad:
             raise ValueError(f"attacker goals must be finite and non-negative, got {bad[0]}")
-        # uniform_walks holds platforms in intp arrays, so N is at most sys.maxsize
-        if not self.n_values or any(not 1 <= n <= sys.maxsize for n in self.n_values):
-            raise ValueError(f"platform counts must be between 1 and {sys.maxsize}")
+        if not self.n_values:
+            raise ValueError("at least one platform count N is required")
+        for n in self.n_values:
+            check_platform_count(n)
         if not 0 < self.duration < math.inf:
             raise ValueError(f"trial duration must be finite and positive, got {self.duration}")
         lo, hi = self.delay
@@ -103,9 +101,6 @@ class ScenarioConfig:
             raise ValueError(f"samples must be at most {MAX_SAMPLES}")
         if not self.exploits:
             raise ValueError("at least one exploit is required")
-        largest = max(self.n_values)
-        if len({p for spec in self.exploits for p in spec.platforms if p < largest}) > MAX_TARGETED:
-            raise ValueError(f"exploits may target at most {MAX_TARGETED} platforms below the largest N")
         if self.master_seed < 0:
             raise ValueError("master seed must be non-negative")
 
@@ -304,7 +299,7 @@ def _runs(config: ScenarioConfig, n: int, drawn: int, plan: DrawPlan) -> np.ndar
     cells = max(plan.words, len(varied) + 1)
     runs, exact = np.empty(config.samples), np.zeros(config.samples, bool)
     # with room for fewer than 3 samples, array steps through each stay are slower than scalar loops
-    if 3 * cells <= WORD_CELLS and targeted[-1:] < [WORD_CELLS] and n <= 2**53:
+    if 3 * cells <= WORD_CELLS:
         # each platform's table row and fixed arrival; platforms past the last targeted one clip to inf
         row = np.full(targeted[-1] + 2 if targeted else 1, len(varied), dtype=np.intp)
         row[varied] = np.arange(len(varied))
@@ -354,9 +349,8 @@ def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
     before ``duration`` is rerun through ``max_control_run``. Every
     sample takes ``max_control_run`` where a chunk holds fewer than 3
     samples (from about 29,100 planned stays at N > 2 and 43,700 at
-    N = 2), where a targeted platform is at least ``WORD_CELLS``, or
-    where N exceeds 2**53, past exact doubles. The T sweep sorts each N's
-    runs once and counts the hits of every goal with one ``searchsorted``.
+    N = 2). The T sweep sorts each N's runs once and counts the hits of
+    every goal with one ``searchsorted``.
     """
     ratio = float(config.duration) / config.delay[0]
     if ratio > MAX_STAYS and max(config.n_values) > 1:

@@ -24,9 +24,7 @@ engine also uses, steps every trial at once, and the diversity trace,
 which depends only on (similarity, k, start), comes from one batched
 walk per chunk over the distinct starts no earlier chunk has walked,
 which stops once every start's cycle is found. The metrics stay arrays
-up to the CLI's writers. With N above ``rng.FLOYD_POOL_LIMIT``, where
-NumPy may draw a random-k subset by a tail shuffle, each trial's subset
-comes from ``choice`` on its ``substream``.
+up to the CLI's writers.
 """
 
 from __future__ import annotations
@@ -44,7 +42,8 @@ from .core import (
     list_of,
     manifest_value,
 )
-from .rng import FLOYD_POOL_LIMIT, WORD_CELLS, _floyd_bounds, _random_k_subsets, draw_plan, draws, substream
+from .rng import WORD_CELLS, _floyd_bounds, _random_k_subsets, draw_plan, draws
+from .rng import substream  # unused here: the benchmark tracer's test wraps simulator.substream
 from .scheduler import check_pool, diversity_walks, uniform_walks
 
 LABELING_STREAM = 0
@@ -234,7 +233,7 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
         # a diversity trace draws nothing after its start: one walk per distinct start serves all trials
         walk_of, walks = np.full(count, -1), np.empty((0, intervals), dtype=np.intp)
         dist = sim.distances()
-    if PolicyKind.RANDOM_K in policies and count <= FLOYD_POOL_LIMIT:
+    if PolicyKind.RANDOM_K in policies:
         plans[POLICY_STREAM[PolicyKind.RANDOM_K]] = draw_plan(_floyd_bounds(count, k))
     if PolicyKind.UNIFORM in policies:
         plans[POLICY_STREAM[PolicyKind.UNIFORM]] = draw_plan([count] + [count - 1] * (intervals - 1))
@@ -258,11 +257,7 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
             elif kind is PolicyKind.UNIFORM:
                 chosen = uniform_walks(values[stream][0], values[stream][1:].T)
             else:
-                if count > FLOYD_POOL_LIMIT:  # NumPy may shuffle a tail, in an order no plan states
-                    subsets = np.array([substream(seed, t, stream).choice(count, k, replace=False) for t in rows])
-                else:
-                    subsets = _random_k_subsets(values[stream], count, k)
-                chosen = subsets[:, np.arange(intervals) % k]
+                chosen = _random_k_subsets(values[stream], count, k)[:, np.arange(intervals) % k]
             chosen += offsets
             vulnerable[kind][first : first + len(rows)] = flags.take(chosen)
     return {kind.value: compute_metrics(vulnerable[kind], config.k) for kind in config.policy_kinds}

@@ -21,6 +21,9 @@ from diversity_lab.scenario import MAX_STAYS
 from conftest import wide_similarity_csv
 
 
+PLATFORM_LIMIT = "platform counts must be between 1 and 10000"
+
+
 def read_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
 
@@ -335,10 +338,20 @@ class TestMcCommand:
         ):
             assert (outdir / name).read_bytes() == (rerun_dir / name).read_bytes()
 
-    def test_invalid_similarity_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("A,B\nA,1.0,0.5\nB,0.6,1.0\n", "similarity matrix must be symmetric"),
+            # the header's platform count is checked before any score row is read
+            (",".join(f"p{i}" for i in range(10_000)) + "\n", "expected 10000 data rows after the header, found 0"),
+            (",".join(f"p{i}" for i in range(10_001)) + "\n", f"{PLATFORM_LIMIT}, got 10001"),
+        ],
+        ids=["asymmetric", "header-of-10000", "header-of-10001"],
+    )
+    def test_invalid_similarity_exits_2(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.csv"
-        bad.write_text("A,B\nA,1.0,0.5\nB,0.6,1.0\n", encoding="utf-8")
-        assert main(["mc", "--similarity", str(bad), "--outdir", str(tmp_path / "x")]) == 2
+        bad.write_text(text, encoding="utf-8")
+        TestNonFiniteScenarioInput.assert_rejected(capsys, ["mc", "--similarity", str(bad)], tmp_path / "x", message)
 
     def test_outdir_collision_exits_3(self, tmp_path):
         blocker = tmp_path / "blocked"
@@ -706,8 +719,15 @@ class TestManifestSchema:
              "persistence requirement k must be >= 2"),
             (["scenario", "--N", "3", "--T", "10", "--samples", "5"],
              lambda m: m.update(duration=float("inf")), "trial duration must be finite"),
+            # the platforms are checked before the scores
+            (["mc", "--trials", "2", "--intervals", "10"],
+             lambda m: m["similarity"].update(platforms=[f"p{i}" for i in range(10_000)]),
+             "similarity matrix shape (5, 5) does not match 10000 platforms"),
+            (["mc", "--trials", "2", "--intervals", "10"],
+             lambda m: m["similarity"].update(platforms=[f"p{i}" for i in range(10_001)]),
+             f"{PLATFORM_LIMIT}, got 10001"),
         ],
-        ids=["mc-k-1", "scenario-duration-infinity"],
+        ids=["mc-k-1", "scenario-duration-infinity", "mc-10000-platforms", "mc-10001-platforms"],
     )
     def test_value_error_names_the_file(self, tmp_path, capsys, argv, edit, message):
         path = self.broken_manifest(tmp_path, argv, edit)
@@ -864,22 +884,30 @@ class TestNonFiniteScenarioInput:
 
 
 class TestOversizedIntegers:
-    """An integer too large for the engines' C types or floats exits 2 with one error line."""
+    """An integer too large for the engines, or a pool past the platform limit, exits 2 with one error line."""
 
-    @pytest.mark.parametrize("n", [2**63, 2**64], ids=["2**63", "2**64"])
+    @pytest.mark.parametrize(
+        "n", [2**63, 2**64, sys.maxsize, 10_001], ids=["2**63", "2**64", "sys.maxsize", "10001"]
+    )
     def test_platform_count_argv(self, tmp_path, capsys, n):
         argv = ["scenario", "--N", str(n), "--T", "10", "--samples", "2"]
-        TestNonFiniteScenarioInput.assert_rejected(capsys, argv, tmp_path / "never", "platform counts must be")
+        TestNonFiniteScenarioInput.assert_rejected(capsys, argv, tmp_path / "never", f"{PLATFORM_LIMIT}, got {n}")
 
     def test_largest_platform_count_runs_in_a_fresh_interpreter(self, tmp_path):
-        # every sample reruns through max_control_run, which keeps one exploit time per targeted platform
+        # the pool of 10,000 platforms runs from argv and again from its manifest
         env = {**os.environ, "PYTHONPATH": str(Path(diversity_lab.__file__).parents[1])}
-        argv = ["scenario", "--N", str(sys.maxsize), "--T", "10", "--samples", "3", "--outdir", str(tmp_path)]
-        done = subprocess.run(
-            [sys.executable, "-m", "diversity_lab.cli", *argv], capture_output=True, text=True, env=env, timeout=10
-        )
-        assert (done.returncode, done.stderr) == (0, "")
-        assert read_csv_rows(tmp_path / "success_fraction.csv")[1][0] == str(sys.maxsize)
+        first, rerun = tmp_path / "first", tmp_path / "rerun"
+        for argv, outdir in [
+            (["--N", "10000", "--T", "10", "--samples", "3"], first),
+            (["--from-manifest", str(first / "run_manifest.json")], rerun),
+        ]:
+            done = subprocess.run(
+                [sys.executable, "-m", "diversity_lab.cli", "scenario", *argv, "--outdir", str(outdir)],
+                capture_output=True, text=True, env=env, timeout=10,
+            )
+            assert (done.returncode, done.stderr) == (0, "")
+        assert read_csv_rows(first / "success_fraction.csv")[1][0] == "10000"
+        assert (first / "success_fraction.csv").read_bytes() == (rerun / "success_fraction.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "argv, edit, message",
@@ -889,11 +917,13 @@ class TestOversizedIntegers:
             (["scenario", "--T", "10", "--samples", "2"], lambda m: m.update(duration=10**400),
              "invalid key 'duration'"),
             (["scenario", "--T", "10", "--samples", "2"], lambda m: m.update(n_values=[2**63]),
-             "platform counts must be"),
+             f"{PLATFORM_LIMIT}, got {2**63}"),
+            (["scenario", "--T", "10", "--samples", "2"], lambda m: m.update(n_values=[3, 10_001]),
+             f"{PLATFORM_LIMIT}, got 10001"),
             (["mc", "--trials", "2", "--intervals", "6"],
              lambda m: m["similarity"]["scores"][1].__setitem__(2, 10**400), "invalid key 'similarity.scores'"),
         ],
-        ids=["goal", "duration", "platform-count", "score"],
+        ids=["goal", "duration", "platform-count", "platform-count-10001", "score"],
     )
     def test_manifest(self, tmp_path, capsys, argv, edit, message):
         first = tmp_path / "first"
@@ -1002,8 +1032,7 @@ class TestNoOutputOnValidationError:
                 for samples in (2**63, 2**62, 10**11, 10**17)
             ),
             *(
-                (["scenario", "--N", n, "--T", "10", "--exploit", "all@0"],
-                 "exploits may target at most 10000 platforms below the largest N")
+                (["scenario", "--N", n, "--T", "10", "--exploit", "all@0"], f"{PLATFORM_LIMIT}, got {n}")
                 for n in ("10001", "100000000")
             ),
         ],
@@ -1014,7 +1043,7 @@ class TestNoOutputOnValidationError:
             # these used to end in a NumPy error, "array is too big" or an allocation failure
             "scenario-samples-2-63", "scenario-samples-2-62", "scenario-samples-1e11",
             "scenario-samples-711-PiB",
-            # "all" used to list every platform below the largest N before any check
+            # "all" is checked against the platform limit before it lists every platform below the largest N
             "scenario-exploit-all-10001", "scenario-exploit-all-1e8",
         ],
     )

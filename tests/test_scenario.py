@@ -15,6 +15,7 @@ from diversity_lab import (
     run_scenario_study,
 )
 from diversity_lab import rng, scenario
+from diversity_lab.core import MAX_PLATFORMS
 from diversity_lab.rng import WORD_CELLS, _bounded32, draw_plan, draws, substream
 
 
@@ -277,9 +278,8 @@ class TestDecodedDrawsEqualScalarDraws:
             value, rejected = _bounded32(halves, m)
             assert value.tolist() == [0, top] and not rejected.any()
         # products stay exact in uint64 past 2**21: 5·(2**21 + 1) leaves 5·2**21 + 5, far above the
-        # threshold 2**32 % (2**21 + 1); above 2**32 NumPy takes a 64-bit draw, so every draw is marked
+        # threshold 2**32 % (2**21 + 1)
         assert _bounded32(np.array([5], dtype=np.uint64), 2**21 + 1)[1].tolist() == [False]
-        assert _bounded32(np.array([2**31], dtype=np.uint64), 2**32 + 1)[1].tolist() == [True]
 
     def test_numpy_redraws_a_zero_draw(self):
         # cache a 32-bit draw of 0: integers(3) rejects it and takes the low half of the next word
@@ -413,17 +413,12 @@ class TestStudyEqualsScalarRebuild:
         self.assert_matches(config)
         assert fallbacks == []
 
-    def test_pool_past_exact_products_reruns_every_sample(self, fallbacks, replays):
-        # uint64 products are exact for every pool up to 2**32 platforms: a pool of 2**21 + 1
-        # is decoded with no sample drawn again
-        config = ScenarioConfig(t_values=(0.0,), n_values=(*self.N_VALUES, 2**21 + 1), samples=40, master_seed=3)
+    def test_largest_pool_is_decoded_with_no_replay(self, fallbacks, replays):
+        # uint64 products are exact for every bound up to 2**32: the largest pool is decoded
+        # with no sample drawn again
+        config = ScenarioConfig(t_values=(0.0,), n_values=(*self.N_VALUES, MAX_PLATFORMS), samples=40, master_seed=3)
         self.assert_matches(config)
         assert fallbacks == [] and replays == []
-        # past 2**32 NumPy draws a platform from 64 bits, so every sample is drawn again
-        n = 2**32 + 1
-        self.assert_matches(replace(config, n_values=(*self.N_VALUES, n)))
-        assert fallbacks == []
-        assert replays == [(3, n, sample) for sample in range(40)]
 
     def test_one_sample_past_the_derivation_block(self, fallbacks, monkeypatch):
         # a sample takes the fewest words at N = 2 (two arrivals, the start and a dwell per
@@ -558,8 +553,8 @@ class TestStudyEqualsScalarRebuild:
 
     def test_exploit_lookup_does_not_grow_with_n(self, fallbacks):
         # the lookup has one row per targeted platform and one for the rest; a dense
-        # (samples x N) table of exploit times alone would take 300 * 20000 * 8 B = 46 MiB
-        config = ScenarioConfig(t_values=(10.0,), n_values=(20000,), samples=300, master_seed=3)
+        # (samples x N) table of exploit times alone would take 300 * 10000 * 8 B = 23 MiB
+        config = ScenarioConfig(t_values=(10.0,), n_values=(MAX_PLATFORMS,), samples=300, master_seed=3)
         tracemalloc.start()
         try:
             run_scenario_study(config)
@@ -570,31 +565,21 @@ class TestStudyEqualsScalarRebuild:
         self.assert_matches(replace(config, samples=30))
         assert fallbacks == []
 
-    @pytest.mark.parametrize("last", [WORD_CELLS - 1, WORD_CELLS], ids=["below", "at"])
-    def test_targeted_platforms_from_word_cells_take_the_scalar_path(self, fallbacks, last):
-        # the row map reaches one past the largest targeted platform, so from WORD_CELLS on
-        # every sample takes max_control_run
-        exploits = (ExploitSpec(frozenset({last}), 0.0), ExploitSpec(frozenset({0, 1})))
-        config = ScenarioConfig(
-            t_values=(0.0,), n_values=(WORD_CELLS + 1,), samples=20, exploits=exploits, master_seed=4
-        )
-        self.assert_matches(config)
-        assert fallbacks == ([] if last < WORD_CELLS else [WORD_CELLS + 1] * 20)
-
     @pytest.mark.parametrize(
-        "n, exploits",
+        "exploits",
         [
-            (40_000_000, (ExploitSpec(frozenset({39_999_999}), 0.0), ExploitSpec(frozenset({0, 1})))),
-            (10_000, (ExploitSpec(frozenset(range(10_000)), 0.0), ExploitSpec(frozenset({0, 1})))),
-            (10_000, (ExploitSpec(frozenset(range(10_000))), ExploitSpec(frozenset({0, 1}), 0.0))),
+            (ExploitSpec(frozenset(range(10_000)), 0.0), ExploitSpec(frozenset({0, 1}))),
+            (ExploitSpec(frozenset(range(10_000))), ExploitSpec(frozenset({0, 1}), 0.0)),
         ],
-        ids=["row-map-of-40M-platforms", "table-of-10000-targets", "table-of-10000-drawn-targets"],
+        ids=["table-of-10000-targets", "table-of-10000-drawn-targets"],
     )
-    def test_exploit_table_memory_stays_bounded(self, n, exploits):
-        # a row map to platform 39,999,999 would take 305 MiB, and a table of 10,001 rows
-        # for 300 samples 23 MiB; chunks of WORD_CELLS cells per sample keep both small, and
-        # fixed arrivals, the same in every sample, take no table rows at all
-        config = ScenarioConfig(t_values=(10.0,), n_values=(n,), samples=300, exploits=exploits, master_seed=1)
+    def test_exploit_table_memory_stays_bounded(self, exploits):
+        # a table of 10,001 rows for 300 samples would take 23 MiB; chunks of WORD_CELLS
+        # cells per sample keep it small, and fixed arrivals, the same in every sample,
+        # take no table rows at all
+        config = ScenarioConfig(
+            t_values=(10.0,), n_values=(MAX_PLATFORMS,), samples=300, exploits=exploits, master_seed=1
+        )
         tracemalloc.start()
         try:
             run_scenario_study(config)

@@ -472,16 +472,6 @@ class TestDecodedDrawsEqualGeneratorDraws:
         # every stream of every trial, the labeling's and each policy's, is drawn again
         assert sorted(replays) == [(4, trial, stream) for trial in range(25) for stream in range(4)]
 
-    def test_pool_past_the_floyd_limit(self, five_platform_sim, monkeypatch):
-        # past the limit each random-k subset comes from choice() on the trial's substream
-        def refuse(*args):
-            raise AssertionError("a subset was decoded from Floyd's draws")
-
-        monkeypatch.setattr(simulator, "FLOYD_POOL_LIMIT", 3)
-        monkeypatch.setattr(simulator, "_random_k_subsets", refuse)
-        config = McConfig(trials=30, intervals=12, master_seed=6)
-        TestStudyMatchesPerStepReference.assert_matches(config, five_platform_sim)
-
     @pytest.mark.parametrize(
         "count, k, intervals",
         [(5, 5, 12), (3, 3, 3), (2, 2, 9), (2, 2, 2), (4, 2, 2)],
@@ -527,8 +517,6 @@ class TestPoolErrorsBeforeAnyTrial:
         def refuse(*key, **options):
             raise AssertionError(f"a trial started: stream {key}")
 
-        # the study takes its words from _word_pieces, and past FLOYD_POOL_LIMIT random-k subsets from substream
-        monkeypatch.setattr(simulator, "substream", refuse)
         monkeypatch.setattr(rng, "_word_pieces", refuse)
 
     def test_streams_are_refused(self, five_platform_sim, no_streams):
