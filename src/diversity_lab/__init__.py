@@ -35,7 +35,6 @@ from .scenario import (
     DEFAULT_EXPLOITS,
     ExploitSpec,
     ScenarioConfig,
-    max_control_run,
     run_scenario_study,
 )
 from .scheduler import check_pool, detect_periodicity, heron_area, schedule
@@ -69,7 +68,6 @@ __all__ = [
     "heron_area",
     "load_bundled_similarity",
     "load_similarity_matrix",
-    "max_control_run",
     "p_success_aggregate",
     "p_success_finite_window",
     "run_length_chain",

@@ -150,7 +150,7 @@ def cmd_schedule(args) -> int:
     check_pool(kind, args.K, sim.count)
     chosen = schedule(kind, sim, args.K, start, args.steps, rng).tolist()
     # a uniform schedule is a random walk: a repeated window in it is no period
-    periodicity = None if kind is PolicyKind.UNIFORM else detect_periodicity(chosen)
+    periodicity = None if kind is PolicyKind.UNIFORM else detect_periodicity(chosen, args.K)
     report = {
         "platforms": list(sim.platforms.names),
         "policy": args.policy,

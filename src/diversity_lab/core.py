@@ -128,7 +128,10 @@ def load_similarity_matrix(path: str | Path) -> SimilarityMatrix:
     if not lines:
         raise ValueError(f"{path}: empty similarity file")
     names = tuple(cell.strip() for cell in lines[0].split(","))
-    platforms = PlatformSet(names)
+    try:
+        platforms = PlatformSet(names)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     count = len(platforms)
     if len(lines) != count + 1:
         raise ValueError(
@@ -155,7 +158,10 @@ def load_similarity_matrix(path: str | Path) -> SimilarityMatrix:
             scores[k] = list(map(float, cells))
         except ValueError as exc:
             raise ValueError(f"{path}: row {k + 2}: {exc}") from None
-    return SimilarityMatrix(platforms, scores)
+    try:
+        return SimilarityMatrix(platforms, scores)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_similarity_matrix(matrix: SimilarityMatrix, path: str | Path) -> None:

@@ -23,8 +23,7 @@ of every key and then steps all g lanes together by g words, in place.
 The keys fall into runs, each with its own word count; a seed block
 serves every run it overlaps, so no key derives more words than its
 run's count. A 128-bit value is a pair of uint64 arrays, high word
-first. ``stream_words`` is the single-count form, one (rows, words)
-array.
+first.
 
 A stream's draws, listed as ``random()`` and ``integers(m)`` calls, are
 its ``draw_plan``; ``draws`` derives the words of many streams, with a
@@ -40,8 +39,8 @@ All of this reimplements NumPy internals (``SeedSequence`` in
 ``pcg64.h``, Lemire's method in ``distributions.c``, ``choice`` in
 ``_generator.pyx``), not documented guarantees. If a NumPy release
 changes them, ``tests/test_rng.py`` fails: it compares the mixed words
-with ``generate_state``, ``stream_words`` with ``random_raw`` and
-``draws`` with scalar ``Generator`` calls.
+with ``generate_state``, the words of ``_word_pieces`` with ``random_raw``
+and ``draws`` with scalar ``Generator`` calls.
 """
 
 from __future__ import annotations
@@ -78,21 +77,6 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
         raise ValueError("master seed must be non-negative")
     entropy = (int(master_seed),) + tuple(int(part) for part in key)
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
-
-
-def stream_words(master_seed: int, *key, words: int) -> np.ndarray:
-    """The first ``words`` raw outputs of each key row's stream, as a (rows, words) uint64 array.
-
-    Row r's words equal
-    ``substream(master_seed, *row_r).bit_generator.random_raw(words)``.
-    The key parts are integers or arrays of integers in ``[0, 2**64)``;
-    they broadcast against each other, and the rows are taken in C order,
-    so ``stream_words(s, trials[:, None], ids, words=w)`` gives
-    ``(s, trial, id)`` for each id of each trial. The words come from
-    ``_word_pieces``, one piece per seed block.
-    """
-    pieces = [raw for raw, _ in _word_pieces(master_seed, key, [words])]
-    return np.concatenate([np.empty((words, 0), dtype=np.uint64), *pieces], axis=1).T
 
 
 def _word_pieces(master_seed: int, key: tuple, counts: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -421,11 +405,12 @@ def draw_plan(bounds) -> DrawPlan:
 def draws(plans: Sequence[DrawPlan], master_seed: int, *key) -> list[np.ndarray]:
     """The draws of each plan on its key rows' streams, exactly as ``Generator`` gives them.
 
-    The key parts broadcast as in ``stream_words``, and the key rows, in
-    C order, fall into one equal run per plan, so ``draws(plans, s,
-    trials, ids[:, None])`` draws ``plans[i]`` on the streams ``(s, trial,
-    ids[i])``. Returns one array per plan: row i holds draw i of every key
-    row of its run; an ``integers`` draw is an integral double.
+    The key parts are integers or arrays of integers in ``[0, 2**64)``;
+    they broadcast against each other, and the key rows, in C order, fall
+    into one equal run per plan, so ``draws(plans, s, trials, ids[:, None])``
+    draws ``plans[i]`` on the streams ``(s, trial, ids[i])``. Returns one
+    array per plan: row i holds draw i of every key row of its run; an
+    ``integers`` draw is an integral double.
 
     Each row derives only its own plan's words, and each ``_word_pieces``
     piece is decoded into its plan's array as it comes. ``random()`` of a

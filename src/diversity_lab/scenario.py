@@ -8,12 +8,13 @@ The attacker succeeds in a sample when the active platform is exploited
 for at least T contiguous seconds within the trial duration. Simulation
 is event-driven (migrations and exploit arrivals), not tick-based.
 
-``max_control_run`` simulates one sample with scalar draws.
-``run_scenario_study`` gets the same draws for many samples at once from
+``run_scenario_study`` gets the draws of many samples at once from
 ``rng.draws`` and evaluates them in one stay-major pass:
 ``scheduler.uniform_walks``, the no-repeat walk of the Monte Carlo
 study, gives the platforms, and one loop over the stays scans the
-control runs of every sample at once.
+control runs of every sample at once. ``tests/oracles.py`` keeps a
+scalar simulation of one sample on its stream, which every result
+equals.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_platform_count, is_int, is_number, is_number_list, list_of, manifest_value
-from .rng import WORD_CELLS, DrawPlan, draw_plan, draws, substream
+from .rng import WORD_CELLS, draw_plan, draws
 from .scheduler import uniform_walks
 
 
@@ -59,12 +60,14 @@ DEFAULT_EXPLOITS = (
 
 
 #: Stays a sample may need: a study whose ``duration / delay[0]`` exceeds it
-#: with N > 1 is refused, since the scalar simulation steps through each stay.
-MAX_STAYS = 100_000
+#: with N > 1 is refused. At the bound, the words of 3 samples at N = 3 with two
+#: drawn arrivals still fit in one ``WORD_CELLS`` chunk; narrower chunks scan slowly.
+MAX_STAYS = 29_000
 #: Samples per N: each holds about 16 B of arrays through the sweep, 1.6 GB at the cap.
 MAX_SAMPLES = 100_000_000
 #: Standard deviations of a sample's summed dwells that the planned stays leave spare. A constant, not
-#: an option: a sample that still falls short is rerun by ``max_control_run``, so it sets cost, not results.
+#: an option: a sample that still falls short is derived again with every stay it can need, so it sets
+#: cost, not results.
 STAY_MARGIN = 8
 
 
@@ -153,79 +156,16 @@ class GridPoint:
     samples: int
 
 
-def max_control_run(
-    n: int,
-    duration: float,
-    delay: tuple[float, float],
-    exploits: tuple[ExploitSpec, ...],
-    rng: np.random.Generator,
-) -> float:
-    """Longest contiguous attacker-control span (seconds) in one sample.
-
-    Draw order per sample: exploit arrivals (for unspecified arrivals) in
-    exploit order, then the initial platform, then one dwell per stay and
-    one choice per migration. With ``n == 1`` the platform never
-    migrates. Control persists across a migration when the next platform
-    is already exploited at handover; migration time itself is treated as
-    negligible.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    lo, hi = delay
-    arrivals = [
-        spec.arrival if spec.arrival is not None else float(rng.uniform(0.0, duration))
-        for spec in exploits
-    ]
-    # keyed by the targeted platforms only, so its size does not grow with n
-    exploited_at: dict[int, float] = {}
-    for spec, arrival in zip(exploits, arrivals):
-        for platform in spec.platforms:
-            if platform < n:
-                exploited_at[platform] = min(exploited_at.get(platform, math.inf), arrival)
-
-    current = int(rng.integers(n)) if n > 1 else 0
-    segments: list[tuple[float, float]] = []
-    now = 0.0
-    while now < duration:
-        if n == 1:
-            dwell_end = duration
-        else:
-            dwell_end = min(now + float(rng.uniform(lo, hi)), duration)
-        arrival = exploited_at.get(current, math.inf)
-        if arrival < dwell_end:
-            segments.append((max(now, arrival), dwell_end))
-        now = dwell_end
-        if n > 1 and now < duration:
-            draw = int(rng.integers(n - 1))
-            if draw >= current:
-                draw += 1
-            current = draw
-
-    best = 0.0
-    run_start: float | None = None
-    run_end = 0.0
-    for start, end in segments:
-        if run_start is not None and start == run_end:
-            run_end = end
-        else:
-            if run_start is not None:
-                best = max(best, run_end - run_start)
-            run_start, run_end = start, end
-    if run_start is not None:
-        best = max(best, run_end - run_start)
-    return best
-
-
 def _exploit_table(drawn: np.ndarray, spec_rows: list[np.ndarray], size: int) -> np.ndarray:
     """Each sample's drawn exploit time in each of ``size`` rows.
 
     ``drawn`` holds the random arrivals, and ``spec_rows`` the rows, of each exploit without a
-    fixed arrival, in order. A row no such exploit sets stays ``inf``. As with ``min()`` in
-    ``max_control_run``, a platform takes an arrival only if it is earlier.
+    fixed arrival, in order. A row no such exploit sets stays ``inf``. A platform takes an
+    arrival only if it is earlier, so of two equal arrivals the first exploit's stays.
     """
     table = np.full((size, drawn.shape[1]), np.inf)
     for arrival, at in zip(drawn, spec_rows):
-        # np.minimum keeps its second operand on a tie, as min() keeps its first
+        # np.minimum keeps its second operand on a tie
         table[at] = np.minimum(arrival, table[at])
     return table
 
@@ -238,7 +178,7 @@ def _control_runs(
 
     ``dwells`` and ``moves`` hold one row per stay: its dwell, and the draw
     after it before the no-repeat shift. Each sample's stay ends are its
-    dwells summed left to right, as ``max_control_run`` sums them; they
+    dwells summed left to right, as a scalar loop sums them; they
     overwrite ``dwells``. One loop over the stays carries every sample's
     run head and best run in preallocated arrays; it stops at the first
     stay by which every sample has reached ``duration``. A stay's control
@@ -284,11 +224,13 @@ def _control_runs(
     return best, exact
 
 
-def _runs(config: ScenarioConfig, n: int, drawn: int, plan: DrawPlan) -> np.ndarray:
-    """The longest control run of each sample at N = ``n``, each equal to ``max_control_run``'s.
+def _runs(config: ScenarioConfig, n: int) -> np.ndarray:
+    """The longest control run of each sample at N = ``n``.
 
-    ``plan`` holds the ``drawn`` random arrivals, the start and then each
-    stay's dwell and move.
+    A sample draws the random arrivals, the start and then each stay's
+    dwell and move. It plans ``_stays`` stays; a sample whose drawn stays
+    end before ``duration`` is derived again, with the ``duration / lo + 2``
+    stays that every sample reaches.
     """
     duration, (lo, hi) = float(config.duration), config.delay
     targets = [[p for p in spec.platforms if p < n] for spec in config.exploits]
@@ -296,35 +238,43 @@ def _runs(config: ScenarioConfig, n: int, drawn: int, plan: DrawPlan) -> np.ndar
     # only drawn arrivals differ between samples: a sample holds its words and its column of the
     # exploit table, a row per platform a drawn arrival targets and a last row of inf for the rest
     varied = sorted({p for spec, at in zip(config.exploits, targets) if spec.arrival is None for p in at})
-    cells = max(plan.words, len(varied) + 1)
-    runs, exact = np.empty(config.samples), np.zeros(config.samples, bool)
-    # with room for fewer than 3 samples, array steps through each stay are slower than scalar loops
-    if 3 * cells <= WORD_CELLS:
-        # each platform's table row and fixed arrival; platforms past the last targeted one clip to inf
-        row = np.full(targeted[-1] + 2 if targeted else 1, len(varied), dtype=np.intp)
-        row[varied] = np.arange(len(varied))
-        fixed = np.full(len(row), np.inf)
-        for spec, at in zip(config.exploits, targets):
-            if spec.arrival is not None:
-                fixed[at] = np.minimum(spec.arrival, fixed[at])
-        fixed = fixed if np.isfinite(fixed).any() else None
-        spec_rows = [row[at] for spec, at in zip(config.exploits, targets) if spec.arrival is None]
-        for first in range(0, config.samples, WORD_CELLS // cells):
-            rows = np.arange(first, min(first + WORD_CELLS // cells, config.samples))
+    # each platform's table row and fixed arrival; platforms past the last targeted one clip to inf
+    row = np.full(targeted[-1] + 2 if targeted else 1, len(varied), dtype=np.intp)
+    row[varied] = np.arange(len(varied))
+    fixed = np.full(len(row), np.inf)
+    for spec, at in zip(config.exploits, targets):
+        if spec.arrival is not None:
+            fixed[at] = np.minimum(spec.arrival, fixed[at])
+    fixed = fixed if np.isfinite(fixed).any() else None
+    spec_rows = [row[at] for spec, at in zip(config.exploits, targets) if spec.arrival is None]
+    drawn = len(spec_rows)
+    if n == 1:  # nothing is drawn after the start
+        planned = bound = 0
+    else:
+        bound = int(duration / lo) + 2
+        planned = min(_stays(duration, config.delay), bound)
+    runs, short = np.empty(config.samples), np.arange(config.samples)
+    for stays in (planned, bound):
+        plan = draw_plan([0] * drawn + [n] + [0, n - 1] * stays)
+        per = max(1, WORD_CELLS // max(plan.words, len(varied) + 1))
+        ended = []
+        for first in range(0, len(short), per):
+            rows = short[first : first + per]
             (values,) = draws([plan], config.master_seed, n, rows)
             arrivals, start = values[:drawn], values[drawn]
             arrivals *= duration
             dwells, moves = values[drawn + 1 :: 2], values[drawn + 2 :: 2]
             dwells *= hi - lo
             dwells += lo
-            if n == 1:  # no dwell is drawn: one stay, the whole trial
+            if n == 1:  # one stay, the whole trial
                 dwells = np.full((1, len(rows)), duration)
             table = _exploit_table(arrivals, spec_rows, len(varied) + 1)
-            runs[rows], exact[rows] = _control_runs(start, dwells, moves, table, row, fixed, duration)
-    for i in np.flatnonzero(~exact).tolist():
-        rng = substream(config.master_seed, n, i)
-        runs[i] = max_control_run(n, config.duration, config.delay, config.exploits, rng)
-    return runs
+            runs[rows], exact = _control_runs(start, dwells, moves, table, row, fixed, duration)
+            ended.append(rows[~exact])
+        short = np.concatenate(ended)
+        if not short.size:
+            return runs
+    raise RuntimeError(f"{short.size} samples at N={n} end before {duration} s after {bound} stays")
 
 
 def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
@@ -336,21 +286,20 @@ def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
     A sweep with N > 1 whose samples may need more than ``MAX_STAYS``
     stays raises ValueError before any sample is drawn.
 
-    Each result equals ``max_control_run`` on the sample's stream. Each
-    sample plans the draws of ``_stays`` stays, as many as the delay
-    distribution calls for with ``STAY_MARGIN`` standard deviations to
-    spare. The samples of one N come in chunks of up to ``WORD_CELLS``
-    cells, one ``rng.draws`` call each; a sample's cells are the larger of
-    its words and its exploit table rows, one per platform a drawn arrival
-    targets (fixed arrivals are kept once per N). A chunk is evaluated in one
-    stay-major pass: ``uniform_walks`` gives the platforms, and one loop
-    over the stays scans all its samples' control runs at once, up to the
-    stay by which every sample has ended. A sample whose drawn stays end
-    before ``duration`` is rerun through ``max_control_run``. Every
-    sample takes ``max_control_run`` where a chunk holds fewer than 3
-    samples (from about 29,100 planned stays at N > 2 and 43,700 at
-    N = 2). The T sweep sorts each N's runs once and counts the hits of
-    every goal with one ``searchsorted``.
+    Each result equals the scalar simulation in ``tests/oracles.py`` on
+    the sample's stream. Each sample plans the draws of ``_stays`` stays,
+    as many as the delay distribution calls for with ``STAY_MARGIN``
+    standard deviations to spare. The samples of one N come in chunks of
+    up to ``WORD_CELLS`` cells, one ``rng.draws`` call each; a sample's
+    cells are the larger of its words and its exploit table rows, one per
+    platform a drawn arrival targets (fixed arrivals are kept once per N).
+    A chunk is evaluated in one stay-major pass: ``uniform_walks`` gives
+    the platforms, and one loop over the stays scans all its samples'
+    control runs at once, up to the stay by which every sample has ended.
+    A sample whose drawn stays end before ``duration`` is derived and
+    scanned again, once, with every stay it can need. The T sweep sorts
+    each N's runs once and counts the hits of every goal with one
+    ``searchsorted``.
     """
     ratio = float(config.duration) / config.delay[0]
     if ratio > MAX_STAYS and max(config.n_values) > 1:
@@ -358,14 +307,10 @@ def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
             f"trial duration {config.duration} over the shortest delay {config.delay[0]} "
             f"asks for more than {MAX_STAYS} stays per sample"
         )
-    drawn = sum(spec.arrival is None for spec in config.exploits)
     results: list[GridPoint] = []
-    planned = _stays(float(config.duration), config.delay)
     goals = np.asarray(config.t_values, dtype=float)
     for n in config.n_values:
-        # with N = 1 nothing is drawn after the start
-        stays = 0 if n == 1 else planned
-        runs = np.sort(_runs(config, n, drawn, draw_plan([0] * drawn + [n] + [0, n - 1] * stays)))
+        runs = np.sort(_runs(config, n))
         # the runs below a goal miss it
         hits = config.samples - np.searchsorted(runs, goals)
         for t, hit in zip(config.t_values, hits.tolist()):
@@ -379,8 +324,8 @@ def _stays(duration: float, delay: tuple[float, float]) -> int:
     A sum of s dwells, uniform on ``[lo, hi]``, has mean ``s·(lo + hi)/2``
     and standard deviation ``√s·(hi − lo)/√12``. The plan takes the least
     s whose mean, less ``STAY_MARGIN`` standard deviations, reaches
-    ``duration``, plus one for float sums that fall short, and never more
-    than ``duration / lo + 2``, which every sample reaches. It is solved
+    ``duration``, plus one for float sums that fall short; ``_runs`` caps
+    it at the ``duration / lo + 2`` stays that every sample reaches. It is solved
     as a quadratic in √s, in units of the mean dwell, so nothing
     overflows.
     """
@@ -388,4 +333,4 @@ def _stays(duration: float, delay: tuple[float, float]) -> int:
     mean = lo / 2 + hi / 2
     spread = STAY_MARGIN / math.sqrt(12) * ((hi - lo) / mean)
     root = (spread + math.sqrt(spread * spread + 4 * (duration / mean))) / 2
-    return min(math.ceil(root * root) + 1, int(duration / lo) + 2)
+    return math.ceil(root * root) + 1

@@ -160,11 +160,13 @@ class Periodicity:
     transient: int
 
 
-def detect_periodicity(trace: list[int] | tuple[int, ...]) -> Periodicity | None:
+def detect_periodicity(trace: list[int] | tuple[int, ...], k: int) -> Periodicity | None:
     """Smallest period p and transient t with trace[i] == trace[i+p] for all i >= t.
 
     Requires at least two full periods after the transient to call a
-    trace periodic; returns None otherwise.
+    trace periodic, and a repeat of at least k - 1 entries: a step of a
+    k-diversity walk depends on its last k - 1 platforms, so a shorter
+    repeat proves no period. Returns None otherwise.
     """
     length = len(trace)
     if length < 2:
@@ -175,6 +177,6 @@ def detect_periodicity(trace: list[int] | tuple[int, ...]) -> Periodicity | None
             if trace[i] != trace[i + period]:
                 transient = i + 1
                 break
-        if length - transient >= 2 * period:
+        if length - transient >= period + max(period, k - 1):
             return Periodicity(period=period, transient=transient)
     return None

@@ -8,8 +8,11 @@ rather than reusing the library's code paths.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+
+from diversity_lab import ExploitSpec
 
 
 def pascal_choose(x: int, y: int) -> int:
@@ -264,3 +267,66 @@ def reference_study(config, sim):
             for values, value in zip(column, metrics):
                 values.append(value)
     return columns
+
+
+def max_control_run(
+    n: int,
+    duration: float,
+    delay: tuple[float, float],
+    exploits: tuple[ExploitSpec, ...],
+    rng: np.random.Generator,
+) -> float:
+    """Longest contiguous attacker-control span (seconds) in one sample.
+
+    Draw order per sample: exploit arrivals (for unspecified arrivals) in
+    exploit order, then the initial platform, then one dwell per stay and
+    one choice per migration. With ``n == 1`` the platform never
+    migrates. Control persists across a migration when the next platform
+    is already exploited at handover; migration time itself is treated as
+    negligible.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    lo, hi = delay
+    arrivals = [
+        spec.arrival if spec.arrival is not None else float(rng.uniform(0.0, duration))
+        for spec in exploits
+    ]
+    # keyed by the targeted platforms only, so its size does not grow with n
+    exploited_at: dict[int, float] = {}
+    for spec, arrival in zip(exploits, arrivals):
+        for platform in spec.platforms:
+            if platform < n:
+                exploited_at[platform] = min(exploited_at.get(platform, math.inf), arrival)
+
+    current = int(rng.integers(n)) if n > 1 else 0
+    segments: list[tuple[float, float]] = []
+    now = 0.0
+    while now < duration:
+        if n == 1:
+            dwell_end = duration
+        else:
+            dwell_end = min(now + float(rng.uniform(lo, hi)), duration)
+        arrival = exploited_at.get(current, math.inf)
+        if arrival < dwell_end:
+            segments.append((max(now, arrival), dwell_end))
+        now = dwell_end
+        if n > 1 and now < duration:
+            draw = int(rng.integers(n - 1))
+            if draw >= current:
+                draw += 1
+            current = draw
+
+    best = 0.0
+    run_start: float | None = None
+    run_end = 0.0
+    for start, end in segments:
+        if run_start is not None and start == run_end:
+            run_end = end
+        else:
+            if run_start is not None:
+                best = max(best, run_end - run_start)
+            run_start, run_end = start, end
+    if run_start is not None:
+        best = max(best, run_end - run_start)
+    return best

@@ -187,7 +187,7 @@ def test_criterion_08_diversity_schedule_periodicity(five_platform_sim):
     ok = True
     for start in range(5):
         trace = schedule(PolicyKind.DIVERSITY, five_platform_sim, 3, start, 30, None).tolist()
-        periodicity = detect_periodicity(trace)
+        periodicity = detect_periodicity(trace, 3)
         triple = frozenset(trace[-3:])
         good = (
             periodicity is not None

@@ -259,6 +259,22 @@ class TestScheduleCommand:
         assert main(["schedule", *argv, "--outdir", str(tmp_path)]) == 0
         assert sha256_of(tmp_path / "schedule.json") == digest
 
+    @pytest.mark.parametrize("steps", [30, 10])
+    def test_repeat_shorter_than_the_walk_state_is_no_period(self, tmp_path, steps):
+        # a 5-diversity step depends on the last 4 platforms, so the p4, p0 repeat inside
+        # the cycle is no period; these traces used to report period 2 after 26 or 6 steps
+        sim = tmp_path / "it.csv"
+        sim.write_text(
+            "p0,p1,p2,p3,p4\np0,1.0,1.0,0.5,0.5,0.0\np1,1.0,1.0,1.0,0.0,0.0\n"
+            "p2,0.5,1.0,1.0,1.0,0.0\np3,0.5,0.0,1.0,1.0,0.0\np4,0.0,0.0,0.0,0.0,1.0\n",
+            encoding="utf-8",
+        )
+        argv = ["schedule", "--similarity", str(sim), "--K", "5", "--start", "p2", "--steps", str(steps)]
+        assert main([*argv, "--outdir", str(tmp_path / "out")]) == 0
+        report = read_json(tmp_path / "out" / "schedule.json")
+        assert report["trace"] == (["p2", "p4", "p0", "p4", "p0"] * 6)[:steps]
+        assert report["periodicity"] == {"period": 5, "transient": 0}
+
     @pytest.mark.parametrize("policy", ["diversity", "uniform", "random_k"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, policy):
         outdir = tmp_path / "never"
@@ -345,12 +361,16 @@ class TestMcCommand:
             # the header's platform count is checked before any score row is read
             (",".join(f"p{i}" for i in range(10_000)) + "\n", "expected 10000 data rows after the header, found 0"),
             (",".join(f"p{i}" for i in range(10_001)) + "\n", f"{PLATFORM_LIMIT}, got 10001"),
+            ("A,A\nA,1.0,0.5\nA,0.5,1.0\n", "platform identifiers must be unique"),
+            ("A, \nA,1.0,0.5\n ,0.5,1.0\n", "platform identifiers must be non-empty"),
         ],
-        ids=["asymmetric", "header-of-10000", "header-of-10001"],
+        ids=["asymmetric", "header-of-10000", "header-of-10001", "duplicate-name", "blank-name"],
     )
     def test_invalid_similarity_exits_2(self, tmp_path, capsys, text, message):
+        # every error names the file, whether the loader, the platform set or the matrix raises it
         bad = tmp_path / "bad.csv"
         bad.write_text(text, encoding="utf-8")
+        message = f"error: {bad}: {message}"
         TestNonFiniteScenarioInput.assert_rejected(capsys, ["mc", "--similarity", str(bad)], tmp_path / "x", message)
 
     def test_outdir_collision_exits_3(self, tmp_path):

@@ -1,4 +1,4 @@
-"""``rng.stream_words`` reimplements SeedSequence mixing, PCG64 seeding, PCG64's
+"""``rng._word_pieces`` reimplements SeedSequence mixing, PCG64 seeding, PCG64's
 128-bit arithmetic and its output, and ``rng.draws`` the ``Generator`` draws made
 from those words; NumPy and Python ints are the reference.
 
@@ -11,13 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diversity_lab import rng
-from diversity_lab.rng import WORD_BLOCK, draw_plan, draws, stream_words, substream
+from diversity_lab.rng import WORD_BLOCK, draw_plan, draws, substream
 
 #: 0 and the edges of one and two uint32 words; 2**200 is seven words,
 #: longer than SeedSequence's four-word pool, so it takes the extra mixing loop
 BOUNDARY_SEEDS = [0, 2**32 - 1, 2**32, 2**64, 2**200]
 
 key_parts = st.integers(0, 2**64 - 1) | st.integers(0, 2**32 + 2)
+
+
+def stream_words(master_seed, *key, words):
+    """The first ``words`` raw words of each key row's stream, one row each, from ``rng._word_pieces``."""
+    pieces = [raw for raw, _ in rng._word_pieces(master_seed, key, [words])]
+    return np.concatenate([np.empty((words, 0), dtype=np.uint64), *pieces], axis=1).T
 
 
 def numpy_words(master_seed, keys, words):

@@ -8,15 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diversity_lab import (
-    ExploitSpec,
-    ScenarioConfig,
-    max_control_run,
-    run_scenario_study,
-)
+from diversity_lab import ExploitSpec, ScenarioConfig, run_scenario_study
 from diversity_lab import rng, scenario
 from diversity_lab.core import MAX_PLATFORMS
 from diversity_lab.rng import WORD_CELLS, _bounded32, draw_plan, draws, substream
+from oracles import max_control_run
 
 
 def study_fraction(config):
@@ -99,7 +95,7 @@ class TestStayBound:
             raise AssertionError("a sample started")
 
         monkeypatch.setattr(rng, "_word_pieces", refuse)
-        monkeypatch.setattr(scenario, "substream", refuse)
+        monkeypatch.setattr(scenario, "draws", refuse)
         with pytest.raises(ValueError, match=f"more than {scenario.MAX_STAYS} stays per sample"):
             run_scenario_study(self.huge(n_values=n_values))
 
@@ -114,6 +110,23 @@ class TestStayBound:
     def test_single_platform_takes_one_stay(self):
         # with N = 1 the platform never migrates, so any finite duration is one stay
         assert [point.success_fraction for point in run_scenario_study(self.huge(n_values=(1,)))] == [1.0]
+        # even where duration / lo overflows to inf, which the stay plan used to raise OverflowError on
+        tiny = self.huge(n_values=(1,), delay=(1e-300, 1e-300))
+        assert [point.success_fraction for point in run_scenario_study(tiny)] == [1.0]
+
+    def test_chunks_of_fewer_than_three_samples_are_refused(self):
+        # about 40,200 planned stays: the words of only two N = 3 samples would fit in WORD_CELLS,
+        # and stepping arrays that narrow through every stay is slower than a scalar loop
+        config = ScenarioConfig(t_values=(0.0,), n_values=(1, 3), duration=1e6, delay=(20.0, 30.0), samples=3)
+        with pytest.raises(ValueError, match=f"more than {scenario.MAX_STAYS} stays per sample"):
+            run_scenario_study(config)
+
+    @pytest.mark.parametrize("n", [2, 3, MAX_PLATFORMS])
+    def test_three_samples_fit_one_chunk_at_the_bound(self, n):
+        # every sample reaches the trial end within duration / lo + 2 stays; with the two
+        # drawn arrivals of the default exploits, 3 samples' words fit in one chunk
+        plan = draw_plan([0, 0, n] + [0, n - 1] * (scenario.MAX_STAYS + 2))
+        assert 3 * plan.words <= WORD_CELLS
 
 
 class TestMaxControlRun:
@@ -365,15 +378,18 @@ class TestStudyEqualsScalarRebuild:
     N_VALUES = (1, 2, 3, 5, 8)
 
     @pytest.fixture
-    def fallbacks(self, monkeypatch):
-        calls = []
+    def rederived(self, monkeypatch):
+        """The (N, sample) keys that ``scenario.draws`` derives a second time, in call order."""
+        seen, again = set(), []
 
-        def counted(n, *args):
-            calls.append(n)
-            return max_control_run(n, *args)
+        def counted(plans, master_seed, n, rows):
+            keys = [(n, row) for row in np.asarray(rows).tolist()]
+            again.extend(key for key in keys if key in seen)
+            seen.update(keys)
+            return draws(plans, master_seed, n, rows)
 
-        monkeypatch.setattr(scenario, "max_control_run", counted)
-        return calls
+        monkeypatch.setattr(scenario, "draws", counted)
+        return again
 
     @staticmethod
     def count_word_pieces(monkeypatch):
@@ -402,25 +418,25 @@ class TestStudyEqualsScalarRebuild:
         assert run_scenario_study(config) == expected
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_default_exploits(self, seed, fallbacks):
+    def test_default_exploits(self, seed, rederived):
         config = ScenarioConfig(t_values=(0.0,), n_values=self.N_VALUES, samples=120, master_seed=seed)
         self.assert_matches(config)
-        assert fallbacks == []
+        assert rederived == []
 
     @pytest.mark.parametrize("seed", [2**32, 2**64])
-    def test_multi_word_master_seeds(self, seed, fallbacks):
+    def test_multi_word_master_seeds(self, seed, rederived):
         config = ScenarioConfig(t_values=(0.0,), n_values=self.N_VALUES, samples=60, master_seed=seed)
         self.assert_matches(config)
-        assert fallbacks == []
+        assert rederived == []
 
-    def test_largest_pool_is_decoded_with_no_replay(self, fallbacks, replays):
+    def test_largest_pool_is_decoded_with_no_replay(self, rederived, replays):
         # uint64 products are exact for every bound up to 2**32: the largest pool is decoded
         # with no sample drawn again
         config = ScenarioConfig(t_values=(0.0,), n_values=(*self.N_VALUES, MAX_PLATFORMS), samples=40, master_seed=3)
         self.assert_matches(config)
-        assert fallbacks == [] and replays == []
+        assert rederived == [] and replays == []
 
-    def test_one_sample_past_the_derivation_block(self, fallbacks, monkeypatch):
+    def test_one_sample_past_the_derivation_block(self, rederived, monkeypatch):
         # a sample takes the fewest words at N = 2 (two arrivals, the start and a dwell per
         # stay; integers(1) takes nothing) and more at larger N, so one sample more than fit
         # in WORD_CELLS at N = 2 puts the words of every N > 1 in two draws calls,
@@ -432,28 +448,25 @@ class TestStudyEqualsScalarRebuild:
             master_seed=2**32,
         )
         self.assert_matches(config)
-        assert fallbacks == []
+        assert rederived == []
         assert calls == [1] + [n for n in self.N_VALUES[1:] for _ in range(2)]
 
-    def test_samples_past_a_short_plan_are_rerun(self, fallbacks, monkeypatch):
+    def test_samples_past_a_short_plan_are_rerun(self, rederived, monkeypatch):
         # 37 stays cover 740 to 1,110 s: the samples whose dwells sum below 900 s by then
-        # fall short of the trial end and take max_control_run, each on its own stream
+        # fall short of the trial end and are derived again, with every stay they can need
         monkeypatch.setattr(scenario, "_stays", lambda duration, delay: 37)
-        reruns = []
-
-        def counted(master_seed, *key):
-            reruns.append(key)
-            return substream(master_seed, *key)
-
-        monkeypatch.setattr(scenario, "substream", counted)
+        calls = self.count_word_pieces(monkeypatch)
         config = ScenarioConfig(t_values=(0.0,), n_values=self.N_VALUES, samples=60, master_seed=1)
         self.assert_matches(config)
         short = [(n, s) for n in self.N_VALUES[1:] for s in range(60) if stays_needed(config, n, s) > 37]
         assert 0 < len(short) < 4 * 60
-        assert reruns == short and fallbacks == [n for n, _ in short]
+        assert rederived == short
+        # one more draws call per N with a short sample
+        short_n = {n for n, _ in short}
+        assert calls == [1] + [n for n in self.N_VALUES[1:] for _ in range(2 if n in short_n else 1)]
 
     @pytest.mark.filterwarnings("error")
-    def test_fixed_dwell_overlapping_exploits_and_platforms_beyond_n(self, fallbacks):
+    def test_fixed_dwell_overlapping_exploits_and_platforms_beyond_n(self, rederived):
         # platform 1 takes the earlier of the two arrivals; integer times are accepted
         exploits = (ExploitSpec(frozenset({0, 1})), ExploitSpec(frozenset({1, 2, 9}), 450))
         config = ScenarioConfig(
@@ -461,9 +474,9 @@ class TestStudyEqualsScalarRebuild:
             exploits=exploits, master_seed=5,
         )
         self.assert_matches(config)
-        assert fallbacks == []
+        assert rederived == []
 
-    def test_float_sums_undershoot_the_dwell_bound(self, fallbacks):
+    def test_float_sums_undershoot_the_dwell_bound(self, rederived):
         # ten dwells of 0.1 sum to 0.9999999999999999 < 1.0, so a sample needs an 11th stay
         assert sum([0.1] * 10) < 1.0
         config = ScenarioConfig(
@@ -471,18 +484,18 @@ class TestStudyEqualsScalarRebuild:
             exploits=(ExploitSpec(frozenset({0, 1})),), master_seed=6,
         )
         self.assert_matches(config)
-        assert fallbacks == []
+        assert rederived == []
 
-    def test_all_arrivals_fixed_at_zero(self, fallbacks):
+    def test_all_arrivals_fixed_at_zero(self, rederived):
         exploits = (ExploitSpec(frozenset({0}), 0.0), ExploitSpec(frozenset({1, 2}), 0.0))
         config = ScenarioConfig(
             t_values=(0.0,), n_values=self.N_VALUES, samples=100, exploits=exploits, master_seed=7
         )
         self.assert_matches(config)
-        assert fallbacks == []
+        assert rederived == []
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_stay_ends_that_overflow_match_scalar_draws(self, fallbacks):
+    def test_stay_ends_that_overflow_match_scalar_draws(self, rederived):
         # finite dwells near the float limit sum to inf; the scalar loop then clips
         # the stay end to the duration, as the array pass does
         config = ScenarioConfig(
@@ -490,9 +503,9 @@ class TestStudyEqualsScalarRebuild:
             samples=50, exploits=(ExploitSpec(frozenset({0, 1})),), master_seed=3,
         )
         self.assert_matches(config)
-        assert fallbacks == []
+        assert rederived == []
 
-    def test_fixed_arrivals_take_no_table_rows(self, fallbacks, monkeypatch):
+    def test_fixed_arrivals_take_no_table_rows(self, rederived, monkeypatch):
         # a fixed arrival is the same in every sample, so only platform 1, which the drawn
         # arrival also targets, takes a row of each sample's exploit table: the 60 samples of
         # each N fit one draws call, where a row per targeted platform would need two
@@ -503,9 +516,9 @@ class TestStudyEqualsScalarRebuild:
         )
         assert 60 * 3000 > WORD_CELLS
         self.assert_matches(config)
-        assert fallbacks == [] and calls == [3, 3000]
+        assert rederived == [] and calls == [3, 3000]
 
-    def test_fixed_arrival_at_the_trial_end(self, fallbacks):
+    def test_fixed_arrival_at_the_trial_end(self, rederived):
         # an exploit that arrives exactly at the trial end never gives control; the
         # slots past the trial end are empty stays at the duration, where its arrival
         # equals both the stay's start and end, and they may neither add to nor split a run
@@ -514,9 +527,9 @@ class TestStudyEqualsScalarRebuild:
             t_values=(0.0,), n_values=self.N_VALUES, samples=100, exploits=exploits, master_seed=8
         )
         self.assert_matches(config)
-        assert fallbacks == []
+        assert rederived == []
 
-    def test_fixed_arrival_on_a_fixed_dwell_stay_boundary(self, fallbacks):
+    def test_fixed_arrival_on_a_fixed_dwell_stay_boundary(self, rederived):
         # 25 s dwells alternate between two platforms, so 50 s is a stay boundary: a
         # sample that starts on platform 1 holds platform 0 from 25 s, and platform 1's
         # segment then starts exactly where that one ended and continues its run
@@ -528,9 +541,9 @@ class TestStudyEqualsScalarRebuild:
         runs = scalar_runs(config)[2]
         assert 875.0 in runs and 850.0 in runs  # both starting platforms occur
         self.assert_matches(config)
-        assert fallbacks == []
+        assert rederived == []
 
-    def test_long_sweep_beyond_eight_thousand_stays(self, fallbacks):
+    def test_long_sweep_beyond_eight_thousand_stays(self, rederived):
         # even 30 s dwells need more than 8,192 stays to fill 250,000 s; with about
         # 10,100 stay slots only 8 samples fit in one chunk of words, yet every stay is
         # still decoded and scanned as arrays, with no scalar rerun
@@ -539,22 +552,35 @@ class TestStudyEqualsScalarRebuild:
             master_seed=4,
         )
         self.assert_matches(config)
-        assert fallbacks == []
+        assert rederived == []
 
-    def test_chunks_of_fewer_than_three_samples_take_the_scalar_path(self, fallbacks):
-        # about 40,200 stay slots: the words of only two N = 3 samples fit in WORD_CELLS, and
-        # stepping arrays that narrow through every stay is slower than the scalar loop
+    def test_three_samples_at_the_stay_bound_take_one_chunk(self, rederived, monkeypatch):
+        # one-second dwells need MAX_STAYS stays, and the plan takes one more: the three
+        # samples' words fit in WORD_CELLS, so they are derived in one draws call
+        calls = self.count_word_pieces(monkeypatch)
         config = ScenarioConfig(
-            t_values=(0.0,), n_values=(1, 3), duration=1e6, delay=(20.0, 30.0), samples=3,
-            master_seed=4,
+            t_values=(0.0,), n_values=(3,), duration=float(scenario.MAX_STAYS), delay=(1.0, 1.0),
+            samples=3, master_seed=4,
         )
         self.assert_matches(config)
-        assert fallbacks == [3, 3, 3]
+        assert rederived == [] and calls == [3]
 
-    def test_exploit_lookup_does_not_grow_with_n(self, fallbacks):
+    def test_sample_wider_than_a_chunk_takes_a_chunk_of_its_own(self, rederived, monkeypatch):
+        # a manifest with more than 131,000 drawn arrivals gives a sample more words than
+        # WORD_CELLS; a chunk still holds one sample, here with the bound lowered to show it:
+        # an N = 1 sample takes 4 cells, and an N = 3 sample about 70
+        monkeypatch.setattr(scenario, "WORD_CELLS", 16)
+        calls = self.count_word_pieces(monkeypatch)
+        config = ScenarioConfig(t_values=(0.0,), n_values=(1, 3), samples=3, master_seed=2)
+        self.assert_matches(config)
+        assert rederived == [] and calls == [1, 3, 3, 3]
+
+    def test_exploit_lookup_does_not_grow_with_n(self, rederived):
         # the lookup has one row per targeted platform and one for the rest; a dense
         # (samples x N) table of exploit times alone would take 300 * 10000 * 8 B = 23 MiB
         config = ScenarioConfig(t_values=(10.0,), n_values=(MAX_PLATFORMS,), samples=300, master_seed=3)
+        self.assert_matches(replace(config, samples=30))
+        assert rederived == []
         tracemalloc.start()
         try:
             run_scenario_study(config)
@@ -562,8 +588,6 @@ class TestStudyEqualsScalarRebuild:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
-        self.assert_matches(replace(config, samples=30))
-        assert fallbacks == []
 
     @pytest.mark.parametrize(
         "exploits",
@@ -589,7 +613,7 @@ class TestStudyEqualsScalarRebuild:
         assert peak < 16 * 2**20
         self.assert_matches(replace(config, samples=20))
 
-    def test_rejected_draws_take_the_scalar_path(self, fallbacks, monkeypatch, replays):
+    def test_rejected_draws_take_the_scalar_path(self, rederived, monkeypatch, replays):
 
         def every_draw_rejected(draws, m):
             value, rejected = _bounded32(draws, m)
@@ -599,5 +623,5 @@ class TestStudyEqualsScalarRebuild:
         config = ScenarioConfig(t_values=(0.0,), n_values=self.N_VALUES, samples=40, master_seed=9)
         self.assert_matches(config)
         # every sample with a platform draw (N > 1) was drawn again
-        assert fallbacks == []
+        assert rederived == []
         assert replays == [(9, n, sample) for n in self.N_VALUES if n > 1 for sample in range(40)]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from diversity_lab import PolicyKind, check_pool, detect_periodicity, heron_area, schedule
 from diversity_lab import scheduler
-from diversity_lab.scheduler import _most_diverse, diversity_walks
+from diversity_lab.scheduler import Periodicity, _most_diverse, diversity_walks
 from conftest import make_similarity
 from oracles import reference_schedule, scalar_diversity_trace, triangle_area_from_sides
 
@@ -167,7 +167,7 @@ class TestUniformSelection:
 class TestRandomKPolicy:
     def test_rotation_has_period_k(self, five_platform_sim):
         chosen = schedule(PolicyKind.RANDOM_K, five_platform_sim, 3, None, 12, np.random.default_rng(9))
-        periodicity = detect_periodicity(chosen.tolist())
+        periodicity = detect_periodicity(chosen.tolist(), 3)
         assert periodicity is not None
         assert periodicity.period == 3
         assert periodicity.transient == 0
@@ -237,30 +237,38 @@ class TestScheduleEqualsReference:
 
 class TestDetectPeriodicity:
     def test_constructed_trace(self):
-        result = detect_periodicity([0, 1, 2, 1, 2, 1, 2])
+        result = detect_periodicity([0, 1, 2, 1, 2, 1, 2], 3)
         assert result is not None
         assert (result.period, result.transient) == (2, 1)
 
     def test_pure_cycle(self):
-        result = detect_periodicity([0, 1, 2] * 4)
+        result = detect_periodicity([0, 1, 2] * 4, 3)
         assert (result.period, result.transient) == (3, 0)
 
     def test_constant_trace(self):
-        result = detect_periodicity([7, 7, 7, 7])
+        result = detect_periodicity([7, 7, 7, 7], 3)
         assert (result.period, result.transient) == (1, 0)
 
     def test_random_trace_not_periodic(self):
         rng = np.random.default_rng(42)
         trace = rng.integers(0, 5, size=100).tolist()
-        assert detect_periodicity(trace) is None
+        assert detect_periodicity(trace, 3) is None
 
     def test_needs_two_entries(self):
         with pytest.raises(ValueError):
-            detect_periodicity([1])
+            detect_periodicity([1], 3)
 
     def test_insufficient_repeats_not_periodic(self):
         # only one full period visible after the transient
-        assert detect_periodicity([0, 1, 2, 3, 4, 5]) is None
+        assert detect_periodicity([0, 1, 2, 3, 4, 5], 3) is None
+
+    def test_repeat_shorter_than_the_walk_state_is_no_period(self):
+        # a 5-diversity step depends on the last 4 platforms: the repeated 4, 0 after
+        # 2, 4, 0 proves nothing, and the trace's true cycle is 2, 4, 0, 4, 0
+        trace = [2, 4, 0, 4, 0] * 6
+        assert detect_periodicity(trace, 2) == Periodicity(period=2, transient=26)
+        assert detect_periodicity(trace, 5) == Periodicity(period=5, transient=0)
+        assert detect_periodicity(trace[:10], 5) == Periodicity(period=5, transient=0)
 
 
 class TestNoAdjacentRepeats:
