@@ -273,17 +273,24 @@ def _parse_t_values(args) -> tuple[float, ...]:
 
 
 def _parse_exploit(spec: str, max_n: int) -> ExploitSpec:
+    """One ``--exploit PLATFORMS[@ARRIVAL]`` spec; a malformed part is named with the spec."""
     platforms_part, _, arrival_part = spec.partition("@")
     if platforms_part.strip() == "all":
         check_platform_count(max_n)
         platforms = frozenset(range(max_n))
     else:
-        platforms = frozenset(int(p) for p in platforms_part.split(","))
+        try:
+            platforms = frozenset(int(p) for p in platforms_part.split(","))
+        except ValueError:
+            raise ValueError(f"--exploit {spec!r}: platforms must be 'all' or comma-separated integers") from None
     arrival_part = arrival_part.strip()
     if not arrival_part or arrival_part == "uniform":
         arrival = None
     else:
-        arrival = float(arrival_part)
+        try:
+            arrival = float(arrival_part)
+        except ValueError:
+            raise ValueError(f"--exploit {spec!r}: arrival must be 'uniform' or a number of seconds") from None
     return ExploitSpec(platforms, arrival)
 
 

@@ -8,22 +8,22 @@ changing results.
 
 ``substream`` is the reference: it seeds PCG64 through NumPy's
 ``SeedSequence``. ``_word_pieces`` gives the first raw words of many
-streams at once with no generator at all. It runs SeedSequence's pool
-mixing and ``generate_state(4, uint64)`` as uint32 array arithmetic over
-a block of keys, with hash constants that depend only on their position
-and are computed once, at import. Then it runs PCG64's seeding,
-``inc = 2·initseq + 1`` and ``s = (initstate + inc)·MULT + inc``. PCG64
-steps by ``s ↦ s·MULT + inc`` and outputs each new state's XSL-RR,
+streams at once with no generator at all. A key part is one uint32
+word, so every key row has one entropy layout, and SeedSequence's pool
+mixing and ``generate_state(4, uint64)`` run as uint32 array arithmetic
+over a block of keys, one pool word at a time, with hash constants
+built on the first use of each entropy length. Then it runs PCG64's
+seeding, ``inc = 2·initseq + 1`` and ``s = (initstate + inc)·MULT + inc``.
+PCG64 steps by ``s ↦ s·MULT + inc`` and outputs each new state's XSL-RR,
 ``rotr64(hi ^ lo, hi >> 58)``. So the state behind word j is
 ``A_j·s + B_j·inc mod 2**128``, with ``A_j = MULT**(j+1)`` and ``B_j``
 the sum of ``MULT**i`` for i <= j, and the state behind word j + g is
 ``MULT**g`` times that of word j plus ``Q_g·inc``, with ``Q_g`` the sum
-of ``MULT**i`` for i < g. Each piece of keys jumps to the first g words
-of every key and then steps all g lanes together by g words, in place.
-The keys fall into runs, each with its own word count; a seed block
-serves every run it overlaps, so no key derives more words than its
-run's count. A 128-bit value is a pair of uint64 arrays, high word
-first.
+of ``MULT**i`` for i < g: each piece of keys jumps to the first g words
+and steps its g lanes by g words, in place. The keys fall into runs,
+each with its own word count; a seed block serves every run it
+overlaps, so no key derives more words than its run's count. A 128-bit
+value is a pair of uint64 arrays, high word first.
 
 A stream's draws, listed as ``random()`` and ``integers(m)`` calls, are
 its ``draw_plan``; ``draws`` derives the words of many streams, with a
@@ -66,7 +66,7 @@ _MASK128 = (1 << 128) - 1
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_L, _MIX_R, _SHIFT16 = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _HALF, _SHIFT32, _ONE = np.uint64(_MASK32), np.uint64(32), np.uint64(1)
 
@@ -90,27 +90,27 @@ def _word_pieces(master_seed: int, key: tuple, counts: Sequence[int]) -> Iterato
     then every lane steps by g words at once, so each array operation
     covers at most ``WORD_BLOCK`` cells.
     """
-    seed_words, columns, rows = _key_columns(master_seed, key)
+    seed_words, parts, rows = _key_columns(master_seed, key)
     per = rows // len(counts)
     for first in range(0, rows, WORD_BLOCK):
-        block = _key_block(columns, rows, first)
-        (init_hi, init_lo), (inc_hi, inc_lo) = _seed_states(seed_words, block)
-        last = first + len(block)
+        last = min(rows, first + WORD_BLOCK)
+        entropy = _entropy(seed_words, parts, first, last)
+        (init_hi, init_lo), (inc_hi, inc_lo) = _seed_states(entropy)
         for run in range(first // per, (last - 1) // per + 1):
             lo, hi = max(first, run * per) - first, min(last, (run + 1) * per) - first
             words = np.empty((counts[run], hi - lo), dtype=np.uint64)
             if counts[run]:
                 at = slice(lo, hi)
                 _step_lanes((init_hi[:, at], init_lo[:, at]), (inc_hi[:, at], inc_lo[:, at]), words)
-            yield words, block[lo:hi]
+            yield words, entropy[len(seed_words) : len(seed_words) + len(parts), lo:hi].T
 
 
-def _seed_states(seed_words: list[int], block: np.ndarray) -> tuple[tuple, tuple]:
-    """PCG64's initial state and increment of each key row of ``block``, as (1, rows) (high, low) pairs.
+def _seed_states(entropy: np.ndarray) -> tuple[tuple, tuple]:
+    """PCG64's initial state and increment of each column of ``entropy``, as (1, rows) (high, low) pairs.
 
     ``_step_lanes`` lays its lanes out lane by row, so the long axis of each array op runs over rows.
     """
-    init_hi, init_lo, seq_hi, seq_lo = _generate_state(*_entropy(seed_words, block)).T[:, None, :]
+    init_hi, init_lo, seq_hi, seq_lo = _generate_state(entropy)[:, None, :]
     inc = (seq_hi << _ONE) | (seq_lo >> np.uint64(63)), (seq_lo << _ONE) | _ONE
     return (init_hi, init_lo), inc
 
@@ -136,22 +136,35 @@ def _step_lanes(init: tuple, inc: tuple, out: np.ndarray) -> None:
 
 
 def _key_columns(master_seed: int, key) -> tuple[list[int], list[np.ndarray], int]:
-    """The master seed's entropy words, the broadcast key columns, and the number of key rows."""
+    """The master seed's entropy words, each key part as a uint32 view broadcast to the key rows, and their count.
+
+    A key part is one SeedSequence word, in ``[0, 2**32)``; the engines'
+    trial, sample, stream and platform-count parts all are.
+    """
     if master_seed < 0:
         raise ValueError("master seed must be non-negative")
     parts = [np.asarray(part) for part in key]
-    if any(part.size and part.min() < 0 for part in parts):
-        raise ValueError("key parts must be non-negative")
-    columns = [column.ravel() for column in np.broadcast_arrays(*parts)]
-    return _uint32_words(int(master_seed)), columns, columns[0].size if columns else 1
+    bad = [value for part in parts if part.size for value in (part.min(), part.max()) if not 0 <= value < 2**32]
+    if bad:
+        raise ValueError(f"key parts must be in [0, 2**32), got {bad[0]}")
+    shape = np.broadcast_shapes(*(part.shape for part in parts)) or (1,)
+    views = [np.broadcast_to(part.astype(np.uint32), shape) for part in parts]
+    return _uint32_words(int(master_seed)), views, math.prod(shape)
 
 
-def _key_block(columns: list[np.ndarray], rows: int, first: int) -> np.ndarray:
-    """Key rows ``first`` to ``first + WORD_BLOCK`` (or the last) as a (rows, parts) uint64 array."""
-    block = np.empty((min(WORD_BLOCK, rows - first), len(columns)), dtype=np.uint64)
-    for i, column in enumerate(columns):
-        block[:, i] = column[first : first + WORD_BLOCK]
-    return block
+def _flat_range(view: np.ndarray, first: int, last: int, out: np.ndarray) -> None:
+    """Elements ``first`` to ``last`` of ``view`` in C order into ``out``: a partial entry, whole ones, a partial one."""
+    if view.ndim == 1:
+        out[:] = view[first:last]
+        return
+    inner = math.prod(view.shape[1:])
+    head, tail = first // inner, (last - 1) // inner
+    cut = min(last, (head + 1) * inner) - first
+    _flat_range(view[head], first - head * inner, first - head * inner + cut, out[:cut])
+    if tail > head:
+        whole = out[cut : cut + (tail - head - 1) * inner]
+        whole.reshape(-1, *view.shape[1:])[:] = view[head + 1 : tail]
+        _flat_range(view[tail], 0, last - tail * inner, out[cut + len(whole) :])
 
 
 @functools.lru_cache(maxsize=16)
@@ -270,92 +283,78 @@ def _xsl_rr(high: np.ndarray, low: np.ndarray, out: np.ndarray, scratch: np.ndar
 
 def _uint32_words(value: int) -> list[int]:
     """SeedSequence's uint32 words of a non-negative int, least significant first; 0 is ``[0]``."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
+    return [value >> shift & _MASK32 for shift in range(0, max(1, value.bit_length()), 32)]
 
 
-def _entropy(seed_words: list[int], keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each key row's assembled entropy words as a column, zero-padded to one height, and its word count.
+def _entropy(seed_words: list[int], parts: list[np.ndarray], first: int, last: int) -> np.ndarray:
+    """The SeedSequence entropy of key rows ``first`` to ``last``, one column each.
 
-    A key part below 2**32 is one word and a larger one two, low word
-    first. The height is at least the pool size: SeedSequence hashes a
-    zero for each pool word past a short entropy, as for a zero word.
+    Every column has one layout: the master seed's words, then one word
+    per key part, copied from its broadcast view, then zeros up to the
+    pool size, as SeedSequence hashes a zero for each pool word past it.
     """
-    low = (keys & np.uint64(_MASK32)).astype(np.uint32)
-    high = (keys >> np.uint64(32)).astype(np.uint32)
-    counts = 1 + (high > 0)
-    ends = len(seed_words) + np.cumsum(counts, axis=1)
-    lengths = ends[:, -1] if keys.shape[1] else np.full(len(keys), len(seed_words))
-    entropy = np.zeros((max(_POOL, int(lengths.max(initial=0))), len(keys)), dtype=np.uint32)
+    entropy = np.zeros((max(_POOL, len(seed_words) + len(parts)), last - first), dtype=np.uint32)
     entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
-    rows = np.broadcast_to(np.arange(len(keys))[:, None], keys.shape)
-    starts = ends - counts
-    entropy[starts, rows] = low
-    wide = counts == 2
-    entropy[starts[wide] + 1, rows[wide]] = high[wide]
-    return entropy, lengths
+    for part, row in zip(parts, entropy[len(seed_words) :]):
+        _flat_range(part, first, last, row)
+    return entropy
 
 
-def _hash_constants(const: int, mult: int, count: int) -> np.ndarray:
-    """SeedSequence's hash constant at positions 0 to ``count``, as a uint32 column.
+@functools.lru_cache(maxsize=16)
+def _hash_pairs(length: int) -> tuple[tuple[np.uint32, np.uint32], ...]:
+    """SeedSequence's (xor, mult) hash constants, in hashing order, for ``length`` entropy words (at least 4).
 
-    The constant at each position is the previous one times ``mult``; a
-    hash at position i xors the value with constant i and multiplies it
-    by constant i + 1. The constants depend only on the position, not on
-    the entropy.
+    Mixing takes ``4·length`` hashes from ``_INIT_A``, and the output eight
+    from ``_INIT_B``; each hash moves the constant on by its multiplier.
+    Master seeds have any number of words, so each length's pairs are
+    built on its first use, not at import.
     """
-    consts = [const]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
+    pairs = []
+    for const, mult, count in ((_INIT_A, _MULT_A, _POOL * length), (_INIT_B, _MULT_B, 2 * _POOL)):
+        for _ in range(count):
+            pairs.append((np.uint32(const), np.uint32(const := const * mult & _MASK32)))
+    return tuple(pairs)
 
 
-# the pool's hashes: its 4 words, 12 mixes, and the 4 of the first entropy word past the pool
-_POOL_HASH = _hash_constants(_INIT_A, _MULT_A, _POOL + _POOL * (_POOL - 1) + _POOL)
-# the 8 output words' hashes
-_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
-# from one entropy word past the pool to the next, the constants move on by _POOL positions
-_NEXT_WORD = np.uint32(pow(_MULT_A, _POOL, 1 << 32))
+def _generate_state(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(4, uint64)`` of each column of ``entropy``, as (4, rows).
 
-
-def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """SeedSequence's ``hashmix`` with the constants ``xor`` and ``mult`` of its position."""
-    values = (values ^ xor) * mult
-    return values ^ (values >> np.uint32(16))
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return result ^ (result >> np.uint32(16))
-
-
-def _generate_state(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``SeedSequence(entropy).generate_state(4, uint64)`` of each column of ``entropy``, one row each.
-
-    The pool is a (4, rows) array. Its words are hashed with one array
-    operation, and each source word is hashed with the constants of its
-    three or four mixes at once. The hash constants depend only on the
-    position, so rows of different lengths share one pass: a row takes
-    no part in the extra mixing past its own length.
+    SeedSequence's own loops run in place, one pool word over all the rows
+    at a time: each pool word is hashed from its entropy word, then mixes
+    into the other three; each entropy word past the pool mixes into all
+    four; the eight output halves hash the pool twice over. ``hashmix`` is
+    ``v = (v ^ xor)·mult; v ^ v >> 16`` with the next pair of constants,
+    and ``mix(x, y)`` is ``v = L·x − R·hashmix(y); v ^ v >> 16``.
     """
-    at = _POOL
-    pool = _hashmix(entropy[:_POOL], _POOL_HASH[:at], _POOL_HASH[1 : at + 1])
+    pairs = iter(_hash_pairs(len(entropy)))
+    rows = entropy.shape[1]
+    pool, state, (hashed, shifted) = (np.empty((size, rows), dtype=np.uint32) for size in (_POOL, 2 * _POOL, 2))
+
+    def hashmix(value: np.ndarray, out: np.ndarray) -> np.ndarray:
+        xor, mult = next(pairs)
+        np.multiply(np.bitwise_xor(value, xor, out=out), mult, out=out)
+        out ^= np.right_shift(out, _SHIFT16, out=shifted)
+        return out
+
+    def mix(dst: np.ndarray, value: np.ndarray) -> None:
+        np.multiply(hashmix(value, hashed), _MIX_R, out=hashed)
+        np.subtract(np.multiply(dst, _MIX_L, out=dst), hashed, out=dst)
+        dst ^= np.right_shift(dst, _SHIFT16, out=shifted)
+
+    for word, dst in zip(entropy, pool):
+        hashmix(word, dst)
     for src in range(_POOL):
-        dst = [i for i in range(_POOL) if i != src]
-        hashed = _hashmix(pool[src], _POOL_HASH[at : at + 3], _POOL_HASH[at + 1 : at + 4])
-        pool[dst] = _mix(pool[dst], hashed)
-        at += 3
-    xor, mult = _POOL_HASH[at : at + _POOL], _POOL_HASH[at + 1 :]
-    for src in range(_POOL, len(entropy)):
-        pool = np.where(src < lengths, _mix(pool, _hashmix(entropy[src], xor, mult)), pool)
-        xor, mult = xor * _NEXT_WORD, mult * _NEXT_WORD
-    state = _hashmix(np.concatenate([pool, pool]), _STATE_HASH[:-1], _STATE_HASH[1:])
-    # output word w is state words 2w (low) and 2w + 1 (high)
-    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+        for dst in range(_POOL):
+            if dst != src:
+                mix(pool[dst], pool[src])
+    for word in entropy[_POOL:]:
+        for dst in pool:
+            mix(dst, word)
+    for half, out in enumerate(state):
+        hashmix(pool[half % _POOL], out)
+    # output word w is state halves 2w (low) and 2w + 1 (high)
+    words = state[1::2].astype(np.uint64)
+    return np.bitwise_or(np.left_shift(words, _SHIFT32, out=words), state[::2], out=words)
 
 
 def _bounded32(draws: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
@@ -405,7 +404,7 @@ def draw_plan(bounds) -> DrawPlan:
 def draws(plans: Sequence[DrawPlan], master_seed: int, *key) -> list[np.ndarray]:
     """The draws of each plan on its key rows' streams, exactly as ``Generator`` gives them.
 
-    The key parts are integers or arrays of integers in ``[0, 2**64)``;
+    The key parts are integers or arrays of integers in ``[0, 2**32)``;
     they broadcast against each other, and the key rows, in C order, fall
     into one equal run per plan, so ``draws(plans, s, trials, ids[:, None])``
     draws ``plans[i]`` on the streams ``(s, trial, ids[i])``. Returns one

@@ -156,17 +156,17 @@ class GridPoint:
     samples: int
 
 
-def _exploit_table(drawn: np.ndarray, spec_rows: list[np.ndarray], size: int) -> np.ndarray:
+def _exploit_table(drawn: np.ndarray, groups: list[tuple[np.ndarray, np.ndarray]], size: int) -> np.ndarray:
     """Each sample's drawn exploit time in each of ``size`` rows.
 
-    ``drawn`` holds the random arrivals, and ``spec_rows`` the rows, of each exploit without a
-    fixed arrival, in order. A row no such exploit sets stays ``inf``. A platform takes an
-    arrival only if it is earlier, so of two equal arrivals the first exploit's stays.
+    ``drawn`` holds the random arrivals of the exploits without a fixed arrival, in order, and
+    ``groups`` pairs a set of rows with the exploits that target it. A group's earliest arrival,
+    folded with one reduce, sets its rows where it is earlier; a row no group sets stays ``inf``.
+    Arrivals are ``u·duration >= +0.0``, so the earliest is the same number in any fold order.
     """
     table = np.full((size, drawn.shape[1]), np.inf)
-    for arrival, at in zip(drawn, spec_rows):
-        # np.minimum keeps its second operand on a tie
-        table[at] = np.minimum(arrival, table[at])
+    for rows, exploits in groups:
+        table[rows] = np.minimum(np.minimum.reduce(drawn[exploits]), table[rows])
     return table
 
 
@@ -233,21 +233,29 @@ def _runs(config: ScenarioConfig, n: int) -> np.ndarray:
     stays that every sample reaches.
     """
     duration, (lo, hi) = float(config.duration), config.delay
-    targets = [[p for p in spec.platforms if p < n] for spec in config.exploits]
-    targeted = sorted({p for at in targets for p in at})
+    # exploits that share a platform set act as one: the earliest fixed arrival, or a group of draws
+    earliest, draws_of, drawn = {}, {}, 0
+    for spec in config.exploits:
+        if spec.arrival is None:
+            draws_of.setdefault(spec.platforms, []).append(drawn)
+            drawn += 1
+        else:
+            earliest[spec.platforms] = min(earliest.get(spec.platforms, math.inf), spec.arrival)
+    targets = {platforms: sorted(p for p in platforms if p < n) for platforms in (*earliest, *draws_of)}
+    targeted = sorted({p for at in targets.values() for p in at})
     # only drawn arrivals differ between samples: a sample holds its words and its column of the
     # exploit table, a row per platform a drawn arrival targets and a last row of inf for the rest
-    varied = sorted({p for spec, at in zip(config.exploits, targets) if spec.arrival is None for p in at})
+    varied = sorted({p for platforms in draws_of for p in targets[platforms]})
     # each platform's table row and fixed arrival; platforms past the last targeted one clip to inf
     row = np.full(targeted[-1] + 2 if targeted else 1, len(varied), dtype=np.intp)
     row[varied] = np.arange(len(varied))
     fixed = np.full(len(row), np.inf)
-    for spec, at in zip(config.exploits, targets):
-        if spec.arrival is not None:
-            fixed[at] = np.minimum(spec.arrival, fixed[at])
+    for platforms, arrival in earliest.items():
+        at = targets[platforms]
+        fixed[at] = np.minimum(arrival, fixed[at])
     fixed = fixed if np.isfinite(fixed).any() else None
-    spec_rows = [row[at] for spec, at in zip(config.exploits, targets) if spec.arrival is None]
-    drawn = len(spec_rows)
+    # the drawn exploits of each platform set, with the table rows they set at this N
+    groups = [(row[targets[key]], np.array(indices)) for key, indices in draws_of.items() if targets[key]]
     if n == 1:  # nothing is drawn after the start
         planned = bound = 0
     else:
@@ -268,7 +276,7 @@ def _runs(config: ScenarioConfig, n: int) -> np.ndarray:
             dwells += lo
             if n == 1:  # one stay, the whole trial
                 dwells = np.full((1, len(rows)), duration)
-            table = _exploit_table(arrivals, spec_rows, len(varied) + 1)
+            table = _exploit_table(arrivals, groups, len(varied) + 1)
             runs[rows], exact = _control_runs(start, dwells, moves, table, row, fixed, duration)
             ended.append(rows[~exact])
         short = np.concatenate(ended)

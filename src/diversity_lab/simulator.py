@@ -56,6 +56,8 @@ POLICY_STREAM = {
 }
 DEFAULT_POLICY_KINDS = tuple(POLICY_STREAM)
 POLICY_BY_NAME = {kind.value: kind for kind in POLICY_STREAM}
+#: Trials per study, like ``scenario.MAX_SAMPLES``: every trial index stays a one-word key part.
+MAX_TRIALS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,8 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"trials must be at most {MAX_TRIALS}")
         if self.k < 2:
             raise ValueError("persistence requirement k must be >= 2")
         if self.intervals < self.k:

@@ -942,8 +942,10 @@ class TestOversizedIntegers:
              f"{PLATFORM_LIMIT}, got 10001"),
             (["mc", "--trials", "2", "--intervals", "6"],
              lambda m: m["similarity"]["scores"][1].__setitem__(2, 10**400), "invalid key 'similarity.scores'"),
+            (["mc", "--trials", "2", "--intervals", "6"], lambda m: m.update(trials=10**400),
+             "trials must be at most 100000000"),
         ],
-        ids=["goal", "duration", "platform-count", "platform-count-10001", "score"],
+        ids=["goal", "duration", "platform-count", "platform-count-10001", "score", "trials"],
     )
     def test_manifest(self, tmp_path, capsys, argv, edit, message):
         first = tmp_path / "first"
@@ -1019,7 +1021,8 @@ class TestImpossibleAllocation:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["mc", "--trials", "100000000000000", "--intervals", "10000"],
+            # the most trials a study takes, each with 10**10 intervals
+            ["mc", "--trials", "100000000", "--intervals", "10000000000"],
         ],
         ids=["mc-888-PiB"],
     )
@@ -1036,6 +1039,10 @@ class TestNoOutputOnValidationError:
         "argv, message",
         [
             (["mc", "--trials", "0"], "trials must be >= 1"),
+            *(
+                (["mc", "--trials", trials], "trials must be at most 100000000")
+                for trials in ("100000001", "100000000000", "100000000000000")
+            ),
             (["mc", "--K", "9"], "policy requires k=9 distinct platforms, only 5 available"),
             (["mc", "--K", "9", "--policies", "uniform,random_k", "--trials", "2"],
              "cannot rotate over k=9 of 5 platforms"),
@@ -1055,9 +1062,19 @@ class TestNoOutputOnValidationError:
                 (["scenario", "--N", n, "--T", "10", "--exploit", "all@0"], f"{PLATFORM_LIMIT}, got {n}")
                 for n in ("10001", "100000000")
             ),
+            *(
+                (["scenario", "--N", "3", "--T", "10", "--exploit", spec],
+                 f"--exploit {spec!r}: platforms must be 'all' or comma-separated integers")
+                for spec in ("x@5", "1,,2@5", "@5", "0.5")
+            ),
+            (["scenario", "--N", "3", "--T", "10", "--exploit", "0@abc"],
+             "--exploit '0@abc': arrival must be 'uniform' or a number of seconds"),
         ],
         ids=[
-            "mc-trials-0", "mc-k-above-pool", "mc-random-k-above-pool", "scenario-samples-0",
+            "mc-trials-0",
+            # trial indices stay one-word key parts; 1e11 and 1e14 trials used to exit 3 on allocation
+            "mc-trials-100000001", "mc-trials-1e11", "mc-trials-1e14",
+            "mc-k-above-pool", "mc-random-k-above-pool", "scenario-samples-0",
             "schedule-diversity-k-1", "schedule-diversity-k-above-pool", "schedule-random-k-k-1",
             "schedule-random-k-above-pool", "schedule-steps-0", "schedule-steps-1",
             # these used to end in a NumPy error, "array is too big" or an allocation failure
@@ -1065,6 +1082,9 @@ class TestNoOutputOnValidationError:
             "scenario-samples-711-PiB",
             # "all" is checked against the platform limit before it lists every platform below the largest N
             "scenario-exploit-all-10001", "scenario-exploit-all-1e8",
+            # these used to print Python's own int() and float() messages
+            "scenario-exploit-name", "scenario-exploit-empty-platform", "scenario-exploit-no-platforms",
+            "scenario-exploit-float-platform", "scenario-exploit-arrival",
         ],
     )
     def test_outdir_not_created(self, tmp_path, capsys, argv, message):

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from diversity_lab import rng
 from diversity_lab.rng import WORD_BLOCK, draw_plan, draws, substream
 
-#: 0 and the edges of one and two uint32 words; 2**200 is seven words,
-#: longer than SeedSequence's four-word pool, so it takes the extra mixing loop
+#: 0 and the edges of one and two uint32 words; 2**64 is three words, and with two
+#: key parts five, and 2**200 seven: longer than SeedSequence's four-word pool,
+#: so they take the extra mixing loop
 BOUNDARY_SEEDS = [0, 2**32 - 1, 2**32, 2**64, 2**200]
 
-key_parts = st.integers(0, 2**64 - 1) | st.integers(0, 2**32 + 2)
+#: a key part is one SeedSequence word
+key_parts = st.integers(0, 2**32 - 1) | st.sampled_from([0, 2**32 - 1])
 
 
 def stream_words(master_seed, *key, words):
@@ -32,8 +34,9 @@ def numpy_words(master_seed, keys, words):
 
 def mixed_words(master_seed, keys):
     """``generate_state(4, uint64)`` of each key, from one array pass of the bulk mixing."""
-    block = np.array(keys, dtype=np.uint64).reshape(len(keys), -1)
-    return rng._generate_state(*rng._entropy(rng._uint32_words(master_seed), block)).tolist()
+    columns = list(np.array(keys, dtype=np.uint32).reshape(len(keys), -1).T)
+    entropy = rng._entropy(rng._uint32_words(master_seed), columns, 0, len(keys))
+    return rng._generate_state(entropy).T.tolist()
 
 
 def numpy_mixed_words(master_seed, keys):
@@ -46,8 +49,19 @@ def numpy_mixed_words(master_seed, keys):
 class TestDerivationMatchesNumpy:
     @pytest.mark.parametrize("master_seed", BOUNDARY_SEEDS)
     def test_boundary_seeds(self, master_seed):
-        keys = [(trial, stream) for trial in (0, 1, 2**32 - 1, 2**32, 2**64 - 1) for stream in (0, 3)]
+        keys = [(trial, stream) for trial in (0, 1, 2**32 - 2, 2**32 - 1) for stream in (0, 3)]
         assert mixed_words(master_seed, keys) == numpy_mixed_words(master_seed, keys)
+
+    @pytest.mark.parametrize("master_seed", [2**64, 2**200, 10**400], ids=["2**64", "2**200", "10**400"])
+    def test_entropy_longer_than_the_pool(self, master_seed):
+        # master seeds are unbounded: 10**400 is 42 words, and every length gets its own hash constants
+        keys = [(trial, stream) for trial in (0, 2**32 - 1) for stream in (0, 3)]
+        assert mixed_words(master_seed, keys) == numpy_mixed_words(master_seed, keys)
+        assert mixed_words(master_seed, [()]) == numpy_mixed_words(master_seed, [()])
+        trials = np.array([0, 2**32 - 1])
+        assert stream_words(master_seed, trials[:, None], [0, 3], words=3).tolist() == numpy_words(
+            master_seed, keys, 3
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -57,14 +71,20 @@ class TestDerivationMatchesNumpy:
         ),
     )
     def test_random_keys(self, master_seed, keys):
-        # key paths of 1-4 parts, each part one or two words: up to 11 entropy words
+        # key paths of 1-4 parts, each part one word: up to 7 entropy words
         assert mixed_words(master_seed, keys) == numpy_mixed_words(master_seed, keys)
 
     @pytest.mark.parametrize("master_seed", [5, 2**64])
     def test_block_whose_keys_change_word_count(self, master_seed):
-        # trial indices crossing 2**32 go from one entropy word to two within one
-        # block; after the three words of 2**64 that is five or six, past the pool
+        # trial indices crossing 2**32 would go from one entropy word to two within one
+        # block; every key row of a block has one layout, so such a block is refused
         trials = np.arange(2**32 - 3, 2**32 + 3, dtype=np.uint64)
+        with pytest.raises(ValueError, match=r"key parts must be in \[0, 2\*\*32\), got 4294967298$"):
+            stream_words(master_seed, trials[:, None], [0, 2], words=2)
+        with pytest.raises(ValueError, match="key parts"):
+            draws([draw_plan([0, 5])], master_seed, trials, 2)
+        # up to its last one-word trial, the block is derived as NumPy derives it
+        trials = trials[:3]
         keys = [(t, s) for t in trials.tolist() for s in (0, 2)]
         assert mixed_words(master_seed, keys) == numpy_mixed_words(master_seed, keys)
         words = stream_words(master_seed, trials[:, None], [0, 2], words=2)
@@ -128,10 +148,31 @@ class TestStreamWords:
         ],
     )
     def test_across_block_boundaries(self, master_seed, rows, words):
-        trials = np.arange(2**32 - 2, 2**32 - 2 + rows, dtype=np.uint64)
+        # the last trial is the largest key part, 2**32 - 1
+        trials = np.arange(2**32 - rows, 2**32, dtype=np.uint64)
         got = stream_words(master_seed, trials, 3, words=words)
         assert got.shape == (rows, words) and got.dtype == np.uint64
         assert got.tolist() == numpy_words(master_seed, [(t, 3) for t in trials.tolist()], words)
+
+    def test_three_dimensional_keys_cross_a_seed_block(self):
+        # each seed block's key rows are copied from the broadcast parts, whatever their shape:
+        # 4,400 rows, the second block starting inside the last row of the leading axis
+        first, second, third = np.arange(2)[:, None, None], np.array([7, 2**32 - 1])[:, None], np.arange(1100)
+        keys = [(i, j, k) for i in range(2) for j in (7, 2**32 - 1) for k in range(1100)]
+        assert stream_words(5, first, second, third, words=1).tolist() == numpy_words(5, keys, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.data())
+    def test_flat_range_equals_ravel(self, shape, data):
+        # a part that varies along some axes and is broadcast along the others, any range of its rows
+        varies = data.draw(st.lists(st.booleans(), min_size=len(shape), max_size=len(shape)))
+        part = np.arange(np.prod(shape)).reshape(shape)[tuple(slice(None) if v else slice(1) for v in varies)]
+        view = np.broadcast_to(part, shape)
+        first = data.draw(st.integers(0, view.size - 1))
+        last = data.draw(st.integers(first + 1, view.size))
+        out = np.empty(last - first, dtype=view.dtype)
+        rng._flat_range(view, first, last, out)
+        assert out.tolist() == view.ravel()[first:last].tolist()
 
     def test_rows_in_c_order(self):
         trials, ids = np.arange(5), [0, 1, 3]
@@ -147,6 +188,19 @@ class TestStreamWords:
             stream_words(-1, 0, words=1)
         with pytest.raises(ValueError, match="key parts"):
             stream_words(0, np.array([0, -1]), words=1)
+
+    @pytest.mark.parametrize(
+        "part",
+        [2**32, np.array([5, 2**32], dtype=np.uint64), 2**64, 10**400],
+        ids=["2**32", "uint64-array", "2**64", "10**400"],
+    )
+    def test_key_parts_of_two_words_refused(self, part):
+        # a key part is one SeedSequence word: the part past it is named
+        largest = int(np.max(part))
+        with pytest.raises(ValueError, match=rf"key parts must be in \[0, 2\*\*32\), got {largest}$"):
+            stream_words(3, np.arange(2), part, words=1)
+        with pytest.raises(ValueError, match="key parts"):
+            draws([draw_plan([0])], 3, part, np.arange(2))
 
 
 #: ``random()``, ``integers(1)`` (which takes nothing), small bounds, a power of
@@ -224,7 +278,7 @@ class TestDraws:
         # three runs of 3,000 rows: the first seed block serves the first two plans, and the
         # second and third runs each cross a block edge, at their rows 1,096 and 2,192
         plans = [draw_plan(bounds) for bounds in ([5, 0, 2**31 + 5], [0, 7, 0, 1000, 1], [2**32, 3, 0])]
-        trials, ids = np.arange(3000, dtype=np.uint64), np.array([4, 0, 2**40], dtype=np.uint64)
+        trials, ids = np.arange(3000, dtype=np.uint64), np.array([4, 0, 2**32 - 1], dtype=np.uint64)
         assert 2 * WORD_BLOCK < 3 * len(trials) <= 3 * WORD_BLOCK
         joint, replays = self.assert_joint_equals_single(plans, master_seed, trials, ids)
         # about half the rows of the 2**31 + 5 plan

@@ -332,6 +332,36 @@ def stays_needed(config, n, sample):
     return stays
 
 
+def exploit_table_loop(drawn, spec_rows, size):
+    """The per-exploit fold that ``scenario._exploit_table`` groups: each exploit, in order, sets its rows
+    where its arrival is earlier."""
+    table = np.full((size, drawn.shape[1]), np.inf)
+    for arrival, at in zip(drawn, spec_rows):
+        table[at] = np.minimum(arrival, table[at])
+    return table
+
+
+class TestExploitTable:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_groups_equal_the_per_exploit_loop(self, data):
+        size = data.draw(st.integers(2, 6))
+        # a few row sets, each repeated by several exploits, and overlapping one another
+        row_sets = data.draw(st.lists(st.frozensets(st.integers(0, size - 2), min_size=1), min_size=1, max_size=4))
+        exploits = data.draw(st.lists(st.sampled_from(row_sets), min_size=1, max_size=12))
+        samples = data.draw(st.integers(1, 4))
+        # arrivals u·duration on a coarse grid, +0.0 included, so equal arrivals are common
+        arrival = st.sampled_from([0.0, 0.25, 0.5, 899.0])
+        row = st.lists(arrival, min_size=samples, max_size=samples)
+        drawn = np.array(data.draw(st.lists(row, min_size=len(exploits), max_size=len(exploits))))
+        groups = {}
+        for index, rows in enumerate(exploits):
+            groups.setdefault(rows, []).append(index)
+        pairs = [(np.array(sorted(rows)), np.array(indices)) for rows, indices in groups.items()]
+        expected = exploit_table_loop(drawn, [np.array(sorted(rows)) for rows in exploits], size)
+        assert scenario._exploit_table(drawn, pairs, size).tobytes() == expected.tobytes()
+
+
 class TestControlRunsStopEarly:
     """``_control_runs`` stops at the first stay by which every sample has reached the trial end."""
 
@@ -422,6 +452,23 @@ class TestStudyEqualsScalarRebuild:
         config = ScenarioConfig(t_values=(0.0,), n_values=self.N_VALUES, samples=120, master_seed=seed)
         self.assert_matches(config)
         assert rederived == []
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.frozensets(st.integers(0, 5), min_size=1, max_size=3), min_size=1, max_size=3).flatmap(
+            lambda sets: st.lists(
+                st.tuples(st.sampled_from(sets), st.none() | st.sampled_from([0.0, 40.0, 300.0])),
+                min_size=1, max_size=10,
+            )
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_repeated_and_overlapping_exploits(self, exploits, seed):
+        # exploits that share a platform set are grouped once per N; overlapping sets, and
+        # fixed arrivals among them, still leave each platform its earliest arrival
+        specs = tuple(ExploitSpec(platforms, arrival) for platforms, arrival in exploits)
+        config = ScenarioConfig(t_values=(0.0,), n_values=(1, 3, 5), samples=6, exploits=specs, master_seed=seed)
+        self.assert_matches(config)
 
     @pytest.mark.parametrize("seed", [2**32, 2**64])
     def test_multi_word_master_seeds(self, seed, rederived):

@@ -247,6 +247,10 @@ class TestRunMcStudy:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(trials=0)
+        # the largest trial index stays a one-word key part
+        assert McConfig(trials=simulator.MAX_TRIALS).trials == simulator.MAX_TRIALS < 2**32
+        with pytest.raises(ValueError, match="trials must be at most 100000000"):
+            McConfig(trials=simulator.MAX_TRIALS + 1)
         with pytest.raises(ValueError):
             McConfig(intervals=2, k=3)
         with pytest.raises(ValueError):
@@ -368,9 +372,9 @@ class TestOneDerivationPerStream:
             calls.append((tuple(dict.fromkeys(np.ravel(key[1]).tolist())), []))
             return word_pieces(seed, key, counts)
 
-        def seeded(seed_words, block):
-            calls[-1][1].append(len(block))
-            return seed_states(seed_words, block)
+        def seeded(entropy):
+            calls[-1][1].append(entropy.shape[1])
+            return seed_states(entropy)
 
         monkeypatch.setattr(rng, "_word_pieces", pieces)
         monkeypatch.setattr(rng, "_seed_states", seeded)
