@@ -37,7 +37,7 @@ from .scenario import (
     ScenarioConfig,
     run_scenario_study,
 )
-from .scheduler import check_pool, detect_periodicity, heron_area, schedule
+from .scheduler import check_pool, heron_area, walk_bounds, walks
 from .simulator import (
     EmpiricalCdf,
     McConfig,
@@ -62,7 +62,6 @@ __all__ = [
     "check_pool",
     "choose",
     "compute_metrics",
-    "detect_periodicity",
     "expected_control_fraction",
     "expected_time_to_compromise",
     "heron_area",
@@ -74,7 +73,8 @@ __all__ = [
     "run_mc_study",
     "run_scenario_study",
     "save_similarity_matrix",
-    "schedule",
     "steady_state",
     "substream",
+    "walk_bounds",
+    "walks",
 ]

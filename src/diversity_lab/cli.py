@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -35,9 +36,9 @@ from .analytic import (
     steady_state,
 )
 from .core import PolicyKind, SimilarityMatrix, bundled_similarity_path, check_platform_count, load_similarity_matrix
-from .rng import substream
+from .rng import draw_plan, draws
 from .scenario import DEFAULT_EXPLOITS, ExploitSpec, ScenarioConfig, run_scenario_study
-from .scheduler import check_pool, detect_periodicity, schedule
+from .scheduler import check_pool, walk_bounds, walks
 from .simulator import POLICY_BY_NAME, McConfig, run_mc_study
 
 EXIT_OK = 0
@@ -46,6 +47,8 @@ EXIT_RUNTIME = 3
 SEED_ENV_VAR = "DIVERSITY_LAB_SEED"
 #: Most attacker goals one ``--T-sweep`` may give.
 MAX_SWEEP_POINTS = 100_000
+#: Most intervals one ``schedule`` may show.
+MAX_STEPS = 1_000_000
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -53,11 +56,16 @@ def _resolve_seed(seed: int | None) -> int:
         return seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+        return _convert(int, [env], f"{SEED_ENV_VAR} must be an integer, got {env!r}")[0]
     return 0
+
+
+def _convert(convert, parts, error: str) -> tuple:
+    """``convert`` of each of ``parts``; a part it refuses raises ValueError(``error``), which names its source."""
+    try:
+        return tuple(map(convert, parts))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(error) from None
 
 
 def _json_text(value, indent: str = "\n") -> str:
@@ -119,6 +127,7 @@ def cmd_analytic(args) -> int:
     if (args.j is None) != (args.p is None):
         raise ValueError("--j and --p must be given together")
     if args.j is not None:
+        _convert(Fraction, [args.p], f"--p {args.p!r}: must be a fraction or a decimal, e.g. 1/2 or 0.5")
         report["aggregate"] = {
             "j": args.j,
             "p": args.p,
@@ -140,28 +149,34 @@ def cmd_analytic(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    if args.steps < 2:  # detect_periodicity needs two entries
+    if args.steps < 2:  # a schedule of one interval makes no move
         raise ValueError("steps must be >= 2")
+    if args.steps > MAX_STEPS:
+        raise ValueError(f"steps must be at most {MAX_STEPS}")
     sim = _load_similarity(args)
     seed = _resolve_seed(args.seed)
     start = sim.platforms.index(args.start if args.start is not None else sim.platforms[0])
-    rng = substream(seed)
     kind = POLICY_BY_NAME[args.policy]
     check_pool(kind, args.K, sim.count)
-    chosen = schedule(kind, sim, args.K, start, args.steps, rng).tolist()
-    # a uniform schedule is a random walk: a repeated window in it is no period
-    periodicity = None if kind is PolicyKind.UNIFORM else detect_periodicity(chosen, args.K)
+    # Brent's search finds every cycle the report shows within 2·steps + k platforms; k is capped at the
+    # pool only for a uniform walk, which ignores it and so may be given any
+    length = 2 * args.steps + min(args.K, sim.count)
+    (values,) = draws([draw_plan(walk_bounds(kind, sim.count, args.K, length))], seed)
+    (walk,), (period,) = walks(kind, sim.distances(), args.K, length, values, [start])
+    # from the transient on, each platform recurs a period later; a period is shown when the steps after
+    # the transient repeat it twice, over at least the k - 1 platforms that a diversity step depends on
+    late = (walk[: length - period] != walk[period:]).nonzero()[0]
+    transient = int(late[-1]) + 1 if late.size else 0
+    shown = period > 0 and args.steps - transient >= period + max(period, args.K - 1)
     report = {
         "platforms": list(sim.platforms.names),
         "policy": args.policy,
         "k": args.K,
         "seed": seed,
-        "start": sim.platforms[chosen[0]],
+        "start": sim.platforms[walk[0]],
         "steps": args.steps,
-        "trace": [sim.platforms[i] for i in chosen],
-        "periodicity": None
-        if periodicity is None
-        else {"period": periodicity.period, "transient": periodicity.transient},
+        "trace": [sim.platforms[i] for i in walk[: args.steps].tolist()],
+        "periodicity": {"period": int(period), "transient": transient} if shown else None,
     }
     out = _outdir(args) / "schedule.json"
     _write_json(out, report)
@@ -279,18 +294,14 @@ def _parse_exploit(spec: str, max_n: int) -> ExploitSpec:
         check_platform_count(max_n)
         platforms = frozenset(range(max_n))
     else:
-        try:
-            platforms = frozenset(int(p) for p in platforms_part.split(","))
-        except ValueError:
-            raise ValueError(f"--exploit {spec!r}: platforms must be 'all' or comma-separated integers") from None
+        error = f"--exploit {spec!r}: platforms must be 'all' or comma-separated integers"
+        platforms = frozenset(_convert(int, platforms_part.split(","), error))
     arrival_part = arrival_part.strip()
     if not arrival_part or arrival_part == "uniform":
         arrival = None
     else:
-        try:
-            arrival = float(arrival_part)
-        except ValueError:
-            raise ValueError(f"--exploit {spec!r}: arrival must be 'uniform' or a number of seconds") from None
+        error = f"--exploit {spec!r}: arrival must be 'uniform' or a number of seconds"
+        (arrival,) = _convert(float, [arrival_part], error)
     return ExploitSpec(platforms, arrival)
 
 
@@ -315,9 +326,9 @@ def cmd_scenario(args) -> int:
     if args.from_manifest:
         config = _load_manifest(Path(args.from_manifest), "scenario", ScenarioConfig)
     else:
-        n_values = tuple(int(part) for part in args.N.split(","))
+        n_values = _convert(int, args.N.split(","), f"--N {args.N!r}: platform counts must be comma-separated integers")
         t_values = _parse_t_values(args)
-        delay = tuple(float(part) for part in args.delay.split(","))
+        delay = _convert(float, args.delay.split(","), f"--delay {args.delay!r}: bounds must be numbers of seconds")
         if len(delay) != 2:
             raise ValueError("--delay must look like lo,hi")
         max_n = max(n_values)

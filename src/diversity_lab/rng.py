@@ -32,7 +32,8 @@ each piece as it comes, as ``Generator`` would draw it, ``integers(m)``
 in uint64 arithmetic, exact for every bound up to 2**32, the largest a
 plan takes. ``_random_k_subsets`` turns the draws of ``_floyd_bounds``
 into ``choice(N, k, replace=False)`` for N up to ``core.MAX_PLATFORMS``.
-This is the only module that knows where a draw sits in a stream.
+This is the only module that knows where a draw sits in a stream, and
+the only one that calls ``substream`` or ``np.random``.
 
 All of this reimplements NumPy internals (``SeedSequence`` in
 ``bit_generator.pyx``, ``pcg64_set_seed`` and ``pcg64_next64`` in

@@ -8,19 +8,23 @@ pairwise distance for longer histories. Ties break toward the lowest
 platform index so schedules are fully deterministic. From step k-1 on,
 a step is a pure function of the last k-1 platforms, so a diversity
 walk is periodic from its first repeated window; ``diversity_walks``
-stops there and repeats the cycle. A policy is a ``PolicyKind`` and its
-``k``: ``check_pool`` says whether it can schedule over a pool, and
-``schedule`` builds its whole schedule as one array.
+finds that window with Brent's cycle search, stops there, returns the
+cycle's length as the walk's period and repeats the cycle. A policy is
+a ``PolicyKind`` and its ``k``: ``check_pool`` says whether it can
+schedule over a pool, ``walk_bounds`` lists the draws its walk takes,
+as ``rng.draw_plan`` takes them, and ``walks`` turns the decoded draws
+into walks and their periods. The study and the ``schedule`` command
+both schedule through these two, so each policy is stated here once.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PolicyKind, SimilarityMatrix
+from .core import PolicyKind
+from .rng import _floyd_bounds, _random_k_subsets
 
 logger = logging.getLogger(__name__)
 
@@ -80,14 +84,16 @@ def _most_diverse(dist: np.ndarray, hist) -> np.ndarray:
     return scores.argmax(axis=-1)
 
 
-def diversity_walks(dist: np.ndarray, starts: np.ndarray, steps: int, k: int) -> np.ndarray:
-    """The diversity trace of ``steps`` platforms from each start, one row per start.
+def diversity_walks(dist: np.ndarray, starts: np.ndarray, steps: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The diversity trace of ``steps`` platforms from each start, one row per start, and each row's period.
 
     The walks advance in lockstep, so each step scores every row at once.
     Each window of k-1 platforms is compared with one checkpoint window,
     moved to the current step whenever the distance to it reaches a power
-    of two (Brent's cycle search). Once every row has repeated a window,
-    the remaining columns repeat each row's cycle.
+    of two (Brent's cycle search). The distance at the first repeat is the
+    row's period, the length of its cycle, or 0 while no window has
+    repeated. Once every row has repeated a window, the remaining columns
+    repeat each row's cycle.
     """
     walks = np.empty((len(starts), steps), dtype=np.intp)
     walks[:, 0] = starts
@@ -109,7 +115,7 @@ def diversity_walks(dist: np.ndarray, starts: np.ndarray, steps: int, k: int) ->
             break
         if step - checkpoint == reach:
             checkpoint, reach = step, 2 * reach
-    return walks
+    return walks, period
 
 
 def uniform_walks(starts: np.ndarray, moves: np.ndarray) -> np.ndarray:
@@ -128,55 +134,41 @@ def uniform_walks(starts: np.ndarray, moves: np.ndarray) -> np.ndarray:
     return walks
 
 
-def schedule(
-    kind: PolicyKind, sim: SimilarityMatrix, k: int, start: int | None, steps: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Platform of each of ``steps`` intervals under a ``kind`` policy with horizon ``k``, from ``start``.
+def walk_bounds(kind: PolicyKind, count: int, k: int, steps: int, start: bool = False) -> list[int]:
+    """The bounds of the ``integers`` draws of one ``kind`` walk of ``steps`` platforms over ``count``.
 
-    A diversity trace draws nothing. A uniform trace makes no immediate
-    repeat and draws one batched ``integers(N - 1, size=(1, steps - 1))``
-    from ``rng``: the same values, and the same generator state
-    afterwards, as one scalar draw per step. A random-k trace draws
-    ``choice(N, k, replace=False)`` and rotates through it from its head,
-    ignoring ``start``; the other policies reject a ``start`` outside the
-    pool. The caller checks the pool with ``check_pool``.
+    After its start, a diversity walk draws nothing, a uniform walk one
+    ``integers(N - 1)`` per move, and a random-k walk ``rng._floyd_bounds``,
+    the draws of ``choice(N, k, replace=False)``. With ``start``, a walk
+    that has a start, every kind but random-k, first draws it, ``integers(N)``.
+    The caller checks the pool with ``check_pool``.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     if kind is PolicyKind.RANDOM_K:
-        return np.resize(rng.choice(sim.count, k, replace=False), steps)
-    if start is None or not 0 <= start < sim.count:
-        raise ValueError(f"start platform {start} out of range")
-    if kind is PolicyKind.DIVERSITY:
-        return diversity_walks(sim.distances(), np.array([start]), steps, k)[0]
-    return uniform_walks(np.array([start]), rng.integers(sim.count - 1, size=(1, steps - 1)))[0]
+        return _floyd_bounds(count, k)
+    moves = [count - 1] * (steps - 1) if kind is PolicyKind.UNIFORM else []
+    return [count] * start + moves
 
 
-@dataclass(frozen=True)
-class Periodicity:
-    """Detected eventual periodicity: cycle length and transient prefix length."""
+def walks(
+    kind: PolicyKind, dist: np.ndarray, k: int, steps: int, values: np.ndarray, starts=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``kind`` walk of ``steps`` platforms, as a rows × steps matrix, and each row's period.
 
-    period: int
-    transient: int
-
-
-def detect_periodicity(trace: list[int] | tuple[int, ...], k: int) -> Periodicity | None:
-    """Smallest period p and transient t with trace[i] == trace[i+p] for all i >= t.
-
-    Requires at least two full periods after the transient to call a
-    trace periodic, and a repeat of at least k - 1 entries: a step of a
-    k-diversity walk depends on its last k - 1 platforms, so a shorter
-    repeat proves no period. Returns None otherwise.
+    ``dist`` is the pool's ``SimilarityMatrix.distances``; ``values`` holds
+    the draws of ``walk_bounds``, one column per row, as ``rng.draws``
+    decodes them. They begin with the starts, unless ``starts`` gives them;
+    a random-k walk rotates through its subset from its head and has none.
+    A row's period is the length of the cycle its walk has entered: k for
+    random-k, the cycle ``diversity_walks`` found or 0, and 0 for a uniform
+    walk, which has no cycle.
     """
-    length = len(trace)
-    if length < 2:
-        raise ValueError("trace must contain at least two entries")
-    for period in range(1, length // 2 + 1):
-        transient = 0
-        for i in range(length - period - 1, -1, -1):
-            if trace[i] != trace[i + period]:
-                transient = i + 1
-                break
-        if length - transient >= period + max(period, k - 1):
-            return Periodicity(period=period, transient=transient)
-    return None
+    if kind is PolicyKind.RANDOM_K:
+        subsets = _random_k_subsets(values, len(dist), k)
+        return subsets[:, np.arange(steps) % k], np.full(len(subsets), k)
+    if starts is None:
+        starts, values = values[0].astype(np.intp), values[1:]
+    elif outside := [start for start in np.asarray(starts).tolist() if start not in range(len(dist))]:
+        raise ValueError(f"start platform {outside[0]} out of range")
+    if kind is PolicyKind.DIVERSITY:
+        return diversity_walks(dist, starts, steps, k)
+    return uniform_walks(starts, values.T), np.zeros(len(starts), dtype=np.intp)

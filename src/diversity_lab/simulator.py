@@ -14,17 +14,15 @@ draws for a chunk of trials at once:
 
 - labeling: ``integers(N)`` for the seed platform, then a ``random()``
   double for each other platform;
-- diversity: ``integers(N)`` for the start;
-- uniform: the start and then one ``integers(N - 1)`` per move;
-- random-k: ``choice(N, k, replace=False)``'s draws, ``rng._floyd_bounds``.
+- each policy: ``scheduler.walk_bounds`` with the start, which is
+  ``integers(N)`` for every policy but random-k.
 
 Each policy's trials × intervals vulnerability matrix is built as
-arrays: ``scheduler.uniform_walks``, the no-repeat walk the scenario
-engine also uses, steps every trial at once, and the diversity trace,
-which depends only on (similarity, k, start), comes from one batched
-walk per chunk over the distinct starts no earlier chunk has walked,
-which stops once every start's cycle is found. The metrics stay arrays
-up to the CLI's writers.
+arrays by ``scheduler.walks``, as the ``schedule`` command builds its
+walk. The diversity trace depends only on (similarity, k, start), so it
+comes from one batched walk per chunk over the distinct starts no
+earlier chunk has walked, which stops once every start's cycle is
+found. The metrics stay arrays up to the CLI's writers.
 """
 
 from __future__ import annotations
@@ -42,9 +40,9 @@ from .core import (
     list_of,
     manifest_value,
 )
-from .rng import WORD_CELLS, _floyd_bounds, _random_k_subsets, draw_plan, draws
+from .rng import WORD_CELLS, draw_plan, draws
 from .rng import substream  # unused here: the benchmark tracer's test wraps simulator.substream
-from .scheduler import check_pool, diversity_walks, uniform_walks
+from .scheduler import check_pool, walk_bounds, walks
 
 LABELING_STREAM = 0
 #: The study policies, each with a stable stream id, so a policy's trials are
@@ -217,9 +215,8 @@ def compute_metrics(vulnerable, k: int) -> PolicyMetrics:
 def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMetrics]:
     """Metrics per policy name, in config order, of the paired-policy study; reproducible from the seed.
 
-    A policy's trial draws from its own stream, in order: the random-k
-    subset, or else the start platform, then for the uniform policy its
-    moves. A chunk of trials, at most ``WORD_CELLS`` trial × interval or
+    A policy's trial draws from its own stream what ``walk_bounds`` lists
+    with the start. A chunk of trials, at most ``WORD_CELLS`` trial × interval or
     trial × platform cells, takes one ``rng.draws`` call for all its
     streams, keyed stream-major with a plan each.
     """
@@ -232,16 +229,12 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
     trials = np.arange(config.trials)
     # every stream, each with its plan, drawn together chunk by chunk
     plans = {LABELING_STREAM: draw_plan([count] + [0] * (count - 1))}
-    if PolicyKind.DIVERSITY in policies:
-        plans[POLICY_STREAM[PolicyKind.DIVERSITY]] = draw_plan([count])
-        # a diversity trace draws nothing after its start: one walk per distinct start serves all trials
-        walk_of, walks = np.full(count, -1), np.empty((0, intervals), dtype=np.intp)
-        dist = sim.distances()
-    if PolicyKind.RANDOM_K in policies:
-        plans[POLICY_STREAM[PolicyKind.RANDOM_K]] = draw_plan(_floyd_bounds(count, k))
-    if PolicyKind.UNIFORM in policies:
-        plans[POLICY_STREAM[PolicyKind.UNIFORM]] = draw_plan([count] + [count - 1] * (intervals - 1))
+    for kind in policies:
+        plans[POLICY_STREAM[kind]] = draw_plan(walk_bounds(kind, count, k, intervals, start=True))
     streams = np.array(list(plans))[:, None]
+    dist = sim.distances()
+    # a diversity walk draws nothing after its start: one walk per distinct start serves all trials
+    walk_of, walked = np.full(count, -1), np.empty((0, intervals), dtype=np.intp)
     chunk = max(1, WORD_CELLS // max(intervals, count))
     for first in range(0, config.trials, chunk):
         rows = trials[first : first + chunk]
@@ -250,18 +243,16 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
         # trial i's flags start at cell i·N of the flat labelings
         offsets = (np.arange(len(rows)) * count)[:, None]
         for kind in policies:
-            stream = POLICY_STREAM[kind]
+            drawn = values[POLICY_STREAM[kind]]
             if kind is PolicyKind.DIVERSITY:
-                starts = values[stream][0].astype(np.intp)
+                starts = drawn[0].astype(np.intp)
                 new = np.flatnonzero((walk_of < 0) & (np.bincount(starts, minlength=count) > 0))
                 if new.size:
-                    walk_of[new] = len(walks) + np.arange(len(new))
-                    walks = np.concatenate([walks, diversity_walks(dist, new, intervals, k)])
-                chosen = walks[walk_of[starts]]
-            elif kind is PolicyKind.UNIFORM:
-                chosen = uniform_walks(values[stream][0], values[stream][1:].T)
+                    walk_of[new] = len(walked) + np.arange(len(new))
+                    walked = np.concatenate([walked, walks(kind, dist, k, intervals, drawn[1:], new)[0]])
+                chosen = walked[walk_of[starts]]
             else:
-                chosen = _random_k_subsets(values[stream], count, k)[:, np.arange(intervals) % k]
+                chosen = walks(kind, dist, k, intervals, drawn)[0]
             chosen += offsets
             vulnerable[kind][first : first + len(rows)] = flags.take(chosen)
     return {kind.value: compute_metrics(vulnerable[kind], config.k) for kind in config.policy_kinds}

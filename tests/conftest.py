@@ -8,7 +8,8 @@ from diversity_lab import (
     load_bundled_similarity,
     run_mc_study,
 )
-from diversity_lab.rng import substream
+from diversity_lab.rng import draw_plan, draws, substream
+from diversity_lab.scheduler import walk_bounds, walks
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +41,15 @@ def make_similarity(scores) -> SimilarityMatrix:
     scores = np.asarray(scores, dtype=float)
     names = tuple(f"p{i}" for i in range(scores.shape[0]))
     return SimilarityMatrix(PlatformSet(names), scores)
+
+
+def seeded_walks(kind, sim, k, steps, starts, seed, *key) -> np.ndarray:
+    """``kind`` walks of ``steps`` platforms from ``starts``, one row per key row of ``substream(seed, *key)``.
+
+    With no key parts there is one row, drawn as the ``schedule`` command draws it.
+    """
+    (values,) = draws([draw_plan(walk_bounds(kind, sim.count, k, steps))], seed, *key)
+    return walks(kind, sim.distances(), k, steps, values, starts)[0]
 
 
 @pytest.fixture

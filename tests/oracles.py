@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -220,6 +221,36 @@ def reference_schedule(name: str, dist, k: int, start, steps: int, rng) -> list[
         draw = int(rng.integers(count - 1))
         chosen.append(draw + 1 if draw >= chosen[-1] else draw)
     return chosen
+
+
+@dataclass(frozen=True)
+class Periodicity:
+    """Detected eventual periodicity: cycle length and transient prefix length."""
+
+    period: int
+    transient: int
+
+
+def detect_periodicity(trace: list[int] | tuple[int, ...], k: int) -> Periodicity | None:
+    """Smallest period p and transient t with trace[i] == trace[i+p] for all i >= t.
+
+    Requires at least two full periods after the transient to call a
+    trace periodic, and a repeat of at least k - 1 entries: a step of a
+    k-diversity walk depends on its last k - 1 platforms, so a shorter
+    repeat proves no period. Returns None otherwise.
+    """
+    length = len(trace)
+    if length < 2:
+        raise ValueError("trace must contain at least two entries")
+    for period in range(1, length // 2 + 1):
+        transient = 0
+        for i in range(length - period - 1, -1, -1):
+            if trace[i] != trace[i + period]:
+                transient = i + 1
+                break
+        if length - transient >= period + max(period, k - 1):
+            return Periodicity(period=period, transient=transient)
+    return None
 
 
 def reference_labeling(scores, rng) -> np.ndarray:

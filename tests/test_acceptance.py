@@ -11,6 +11,7 @@ within 4 standard errors of the 500-trial mean.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -23,15 +24,14 @@ from diversity_lab import (
     RepeatMode,
     ScenarioConfig,
     choose,
-    detect_periodicity,
     expected_time_to_compromise,
     p_success_aggregate,
     run_length_chain,
     run_scenario_study,
-    schedule,
     steady_state,
 )
 from diversity_lab.cli import main as cli_main
+from conftest import seeded_walks
 from oracles import (
     exact_uniform_mean_compromised_fraction,
     power_iteration_stationary,
@@ -175,7 +175,7 @@ def test_criterion_07_mean_compromised_fraction(default_study, five_platform_sim
     )
 
 
-def test_criterion_08_diversity_schedule_periodicity(five_platform_sim):
+def test_criterion_08_diversity_schedule_periodicity(five_platform_sim, tmp_path, capsys):
     dist = five_platform_sim.distances()
     best_triple = max(
         itertools.combinations(range(5), 3),
@@ -185,14 +185,19 @@ def test_criterion_08_diversity_schedule_periodicity(five_platform_sim):
     )
     details = []
     ok = True
+    names = five_platform_sim.platforms.names
     for start in range(5):
-        trace = schedule(PolicyKind.DIVERSITY, five_platform_sim, 3, start, 30, None).tolist()
-        periodicity = detect_periodicity(trace, 3)
-        triple = frozenset(trace[-3:])
+        outdir = tmp_path / names[start]
+        argv = ["schedule", "--K", "3", "--start", names[start], "--steps", "30", "--outdir", str(outdir)]
+        assert cli_main(argv) == 0
+        capsys.readouterr()  # the path the command printed
+        written = json.loads((outdir / "schedule.json").read_text(encoding="utf-8"))
+        periodicity = written["periodicity"]
+        triple = frozenset(names.index(name) for name in written["trace"][-3:])
         good = (
             periodicity is not None
-            and periodicity.period == 3
-            and periodicity.transient <= 3
+            and periodicity["period"] == 3
+            and periodicity["transient"] <= 3
             and triple == frozenset(best_triple)
         )
         ok = ok and good
@@ -279,14 +284,12 @@ def test_criterion_10_property_suites(five_platform_sim, default_study, tmp_path
             )
             mass_ok = mass_ok and total == 1
 
-    # no policy trace ever repeats a platform in adjacent intervals
+    # no policy trace ever repeats a platform in adjacent intervals: ten walks each, on the streams (1010, row)
     repeat_ok = True
-    rng = np.random.default_rng(1010)
+    starts = np.arange(10) % 5
     for kind in (PolicyKind.DIVERSITY, PolicyKind.UNIFORM, PolicyKind.RANDOM_K):
-        for _ in range(10):
-            start = None if kind is PolicyKind.RANDOM_K else int(rng.integers(5))
-            chosen = schedule(kind, five_platform_sim, 3, start, 81, rng)
-            repeat_ok = repeat_ok and all(a != b for a, b in zip(chosen, chosen[1:]))
+        chosen = seeded_walks(kind, five_platform_sim, 3, 81, starts, 1010, np.arange(10))
+        repeat_ok = repeat_ok and bool((chosen[:, 1:] != chosen[:, :-1]).all())
 
     # compromised fraction never exceeds vulnerable fraction
     bound_ok = all(

@@ -15,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diversity_lab
-from diversity_lab import expected_time_to_compromise, load_similarity_matrix, MarkovParams
-from diversity_lab.cli import MAX_SWEEP_POINTS, _json_text, _parse_t_values, main
+from diversity_lab import expected_time_to_compromise, load_bundled_similarity, load_similarity_matrix, MarkovParams
+from diversity_lab.cli import MAX_STEPS, MAX_SWEEP_POINTS, _json_text, _parse_t_values, main
+from diversity_lab.rng import substream
 from diversity_lab.scenario import MAX_STAYS
 from conftest import wide_similarity_csv
+from oracles import detect_periodicity, reference_schedule
 
 
 PLATFORM_LIMIT = "platform counts must be between 1 and 10000"
@@ -274,6 +276,67 @@ class TestScheduleCommand:
         report = read_json(tmp_path / "out" / "schedule.json")
         assert report["trace"] == (["p2", "p4", "p0", "p4", "p0"] * 6)[:steps]
         assert report["periodicity"] == {"period": 5, "transient": 0}
+
+    @pytest.mark.parametrize("steps, periodicity", [(4, None), (5, {"period": 2, "transient": 0})])
+    def test_period_shorter_than_the_walk_state(self, tmp_path, steps, periodicity):
+        # p2 and p3 are clones of every platform, so a 4-diversity walk from p0 swaps p0 and p1: a period
+        # of 2 is shown once the steps repeat the k - 1 = 3 platforms a step depends on
+        sim = tmp_path / "clone.csv"
+        sim.write_text(
+            "p0,p1,p2,p3\np0,1.0,0.0,1.0,1.0\np1,0.0,1.0,1.0,1.0\np2,1.0,1.0,1.0,1.0\np3,1.0,1.0,1.0,1.0\n",
+            encoding="utf-8",
+        )
+        argv = ["schedule", "--similarity", str(sim), "--K", "4", "--start", "p0", "--steps", str(steps)]
+        assert main([*argv, "--outdir", str(tmp_path / "out")]) == 0
+        report = read_json(tmp_path / "out" / "schedule.json")
+        assert report["trace"] == ["p0", "p1"] * (steps // 2) + ["p0"] * (steps % 2)
+        assert report["periodicity"] == periodicity
+
+    @pytest.mark.parametrize(
+        "k, start, steps, period, transient",
+        [
+            (3, "Fedora", 6, 3, 0),
+            (3, "CentOS", 7, 3, 1),
+            (4, "Gentoo", 9, 4, 1),
+            (4, "FreeBSD", 13, 4, 5),
+            (5, "Debian", 10, 5, 0),
+            (5, "Gentoo", 15, 5, 1),
+        ],
+    )
+    def test_cycle_found_past_the_trace(self, tmp_path, k, start, steps, period, transient):
+        # a walk of only --steps platforms has not found these cycles yet: the report walks on to find them
+        argv = ["schedule", "--K", str(k), "--start", start, "--steps", str(steps), "--outdir", str(tmp_path)]
+        assert main(argv) == 0
+        assert read_json(tmp_path / "schedule.json")["periodicity"] == {"period": period, "transient": transient}
+
+    @pytest.fixture(scope="class")
+    def matrices(self, tmp_path_factory):
+        family = tmp_path_factory.mktemp("family") / "family.csv"
+        family.write_text(wide_similarity_csv(0), encoding="utf-8")
+        return {"fixture": (None, load_bundled_similarity()), "family": (str(family), load_similarity_matrix(family))}
+
+    @given(
+        st.sampled_from(["fixture", "family"]),
+        st.sampled_from(["diversity", "uniform", "random_k"]),
+        st.integers(min_value=0, max_value=2**64 + 5),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_reference_schedule(self, tmp_path_factory, matrices, name, policy, seed, data):
+        path, sim = matrices[name]
+        k = data.draw(st.integers(min_value=2, max_value=sim.count), label="k")
+        start = data.draw(st.integers(min_value=0, max_value=sim.count - 1), label="start")
+        steps = data.draw(st.integers(min_value=2, max_value=80), label="steps")
+        outdir = tmp_path_factory.mktemp("schedule")
+        argv = ["schedule", "--policy", policy, "--K", str(k), "--start", sim.platforms[start]]
+        argv += ["--steps", str(steps), "--seed", str(seed), "--outdir", str(outdir)]
+        assert main(argv + (["--similarity", path] if path else [])) == 0
+        report = read_json(outdir / "schedule.json")
+        expected = reference_schedule(policy, sim.distances(), k, start, steps, substream(seed))
+        assert report["trace"] == [sim.platforms[i] for i in expected]
+        # a uniform schedule is a random walk: a repeated window in it is no period
+        periodicity = None if policy == "uniform" else detect_periodicity(expected, k)
+        assert report["periodicity"] == (None if periodicity is None else vars(periodicity))
 
     @pytest.mark.parametrize("policy", ["diversity", "uniform", "random_k"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, policy):
@@ -1054,6 +1117,11 @@ class TestNoOutputOnValidationError:
             (["schedule", "--steps", "0"], "steps must be >= 2"),
             (["schedule", "--steps", "1"], "steps must be >= 2"),
             *(
+                (["schedule", "--policy", policy, "--steps", str(steps)], f"steps must be at most {MAX_STEPS}")
+                for policy in ("diversity", "uniform", "random_k")
+                for steps in (MAX_STEPS + 1, 2**63 - 1)
+            ),
+            *(
                 (["scenario", "--N", "3", "--T", "10", "--samples", str(samples)],
                  "samples must be at most 100000000")
                 for samples in (2**63, 2**62, 10**11, 10**17)
@@ -1069,6 +1137,17 @@ class TestNoOutputOnValidationError:
             ),
             (["scenario", "--N", "3", "--T", "10", "--exploit", "0@abc"],
              "--exploit '0@abc': arrival must be 'uniform' or a number of seconds"),
+            *(
+                (["scenario", "--N", n, "--T", "10"], f"--N {n!r}: platform counts must be comma-separated integers")
+                for n in ("abc", "3,,")
+            ),
+            (["scenario", "--N", "3", "--T", "10", "--delay", "x,y"],
+             "--delay 'x,y': bounds must be numbers of seconds"),
+            *(
+                (["analytic", "--m", "2", "--n", "3", "--j", "2", "--p", p],
+                 f"--p {p!r}: must be a fraction or a decimal, e.g. 1/2 or 0.5")
+                for p in ("abc", "1/0")
+            ),
         ],
         ids=[
             "mc-trials-0",
@@ -1077,6 +1156,11 @@ class TestNoOutputOnValidationError:
             "mc-k-above-pool", "mc-random-k-above-pool", "scenario-samples-0",
             "schedule-diversity-k-1", "schedule-diversity-k-above-pool", "schedule-random-k-k-1",
             "schedule-random-k-above-pool", "schedule-steps-0", "schedule-steps-1",
+            # checked before any draw: 2**63 - 1 steps used to exit 3 with a bare "error: " for
+            # random_k, and 2 with NumPy's "array is too big" for the other two policies
+            "schedule-diversity-steps-above-max", "schedule-diversity-steps-2-63",
+            "schedule-uniform-steps-above-max", "schedule-uniform-steps-2-63",
+            "schedule-random-k-steps-above-max", "schedule-random-k-steps-2-63",
             # these used to end in a NumPy error, "array is too big" or an allocation failure
             "scenario-samples-2-63", "scenario-samples-2-62", "scenario-samples-1e11",
             "scenario-samples-711-PiB",
@@ -1085,6 +1169,10 @@ class TestNoOutputOnValidationError:
             # these used to print Python's own int() and float() messages
             "scenario-exploit-name", "scenario-exploit-empty-platform", "scenario-exploit-no-platforms",
             "scenario-exploit-float-platform", "scenario-exploit-arrival",
+            # these used to print Python's own int(), float() and Fraction() messages, and
+            # --p 1/0 ended in a ZeroDivisionError traceback
+            "scenario-n-name", "scenario-n-empty-count", "scenario-delay-names",
+            "analytic-p-name", "analytic-p-zero-denominator",
         ],
     )
     def test_outdir_not_created(self, tmp_path, capsys, argv, message):

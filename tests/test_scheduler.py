@@ -6,16 +6,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diversity_lab import PolicyKind, check_pool, detect_periodicity, heron_area, schedule
+from diversity_lab import PolicyKind, check_pool, heron_area, walk_bounds, walks
 from diversity_lab import scheduler
-from diversity_lab.scheduler import Periodicity, _most_diverse, diversity_walks
-from conftest import make_similarity
-from oracles import reference_schedule, scalar_diversity_trace, triangle_area_from_sides
+from diversity_lab.rng import draw_plan, draws, substream
+from diversity_lab.scheduler import _most_diverse, diversity_walks
+from conftest import make_similarity, seeded_walks
+from oracles import (
+    Periodicity,
+    detect_periodicity,
+    reference_schedule,
+    scalar_diversity_trace,
+    triangle_area_from_sides,
+)
 
 
 def diversity(sim, start, steps, k):
-    """The diversity schedule as a list; it draws nothing, so it takes no generator."""
-    return schedule(PolicyKind.DIVERSITY, sim, k, start, steps, None).tolist()
+    """The diversity schedule as a list; it draws nothing, so every seed gives it."""
+    return seeded_walks(PolicyKind.DIVERSITY, sim, k, steps, [start], 0)[0].tolist()
 
 
 class TestHeronArea:
@@ -139,23 +146,22 @@ def test_argmax_invariant_under_distance_scaling(sim, scale_tenths, data):
 class TestUniformSelection:
     def test_two_platforms_alternate(self):
         sim = make_similarity([[1.0, 0.5], [0.5, 1.0]])
-        chosen = schedule(PolicyKind.UNIFORM, sim, 3, 0, 6, np.random.default_rng(1)).tolist()
+        chosen = seeded_walks(PolicyKind.UNIFORM, sim, 3, 6, [0], 1)[0].tolist()
         assert chosen == [0, 1, 0, 1, 0, 1]
 
     def test_never_returns_current(self, five_platform_sim):
-        rng = np.random.default_rng(3)
-        chosen = schedule(PolicyKind.UNIFORM, five_platform_sim, 3, 2, 10_001, rng).tolist()
+        chosen = seeded_walks(PolicyKind.UNIFORM, five_platform_sim, 3, 10_001, [2], 3)[0].tolist()
         for current, nxt in zip(chosen, chosen[1:]):
             assert nxt != current
 
     def test_uniform_over_others(self, five_platform_sim):
-        rng = np.random.default_rng(123)
-        counts = {0: 0, 1: 0, 3: 0, 4: 0}
-        draws = 100_000
-        for _ in range(draws):
-            counts[int(schedule(PolicyKind.UNIFORM, five_platform_sim, 3, 2, 2, rng)[1])] += 1
-        expected = draws / 4
-        chi_square = sum((c - expected) ** 2 / expected for c in counts.values())
+        # one first move from platform 2 on each of the streams (123, row)
+        samples = 100_000
+        moves = seeded_walks(PolicyKind.UNIFORM, five_platform_sim, 3, 2, np.full(samples, 2), 123, np.arange(samples))
+        counts = np.bincount(moves[:, 1], minlength=5)
+        assert counts[2] == 0
+        expected = samples / 4
+        chi_square = sum((c - expected) ** 2 / expected for c in counts[[0, 1, 3, 4]])
         # 3 degrees of freedom; 16.27 is the 0.999 quantile
         assert chi_square < 16.27
 
@@ -166,14 +172,13 @@ class TestUniformSelection:
 
 class TestRandomKPolicy:
     def test_rotation_has_period_k(self, five_platform_sim):
-        chosen = schedule(PolicyKind.RANDOM_K, five_platform_sim, 3, None, 12, np.random.default_rng(9))
-        periodicity = detect_periodicity(chosen.tolist(), 3)
-        assert periodicity is not None
-        assert periodicity.period == 3
-        assert periodicity.transient == 0
+        (values,) = draws([draw_plan(walk_bounds(PolicyKind.RANDOM_K, 5, 3, 12))], 9)
+        (chosen,), (period,) = walks(PolicyKind.RANDOM_K, five_platform_sim.distances(), 3, 12, values)
+        assert period == 3
+        assert detect_periodicity(chosen.tolist(), 3) == Periodicity(period=3, transient=0)
 
     def test_k_equals_count_rotates_everything(self):
-        chosen = schedule(PolicyKind.RANDOM_K, make_similarity(np.eye(4)), 4, None, 4, np.random.default_rng(0))
+        chosen = seeded_walks(PolicyKind.RANDOM_K, make_similarity(np.eye(4)), 4, 4, None, 0)[0]
         assert sorted(chosen.tolist()) == [0, 1, 2, 3]
 
     def test_k_larger_than_count_rejected(self):
@@ -181,14 +186,14 @@ class TestRandomKPolicy:
             check_pool(PolicyKind.RANDOM_K, 4, 3)
 
     def test_subsets_uniform(self, five_platform_sim):
-        rng = np.random.default_rng(2718)
+        # one subset on each of the streams (2718, row)
         counts: dict[frozenset, int] = {}
-        draws = 20_000
-        for _ in range(draws):
-            key = frozenset(schedule(PolicyKind.RANDOM_K, five_platform_sim, 3, None, 3, rng).tolist())
+        samples = 20_000
+        for chosen in seeded_walks(PolicyKind.RANDOM_K, five_platform_sim, 3, 3, None, 2718, np.arange(samples)):
+            key = frozenset(chosen.tolist())
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 10
-        expected = draws / 10
+        expected = samples / 10
         chi_square = sum((c - expected) ** 2 / expected for c in counts.values())
         # 9 degrees of freedom; 27.88 is the 0.999 quantile
         assert chi_square < 27.88
@@ -209,11 +214,11 @@ class TestCheckPool:
 def test_start_out_of_range_rejected(five_platform_sim, kind, start):
     # as an index, -1 would start the walk on the last platform; None is no platform at all
     with pytest.raises(ValueError, match=f"start platform {start} out of range"):
-        schedule(kind, five_platform_sim, 3, start, 10, np.random.default_rng(0))
+        seeded_walks(kind, five_platform_sim, 3, 10, [start], 0)
 
 
 class TestScheduleEqualsReference:
-    """``schedule`` equals the one-scalar-at-a-time oracle, and leaves the generator where it leaves it."""
+    """A walk drawn on ``substream(seed)`` equals the one-scalar-at-a-time oracle on that stream."""
 
     @given(
         st.sampled_from(list(PolicyKind)),
@@ -229,13 +234,13 @@ class TestScheduleEqualsReference:
         scorer = TestVectorizedScorerMatchesScalarReference
         levels = data.draw(st.sampled_from(sorted(scorer.LEVELS)))
         sim = scorer.random_sim(np.random.default_rng(seed), count, scorer.LEVELS[levels])
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        chosen = schedule(kind, sim, k, start, steps, ours)
-        assert chosen.tolist() == reference_schedule(kind.value, sim.distances(), k, start, steps, theirs)
-        assert ours.random() == theirs.random()
+        chosen = seeded_walks(kind, sim, k, steps, [start], seed)[0]
+        assert chosen.tolist() == reference_schedule(kind.value, sim.distances(), k, start, steps, substream(seed))
 
 
 class TestDetectPeriodicity:
+    """The brute-force oracle that the ``schedule`` command's periodicity is checked against."""
+
     def test_constructed_trace(self):
         result = detect_periodicity([0, 1, 2, 1, 2, 1, 2], 3)
         assert result is not None
@@ -274,13 +279,11 @@ class TestDetectPeriodicity:
 class TestNoAdjacentRepeats:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_all_policies(self, five_platform_sim, seed):
-        rng = np.random.default_rng(seed)
-        sim = five_platform_sim
-        traces = [schedule(PolicyKind.DIVERSITY, sim, 3, int(rng.integers(5)), 61, rng)]
-        traces.append(schedule(PolicyKind.UNIFORM, sim, 3, int(rng.integers(5)), 61, rng))
-        traces.append(schedule(PolicyKind.RANDOM_K, sim, 3, None, 61, rng))
-        for chosen in traces:
-            assert all(a != b for a, b in zip(chosen, chosen[1:]))
+        # a walk from each start, on the streams (seed, start)
+        starts = np.arange(5)
+        for kind in PolicyKind:
+            chosen = seeded_walks(kind, five_platform_sim, 3, 61, starts, seed, starts)
+            assert (chosen[:, 1:] != chosen[:, :-1]).all()
 
 
 class TestVectorizedScorerMatchesScalarReference:
@@ -337,13 +340,13 @@ def stepped_walks(dist, starts, steps, k):
 
 
 def first_repeat(walk, k):
-    """The first column whose window of k - 1 platforms equals an earlier one, or None."""
-    seen = set()
+    """The first column whose window of k - 1 platforms equals an earlier one, and its distance to it, or None."""
+    seen = {}
     for step in range(k - 2, len(walk)):
         window = tuple(walk[step - k + 2 : step + 1])
         if window in seen:
-            return step
-        seen.add(window)
+            return step, step - seen[window]
+        seen[window] = step
     return None
 
 
@@ -365,7 +368,12 @@ def distance_matrices(draw):
 
 
 class TestWalksStopAtTheirCycle:
-    """``diversity_walks`` stops once every window has repeated; its walks equal a walk scored every step."""
+    """``diversity_walks`` stops once every window has repeated; its walks equal a walk scored every step.
+
+    A row's period is the distance of its first repeated window, or 0 while
+    Brent's search has not found it, as it always has by twice that
+    window's step plus k.
+    """
 
     @given(distance_matrices(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -374,15 +382,19 @@ class TestWalksStopAtTheirCycle:
         k = data.draw(st.integers(min_value=2, max_value=min(count, 6)))
         steps = data.draw(st.integers(min_value=1, max_value=300))
         starts = np.arange(count)
-        np.testing.assert_array_equal(
-            diversity_walks(dist, starts, steps, k), stepped_walks(dist, starts, steps, k), strict=True
-        )
+        walked, periods = diversity_walks(dist, starts, steps, k)
+        expected = stepped_walks(dist, starts, steps, k)
+        np.testing.assert_array_equal(walked, expected, strict=True)
+        for walk, period in zip(expected.tolist(), periods.tolist()):
+            step, distance = first_repeat(walk, k) or (steps, 0)
+            assert period in (0, distance)
+            assert period == distance or steps < 2 * step + k
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_fewer_steps_than_k(self, five_platform_sim, k):
         dist = five_platform_sim.distances()
         for steps in range(1, k):
-            assert diversity_walks(dist, np.arange(5), steps, k).tolist() == stepped_walks(
+            assert diversity_walks(dist, np.arange(5), steps, k)[0].tolist() == stepped_walks(
                 dist, np.arange(5), steps, k
             ).tolist()
 
@@ -396,8 +408,10 @@ class TestWalksStopAtTheirCycle:
         dist[np.arange(count - 1), np.arange(1, count)] = edges
         dist[np.arange(1, count), np.arange(count - 1)] = edges
         expected = stepped_walks(dist, np.arange(count), 300, 2)
-        assert first_repeat(expected[0].tolist(), 2) > 32
-        np.testing.assert_array_equal(diversity_walks(dist, np.arange(count), 300, 2), expected, strict=True)
+        assert first_repeat(expected[0].tolist(), 2) == (40, 2)
+        walked, periods = diversity_walks(dist, np.arange(count), 300, 2)
+        np.testing.assert_array_equal(walked, expected, strict=True)
+        assert periods[0] == 2
 
     @pytest.fixture
     def scored(self, monkeypatch):
@@ -412,12 +426,13 @@ class TestWalksStopAtTheirCycle:
 
     @pytest.mark.parametrize("k, most", [(2, 8), (3, 16), (4, 16), (5, 16)])
     def test_fixture_walks_stop_early(self, five_platform_sim, scored, k, most):
-        walks = diversity_walks(five_platform_sim.distances(), np.arange(5), 100, k)
+        walked, _ = diversity_walks(five_platform_sim.distances(), np.arange(5), 100, k)
         assert len(scored) <= most
-        assert walks.tolist() == stepped_walks(five_platform_sim.distances(), np.arange(5), 100, k).tolist()
+        assert walked.tolist() == stepped_walks(five_platform_sim.distances(), np.arange(5), 100, k).tolist()
 
     def test_walk_that_never_repeats_scores_every_step(self, five_platform_sim, scored):
         # with k = 5 the windows of steps 4 and 5 are each one step past their checkpoint,
         # and a walk never stays on a platform, so neither repeats
-        diversity_walks(five_platform_sim.distances(), np.arange(5), 6, 5)
+        _, periods = diversity_walks(five_platform_sim.distances(), np.arange(5), 6, 5)
         assert len(scored) == 5
+        assert periods.tolist() == [0] * 5

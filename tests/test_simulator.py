@@ -21,7 +21,8 @@ from diversity_lab import (
     PolicyKind,
     compute_metrics,
     run_mc_study,
-    schedule,
+    walk_bounds,
+    walks,
 )
 from conftest import make_similarity
 from oracles import naive_trace_metrics, reference_labeling, reference_study
@@ -72,10 +73,9 @@ class TestAssignVulnerabilities:
 
 
 def trial_trace(kind, sim, intervals, seed):
-    """One trial's platforms under a ``kind`` policy with k = 3, drawn from ``seed`` as the study draws them."""
-    rng = np.random.default_rng(seed)
-    start = None if kind is PolicyKind.RANDOM_K else int(rng.integers(sim.count))
-    return schedule(kind, sim, 3, start, intervals, rng)
+    """One trial's platforms under a ``kind`` policy with k = 3, drawn on ``substream(seed)`` as the study draws them."""
+    (values,) = draws([draw_plan(walk_bounds(kind, sim.count, 3, intervals, start=True))], seed)
+    return walks(kind, sim.distances(), 3, intervals, values)[0][0]
 
 
 class TestRunMcTrial:
@@ -383,8 +383,8 @@ class TestOneDerivationPerStream:
     @pytest.mark.parametrize(
         "kinds, calls",
         [
-            (DEFAULT_POLICY_KINDS, [((0, 1, 3, 2), [2000])]),
-            ((PolicyKind.UNIFORM, PolicyKind.RANDOM_K), [((0, 3, 2), [1500])]),
+            (DEFAULT_POLICY_KINDS, [((0, 1, 2, 3), [2000])]),
+            ((PolicyKind.UNIFORM, PolicyKind.RANDOM_K), [((0, 2, 3), [1500])]),
         ],
         ids=["default-policies", "uniform-and-random-k"],
     )
@@ -395,15 +395,15 @@ class TestOneDerivationPerStream:
     def test_short_study_seeds_full_blocks(self, five_platform_sim, derived):
         # the 12,000 key rows of 3,000 eight-interval trials take three seedings, not one per stream
         run_mc_study(McConfig(trials=3000, intervals=8), five_platform_sim)
-        assert derived == [((0, 1, 3, 2), [WORD_BLOCK, WORD_BLOCK, 12000 - 2 * WORD_BLOCK])]
+        assert derived == [((0, 1, 2, 3), [WORD_BLOCK, WORD_BLOCK, 12000 - 2 * WORD_BLOCK])]
 
     @pytest.mark.parametrize(
         "kinds, trials, calls",
         [
-            (DEFAULT_POLICY_KINDS, WORD_BLOCK // 4, [((0, 1, 3, 2), [WORD_BLOCK])]),
-            (DEFAULT_POLICY_KINDS, WORD_BLOCK // 4 + 1, [((0, 1, 3, 2), [WORD_BLOCK, 4])]),
-            ((PolicyKind.UNIFORM, PolicyKind.RANDOM_K), WORD_BLOCK // 3, [((0, 3, 2), [WORD_BLOCK - 1])]),
-            ((PolicyKind.UNIFORM, PolicyKind.RANDOM_K), WORD_BLOCK // 3 + 1, [((0, 3, 2), [WORD_BLOCK, 2])]),
+            (DEFAULT_POLICY_KINDS, WORD_BLOCK // 4, [((0, 1, 2, 3), [WORD_BLOCK])]),
+            (DEFAULT_POLICY_KINDS, WORD_BLOCK // 4 + 1, [((0, 1, 2, 3), [WORD_BLOCK, 4])]),
+            ((PolicyKind.UNIFORM, PolicyKind.RANDOM_K), WORD_BLOCK // 3, [((0, 2, 3), [WORD_BLOCK - 1])]),
+            ((PolicyKind.UNIFORM, PolicyKind.RANDOM_K), WORD_BLOCK // 3 + 1, [((0, 2, 3), [WORD_BLOCK, 2])]),
             ((PolicyKind.UNIFORM,), WORD_BLOCK // 2, [((0, 2), [WORD_BLOCK])]),
             ((PolicyKind.UNIFORM,), WORD_BLOCK // 2 + 1, [((0, 2), [WORD_BLOCK, 2])]),
         ],
@@ -429,7 +429,7 @@ class TestOneDerivationPerStream:
         config = McConfig(trials=WORD_CELLS // 600 + 1, intervals=4, k=2, master_seed=5)
         assert config.trials * sim.count > WORD_CELLS
         TestStudyMatchesPerStepReference.assert_matches(config, sim)
-        assert derived == [((0, 1, 3, 2), [4 * (WORD_CELLS // 600)]), ((0, 1, 3, 2), [4])]
+        assert derived == [((0, 1, 2, 3), [4 * (WORD_CELLS // 600)]), ((0, 1, 2, 3), [4])]
 
 
 class TestDecodedDrawsEqualGeneratorDraws:
