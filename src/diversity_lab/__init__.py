@@ -37,7 +37,7 @@ from .scenario import (
     ScenarioConfig,
     run_scenario_study,
 )
-from .scheduler import check_pool, heron_area, walk_bounds, walks
+from .scheduler import heron_area, search_length, walk_bounds, walks
 from .simulator import (
     EmpiricalCdf,
     McConfig,
@@ -59,7 +59,6 @@ __all__ = [
     "ScenarioConfig",
     "SimilarityMatrix",
     "bundled_similarity_path",
-    "check_pool",
     "choose",
     "compute_metrics",
     "expected_control_fraction",
@@ -73,6 +72,7 @@ __all__ = [
     "run_mc_study",
     "run_scenario_study",
     "save_similarity_matrix",
+    "search_length",
     "steady_state",
     "substream",
     "walk_bounds",

@@ -38,8 +38,8 @@ from .analytic import (
 from .core import PolicyKind, SimilarityMatrix, bundled_similarity_path, check_platform_count, load_similarity_matrix
 from .rng import draw_plan, draws
 from .scenario import DEFAULT_EXPLOITS, ExploitSpec, ScenarioConfig, run_scenario_study
-from .scheduler import check_pool, walk_bounds, walks
-from .simulator import POLICY_BY_NAME, McConfig, run_mc_study
+from .scheduler import search_length, walk_bounds, walks
+from .simulator import DEFAULT_POLICY_KINDS, POLICY_BY_NAME, McConfig, run_mc_study
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -157,10 +157,7 @@ def cmd_schedule(args) -> int:
     seed = _resolve_seed(args.seed)
     start = sim.platforms.index(args.start if args.start is not None else sim.platforms[0])
     kind = POLICY_BY_NAME[args.policy]
-    check_pool(kind, args.K, sim.count)
-    # Brent's search finds every cycle the report shows within 2·steps + k platforms; k is capped at the
-    # pool only for a uniform walk, which ignores it and so may be given any
-    length = 2 * args.steps + min(args.K, sim.count)
+    length = search_length(kind, sim.count, args.K, args.steps)
     (values,) = draws([draw_plan(walk_bounds(kind, sim.count, args.K, length))], seed)
     (walk,), (period,) = walks(kind, sim.distances(), args.K, length, values, [start])
     # from the transient on, each platform recurs a period later; a period is shown when the steps after
@@ -331,9 +328,8 @@ def cmd_scenario(args) -> int:
         delay = _convert(float, args.delay.split(","), f"--delay {args.delay!r}: bounds must be numbers of seconds")
         if len(delay) != 2:
             raise ValueError("--delay must look like lo,hi")
-        max_n = max(n_values)
-        exploit_specs = args.exploit if args.exploit else ["0", "1,2"]
-        exploits = tuple(_parse_exploit(spec, max_n) for spec in exploit_specs)
+        specs = args.exploit or ()
+        exploits = tuple(_parse_exploit(spec, max(n_values)) for spec in specs) or DEFAULT_EXPLOITS
         config = ScenarioConfig(
             t_values=t_values,
             n_values=n_values,
@@ -396,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--trials", type=int, default=500)
     mc.add_argument("--intervals", type=int, default=100)
     mc.add_argument("--K", type=int, default=3)
-    mc.add_argument("--policies", default="diversity,uniform,random_k")
+    mc.add_argument("--policies", default=",".join(kind.value for kind in DEFAULT_POLICY_KINDS))
     mc.add_argument("--seed", type=int, default=None)
     mc.add_argument("--from-manifest", default=None, help="rerun a previous run_manifest.json")
     mc.add_argument("--outdir", default="mc_results")

@@ -10,11 +10,12 @@ a step is a pure function of the last k-1 platforms, so a diversity
 walk is periodic from its first repeated window; ``diversity_walks``
 finds that window with Brent's cycle search, stops there, returns the
 cycle's length as the walk's period and repeats the cycle. A policy is
-a ``PolicyKind`` and its ``k``: ``check_pool`` says whether it can
-schedule over a pool, ``walk_bounds`` lists the draws its walk takes,
-as ``rng.draw_plan`` takes them, and ``walks`` turns the decoded draws
-into walks and their periods. The study and the ``schedule`` command
-both schedule through these two, so each policy is stated here once.
+a ``PolicyKind`` and its ``k``: ``walk_bounds`` refuses a pool it cannot
+schedule over and lists the draws its walk takes, as ``rng.draw_plan``
+takes them, ``walks`` turns the decoded draws into walks and their
+periods, and ``search_length`` says how far a ``schedule`` report walks.
+The study and the command schedule through these alone, and no other
+module tells one kind from another, so each policy is stated here once.
 """
 
 from __future__ import annotations
@@ -45,18 +46,6 @@ def heron_area(a, b, c):
         logger.debug("clamped %d negative squared triangle area(s) to zero", clamped)
         squared = np.where(negative, 0.0, squared)
     return np.sqrt(squared)
-
-
-def check_pool(kind: PolicyKind, k: int, count: int) -> None:
-    """Raise ValueError when a ``kind`` policy with horizon ``k`` cannot schedule over ``count`` platforms."""
-    if kind is not PolicyKind.UNIFORM and k < 2:
-        raise ValueError(f"{kind.value} policy requires k >= 2")
-    if kind is PolicyKind.RANDOM_K and k > count:
-        raise ValueError(f"cannot rotate over k={k} of {count} platforms")
-    if kind is PolicyKind.DIVERSITY and k > count:
-        raise ValueError(f"policy requires k={k} distinct platforms, only {count} available")
-    if kind is not PolicyKind.RANDOM_K and count < 2:
-        raise ValueError("migration without repeat needs at least two platforms")
 
 
 def _most_diverse(dist: np.ndarray, hist) -> np.ndarray:
@@ -141,12 +130,26 @@ def walk_bounds(kind: PolicyKind, count: int, k: int, steps: int, start: bool = 
     ``integers(N - 1)`` per move, and a random-k walk ``rng._floyd_bounds``,
     the draws of ``choice(N, k, replace=False)``. With ``start``, a walk
     that has a start, every kind but random-k, first draws it, ``integers(N)``.
-    The caller checks the pool with ``check_pool``.
+    A pool that a ``kind`` walk with horizon ``k`` cannot be scheduled over raises ValueError.
     """
+    if kind is not PolicyKind.UNIFORM and k < 2:
+        raise ValueError(f"{kind.value} policy requires k >= 2")
     if kind is PolicyKind.RANDOM_K:
+        if k > count:
+            raise ValueError(f"cannot rotate over k={k} of {count} platforms")
         return _floyd_bounds(count, k)
+    if kind is PolicyKind.DIVERSITY and k > count:
+        raise ValueError(f"policy requires k={k} distinct platforms, only {count} available")
+    if count < 2:
+        raise ValueError("migration without repeat needs at least two platforms")
     moves = [count - 1] * (steps - 1) if kind is PolicyKind.UNIFORM else []
     return [count] * start + moves
+
+
+def search_length(kind: PolicyKind, count: int, k: int, steps: int) -> int:
+    """The platforms a ``schedule`` report of ``steps`` walks: Brent's search finds every cycle it shows within them."""
+    # a uniform walk has no cycle; a random-k walk's period, k, may exceed steps
+    return steps if kind is PolicyKind.UNIFORM else 2 * steps + min(k, count)
 
 
 def walks(

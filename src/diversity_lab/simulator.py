@@ -14,15 +14,15 @@ draws for a chunk of trials at once:
 
 - labeling: ``integers(N)`` for the seed platform, then a ``random()``
   double for each other platform;
-- each policy: ``scheduler.walk_bounds`` with the start, which is
-  ``integers(N)`` for every policy but random-k.
+- each policy: ``scheduler.walk_bounds`` with the start, which also
+  refuses, in policy order and before any draw, a pool it cannot schedule.
 
 Each policy's trials × intervals vulnerability matrix is built as
 arrays by ``scheduler.walks``, as the ``schedule`` command builds its
-walk. The diversity trace depends only on (similarity, k, start), so it
-comes from one batched walk per chunk over the distinct starts no
-earlier chunk has walked, which stops once every start's cycle is
-found. The metrics stay arrays up to the CLI's writers.
+walk; this module branches on no policy kind. A walk that draws nothing
+after its start, as diversity's, depends only on (similarity, k, start),
+so it comes from one batched walk per chunk over the distinct starts no
+earlier chunk has walked. The metrics stay arrays up to the CLI's writers.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .core import (
 )
 from .rng import WORD_CELLS, draw_plan, draws
 from .rng import substream  # unused here: the benchmark tracer's test wraps simulator.substream
-from .scheduler import check_pool, walk_bounds, walks
+from .scheduler import walk_bounds, walks
 
 LABELING_STREAM = 0
 #: The study policies, each with a stable stream id, so a policy's trials are
@@ -221,8 +221,6 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
     streams, keyed stream-major with a plan each.
     """
     policies = config.policy_kinds
-    for kind in policies:
-        check_pool(kind, config.k, sim.count)
     seed, count, intervals, k = config.master_seed, sim.count, config.intervals, config.k
     # step-major, as uniform_walks lays out its walks
     vulnerable = {kind: np.empty((config.trials, intervals), dtype=bool, order="F") for kind in policies}
@@ -233,8 +231,9 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
         plans[POLICY_STREAM[kind]] = draw_plan(walk_bounds(kind, count, k, intervals, start=True))
     streams = np.array(list(plans))[:, None]
     dist = sim.distances()
-    # a diversity walk draws nothing after its start: one walk per distinct start serves all trials
-    walk_of, walked = np.full(count, -1), np.empty((0, intervals), dtype=np.intp)
+    # a walk that draws nothing after its start depends on it alone: walk each start once, in the first chunk
+    fixed = [kind for kind in policies if not walk_bounds(kind, count, k, intervals)]
+    cache = {kind: (np.full(count, -1), np.empty((0, intervals), dtype=np.intp)) for kind in fixed}
     chunk = max(1, WORD_CELLS // max(intervals, count))
     for first in range(0, config.trials, chunk):
         rows = trials[first : first + chunk]
@@ -244,12 +243,13 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
         offsets = (np.arange(len(rows)) * count)[:, None]
         for kind in policies:
             drawn = values[POLICY_STREAM[kind]]
-            if kind is PolicyKind.DIVERSITY:
-                starts = drawn[0].astype(np.intp)
+            if kind in cache:
+                (walk_of, walked), starts = cache[kind], drawn[0].astype(np.intp)
                 new = np.flatnonzero((walk_of < 0) & (np.bincount(starts, minlength=count) > 0))
                 if new.size:
                     walk_of[new] = len(walked) + np.arange(len(new))
                     walked = np.concatenate([walked, walks(kind, dist, k, intervals, drawn[1:], new)[0]])
+                    cache[kind] = walk_of, walked
                 chosen = walked[walk_of[starts]]
             else:
                 chosen = walks(kind, dist, k, intervals, drawn)[0]

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from diversity_lab import expected_time_to_compromise, load_bundled_similarity, 
 from diversity_lab.cli import MAX_STEPS, MAX_SWEEP_POINTS, _json_text, _parse_t_values, main
 from diversity_lab.rng import substream
 from diversity_lab.scenario import MAX_STAYS
+from diversity_lab.scheduler import walks
 from conftest import wide_similarity_csv
 from oracles import detect_periodicity, reference_schedule
 
@@ -337,6 +339,62 @@ class TestScheduleCommand:
         # a uniform schedule is a random walk: a repeated window in it is no period
         periodicity = None if policy == "uniform" else detect_periodicity(expected, k)
         assert report["periodicity"] == (None if periodicity is None else vars(periodicity))
+
+    @pytest.mark.parametrize("policy, walked", [("uniform", 40), ("diversity", 85), ("random_k", 85)])
+    def test_report_walks_its_search_length(self, tmp_path, monkeypatch, policy, walked):
+        # Brent's search needs 2·steps + k platforms; a uniform walk has no cycle, so it walks only its steps
+        lengths = []
+
+        def recorded(kind, dist, k, steps, values, starts=None):
+            lengths.append(steps)
+            return walks(kind, dist, k, steps, values, starts)
+
+        monkeypatch.setattr("diversity_lab.cli.walks", recorded)
+        argv = ["schedule", "--policy", policy, "--K", "5", "--steps", "40", "--outdir", str(tmp_path)]
+        assert main(argv) == 0
+        assert lengths == [walked]
+
+    @staticmethod
+    def assert_sweep_equals_reference(outdir, path, sim, policy, k, seeds, steps):
+        """Each ``schedule`` of ``policy`` over every start, seed and steps equals the oracles' trace and period."""
+        for seed, start, count in itertools.product(seeds, range(sim.count), steps):
+            argv = ["schedule", "--policy", policy, "--K", str(k), "--start", sim.platforms[start], "--steps", str(count)]
+            argv += ["--seed", str(seed), "--outdir", str(outdir)] + (["--similarity", str(path)] if path else [])
+            assert main(argv) == 0
+            report = read_json(outdir / "schedule.json")
+            expected = reference_schedule(policy, sim.distances(), k, start, count, substream(seed))
+            periodicity = None if policy == "uniform" else detect_periodicity(expected, k)
+            case = (policy, k, start, count, seed)
+            assert report["trace"] == [sim.platforms[i] for i in expected], case
+            assert report["periodicity"] == (None if periodicity is None else vars(periodicity)), case
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "policy, seeds, steps",
+        [
+            # diversity draws nothing, so one seed covers it
+            ("diversity", [0], range(2, 81)),
+            ("uniform", [0, 1], range(2, 81, 6)),
+            ("random_k", [0, 1], range(2, 81, 6)),
+        ],
+        ids=["diversity", "uniform", "random_k"],
+    )
+    def test_fixture_sweep_equals_reference(self, tmp_path, five_platform_sim, k, policy, seeds, steps):
+        # every start and steps on the fixture, so each cycle that lies past a short trace is met
+        self.assert_sweep_equals_reference(tmp_path, None, five_platform_sim, policy, k, seeds, steps)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_short_cycle_sweep_equals_reference(self, tmp_path, k):
+        # at K 4 and 5 every diversity walk here ends in a swap of two platforms: a cycle shorter than
+        # the k - 1 platforms a step depends on, which is shown only once the steps repeat those
+        path = tmp_path / "short.csv"
+        path.write_text(
+            "p0,p1,p2,p3,p4\np0,1.0,1.0,0.5,1.0,0.5\np1,1.0,1.0,0.0,1.0,0.5\np2,0.5,0.0,1.0,1.0,0.5\n"
+            "p3,1.0,1.0,1.0,1.0,1.0\np4,0.5,0.5,0.5,1.0,1.0\n",
+            encoding="utf-8",
+        )
+        sim = load_similarity_matrix(path)
+        self.assert_sweep_equals_reference(tmp_path, path, sim, "diversity", k, [0], range(2, 41))
 
     @pytest.mark.parametrize("policy", ["diversity", "uniform", "random_k"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, policy):

@@ -1,12 +1,13 @@
 import itertools
 import logging
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diversity_lab import PolicyKind, check_pool, heron_area, walk_bounds, walks
+from diversity_lab import PolicyKind, heron_area, walk_bounds, walks
 from diversity_lab import scheduler
 from diversity_lab.rng import draw_plan, draws, substream
 from diversity_lab.scheduler import _most_diverse, diversity_walks
@@ -96,7 +97,7 @@ class TestDiversitySelection:
     def test_too_few_platforms_rejected(self):
         sim = make_similarity([[1.0, 0.5], [0.5, 1.0]])
         with pytest.raises(ValueError, match="distinct platforms"):
-            check_pool(PolicyKind.DIVERSITY, 3, sim.count)
+            walk_bounds(PolicyKind.DIVERSITY, sim.count, 3, 10)
 
 
 @st.composite
@@ -167,7 +168,7 @@ class TestUniformSelection:
 
     def test_single_platform_rejected(self):
         with pytest.raises(ValueError):
-            check_pool(PolicyKind.UNIFORM, 3, 1)
+            walk_bounds(PolicyKind.UNIFORM, 1, 3, 10)
 
 
 class TestRandomKPolicy:
@@ -183,7 +184,7 @@ class TestRandomKPolicy:
 
     def test_k_larger_than_count_rejected(self):
         with pytest.raises(ValueError):
-            check_pool(PolicyKind.RANDOM_K, 4, 3)
+            walk_bounds(PolicyKind.RANDOM_K, 3, 4, 10)
 
     def test_subsets_uniform(self, five_platform_sim):
         # one subset on each of the streams (2718, row)
@@ -199,14 +200,50 @@ class TestRandomKPolicy:
         assert chi_square < 27.88
 
 
-class TestCheckPool:
+class TestWalkBoundsRefusesPools:
+    """``walk_bounds`` is the one door to a walk: it refuses every pool its kind cannot schedule."""
+
     def test_diversity_requires_k(self):
         with pytest.raises(ValueError, match="k >= 2"):
-            check_pool(PolicyKind.DIVERSITY, 1, 5)
+            walk_bounds(PolicyKind.DIVERSITY, 5, 1, 10)
 
     @pytest.mark.parametrize("k", [1, 9])
     def test_uniform_ignores_k(self, k):
-        check_pool(PolicyKind.UNIFORM, k, 5)
+        assert walk_bounds(PolicyKind.UNIFORM, 5, k, 10) == [4] * 9
+
+    @pytest.mark.parametrize("start", [False, True])
+    @pytest.mark.parametrize(
+        "kind, count, k, message",
+        [
+            (PolicyKind.RANDOM_K, 3, 4, "cannot rotate over k=4 of 3 platforms"),
+            (PolicyKind.DIVERSITY, 3, 4, "policy requires k=4 distinct platforms, only 3 available"),
+            (PolicyKind.UNIFORM, 1, 3, "migration without repeat needs at least two platforms"),
+            # k = 2 is more than one platform can hold, and k < 2 is refused first
+            (PolicyKind.DIVERSITY, 1, 2, "policy requires k=2 distinct platforms, only 1 available"),
+            (PolicyKind.DIVERSITY, 1, 1, "diversity policy requires k >= 2"),
+            (PolicyKind.DIVERSITY, 5, 1, "diversity policy requires k >= 2"),
+            (PolicyKind.RANDOM_K, 5, 1, "random_k policy requires k >= 2"),
+            (PolicyKind.RANDOM_K, 5, 0, "random_k policy requires k >= 2"),
+        ],
+        ids=[
+            "random-k-k-above-pool",
+            "diversity-k-above-pool",
+            "uniform-one-platform",
+            "diversity-one-platform",
+            "diversity-one-platform-k1",
+            "diversity-k1",
+            "random-k-k1",
+            "random-k-k0",
+        ],
+    )
+    def test_unschedulable_pool_raises(self, kind, count, k, message, start):
+        # unchecked, a random-k walk of k > N would list a bound 0, a random() draw, among its integers draws
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            walk_bounds(kind, count, k, 6, start)
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_smallest_pools_are_scheduled(self, kind):
+        assert walk_bounds(kind, 2, 2, 3, start=True)
 
 
 @pytest.mark.parametrize("kind", [PolicyKind.DIVERSITY, PolicyKind.UNIFORM])

@@ -513,6 +513,25 @@ class TestBatchedDrawsEqualScalarDraws:
         assert int(batched.integers(count)) == int(scalar.integers(count))
 
 
+class TestStartOnlyWalksAreCached:
+    """A walk that draws nothing after its start is walked once per start and study, not once per chunk."""
+
+    def test_each_start_walked_once_across_chunks(self, five_platform_sim, monkeypatch):
+        walked = []
+
+        def recorded(kind, dist, k, steps, values, starts=None):
+            walked.append((kind, None if starts is None else np.asarray(starts).tolist()))
+            return walks(kind, dist, k, steps, values, starts)
+
+        monkeypatch.setattr(simulator, "walks", recorded)
+        config = McConfig(trials=3 * (WORD_CELLS // 100), intervals=100)
+        run_mc_study(config, five_platform_sim)
+        # three chunks: the first draws every diversity start, and each chunk walks the other kinds anew
+        assert walked.count((PolicyKind.DIVERSITY, [0, 1, 2, 3, 4])) == 1
+        assert walked.count((PolicyKind.UNIFORM, None)) == walked.count((PolicyKind.RANDOM_K, None)) == 3
+        assert len(walked) == 7
+
+
 class TestPoolErrorsBeforeAnyTrial:
     """An unschedulable policy fails the study, in policy order, before any stream is drawn."""
 
