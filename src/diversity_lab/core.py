@@ -12,7 +12,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -176,7 +175,7 @@ def save_similarity_matrix(matrix: SimilarityMatrix, path: str | Path) -> None:
 
 def bundled_similarity_path() -> Path:
     """Filesystem path of the five-platform similarity fixture shipped with the package."""
-    return Path(resources.files("diversity_lab.data") / BUNDLED_SIMILARITY_NAME)
+    return Path(__file__).parent / "data" / BUNDLED_SIMILARITY_NAME
 
 
 def load_bundled_similarity() -> SimilarityMatrix:

@@ -48,29 +48,27 @@ def heron_area(a, b, c):
     return np.sqrt(squared)
 
 
-def _most_diverse(dist: np.ndarray, hist) -> np.ndarray:
-    """Index of the candidate scoring highest against each history row (most recent last).
+def _most_diverse(dist: np.ndarray, hist: np.ndarray) -> np.ndarray:
+    """Index of the candidate scoring highest against each row of ``hist``.
 
-    ``hist`` holds one history per row, in its last axis. All candidates
-    of every row are scored at once, with the same elementwise operations
-    for one row as for many; the current platform is excluded and ties go
-    to the lowest index. Distances are symmetric, so row ``p`` of
-    ``dist`` holds every candidate's distance to platform ``p``.
+    ``hist`` is a (rows, width) integer array, one walk's last platforms
+    per row, most recent last; width is at most k − 1. All candidates of
+    every row are scored at once, with the same elementwise operations for
+    one row as for many, so a row's choice does not depend on the others;
+    the current platform is excluded and ties go to the lowest index.
+    Distances are symmetric, so row ``p`` of ``dist`` holds every
+    candidate's distance to platform ``p``.
     """
-    hist = np.asarray(hist)
-    first = hist[..., 0]
-    # take copies the rows, so the scores can be written
-    scores = np.take(dist, first, axis=0)
-    if hist.shape[-1] == 2:
-        second = hist[..., 1]
-        scores = heron_area(scores, np.take(dist, second, axis=0), dist[first, second][..., None])
-    elif hist.shape[-1] > 2:
+    # indexing with an array copies the rows, so the scores can be written
+    scores = dist[hist[:, 0]]
+    if hist.shape[1] == 2:
+        scores = heron_area(scores, dist[hist[:, 1]], dist[hist[:, 0], hist[:, 1]][:, None])
+    else:
         # added in history order: the order fixes the rounding, and so the ties
-        for prior in np.moveaxis(hist[..., 1:], -1, 0):
-            scores += np.take(dist, prior, axis=0)
-    current = hist[..., -1]
-    scores[(*np.indices(current.shape, sparse=True), current)] = -np.inf
-    return scores.argmax(axis=-1)
+        for prior in range(1, hist.shape[1]):
+            scores += dist[hist[:, prior]]
+    scores[np.arange(len(hist)), hist[:, -1]] = -np.inf
+    return scores.argmax(axis=1)
 
 
 def diversity_walks(dist: np.ndarray, starts: np.ndarray, steps: int, k: int) -> tuple[np.ndarray, np.ndarray]:

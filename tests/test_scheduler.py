@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diversity_lab import PolicyKind, heron_area, walk_bounds, walks
+from diversity_lab import PolicyKind, heron_area, load_similarity_matrix, walk_bounds, walks
 from diversity_lab import scheduler
 from diversity_lab.rng import draw_plan, draws, substream
 from diversity_lab.scheduler import _most_diverse, diversity_walks
-from conftest import make_similarity, seeded_walks
+from conftest import make_similarity, seeded_walks, wide_similarity_csv
 from oracles import (
     Periodicity,
     detect_periodicity,
@@ -140,8 +140,8 @@ def test_argmax_invariant_under_distance_scaling(sim, scale_tenths, data):
             )
     ranked = sorted(objective.values(), reverse=True)
     assume(len(ranked) < 2 or ranked[0] - ranked[1] > 1e-9)
-    choice = _most_diverse(dist, hist)
-    assert _most_diverse(scaled.distances(), hist) == choice
+    choice = _most_diverse(dist, np.array([hist]))
+    assert _most_diverse(scaled.distances(), np.array([hist])) == choice
 
 
 class TestUniformSelection:
@@ -360,6 +360,25 @@ class TestVectorizedScorerMatchesScalarReference:
         if k == 3 and kind != "uniform":
             # Heron scoring met triangles whose squared area had to be clamped
             assert any("clamped" in record.getMessage() for record in caplog.records)
+
+    def test_family_matrix_walks_equal_scalar_traces(self, tmp_path):
+        # the mc-wide shape: 48 platforms in 8 families, k = 4, every start in one batch
+        path = tmp_path / "family.csv"
+        path.write_text(wide_similarity_csv(0), encoding="utf-8")
+        dist = load_similarity_matrix(path).distances()
+        walked, _ = diversity_walks(dist, np.arange(48), 40, 4)
+        assert walked.tolist() == [scalar_diversity_trace(dist, start, 40, 4) for start in range(48)]
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_row_choice_ignores_its_batch(self, width):
+        # exact ties and non-metric triangles, so each row's tie-break and clamp is its own
+        rng = np.random.default_rng(width)
+        dist = self.random_sim(rng, 7, self.LEVELS["ties"]).distances()
+        hist = np.array([rng.permutation(7)[:width] for _ in range(200)])
+        alone = [_most_diverse(dist, row[None, :])[0] for row in hist]
+        assert _most_diverse(dist, hist).tolist() == alone
+        order = rng.permutation(len(hist))
+        assert _most_diverse(dist, hist[order]).tolist() == [alone[row] for row in order]
 
     def test_heron_area_elementwise(self):
         triples = [(3.0, 4.0, 5.0), (1.0, 1.0, 2.5), (0.0, 1.0, 1.0)]
