@@ -221,7 +221,8 @@ def expected_time_to_compromise(params: MarkovParams, k: int) -> float:
     The count includes the interval that completes the run; the first
     interval's platform is drawn uniformly. Returns ``math.inf`` when a
     run of length ``k`` is combinatorially impossible (no vulnerable
-    platform, or k >= 2 with p_vv = 0).
+    platform, or k >= 2 with p_vv = 0), and whenever the expectation
+    exceeds the float range (with p_vv = 0.5, from k = 1024).
     """
     if k < 1:
         raise ValueError("run length k must be >= 1")
@@ -237,7 +238,10 @@ def expected_time_to_compromise(params: MarkovParams, k: int) -> float:
         return math.inf
     if p_vv == 1.0:
         return float(k)
-    restart_factor = p_vv ** (1 - k) - 1.0
+    try:
+        restart_factor = p_vv ** (1 - k) - 1.0
+    except OverflowError:  # the expectation exceeds the float range
+        return math.inf
     mean_partial_run = (1.0 - k * p_vv ** (k - 1) + (k - 1) * p_vv**k) / (
         (1.0 - p_vv ** (k - 1)) * (1.0 - p_vv)
     )

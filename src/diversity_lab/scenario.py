@@ -12,9 +12,10 @@ is event-driven (migrations and exploit arrivals), not tick-based.
 ``rng.draws`` and evaluates them in one stay-major pass:
 ``scheduler.uniform_walks``, the no-repeat walk of the Monte Carlo
 study, gives the platforms, and one loop over the stays scans the
-control runs of every sample at once. ``tests/oracles.py`` keeps a
-scalar simulation of one sample on its stream, which every result
-equals.
+control runs of every sample at once. A stay's exploit time is one cell
+of a table with a row per class of platforms that the same exploits
+reach. ``tests/oracles.py`` keeps a scalar simulation of one sample on
+its stream, which every result equals.
 """
 
 from __future__ import annotations
@@ -156,23 +157,23 @@ class GridPoint:
     samples: int
 
 
-def _exploit_table(drawn: np.ndarray, groups: list[tuple[np.ndarray, np.ndarray]], size: int) -> np.ndarray:
-    """Each sample's drawn exploit time in each of ``size`` rows.
+def _exploit_table(drawn: np.ndarray, classes: list[tuple[float, np.ndarray]]) -> np.ndarray:
+    """Each sample's exploit time in each class of platforms, one row per class.
 
-    ``drawn`` holds the random arrivals of the exploits without a fixed arrival, in order, and
-    ``groups`` pairs a set of rows with the exploits that target it. A group's earliest arrival,
-    folded with one reduce, sets its rows where it is earlier; a row no group sets stays ``inf``.
-    Arrivals are ``u·duration >= +0.0``, so the earliest is the same number in any fold order.
+    ``drawn`` holds the random arrivals, one row per drawn exploit in order. A class pairs the
+    earliest fixed arrival of the exploits that reach it (``inf`` if none) with the rows of their
+    drawn arrivals, and its table row is the earliest of them all, folded with one reduce. Any fold
+    order gives the same number, up to the sign of a zero arrival, which no control run can tell.
     """
-    table = np.full((size, drawn.shape[1]), np.inf)
-    for rows, exploits in groups:
-        table[rows] = np.minimum(np.minimum.reduce(drawn[exploits]), table[rows])
+    table = np.empty((len(classes), drawn.shape[1]))
+    for cells, (fixed, exploits) in zip(table, classes):
+        np.minimum.reduce(drawn[exploits], axis=0, initial=fixed, out=cells)
     return table
 
 
 def _control_runs(
     start: np.ndarray, dwells: np.ndarray, moves: np.ndarray, table: np.ndarray, row: np.ndarray,
-    fixed: np.ndarray | None, duration: float,
+    duration: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each sample's longest control run, and whether its drawn stays reach ``duration``.
 
@@ -185,22 +186,22 @@ def _control_runs(
     segment runs from ``max(previous end, exploit time)`` to its end; it
     continues the run when the previous stay was controlled and the
     segment starts at that stay's end. Slots past a sample's trial end
-    are empty stays at ``duration``. A stay's exploit time is the earlier
-    of its platform's ``table`` cell, through ``row``, and its platform's
-    entry of ``fixed``, the fixed arrivals, if any.
+    are empty stays at ``duration``. A stay's exploit time is the
+    ``table`` cell in the row of its platform's class, through ``row``.
     """
     samples = len(start)
     # the stay ends, summed in place stay by stay: faster than a cumsum down the columns
     bounds = dwells
-    for previous, bound in zip(bounds, bounds[1:]):
-        bound += previous
+    with np.errstate(over="ignore"):  # an end past the float range is inf, as in a scalar sum
+        for previous, bound in zip(bounds, bounds[1:]):
+            bound += previous
     exact = bounds[-1] >= duration
     reached = bounds.min(axis=1) >= duration
     stays = int(reached.argmax()) + 1 if reached[-1] else len(bounds)
     ends = np.minimum(bounds[:stays], duration, out=bounds[:stays])
     # the move after the last stay leads nowhere
     platforms = uniform_walks(start, moves[: stays - 1].T)
-    # a stay's exploit time is the table cell (row of its platform, sample)
+    # a stay's exploit time is the table cell (row of its platform's class, sample)
     row, columns, cells = row * samples, np.arange(samples), table.ravel()
     head, best, previous_end = np.zeros(samples), np.zeros(samples), np.zeros(samples)
     arrival, index = np.empty(samples), np.empty(samples, np.intp)
@@ -209,8 +210,6 @@ def _control_runs(
         row.take(platform, mode="clip", out=index)
         index += columns
         cells.take(index, out=arrival)
-        if fixed is not None:
-            np.minimum(arrival, fixed.take(platform, mode="clip"), out=arrival)
         # a segment starts a new run unless the previous stay was controlled and it starts at its end
         np.greater(arrival, previous_end, out=fresh)
         fresh |= uncontrolled
@@ -230,10 +229,13 @@ def _runs(config: ScenarioConfig, n: int) -> np.ndarray:
     A sample draws the random arrivals, the start and then each stay's
     dwell and move. It plans ``_stays`` stays; a sample whose drawn stays
     end before ``duration`` is derived again, with the ``duration / lo + 2``
-    stays that every sample reaches.
+    stays that every sample reaches. The platforms below ``n`` that the
+    same exploit platform sets reach form a class: its fixed arrivals fold
+    to their earliest once, and it takes one row of each sample's exploit
+    table, where its drawn arrivals fold per chunk.
     """
     duration, (lo, hi) = float(config.duration), config.delay
-    # exploits that share a platform set act as one: the earliest fixed arrival, or a group of draws
+    # exploits that share a platform set act as one: the earliest fixed arrival, and the drawn ones
     earliest, draws_of, drawn = {}, {}, 0
     for spec in config.exploits:
         if spec.arrival is None:
@@ -241,21 +243,20 @@ def _runs(config: ScenarioConfig, n: int) -> np.ndarray:
             drawn += 1
         else:
             earliest[spec.platforms] = min(earliest.get(spec.platforms, math.inf), spec.arrival)
-    targets = {platforms: sorted(p for p in platforms if p < n) for platforms in (*earliest, *draws_of)}
-    targeted = sorted({p for at in targets.values() for p in at})
-    # only drawn arrivals differ between samples: a sample holds its words and its column of the
-    # exploit table, a row per platform a drawn arrival targets and a last row of inf for the rest
-    varied = sorted({p for platforms in draws_of for p in targets[platforms]})
-    # each platform's table row and fixed arrival; platforms past the last targeted one clip to inf
-    row = np.full(targeted[-1] + 2 if targeted else 1, len(varied), dtype=np.intp)
-    row[varied] = np.arange(len(varied))
-    fixed = np.full(len(row), np.inf)
-    for platforms, arrival in earliest.items():
-        at = targets[platforms]
-        fixed[at] = np.minimum(arrival, fixed[at])
-    fixed = fixed if np.isfinite(fixed).any() else None
-    # the drawn exploits of each platform set, with the table rows they set at this N
-    groups = [(row[targets[key]], np.array(indices)) for key, indices in draws_of.items() if targets[key]]
+    reached = {}
+    for platforms in {**earliest, **draws_of}:
+        for p in platforms:
+            if p < n:
+                reached.setdefault(p, []).append(platforms)
+    # class 0, reached by no set, also takes every platform past the last one reached
+    row, index = np.zeros(max(reached, default=-1) + 2, dtype=np.intp), {(): 0}
+    for p, sets in reached.items():
+        row[p] = index.setdefault(tuple(sets), len(index))
+    classes = []
+    for sets in index:
+        fixed = min((earliest.get(platforms, math.inf) for platforms in sets), default=math.inf)
+        exploits = [i for platforms in sets for i in draws_of.get(platforms, [])]
+        classes.append((fixed, np.array(exploits, dtype=np.intp)))
     if n == 1:  # nothing is drawn after the start
         planned = bound = 0
     else:
@@ -264,7 +265,7 @@ def _runs(config: ScenarioConfig, n: int) -> np.ndarray:
     runs, short = np.empty(config.samples), np.arange(config.samples)
     for stays in (planned, bound):
         plan = draw_plan([0] * drawn + [n] + [0, n - 1] * stays)
-        per = max(1, WORD_CELLS // max(plan.words, len(varied) + 1))
+        per = max(1, WORD_CELLS // max(plan.words, len(classes)))
         ended = []
         for first in range(0, len(short), per):
             rows = short[first : first + per]
@@ -276,8 +277,8 @@ def _runs(config: ScenarioConfig, n: int) -> np.ndarray:
             dwells += lo
             if n == 1:  # one stay, the whole trial
                 dwells = np.full((1, len(rows)), duration)
-            table = _exploit_table(arrivals, groups, len(varied) + 1)
-            runs[rows], exact = _control_runs(start, dwells, moves, table, row, fixed, duration)
+            table = _exploit_table(arrivals, classes)
+            runs[rows], exact = _control_runs(start, dwells, moves, table, row, duration)
             ended.append(rows[~exact])
         short = np.concatenate(ended)
         if not short.size:
@@ -300,14 +301,13 @@ def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
     standard deviations to spare. The samples of one N come in chunks of
     up to ``WORD_CELLS`` cells, one ``rng.draws`` call each; a sample's
     cells are the larger of its words and its exploit table rows, one per
-    platform a drawn arrival targets (fixed arrivals are kept once per N).
-    A chunk is evaluated in one stay-major pass: ``uniform_walks`` gives
-    the platforms, and one loop over the stays scans all its samples'
-    control runs at once, up to the stay by which every sample has ended.
-    A sample whose drawn stays end before ``duration`` is derived and
-    scanned again, once, with every stay it can need. The T sweep sorts
-    each N's runs once and counts the hits of every goal with one
-    ``searchsorted``.
+    class of platforms that the same exploits reach. A chunk is evaluated
+    in one stay-major pass: ``uniform_walks`` gives the platforms, and one
+    loop over the stays scans all its samples' control runs at once, up to
+    the stay by which every sample has ended. A sample whose drawn stays
+    end before ``duration`` is derived and scanned again, once, with every
+    stay it can need. The T sweep sorts each N's runs once and counts the
+    hits of every goal with one ``searchsorted``.
     """
     ratio = float(config.duration) / config.delay[0]
     if ratio > MAX_STAYS and max(config.n_values) > 1:
@@ -338,7 +338,7 @@ def _stays(duration: float, delay: tuple[float, float]) -> int:
     overflows.
     """
     lo, hi = delay
-    mean = lo / 2 + hi / 2
+    mean = lo + (hi - lo) / 2  # at least lo: lo / 2 + hi / 2 underflows to 0 for the least subnormals
     spread = STAY_MARGIN / math.sqrt(12) * ((hi - lo) / mean)
     root = (spread + math.sqrt(spread * spread + 4 * (duration / mean))) / 2
     return math.ceil(root * root) + 1

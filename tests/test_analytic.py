@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diversity_lab.analytic import MAX_AGGREGATE_PLATFORMS
+from diversity_lab.scheduler import uniform_walks
+from diversity_lab.simulator import compute_metrics
 from diversity_lab import (
     MarkovParams,
     RepeatMode,
@@ -316,6 +318,46 @@ class TestExpectedControlFraction:
             assert 0.0 <= value <= 1.0
 
 
+class TestWindowsAgainstWholeRuns:
+    """The Monte Carlo study and ``expected_control_fraction`` count control differently.
+
+    On a fixed labeling with the first m of N platforms vulnerable, a no-repeat
+    uniform walk's vulnerable intervals follow the chain of ``MarkovParams(m, N − m)``.
+    ``compute_metrics`` counts each interval that ends k vulnerable ones, a
+    long-run rate of p_v·p_vv^(k−1); ``expected_control_fraction`` counts every
+    interval of a vulnerable run of at least k, which multiplies that rate by
+    k − (k−1)·p_vv. Both are checked on one walk of 200,000 intervals at |z| < 4,
+    with the standard error of the means of 100 batches of 2,000 intervals.
+    """
+
+    BATCHES, LENGTH = 100, 2_000
+
+    @pytest.mark.parametrize("m, n, k, seed", [(3, 2, 3, 2028), (2, 4, 2, 2029)])
+    def test_one_walk_counted_both_ways(self, m, n, k, seed):
+        params, steps = MarkovParams(m, n, WITHOUT), self.BATCHES * self.LENGTH
+        rng = np.random.default_rng(seed)
+        (walk,) = uniform_walks(rng.integers(m + n, size=1), rng.integers(m + n - 1, size=(1, steps - 1)))
+        vulnerable = walk < m
+        # windows: the batches drop the k − 1 windows that cross into them, a bias of
+        # (k − 1)/2,000 of the rate, under a fifth of its standard error
+        windows = compute_metrics(vulnerable.reshape(self.BATCHES, self.LENGTH), k).compromised_fraction
+        # whole runs, found on the uncut walk: an interval counts when its run reaches k
+        edges = np.flatnonzero(np.diff(np.concatenate([[0], vulnerable.view(np.int8), [0]])))
+        starts, stops = edges[::2], edges[1::2]
+        long = stops - starts >= k
+        depth = np.zeros(steps + 1, np.intp)
+        np.add.at(depth, starts[long], 1)
+        np.add.at(depth, stops[long], -1)
+        runs = (np.cumsum(depth[:-1]) > 0).reshape(self.BATCHES, self.LENGTH).mean(axis=1)
+        rate = params.p_vulnerable * params.p_vv ** (k - 1)
+        assert expected_control_fraction(params, k) == pytest.approx(rate * (k - (k - 1) * params.p_vv), rel=1e-12)
+        for batches, expected in ((windows, rate), (runs, expected_control_fraction(params, k))):
+            standard_error = batches.std(ddof=1) / math.sqrt(self.BATCHES)
+            assert abs(batches.mean() - expected) < 4 * standard_error
+        # the two counts differ by far more than their errors
+        assert runs.mean() - windows.mean() > 10 * runs.std(ddof=1) / math.sqrt(self.BATCHES)
+
+
 class TestExpectedTimeToCompromise:
     def test_forced_alternation_k1(self):
         assert expected_time_to_compromise(MarkovParams(1, 1, WITHOUT), 1) == 1.5
@@ -352,6 +394,19 @@ class TestExpectedTimeToCompromise:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             expected_time_to_compromise(MarkovParams(3, 2, WITHOUT), 0)
+
+    @pytest.mark.parametrize("k", [1023, 1024, 1025])
+    def test_past_the_float_range_is_inf(self, k):
+        # with p_vv = 0.5 the expectation about doubles per step of k: it is the last finite
+        # double's size at k = 1023, past the float range at k = 1024, and at k = 1025
+        # p_vv ** (1 - k) alone overflows, which used to raise OverflowError
+        params = MarkovParams(3, 2, WITHOUT)
+        value = expected_time_to_compromise(params, k)
+        if k == 1023:
+            assert value == pytest.approx(2 * expected_time_to_compromise(params, 1022), rel=1e-12)
+            assert value > 1e308
+        else:
+            assert value == math.inf
 
 
 class TestFiniteWindow:

@@ -19,10 +19,10 @@ import diversity_lab
 from diversity_lab import expected_time_to_compromise, load_bundled_similarity, load_similarity_matrix, MarkovParams
 from diversity_lab.cli import MAX_STEPS, MAX_SWEEP_POINTS, _json_text, _parse_t_values, main
 from diversity_lab.rng import substream
-from diversity_lab.scenario import MAX_STAYS
+from diversity_lab.scenario import MAX_STAYS, ExploitSpec
 from diversity_lab.scheduler import walks
 from conftest import wide_similarity_csv
-from oracles import detect_periodicity, reference_schedule
+from oracles import detect_periodicity, max_control_run, reference_schedule
 
 
 PLATFORM_LIMIT = "platform counts must be between 1 and 10000"
@@ -117,6 +117,10 @@ class TestAnalyticCommand:
         assert report["steady_state"] == pytest.approx([0.4, 0.3, 0.3], abs=1e-12)
         library_value = expected_time_to_compromise(MarkovParams(3, 2), 2)
         assert report["expected_time_to_compromise"] == pytest.approx(library_value)
+
+    def test_time_to_compromise_past_the_float_range(self, tmp_path):
+        assert main(["analytic", "--m", "3", "--n", "2", "--K", "3000", "--outdir", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "analytic.json")["expected_time_to_compromise"] == "Infinity"
 
     @pytest.mark.parametrize(
         "platforms, code",
@@ -656,7 +660,33 @@ class TestSimilarityInput:
             load_similarity_matrix(path)
 
 
+def run_fresh(argv, outdir):
+    """The CLI run in a fresh interpreter, where a warning reaches stderr as a user sees it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(diversity_lab.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "diversity_lab.cli", *argv, "--outdir", str(outdir)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 class TestScenarioCommand:
+    @pytest.mark.parametrize("goal", ["1", "1e-323"])
+    def test_least_subnormal_delay_matches_the_oracle(self, tmp_path, goal):
+        # lo / 2 + hi / 2 is 0 for these delays; the planned stays must not divide by it
+        argv = ["scenario", "--T", goal, "--N", "2", "--exploit", "0,1@0", "--delay", "5e-324,5e-324", "--d", "1e-323"]
+        done = run_fresh(argv, tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        exploits = (ExploitSpec(frozenset({0, 1}), 0.0),)
+        runs = [max_control_run(2, 1e-323, (5e-324, 5e-324), exploits, substream(0, 2, s)) for s in range(300)]
+        _, (n, t, fraction, samples) = read_csv_rows(tmp_path / "success_fraction.csv")
+        assert (n, float(t), samples) == ("2", float(goal), "300")
+        assert float(fraction) == sum(run >= float(goal) for run in runs) / 300
+
+    def test_stay_ends_past_the_float_range_warn_nothing(self, tmp_path):
+        # two 1e308 dwells sum to inf, which the scan then clips to the trial end
+        done = run_fresh(["scenario", "--N", "2", "--T", "1", "--d", "1e308", "--delay", "1e308,1e308"], tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+
     def test_sweep_reproduces_declining_line(self, tmp_path):
         outdir = tmp_path / "sweep"
         code = main(

@@ -332,11 +332,11 @@ def stays_needed(config, n, sample):
     return stays
 
 
-def exploit_table_loop(drawn, spec_rows, size):
-    """The per-exploit fold that ``scenario._exploit_table`` groups: each exploit, in order, sets its rows
-    where its arrival is earlier."""
-    table = np.full((size, drawn.shape[1]), np.inf)
-    for arrival, at in zip(drawn, spec_rows):
+def exploit_table_loop(arrivals, spec_platforms, size):
+    """The per-exploit fold that ``scenario._exploit_table`` does by class: each exploit, in order, sets
+    its platforms' rows where its arrival, fixed or drawn, is earlier."""
+    table = np.full((size, len(arrivals[0])), np.inf)
+    for arrival, at in zip(arrivals, spec_platforms):
         table[at] = np.minimum(arrival, table[at])
     return table
 
@@ -346,20 +346,33 @@ class TestExploitTable:
     @given(st.data())
     def test_groups_equal_the_per_exploit_loop(self, data):
         size = data.draw(st.integers(2, 6))
-        # a few row sets, each repeated by several exploits, and overlapping one another
-        row_sets = data.draw(st.lists(st.frozensets(st.integers(0, size - 2), min_size=1), min_size=1, max_size=4))
-        exploits = data.draw(st.lists(st.sampled_from(row_sets), min_size=1, max_size=12))
+        # a few platform sets, each repeated by several exploits, and overlapping one another
+        sets = data.draw(st.lists(st.frozensets(st.integers(0, size - 1), min_size=1), min_size=1, max_size=4))
+        exploits = data.draw(st.lists(st.sampled_from(sets), min_size=1, max_size=12))
         samples = data.draw(st.integers(1, 4))
-        # arrivals u·duration on a coarse grid, +0.0 included, so equal arrivals are common
-        arrival = st.sampled_from([0.0, 0.25, 0.5, 899.0])
-        row = st.lists(arrival, min_size=samples, max_size=samples)
-        drawn = np.array(data.draw(st.lists(row, min_size=len(exploits), max_size=len(exploits))))
-        groups = {}
-        for index, rows in enumerate(exploits):
-            groups.setdefault(rows, []).append(index)
-        pairs = [(np.array(sorted(rows)), np.array(indices)) for rows, indices in groups.items()]
-        expected = exploit_table_loop(drawn, [np.array(sorted(rows)) for rows in exploits], size)
-        assert scenario._exploit_table(drawn, pairs, size).tobytes() == expected.tobytes()
+        # fixed arrivals and drawn ones, u·duration, on a coarse grid with ±0.0, so equal arrivals are common
+        fixed = data.draw(st.lists(st.none() | st.sampled_from([0.0, -0.0, 0.5, 900.0]), min_size=len(exploits),
+                                   max_size=len(exploits)))
+        row = st.lists(st.sampled_from([0.0, 0.25, 0.5, 899.0]), min_size=samples, max_size=samples)
+        count = fixed.count(None)
+        drawn = np.array(data.draw(st.lists(row, min_size=count, max_size=count))).reshape(-1, samples)
+        # exploit i's arrival in every sample: its fixed arrival, or its row of drawn
+        drawn_row = np.cumsum([arrival is None for arrival in fixed]) - 1
+        arrivals = [drawn[drawn_row[i]] if a is None else np.full(samples, a) for i, a in enumerate(fixed)]
+        # a platform's class is the exploits that reach it
+        reach = [tuple(i for i, at in enumerate(exploits) if p in at) for p in range(size)]
+        classes = list(dict.fromkeys(reach))
+        pairs = [
+            (
+                min((fixed[i] for i in exploit_class if fixed[i] is not None), default=math.inf),
+                np.array([drawn_row[i] for i in exploit_class if fixed[i] is None], dtype=np.intp),
+            )
+            for exploit_class in classes
+        ]
+        table = scenario._exploit_table(drawn, pairs)[[classes.index(key) for key in reach]]
+        expected = exploit_table_loop(arrivals, [sorted(at) for at in exploits], size)
+        # adding +0.0 turns -0.0 into +0.0: which zero a fold keeps never reaches a run
+        assert (table + 0.0).tobytes() == (expected + 0.0).tobytes()
 
 
 class TestControlRunsStopEarly:
@@ -390,7 +403,7 @@ class TestControlRunsStopEarly:
 
         def runs(count):
             best, exact = scenario._control_runs(
-                start, dwells[:count].copy(), moves[:count], table, row, None, self.DURATION
+                start, dwells[:count].copy(), moves[:count], table, row, self.DURATION
             )
             return best.tolist(), exact.tolist()
 
@@ -541,7 +554,6 @@ class TestStudyEqualsScalarRebuild:
         self.assert_matches(config)
         assert rederived == []
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_stay_ends_that_overflow_match_scalar_draws(self, rederived):
         # finite dwells near the float limit sum to inf; the scalar loop then clips
         # the stay end to the duration, as the array pass does
@@ -552,10 +564,10 @@ class TestStudyEqualsScalarRebuild:
         self.assert_matches(config)
         assert rederived == []
 
-    def test_fixed_arrivals_take_no_table_rows(self, rederived, monkeypatch):
-        # a fixed arrival is the same in every sample, so only platform 1, which the drawn
-        # arrival also targets, takes a row of each sample's exploit table: the 60 samples of
-        # each N fit one draws call, where a row per targeted platform would need two
+    def test_platforms_reached_alike_share_a_table_row(self, rederived, monkeypatch):
+        # platform 1, which both exploits reach, the other 2,999 platforms of the fixed arrival,
+        # and the platforms reached by none take one row each of each sample's exploit table:
+        # the 60 samples of each N fit one draws call, where a row per platform would need two
         calls = self.count_word_pieces(monkeypatch)
         exploits = (ExploitSpec(frozenset(range(3000)), 300.0), ExploitSpec(frozenset({1})))
         config = ScenarioConfig(
@@ -623,7 +635,7 @@ class TestStudyEqualsScalarRebuild:
         assert rederived == [] and calls == [1, 3, 3, 3]
 
     def test_exploit_lookup_does_not_grow_with_n(self, rederived):
-        # the lookup has one row per targeted platform and one for the rest; a dense
+        # the lookup has one row per class of platforms the same exploits reach; a dense
         # (samples x N) table of exploit times alone would take 300 * 10000 * 8 B = 23 MiB
         config = ScenarioConfig(t_values=(10.0,), n_values=(MAX_PLATFORMS,), samples=300, master_seed=3)
         self.assert_matches(replace(config, samples=30))
@@ -645,9 +657,8 @@ class TestStudyEqualsScalarRebuild:
         ids=["table-of-10000-targets", "table-of-10000-drawn-targets"],
     )
     def test_exploit_table_memory_stays_bounded(self, exploits):
-        # a table of 10,001 rows for 300 samples would take 23 MiB; chunks of WORD_CELLS
-        # cells per sample keep it small, and fixed arrivals, the same in every sample,
-        # take no table rows at all
+        # a table of 10,001 rows for 300 samples would take 23 MiB; the platforms the same
+        # exploits reach share a row, so these tables take three rows per sample
         config = ScenarioConfig(
             t_values=(10.0,), n_values=(MAX_PLATFORMS,), samples=300, exploits=exploits, master_seed=1
         )
@@ -659,6 +670,21 @@ class TestStudyEqualsScalarRebuild:
             tracemalloc.stop()
         assert peak < 16 * 2**20
         self.assert_matches(replace(config, samples=20))
+
+    def test_exploit_over_every_platform_takes_one_draws_call(self, monkeypatch):
+        # a drawn exploit over all 10,000 platforms and a fixed one over {0, 1} give three
+        # classes, so the 300 samples fit one draws call; a table row per platform reached by
+        # a drawn arrival would split them into chunks of 13, in 24 calls
+        calls = self.count_word_pieces(monkeypatch)
+        exploits = (ExploitSpec(frozenset(range(MAX_PLATFORMS))), ExploitSpec(frozenset({0, 1}), 0.0))
+        config = ScenarioConfig(
+            t_values=(0.0,), n_values=(MAX_PLATFORMS,), samples=300, exploits=exploits, master_seed=12
+        )
+        runs = scenario._runs(config, MAX_PLATFORMS)
+        assert calls == [MAX_PLATFORMS]
+        for sample in (0, 1, 150, 299):
+            rng = substream(config.master_seed, MAX_PLATFORMS, sample)
+            assert runs[sample] == max_control_run(MAX_PLATFORMS, config.duration, config.delay, exploits, rng)
 
     def test_rejected_draws_take_the_scalar_path(self, rederived, monkeypatch, replays):
 
