@@ -12,13 +12,11 @@ __version__ = "0.1.0"
 from .analytic import (
     MarkovParams,
     RepeatMode,
-    RunLengthChain,
     choose,
     expected_control_fraction,
     expected_time_to_compromise,
     p_success_aggregate,
     p_success_finite_window,
-    run_length_chain,
     steady_state,
 )
 from .core import (
@@ -55,7 +53,6 @@ __all__ = [
     "PlatformSet",
     "PolicyKind",
     "RepeatMode",
-    "RunLengthChain",
     "ScenarioConfig",
     "SimilarityMatrix",
     "bundled_similarity_path",
@@ -68,7 +65,6 @@ __all__ = [
     "load_similarity_matrix",
     "p_success_aggregate",
     "p_success_finite_window",
-    "run_length_chain",
     "run_mc_study",
     "run_scenario_study",
     "save_similarity_matrix",

@@ -1,11 +1,13 @@
-"""Closed-form combinatorics and run-length Markov analytics.
+"""Closed-form attacker metrics for a rotation over ``m`` vulnerable and ``n`` invulnerable platforms.
 
-Models a system that migrates across ``m`` vulnerable and ``n``
-invulnerable platforms. Because platforms within a class are
-exchangeable, the vulnerable/invulnerable status of the active platform
-is an exact two-state Markov chain; runs of consecutive vulnerable
-intervals are tracked by a small (k+1)-state chain whose states count
-the current run length, saturating at ``k``.
+The model is a Markov chain. Platforms within a class are exchangeable,
+so whether the active platform is vulnerable is an exact two-state chain
+(``MarkovParams``), and the runs of consecutive vulnerable intervals form
+a (k+1)-state chain whose state counts the current run length,
+saturating at ``k``. Every quantity here is stated in closed form from
+that chain: its stationary law (``steady_state``), the long-run control
+fraction and the expected time to compromise; the aggregate and
+finite-window success probabilities are one-shot draws beside it.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from fractions import Fraction
 
 import numpy as np
 
-#: Row-stochasticity tolerance for run-length transition matrices.
-ROW_SUM_TOLERANCE = 1e-12
 #: Most platforms ``m + n`` that ``p_success_aggregate`` takes. Its exact sum
 #: costs about the square of ``m + n``: 0.3 s at the bound on a 2-vCPU Xeon VM.
 MAX_AGGREGATE_PLATFORMS = 40_000
@@ -93,7 +93,7 @@ def choose(x: int, y: int) -> int:
 
 
 def p_success_aggregate(m: int, n: int, j: int, p, strict: bool = False) -> float:
-    """Probability the attacker controls at least a fraction ``p`` of a random j-subset.
+    """One-shot probability that the attacker controls at least a fraction ``p`` of a random j-subset.
 
     The defender subselects ``j`` of the ``m + n`` platforms uniformly;
     the attacker wins if the vulnerable share of the subset reaches ``p``
@@ -130,83 +130,35 @@ def p_success_aggregate(m: int, n: int, j: int, p, strict: bool = False) -> floa
     return float(Fraction(mass, choose(m + n, j)))
 
 
-@dataclass(frozen=True)
-class RunLengthChain:
-    """Markov chain over run lengths 0..k of consecutive vulnerable intervals.
+def steady_state(params: MarkovParams, k: int) -> np.ndarray:
+    """Stationary run-length law per interval: entry r is the long-run share of intervals at run length r.
 
-    State r < k means the last r intervals (and no more) were vulnerable;
-    state k absorbs all runs of length >= k. Rows are validated to sum
-    to 1 within ``ROW_SUM_TOLERANCE``.
+    Entry 0 is the invulnerable share n / (m + n). A run of exactly r < k
+    vulnerable intervals has share p_v (1 - p_vv) p_vv^(r-1), and the
+    saturating state k takes p_v p_vv^(k-1). The vulnerable share is
+    p_v = m / (m + n) in both repeat modes, and p_vv of 0 or 1 needs no
+    special case.
     """
-
-    params: MarkovParams
-    k: int
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.shape != (self.k + 1, self.k + 1):
-            raise ValueError(f"expected a {self.k + 1}x{self.k + 1} matrix")
-        if np.any(matrix < 0.0) or np.any(matrix > 1.0):
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        row_sums = matrix.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOLERANCE):
-            raise ValueError("every transition-matrix row must sum to 1")
-        matrix = matrix.copy()
-        matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
-
-
-def run_length_chain(params: MarkovParams, k: int) -> RunLengthChain:
-    """Build the (k+1)-state run-length transition matrix for ``params``."""
     if k < 1:
         raise ValueError("run length k must be >= 1")
+    p_v = params.p_vulnerable
     p_vv = params.p_vv
-    p_ii = params.p_ii
-    matrix = np.zeros((k + 1, k + 1), dtype=float)
-    matrix[0, 0] = p_ii
-    matrix[0, 1] = 1.0 - p_ii
-    for r in range(1, k):
-        matrix[r, 0] = 1.0 - p_vv
-        matrix[r, r + 1] = p_vv
-    matrix[k, 0] = 1.0 - p_vv
-    matrix[k, k] = p_vv
-    return RunLengthChain(params, k, matrix)
-
-
-def steady_state(chain: RunLengthChain) -> np.ndarray:
-    """Stationary distribution of the run-length chain.
-
-    Solved directly from (P^T - I) x = 0 with a normalization row.
-    Degenerate chains (p_vv of 0 or 1) are reducible but still have a
-    unique stationary distribution on their reachable states, which the
-    solve recovers.
-    """
-    transition = chain.matrix
-    size = transition.shape[0]
-    system = transition.T - np.eye(size)
-    system[-1, :] = 1.0
-    rhs = np.zeros(size)
-    rhs[-1] = 1.0
-    try:
-        vector = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError:
-        vector, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    if np.any(vector < -1e-9):
-        raise ValueError("stationary solve produced negative probabilities")
-    vector = np.clip(vector, 0.0, None)
-    vector /= vector.sum()
-    return vector
+    vec = np.empty(k + 1)
+    vec[0] = params.n / params.total
+    vec[1:k] = p_v * (1.0 - p_vv) * p_vv ** np.arange(k - 1)
+    vec[k] = p_v * p_vv ** (k - 1)
+    return vec
 
 
 def expected_control_fraction(params: MarkovParams, k: int) -> float:
-    """Long-run fraction of intervals lying in vulnerable runs of length >= k.
+    """Long-run fraction of intervals that lie in vulnerable runs of length >= k, counting whole runs.
 
     This is the fractional-payoff control measure: a vulnerable interval
     counts once the run it belongs to reaches ``k`` consecutive
     vulnerable intervals, including the intervals that led up to the
-    run's completion. Equals p_v * p_vv^(k-1) * (k - (k-1) * p_vv),
-    the reduced form of the steady-state run-weighting sum.
+    run's completion. It reduces the ``steady_state`` vector, entry r
+    weighted by p_vv^(k-r), the chance that a run at length r reaches k,
+    to p_v * p_vv^(k-1) * (k - (k-1) * p_vv).
     """
     if k < 1:
         raise ValueError("run length k must be >= 1")
@@ -216,13 +168,13 @@ def expected_control_fraction(params: MarkovParams, k: int) -> float:
 
 
 def expected_time_to_compromise(params: MarkovParams, k: int) -> float:
-    """Expected number of migration steps until the first run of ``k`` vulnerable intervals.
+    """Expected steps from a uniformly drawn first platform until the first run of ``k`` vulnerable intervals.
 
-    The count includes the interval that completes the run; the first
-    interval's platform is drawn uniformly. Returns ``math.inf`` when a
-    run of length ``k`` is combinatorially impossible (no vulnerable
-    platform, or k >= 2 with p_vv = 0), and whenever the expectation
-    exceeds the float range (with p_vv = 0.5, from k = 1024).
+    The count includes the first interval and the interval that completes
+    the run. Returns ``math.inf`` when a run of length ``k`` is
+    combinatorially impossible (no vulnerable platform, or k >= 2 with
+    p_vv = 0), and whenever the expectation exceeds the float range (with
+    p_vv = 0.5, from k = 1024).
     """
     if k < 1:
         raise ValueError("run length k must be >= 1")
@@ -254,7 +206,7 @@ def expected_time_to_compromise(params: MarkovParams, k: int) -> float:
 
 
 def p_success_finite_window(d: float, a: float, s: float) -> float:
-    """Success probability of an attack needing ``a`` seconds in a trial of ``d`` seconds.
+    """One-shot success probability of an attack needing ``a`` seconds in a trial of ``d`` seconds.
 
     ``s`` is the span of the uniformly random attack start window; with
     ``s = d`` this is the probability that a start drawn uniformly over

@@ -32,7 +32,6 @@ from .analytic import (
     expected_time_to_compromise,
     p_success_aggregate,
     p_success_finite_window,
-    run_length_chain,
     steady_state,
 )
 from .core import PolicyKind, SimilarityMatrix, bundled_similarity_path, check_platform_count, load_similarity_matrix
@@ -47,7 +46,7 @@ EXIT_RUNTIME = 3
 SEED_ENV_VAR = "DIVERSITY_LAB_SEED"
 #: Most attacker goals one ``--T-sweep`` may give.
 MAX_SWEEP_POINTS = 100_000
-#: Most intervals one ``schedule`` may show.
+#: Most intervals one report may hold: a ``schedule``'s steps or an ``analytic`` run length.
 MAX_STEPS = 1_000_000
 
 
@@ -105,13 +104,18 @@ def _load_similarity(args) -> SimilarityMatrix:
 
 
 def cmd_analytic(args) -> int:
+    k = args.K
+    if k > MAX_STEPS:
+        raise ValueError(f"--K must be at most {MAX_STEPS}")
+    if (args.j is None) != (args.p is None):
+        raise ValueError("--j and --p must be given together")
+    if args.p is not None:
+        _convert(Fraction, [args.p], f"--p {args.p!r}: must be a fraction or a decimal, e.g. 1/2 or 0.5")
     params = MarkovParams(
         m=args.m,
         n=args.n,
         repeat_mode=RepeatMode.WITH_REPEAT if args.repeat == "with" else RepeatMode.WITHOUT_REPEAT,
     )
-    k = args.K
-    chain = run_length_chain(params, k)
     report = {
         "m": params.m,
         "n": params.n,
@@ -120,14 +124,11 @@ def cmd_analytic(args) -> int:
         "p_vv": params.p_vv,
         "p_ii": params.p_ii,
         "k": k,
-        "steady_state": [float(x) for x in steady_state(chain)],
+        "steady_state": steady_state(params, k).tolist(),
         "expected_control_fraction": expected_control_fraction(params, k),
         "expected_time_to_compromise": expected_time_to_compromise(params, k),
     }
-    if (args.j is None) != (args.p is None):
-        raise ValueError("--j and --p must be given together")
     if args.j is not None:
-        _convert(Fraction, [args.p], f"--p {args.p!r}: must be a fraction or a decimal, e.g. 1/2 or 0.5")
         report["aggregate"] = {
             "j": args.j,
             "p": args.p,

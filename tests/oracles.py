@@ -24,6 +24,37 @@ def pascal_choose(x: int, y: int) -> int:
     return row[y]
 
 
+def run_length_matrix(params, k: int) -> np.ndarray:
+    """(k+1)-state run-length transition matrix of a ``MarkovParams``.
+
+    State r < k means the last r intervals (and no more) were vulnerable;
+    state k absorbs all runs of length >= k.
+    """
+    p_vv, p_ii = params.p_vv, params.p_ii
+    matrix = np.zeros((k + 1, k + 1))
+    matrix[0, 0] = p_ii
+    matrix[0, 1] = 1.0 - p_ii
+    for r in range(1, k + 1):
+        matrix[r, 0] = 1.0 - p_vv
+        matrix[r, min(r + 1, k)] = p_vv
+    return matrix
+
+
+def closed_form_stationary(params, k: int) -> np.ndarray:
+    """Stationary run-length vector from the closed form, term by term.
+
+    Interior entries are written as p_v * (1 - p_vv) * p_vv^(r-1), the
+    exact rearrangement of a_v * p_vv^r that stays finite at p_vv = 0.
+    """
+    p_v, p_vv = params.p_vulnerable, params.p_vv
+    vec = np.zeros(k + 1)
+    vec[0] = params.n / params.total
+    for r in range(1, k):
+        vec[r] = p_v * (1.0 - p_vv) * p_vv ** (r - 1)
+    vec[k] = p_v * p_vv ** (k - 1)
+    return vec
+
+
 def power_iteration_stationary(matrix: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     """Stationary distribution by power iteration.
 

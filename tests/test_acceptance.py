@@ -26,15 +26,16 @@ from diversity_lab import (
     choose,
     expected_time_to_compromise,
     p_success_aggregate,
-    run_length_chain,
     run_scenario_study,
     steady_state,
 )
 from diversity_lab.cli import main as cli_main
 from conftest import seeded_walks
 from oracles import (
+    closed_form_stationary,
     exact_uniform_mean_compromised_fraction,
     power_iteration_stationary,
+    run_length_matrix,
     simulate_hitting_times,
     triangle_area_from_sides,
 )
@@ -72,25 +73,16 @@ def test_criterion_02_conditional_probability_formulas():
 def test_criterion_03_steady_state_matches_closed_form_and_power_iteration():
     worst_closed = 0.0
     worst_power = 0.0
-    for m, n, k in itertools.product(range(1, 5), range(1, 5), range(2, 6)):
-        params = MarkovParams(m, n, WITHOUT)
-        chain = run_length_chain(params, k)
-        vec = steady_state(chain)
-        p_v, p_vv = params.p_vulnerable, params.p_vv
-        closed = np.zeros(k + 1)
-        closed[0] = n / (m + n)
-        for r in range(1, k):
-            # a_v * p_vv^r, rearranged to stay finite when p_vv = 0
-            closed[r] = p_v * (1.0 - p_vv) * p_vv ** (r - 1)
-        closed[k] = p_v * p_vv ** (k - 1)
-        worst_closed = max(worst_closed, float(np.max(np.abs(vec - closed))))
-        worst_power = max(
-            worst_power, float(np.max(np.abs(vec - power_iteration_stationary(chain.matrix))))
-        )
+    for mode, m, n, k in itertools.product(RepeatMode, range(1, 5), range(1, 5), range(2, 6)):
+        params = MarkovParams(m, n, mode)
+        vec = steady_state(params, k)
+        worst_closed = max(worst_closed, float(np.max(np.abs(vec - closed_form_stationary(params, k)))))
+        oracle = power_iteration_stationary(run_length_matrix(params, k))
+        worst_power = max(worst_power, float(np.max(np.abs(vec - oracle))))
     ok = worst_closed < 1e-10 and worst_power < 1e-10
     assert report(
         3,
-        "stationary solver matches closed form and power iteration",
+        "stationary law matches term-by-term closed form and power iteration",
         ok,
         f"closed={worst_closed:.2e} power={worst_power:.2e}",
     )

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from diversity_lab.analytic import MAX_AGGREGATE_PLATFORMS
@@ -13,18 +13,18 @@ from diversity_lab.simulator import compute_metrics
 from diversity_lab import (
     MarkovParams,
     RepeatMode,
-    RunLengthChain,
     choose,
     expected_control_fraction,
     expected_time_to_compromise,
     p_success_aggregate,
     p_success_finite_window,
-    run_length_chain,
     steady_state,
 )
 from oracles import (
+    closed_form_stationary,
     pascal_choose,
     power_iteration_stationary,
+    run_length_matrix,
     simulate_control_fraction,
     simulate_hitting_times,
 )
@@ -182,88 +182,62 @@ class TestAggregateSuccess:
         assert total == 1
 
 
+def accepted_params(counts):
+    """Every ``MarkovParams`` of both repeat modes with m and n drawn from ``counts``."""
+    for mode, m, n in itertools.product(RepeatMode, counts, counts):
+        if m + n >= (1 if mode is WITH else 2):
+            yield MarkovParams(m, n, mode)
+
+
 class TestRunLengthChain:
     def test_forced_alternation_matrix(self):
-        chain = run_length_chain(MarkovParams(1, 1, WITHOUT), 1)
-        assert np.array_equal(chain.matrix, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        matrix = run_length_matrix(MarkovParams(1, 1, WITHOUT), 1)
+        assert np.array_equal(matrix, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_explicit_three_state_matrix(self):
-        chain = run_length_chain(MarkovParams(3, 2, WITHOUT), 2)
+        matrix = run_length_matrix(MarkovParams(3, 2, WITHOUT), 2)
         expected = np.array([[0.25, 0.75, 0.0], [0.5, 0.0, 0.5], [0.5, 0.0, 0.5]])
-        assert np.allclose(chain.matrix, expected, atol=1e-15)
+        assert np.allclose(matrix, expected, atol=1e-15)
 
-    @given(
-        st.integers(min_value=0, max_value=6),
-        st.integers(min_value=0, max_value=6),
-        st.integers(min_value=1, max_value=6),
-    )
-    def test_rows_are_stochastic(self, m, n, k):
-        if m + n < 2:
-            return
-        chain = run_length_chain(MarkovParams(m, n, WITHOUT), k)
-        assert chain.matrix.shape == (k + 1, k + 1)
-        assert np.all(np.abs(chain.matrix.sum(axis=1) - 1.0) <= 1e-12)
-        assert np.all((chain.matrix >= 0.0) & (chain.matrix <= 1.0))
-
-    def test_invalid_matrix_rejected(self):
-        params = MarkovParams(3, 2, WITHOUT)
-        with pytest.raises(ValueError, match="sum to 1"):
-            RunLengthChain(params, 1, np.array([[0.5, 0.4], [0.5, 0.5]]))
-        with pytest.raises(ValueError):
-            run_length_chain(params, 0)
-
-
-def closed_form_stationary(params: MarkovParams, k: int) -> np.ndarray:
-    """Stationary vector from the closed form.
-
-    Interior entries are written as p_v * (1 - p_vv) * p_vv^(r-1), the
-    exact rearrangement of a_v * p_vv^r that stays finite at p_vv = 0.
-    """
-    p_v, p_vv = params.p_vulnerable, params.p_vv
-    vec = np.zeros(k + 1)
-    vec[0] = params.n / params.total
-    for r in range(1, k):
-        vec[r] = p_v * (1.0 - p_vv) * p_vv ** (r - 1)
-    vec[k] = p_v * p_vv ** (k - 1)
-    return vec
+    @given(st.sampled_from(list(accepted_params(range(7)))), st.integers(min_value=1, max_value=6))
+    def test_rows_are_stochastic(self, params, k):
+        matrix = run_length_matrix(params, k)
+        assert matrix.shape == (k + 1, k + 1)
+        assert np.all(np.abs(matrix.sum(axis=1) - 1.0) <= 1e-12)
+        assert np.all((matrix >= 0.0) & (matrix <= 1.0))
 
 
 class TestSteadyState:
     def test_leading_entry(self):
-        chain = run_length_chain(MarkovParams(3, 2, WITHOUT), 2)
-        vec = steady_state(chain)
-        assert vec[0] == pytest.approx(0.4, abs=1e-12)
-        assert np.allclose(vec, [0.4, 0.3, 0.3], atol=1e-12)
+        assert steady_state(MarkovParams(3, 2, WITHOUT), 2).tolist() == [0.4, 0.3, 0.3]
 
     def test_never_vulnerable(self):
-        chain = run_length_chain(MarkovParams(0, 5, WITHOUT), 3)
-        vec = steady_state(chain)
-        assert np.allclose(vec, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+        assert steady_state(MarkovParams(0, 5, WITHOUT), 3).tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    def test_k_validation(self):
+        with pytest.raises(ValueError, match="run length k must be >= 1"):
+            steady_state(MarkovParams(3, 2, WITHOUT), 0)
 
     def test_matches_power_iteration(self):
-        for m, n, k in [(3, 2, 4), (2, 3, 2), (4, 1, 5), (1, 1, 3), (1, 4, 2)]:
-            chain = run_length_chain(MarkovParams(m, n, WITHOUT), k)
-            vec = steady_state(chain)
-            oracle = power_iteration_stationary(chain.matrix)
-            assert np.max(np.abs(vec - oracle)) < 1e-10
+        # both repeat modes; m = 0, n = 0 and MarkovParams(1, 0, WITH) included
+        for params, k in itertools.product(accepted_params(range(6)), range(1, 7)):
+            oracle = power_iteration_stationary(run_length_matrix(params, k))
+            assert np.max(np.abs(steady_state(params, k) - oracle)) < 1e-10, (params, k)
 
     def test_matches_closed_form(self):
-        for m, n, k in itertools.product(range(1, 5), range(1, 5), range(2, 6)):
-            params = MarkovParams(m, n, WITHOUT)
-            vec = steady_state(run_length_chain(params, k))
-            assert np.max(np.abs(vec - closed_form_stationary(params, k))) < 1e-10
+        for params, k in itertools.product(accepted_params(range(5)), range(1, 6)):
+            vec = steady_state(params, k)
+            assert np.max(np.abs(vec - closed_form_stationary(params, k))) < 1e-15, (params, k)
 
-    @given(
-        st.integers(min_value=0, max_value=5),
-        st.integers(min_value=0, max_value=5),
-        st.integers(min_value=1, max_value=5),
-    )
-    def test_distribution_properties(self, m, n, k):
-        if m + n < 2:
-            return
-        vec = steady_state(run_length_chain(MarkovParams(m, n, WITHOUT), k))
+    @given(st.sampled_from(list(accepted_params(range(6)))), st.integers(min_value=1, max_value=5))
+    @example(MarkovParams(0, 4, WITH), 3)
+    @example(MarkovParams(4, 0, WITHOUT), 3)
+    @example(MarkovParams(1, 0, WITH), 1)
+    def test_distribution_properties(self, params, k):
+        vec = steady_state(params, k)
         assert abs(vec.sum() - 1.0) <= 1e-10
         assert np.all(vec >= 0.0)
+        assert np.max(np.abs(vec @ run_length_matrix(params, k) - vec)) <= 1e-12
 
 
 def quotient_form_control_fraction(params: MarkovParams, k: int) -> float:
@@ -300,7 +274,7 @@ class TestExpectedControlFraction:
         # weighted by their probability of completing the run
         for m, n, k in [(3, 2, 3), (2, 3, 2), (4, 1, 4), (3, 3, 5)]:
             params = MarkovParams(m, n, WITHOUT)
-            vec = steady_state(run_length_chain(params, k))
+            vec = steady_state(params, k)
             weighted = vec[k] + sum(vec[r] * params.p_vv ** (k - r) for r in range(1, k))
             assert expected_control_fraction(params, k) == pytest.approx(weighted, abs=1e-10)
 

@@ -114,9 +114,25 @@ class TestAnalyticCommand:
         assert report["aggregate"]["p_success"] == 0.30
         assert report["p_vv"] == 0.5
         assert report["p_ii"] == 0.25
-        assert report["steady_state"] == pytest.approx([0.4, 0.3, 0.3], abs=1e-12)
+        assert report["steady_state"] == [0.4, 0.3, 0.3]
         library_value = expected_time_to_compromise(MarkovParams(3, 2), 2)
         assert report["expected_time_to_compromise"] == pytest.approx(library_value)
+
+    def test_default_steady_state_is_exact(self, tmp_path):
+        # the dense solve this replaced gave 0.3999999999999999, 0.29999999999999993, ...
+        assert main(["analytic", "--m", "3", "--n", "2", "--outdir", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "analytic.json")["steady_state"] == [0.4, 0.3, 0.15, 0.15]
+
+    def test_longest_run_length_in_a_fresh_interpreter(self, tmp_path):
+        # a dense (K + 1) x (K + 1) solve took about 1 s and 255 MiB at K = 3000, and K had no bound
+        env = {**os.environ, "PYTHONPATH": str(Path(diversity_lab.__file__).parents[1])}
+        argv = ["analytic", "--m", "3", "--n", "2", "--K", str(MAX_STEPS), "--outdir", str(tmp_path)]
+        done = subprocess.run(
+            [sys.executable, "-m", "diversity_lab.cli", *argv], capture_output=True, text=True, env=env, timeout=30
+        )
+        assert done.returncode == 0, done.stderr
+        vec = read_json(tmp_path / "analytic.json")["steady_state"]
+        assert len(vec) == MAX_STEPS + 1 and vec[:4] == [0.4, 0.3, 0.15, 0.075] and vec[-1] == 0.0
 
     def test_time_to_compromise_past_the_float_range(self, tmp_path):
         assert main(["analytic", "--m", "3", "--n", "2", "--K", "3000", "--outdir", str(tmp_path)]) == 0
@@ -163,7 +179,7 @@ class TestAnalyticCommand:
         "argv, digest",
         [
             (["--m", "3", "--n", "2", "--j", "2", "--p", "0.5", "--strict", "--K", "2"],
-             "692fc3b493fbdd89f937d831f2655fbf99444fa4ff5a82d64942d3e5cb2d67b8"),
+             "245794aaa23c71afa67fd196341fdbe02471934ecb020047f78f17e4fe6022e6"),
             (["--m", "0", "--n", "5"], "7be2241db8a4d30fcf11fe63639ae634ee70572d7e1964aac2d4aa7a363b41bf"),
             (["--m", "1", "--n", "1", "--a", "300"],
              "1f586662aafd3d03e4ef07273a5f5736ec4a75d935d6296a840156715193f8b4"),
@@ -1210,6 +1226,11 @@ class TestNoOutputOnValidationError:
                 for steps in (MAX_STEPS + 1, 2**63 - 1)
             ),
             *(
+                (["analytic", "--m", "3", "--n", "2", "--K", str(k)], f"--K must be at most {MAX_STEPS}")
+                for k in (MAX_STEPS + 1, 2**63 - 1)
+            ),
+            (["analytic", "--m", "3", "--n", "2", "--K", "0", "--j", "2"], "--j and --p must be given together"),
+            *(
                 (["scenario", "--N", "3", "--T", "10", "--samples", str(samples)],
                  "samples must be at most 100000000")
                 for samples in (2**63, 2**62, 10**11, 10**17)
@@ -1249,6 +1270,10 @@ class TestNoOutputOnValidationError:
             "schedule-diversity-steps-above-max", "schedule-diversity-steps-2-63",
             "schedule-uniform-steps-above-max", "schedule-uniform-steps-2-63",
             "schedule-random-k-steps-above-max", "schedule-random-k-steps-2-63",
+            # checked before any computation; --K used to have no bound
+            "analytic-k-above-max", "analytic-k-2-63",
+            # the pairing is checked before the report, whose k >= 1 check this used to print
+            "analytic-j-without-p",
             # these used to end in a NumPy error, "array is too big" or an allocation failure
             "scenario-samples-2-63", "scenario-samples-2-62", "scenario-samples-1e11",
             "scenario-samples-711-PiB",
