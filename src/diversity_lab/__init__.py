@@ -20,13 +20,10 @@ from .analytic import (
     steady_state,
 )
 from .core import (
-    PlatformSet,
     PolicyKind,
     SimilarityMatrix,
     bundled_similarity_path,
-    load_bundled_similarity,
     load_similarity_matrix,
-    save_similarity_matrix,
 )
 from .rng import substream
 from .scenario import (
@@ -50,7 +47,6 @@ __all__ = [
     "ExploitSpec",
     "MarkovParams",
     "McConfig",
-    "PlatformSet",
     "PolicyKind",
     "RepeatMode",
     "ScenarioConfig",
@@ -61,13 +57,11 @@ __all__ = [
     "expected_control_fraction",
     "expected_time_to_compromise",
     "heron_area",
-    "load_bundled_similarity",
     "load_similarity_matrix",
     "p_success_aggregate",
     "p_success_finite_window",
     "run_mc_study",
     "run_scenario_study",
-    "save_similarity_matrix",
     "search_length",
     "steady_state",
     "substream",

@@ -156,7 +156,7 @@ def cmd_schedule(args) -> int:
         raise ValueError(f"steps must be at most {MAX_STEPS}")
     sim = _load_similarity(args)
     seed = _resolve_seed(args.seed)
-    start = sim.platforms.index(args.start if args.start is not None else sim.platforms[0])
+    start = sim.index(args.start) if args.start is not None else 0
     kind = POLICY_BY_NAME[args.policy]
     length = search_length(kind, sim.count, args.K, args.steps)
     (values,) = draws([draw_plan(walk_bounds(kind, sim.count, args.K, length))], seed)
@@ -167,13 +167,13 @@ def cmd_schedule(args) -> int:
     transient = int(late[-1]) + 1 if late.size else 0
     shown = period > 0 and args.steps - transient >= period + max(period, args.K - 1)
     report = {
-        "platforms": list(sim.platforms.names),
+        "platforms": list(sim.names),
         "policy": args.policy,
         "k": args.K,
         "seed": seed,
-        "start": sim.platforms[walk[0]],
+        "start": sim.names[walk[0]],
         "steps": args.steps,
-        "trace": [sim.platforms[i] for i in walk[: args.steps].tolist()],
+        "trace": [sim.names[i] for i in walk[: args.steps].tolist()],
         "periodicity": {"period": int(period), "transient": transient} if shown else None,
     }
     out = _outdir(args) / "schedule.json"
@@ -356,7 +356,9 @@ def cmd_scenario(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing keeps no state in it, so each ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="diversity-lab",
         description="Temporal platform rotation analytics, scheduling, and simulation.",
@@ -419,14 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process: parsing keeps no state in it, so each ``main`` call reuses it."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -1,10 +1,11 @@
 """Domain types shared across the library.
 
-Platforms and their pairwise code-similarity scores, and the migration
-policy kinds; a labeling of vulnerable platforms is a plain bool array,
-one flag per platform. All types here are immutable after construction and
-safe to share between concurrent workers. ``manifest_value`` reads one
-type-checked key of a run manifest.
+A ``SimilarityMatrix`` holds the platform names and their pairwise
+code-similarity scores; a platform is its index in ``names``, and a
+labeling of vulnerable platforms is a plain bool array, one flag per
+platform. ``PolicyKind`` names the migration policy kinds. All types here
+are immutable after construction and safe to share between concurrent
+workers. ``manifest_value`` reads one type-checked key of a run manifest.
 """
 
 from __future__ import annotations
@@ -32,54 +33,35 @@ def check_platform_count(count: int) -> None:
         raise ValueError(f"platform counts must be between 1 and {MAX_PLATFORMS}, got {count}")
 
 
-@dataclass(frozen=True)
-class PlatformSet:
-    """Ordered collection of platform identifiers.
+def check_platform_names(names: tuple[str, ...]) -> None:
+    """Raise ValueError unless ``names`` are a valid platform count of unique, non-blank identifiers."""
+    check_platform_count(len(names))
+    for name in names:
+        if not name or not name.strip():
+            raise ValueError("platform identifiers must be non-empty")
+    if len(set(names)) != len(names):
+        raise ValueError(f"platform identifiers must be unique: {names!r}")
 
-    Identifiers must be unique and non-empty; their order fixes the row
-    and column order of every similarity matrix built on top of them.
+
+@dataclass(frozen=True, eq=False)
+class SimilarityMatrix:
+    """Pairwise code-similarity scores between named platforms.
+
+    ``names`` are unique and non-blank, and fix the row and column order of
+    ``scores``. Scores live in [0, 1] with 1.0 meaning identical code. The
+    matrix is validated to be symmetric within ``SYMMETRY_TOLERANCE`` and is
+    stored canonically: the upper triangle mirrored onto the lower one, so
+    that downstream arithmetic is exactly symmetric. It compares by identity:
+    compare ``names``, and ``scores`` with ``np.array_equal``.
     """
 
     names: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        check_platform_count(len(self.names))
-        for name in self.names:
-            if not name or not name.strip():
-                raise ValueError("platform identifiers must be non-empty")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError(f"platform identifiers must be unique: {self.names!r}")
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def __getitem__(self, index: int) -> str:
-        return self.names[index]
-
-    def index(self, name: str) -> int:
-        """Position of ``name`` in the platform order."""
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ValueError(f"unknown platform {name!r}; known: {self.names!r}") from None
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Pairwise code-similarity scores between platforms.
-
-    Scores live in [0, 1] with 1.0 meaning identical code. The matrix is
-    validated to be symmetric within ``SYMMETRY_TOLERANCE`` and is stored
-    canonically: the upper triangle mirrored onto the lower one, so that
-    downstream arithmetic is exactly symmetric.
-    """
-
-    platforms: PlatformSet
     scores: np.ndarray
 
     def __post_init__(self) -> None:
+        check_platform_names(self.names)
         scores = np.asarray(self.scores, dtype=float)
-        count = len(self.platforms)
+        count = len(self.names)
         if scores.shape != (count, count):
             raise ValueError(
                 f"similarity matrix shape {scores.shape} does not match "
@@ -103,10 +85,14 @@ class SimilarityMatrix:
 
     @property
     def count(self) -> int:
-        return len(self.platforms)
+        return len(self.names)
 
-    def similarity(self, i: int, j: int) -> float:
-        return float(self.scores[i, j])
+    def index(self, name: str) -> int:
+        """Position of ``name`` in the platform order."""
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise ValueError(f"unknown platform {name!r}; known: {self.names!r}") from None
 
     def distances(self) -> np.ndarray:
         """Full distance matrix (1 - scores), read-only."""
@@ -128,10 +114,10 @@ def load_similarity_matrix(path: str | Path) -> SimilarityMatrix:
         raise ValueError(f"{path}: empty similarity file")
     names = tuple(cell.strip() for cell in lines[0].split(","))
     try:
-        platforms = PlatformSet(names)
+        check_platform_names(names)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    count = len(platforms)
+    count = len(names)
     if len(lines) != count + 1:
         raise ValueError(
             f"{path}: expected {count} data rows after the header, "
@@ -158,29 +144,14 @@ def load_similarity_matrix(path: str | Path) -> SimilarityMatrix:
         except ValueError as exc:
             raise ValueError(f"{path}: row {k + 2}: {exc}") from None
     try:
-        return SimilarityMatrix(platforms, scores)
+        return SimilarityMatrix(names, scores)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def save_similarity_matrix(matrix: SimilarityMatrix, path: str | Path) -> None:
-    """Write ``matrix`` in the CSV format understood by the loader."""
-    path = Path(path)
-    lines = [",".join(matrix.platforms.names)]
-    for k, name in enumerate(matrix.platforms.names):
-        row = ",".join(repr(float(v)) for v in matrix.scores[k])
-        lines.append(f"{name},{row}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def bundled_similarity_path() -> Path:
     """Filesystem path of the five-platform similarity fixture shipped with the package."""
     return Path(__file__).parent / "data" / BUNDLED_SIMILARITY_NAME
-
-
-def load_bundled_similarity() -> SimilarityMatrix:
-    """Load the bundled five-platform (CentOS/Fedora/Debian/Gentoo/FreeBSD) fixture."""
-    return load_similarity_matrix(bundled_similarity_path())
 
 
 class PolicyKind(Enum):

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    PlatformSet,
     PolicyKind,
     SimilarityMatrix,
     is_int,
@@ -92,7 +91,7 @@ class McConfig:
             "intervals": self.intervals,
             "k": self.k,
             "policies": [kind.value for kind in self.policy_kinds],
-            "similarity": {"platforms": list(sim.platforms.names), "scores": sim.scores.tolist()},
+            "similarity": {"platforms": list(sim.names), "scores": sim.scores.tolist()},
         }
 
     @classmethod
@@ -110,7 +109,7 @@ class McConfig:
         )
         scores = manifest_value(similarity, "scores", list_of(is_number_list), "similarity.scores")
         config = cls(trials, intervals, k, tuple(POLICY_BY_NAME[name] for name in policies), seed)
-        return config, SimilarityMatrix(PlatformSet(tuple(names)), np.array(scores, dtype=float))
+        return config, SimilarityMatrix(tuple(names), scores)
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,8 @@ class EmpiricalCdf:
     """Right-continuous empirical CDF evaluated at the observed values.
 
     ``total`` may exceed the number of samples (e.g. trials that never
-    produced a value), in which case the curve plateaus below 1.
+    produced a value), in which case the curve plateaus below 1. For samples
+    in [0, 1], the area under the curve over [0, 1] is 1 minus their mean.
     """
 
     values: tuple[float, ...]
@@ -132,10 +132,6 @@ class EmpiricalCdf:
         if total < max(1, size):
             raise ValueError("total must cover all samples")
         return cls(tuple(values.tolist()), tuple((np.cumsum(counts) / total).tolist()))
-
-    def auc(self, upper: float = 1.0) -> float:
-        """Area under the CDF over [0, upper]; 1 - auc() is the sample mean for values in [0, 1]."""
-        return float(np.dot(self.probs, np.diff(self.values, append=upper)))
 
 
 @dataclass(frozen=True, eq=False)

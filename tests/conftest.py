@@ -3,9 +3,9 @@ import pytest
 
 from diversity_lab import (
     McConfig,
-    PlatformSet,
     SimilarityMatrix,
-    load_bundled_similarity,
+    bundled_similarity_path,
+    load_similarity_matrix,
     run_mc_study,
 )
 from diversity_lab.rng import draw_plan, draws, substream
@@ -15,7 +15,7 @@ from diversity_lab.scheduler import walk_bounds, walks
 @pytest.fixture(scope="session")
 def five_platform_sim() -> SimilarityMatrix:
     """The bundled five-platform similarity fixture."""
-    return load_bundled_similarity()
+    return load_similarity_matrix(bundled_similarity_path())
 
 
 @pytest.fixture(scope="session")
@@ -40,7 +40,7 @@ def replays(monkeypatch):
 def make_similarity(scores) -> SimilarityMatrix:
     scores = np.asarray(scores, dtype=float)
     names = tuple(f"p{i}" for i in range(scores.shape[0]))
-    return SimilarityMatrix(PlatformSet(names), scores)
+    return SimilarityMatrix(names, scores)
 
 
 def seeded_walks(kind, sim, k, steps, starts, seed, *key) -> np.ndarray:

@@ -177,7 +177,7 @@ def test_criterion_08_diversity_schedule_periodicity(five_platform_sim, tmp_path
     )
     details = []
     ok = True
-    names = five_platform_sim.platforms.names
+    names = five_platform_sim.names
     for start in range(5):
         outdir = tmp_path / names[start]
         argv = ["schedule", "--K", "3", "--start", names[start], "--steps", "30", "--outdir", str(outdir)]

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diversity_lab
-from diversity_lab import expected_time_to_compromise, load_bundled_similarity, load_similarity_matrix, MarkovParams
+from diversity_lab import bundled_similarity_path, expected_time_to_compromise, load_similarity_matrix, MarkovParams
 from diversity_lab.cli import MAX_STEPS, MAX_SWEEP_POINTS, _json_text, _parse_t_values, main
 from diversity_lab.rng import substream
 from diversity_lab.scenario import MAX_STAYS, ExploitSpec
@@ -335,7 +335,10 @@ class TestScheduleCommand:
     def matrices(self, tmp_path_factory):
         family = tmp_path_factory.mktemp("family") / "family.csv"
         family.write_text(wide_similarity_csv(0), encoding="utf-8")
-        return {"fixture": (None, load_bundled_similarity()), "family": (str(family), load_similarity_matrix(family))}
+        return {
+            "fixture": (None, load_similarity_matrix(bundled_similarity_path())),
+            "family": (str(family), load_similarity_matrix(family)),
+        }
 
     @given(
         st.sampled_from(["fixture", "family"]),
@@ -350,12 +353,12 @@ class TestScheduleCommand:
         start = data.draw(st.integers(min_value=0, max_value=sim.count - 1), label="start")
         steps = data.draw(st.integers(min_value=2, max_value=80), label="steps")
         outdir = tmp_path_factory.mktemp("schedule")
-        argv = ["schedule", "--policy", policy, "--K", str(k), "--start", sim.platforms[start]]
+        argv = ["schedule", "--policy", policy, "--K", str(k), "--start", sim.names[start]]
         argv += ["--steps", str(steps), "--seed", str(seed), "--outdir", str(outdir)]
         assert main(argv + (["--similarity", path] if path else [])) == 0
         report = read_json(outdir / "schedule.json")
         expected = reference_schedule(policy, sim.distances(), k, start, steps, substream(seed))
-        assert report["trace"] == [sim.platforms[i] for i in expected]
+        assert report["trace"] == [sim.names[i] for i in expected]
         # a uniform schedule is a random walk: a repeated window in it is no period
         periodicity = None if policy == "uniform" else detect_periodicity(expected, k)
         assert report["periodicity"] == (None if periodicity is None else vars(periodicity))
@@ -378,14 +381,14 @@ class TestScheduleCommand:
     def assert_sweep_equals_reference(outdir, path, sim, policy, k, seeds, steps):
         """Each ``schedule`` of ``policy`` over every start, seed and steps equals the oracles' trace and period."""
         for seed, start, count in itertools.product(seeds, range(sim.count), steps):
-            argv = ["schedule", "--policy", policy, "--K", str(k), "--start", sim.platforms[start], "--steps", str(count)]
+            argv = ["schedule", "--policy", policy, "--K", str(k), "--start", sim.names[start], "--steps", str(count)]
             argv += ["--seed", str(seed), "--outdir", str(outdir)] + (["--similarity", str(path)] if path else [])
             assert main(argv) == 0
             report = read_json(outdir / "schedule.json")
             expected = reference_schedule(policy, sim.distances(), k, start, count, substream(seed))
             periodicity = None if policy == "uniform" else detect_periodicity(expected, k)
             case = (policy, k, start, count, seed)
-            assert report["trace"] == [sim.platforms[i] for i in expected], case
+            assert report["trace"] == [sim.names[i] for i in expected], case
             assert report["periodicity"] == (None if periodicity is None else vars(periodicity)), case
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])

@@ -1,14 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diversity_lab
-from diversity_lab import (
-    PlatformSet,
-    load_similarity_matrix,
-    save_similarity_matrix,
-)
+from diversity_lab import SimilarityMatrix, bundled_similarity_path, load_similarity_matrix
 from conftest import make_similarity
 
 
@@ -18,37 +16,63 @@ def write_csv(tmp_path, text, name="sim.csv"):
     return path
 
 
-class TestPlatformSet:
+def similarity_csv(sim) -> str:
+    """``sim`` in the loader's CSV format: the names, then one labeled row of exact scores per platform."""
+    rows = [",".join(sim.names)]
+    rows += [name + "," + ",".join(map(repr, row)) for name, row in zip(sim.names, sim.scores.tolist())]
+    return "\n".join(rows) + "\n"
+
+
+class TestPlatformNames:
+    """The names of a similarity matrix, checked by the constructor and, before any row, by the loader."""
+
     def test_basic(self):
-        ps = PlatformSet(("a", "b", "c"))
-        assert len(ps) == 3
-        assert ps.index("b") == 1
-        assert ps[2] == "c"
+        sim = SimilarityMatrix(("a", "b", "c"), np.eye(3))
+        assert sim.count == 3
+        assert sim.index("b") == 1
+        assert sim.names[2] == "c"
 
-    def test_duplicate_names_rejected(self):
+    def test_duplicate_names_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unique"):
-            PlatformSet(("a", "a"))
+            SimilarityMatrix(("a", "a"), np.eye(2))
+        path = write_csv(tmp_path, "a,a\nzap\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: platform identifiers must be unique"):
+            load_similarity_matrix(path)
 
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            PlatformSet(("a", ""))
+    def test_empty_name_rejected(self, tmp_path):
+        for names in (("a", ""), ("a", " ")):
+            with pytest.raises(ValueError, match="non-empty"):
+                SimilarityMatrix(names, np.eye(2))
+        path = write_csv(tmp_path, "a, \nzap\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: platform identifiers must be non-empty"):
+            load_similarity_matrix(path)
 
     def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            PlatformSet(())
+        with pytest.raises(ValueError, match="between 1 and"):
+            SimilarityMatrix((), np.zeros((0, 0)))
 
-    def test_unknown_platform(self):
+    def test_unknown_platform(self, five_platform_sim):
         with pytest.raises(ValueError, match="unknown platform"):
-            PlatformSet(("a",)).index("z")
+            SimilarityMatrix(("a",), np.eye(1)).index("z")
+        with pytest.raises(ValueError, match="unknown platform 'Ubuntu'"):
+            five_platform_sim.index("Ubuntu")
 
 
 class TestSimilarityMatrix:
     def test_bundled_fixture(self, five_platform_sim):
         sim = five_platform_sim
         assert sim.count == 5
-        assert sim.platforms.names == ("CentOS", "Fedora", "Debian", "Gentoo", "FreeBSD")
-        assert sim.similarity(0, 1) == 0.6645
-        assert sim.similarity(sim.platforms.index("CentOS"), sim.platforms.index("FreeBSD")) == 0.0368
+        assert sim.names == ("CentOS", "Fedora", "Debian", "Gentoo", "FreeBSD")
+        assert sim.scores[0, 1] == 0.6645
+        assert sim.scores[sim.index("CentOS"), sim.index("FreeBSD")] == 0.0368
+
+    def test_compares_and_hashes_by_identity(self, five_platform_sim):
+        again = load_similarity_matrix(bundled_similarity_path())
+        assert five_platform_sim == five_platform_sim
+        assert five_platform_sim != again
+        assert len({five_platform_sim, again, five_platform_sim}) == 2
+        assert again.names == five_platform_sim.names
+        assert np.array_equal(again.scores, five_platform_sim.scores)
 
     def test_one_by_one_bare_row(self, tmp_path):
         path = write_csv(tmp_path, "A\n1.0\n")
@@ -59,7 +83,7 @@ class TestSimilarityMatrix:
     def test_labeled_rows(self, tmp_path):
         path = write_csv(tmp_path, "A,B\nA,1.0,0.25\nB,0.25,1.0\n")
         sim = load_similarity_matrix(path)
-        assert sim.similarity(0, 1) == 0.25
+        assert sim.scores[0, 1] == 0.25
 
     def test_asymmetry_rejected(self, tmp_path):
         path = write_csv(tmp_path, "A,B\nA,1.0,0.5\nB,0.6,1.0\n")
@@ -144,9 +168,9 @@ def test_distance_properties(sim):
 @settings(max_examples=50)
 def test_save_load_round_trip(tmp_path_factory, sim):
     path = tmp_path_factory.mktemp("roundtrip") / "sim.csv"
-    save_similarity_matrix(sim, path)
+    path.write_text(similarity_csv(sim), encoding="utf-8")
     loaded = load_similarity_matrix(path)
-    assert loaded.platforms == sim.platforms
+    assert loaded.names == sim.names
     assert np.array_equal(loaded.scores, sim.scores)
 
 

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from diversity_lab import (
     ExploitSpec,
     McConfig,
-    PlatformSet,
     ScenarioConfig,
     SimilarityMatrix,
     bundled_similarity_path,
@@ -74,7 +73,7 @@ def similarity_matrices(draw):
         .reshape(count, count),
         k=1,
     )
-    return SimilarityMatrix(PlatformSet(tuple(names)), upper + upper.T + np.eye(count))
+    return SimilarityMatrix(tuple(names), upper + upper.T + np.eye(count))
 
 
 @st.composite
@@ -121,7 +120,7 @@ class TestRoundTrip:
         manifest = config.to_manifest(sim)
         read, read_sim = McConfig.from_manifest(through_json(manifest))
         assert read == config
-        assert read_sim.platforms == sim.platforms
+        assert read_sim.names == sim.names
         assert np.array_equal(read_sim.scores, sim.scores)
         assert read.to_manifest(read_sim) == manifest
 

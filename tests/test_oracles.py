@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from diversity_lab import load_bundled_similarity
+from diversity_lab import bundled_similarity_path, load_similarity_matrix
 from oracles import (
     enumerate_labelings,
     exact_uniform_compromised_fraction,
@@ -24,7 +24,7 @@ FOUR = [
     [0.2, 0.4, 1.0, 0.5],
     [0.9, 0.1, 0.5, 1.0],
 ]
-FIXTURE = load_bundled_similarity().scores
+FIXTURE = load_similarity_matrix(bundled_similarity_path()).scores
 
 
 def no_repeat_paths(count: int, intervals: int) -> list[tuple[int, ...]]:

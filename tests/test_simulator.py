@@ -47,7 +47,7 @@ class TestAssignVulnerabilities:
         # P(FreeBSD vulnerable | seed platform = CentOS) should track the
         # CentOS/FreeBSD score; the seed is recovered by replaying each
         # generator's first draw
-        freebsd = five_platform_sim.platforms.index("FreeBSD")
+        freebsd = five_platform_sim.index("FreeBSD")
         centos_seeded = 0
         hits = 0
         for i in range(100_000):
@@ -62,12 +62,12 @@ class TestAssignVulnerabilities:
         # P(FreeBSD vulnerable) = (1 + sum of its scores to the others) / 5
         rng = np.random.default_rng(31415)
         trials = 50_000
-        freebsd = five_platform_sim.platforms.index("FreeBSD")
+        freebsd = five_platform_sim.index("FreeBSD")
         hits = sum(
             reference_labeling(five_platform_sim.scores, rng)[freebsd]
             for _ in range(trials)
         )
-        sims = [five_platform_sim.similarity(i, freebsd) for i in range(4)]
+        sims = [five_platform_sim.scores[i, freebsd] for i in range(4)]
         expected = (1.0 + sum(sims)) / 5.0
         assert abs(hits / trials - expected) < 0.006
 
@@ -204,7 +204,8 @@ class TestEmpiricalCdf:
         rng = np.random.default_rng(8)
         samples = rng.random(500)
         cdf = EmpiricalCdf.from_samples(samples)
-        assert 1.0 - cdf.auc() == pytest.approx(samples.mean(), abs=1e-12)
+        auc = np.dot(cdf.probs, np.diff(cdf.values, append=1.0))
+        assert 1.0 - auc == pytest.approx(samples.mean(), abs=1e-12)
 
     def test_total_must_cover_samples(self):
         with pytest.raises(ValueError):
@@ -242,7 +243,8 @@ class TestRunMcStudy:
     def test_mean_vulnerability_equals_one_minus_auc(self, default_study):
         for metrics in default_study.values():
             cdf = metrics.cdf_vulnerable_fraction()
-            assert 1.0 - cdf.auc() == pytest.approx(metrics.mean_vulnerable_fraction, abs=1e-10)
+            auc = np.dot(cdf.probs, np.diff(cdf.values, append=1.0))
+            assert 1.0 - auc == pytest.approx(metrics.mean_vulnerable_fraction, abs=1e-10)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -267,7 +269,7 @@ class TestDiversityUnderLabelings:
         appears in every startup window, diversity never gets compromised."""
         # FreeBSD is in the rotation triple and in every 3-window of every
         # startup trace, so marking it invulnerable blocks all compromises.
-        freebsd = five_platform_sim.platforms.index("FreeBSD")
+        freebsd = five_platform_sim.index("FreeBSD")
         config = McConfig(trials=1, intervals=60)
         flags = np.arange(5) != freebsd
         for start_seed in range(30):
