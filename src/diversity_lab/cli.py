@@ -20,7 +20,9 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -48,6 +50,8 @@ SEED_ENV_VAR = "DIVERSITY_LAB_SEED"
 MAX_SWEEP_POINTS = 100_000
 #: Most intervals one report may hold: a ``schedule``'s steps or an ``analytic`` run length.
 MAX_STEPS = 1_000_000
+#: Items of a list of only strs, ints or finite floats that ``_json_pieces`` joins into one piece
+_JSON_ITEMS = 4096
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -67,30 +71,37 @@ def _convert(convert, parts, error: str) -> tuple:
         raise ValueError(error) from None
 
 
-def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, with ±inf as ``"Infinity"`` and str dict keys.
+def _json_pieces(value, indent: str = "\n") -> Iterator[str]:
+    """``json.dumps(value, indent=2, sort_keys=True)`` in pieces, with ±inf as ``"Infinity"`` and str dict keys.
 
-    A list of only strs, only ints or only finite floats (exact types) is joined in one pass.
+    A list of only strs, only ints or only finite floats (exact types) is joined ``_JSON_ITEMS`` items
+    to a piece, so that the strings of a long list are never all alive at once.
     """
     inner = indent + "  "
     if isinstance(value, dict):
         ends = "{}"
-        items = (encode_basestring_ascii(key) + ": " + _json_text(value[key], inner) for key in sorted(value))
+        items = (chain([encode_basestring_ascii(key) + ": "], _json_pieces(value[key], inner)) for key in sorted(value))
     elif isinstance(value, (list, tuple)):
         ends, types = "[]", set(map(type, value))
-        if types == {str}:
-            items = map(encode_basestring_ascii, value)
-        elif types == {int} or types == {float} and all(map(math.isfinite, value)):
-            items = map(repr, value)
+        if types == {str} or types == {int} or types == {float} and all(map(math.isfinite, value)):
+            text, join = encode_basestring_ascii if types == {str} else repr, ("," + inner).join
+            items = ([join(map(text, value[at : at + _JSON_ITEMS]))] for at in range(0, len(value), _JSON_ITEMS))
         else:
-            items = (_json_text(item, inner) for item in value)
+            items = (_json_pieces(item, inner) for item in value)
     else:
-        return '"Infinity"' if isinstance(value, float) and math.isinf(value) else json.dumps(value)
-    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if value else ends
+        yield '"Infinity"' if isinstance(value, float) and math.isinf(value) else json.dumps(value)
+        return
+    yield ends[0]
+    for at, pieces in enumerate(items):
+        yield ("," if at else "") + inner
+        yield from pieces
+    yield (indent if value else "") + ends[1]
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(_json_text(payload) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as handle:
+        handle.writelines(_json_pieces(payload))
+        handle.write("\n")
 
 
 def _outdir(args) -> Path:

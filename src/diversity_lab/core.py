@@ -59,6 +59,8 @@ class SimilarityMatrix:
     scores: np.ndarray
 
     def __post_init__(self) -> None:
+        # a tuple, so that the caller's list cannot change the names after they are checked
+        object.__setattr__(self, "names", tuple(self.names))
         check_platform_names(self.names)
         scores = np.asarray(self.scores, dtype=float)
         count = len(self.names)

@@ -9,19 +9,21 @@ changing results.
 ``substream`` is the reference: it seeds PCG64 through NumPy's
 ``SeedSequence``. ``_word_pieces`` gives the first raw words of many
 streams at once with no generator at all. A key part is one uint32
-word, so every key row has one entropy layout, and SeedSequence's pool
-mixing and ``generate_state(4, uint64)`` run as uint32 array arithmetic
-over a block of keys, one pool word at a time, with hash constants
-built on the first use of each entropy length. Then it runs PCG64's
-seeding, ``inc = 2·initseq + 1`` and ``s = (initstate + inc)·MULT + inc``.
+word, so every key row has one entropy layout; each part is copied flat
+over the key rows once per ``draws`` call. SeedSequence's pool mixing
+and ``generate_state(4, uint64)`` run as uint32 array arithmetic over a
+block of keys, one pool word at a time, with hash constants built on
+the first use of each entropy length. Then PCG64's seeding runs,
+``inc = 2·initseq + 1`` and ``s = (initstate + inc)·MULT + inc``.
 PCG64 steps by ``s ↦ s·MULT + inc`` and outputs each new state's XSL-RR,
 ``rotr64(hi ^ lo, hi >> 58)``. So the state behind word j is
 ``A_j·s + B_j·inc mod 2**128``, with ``A_j = MULT**(j+1)`` and ``B_j``
 the sum of ``MULT**i`` for i <= j, and the state behind word j + g is
 ``MULT**g`` times that of word j plus ``Q_g·inc``, with ``Q_g`` the sum
 of ``MULT**i`` for i < g: each piece of keys jumps to the first g words
-and steps its g lanes by g words, in place. The keys fall into runs,
-each with its own word count; a seed block serves every run it
+and steps its g lanes by g words, both by one multiply-add,
+``a·x + b mod 2**128`` (``_mul``, then ``_add``). The keys fall into
+runs, each with its own word count; a seed block serves every run it
 overlaps, so no key derives more words than its run's count. A 128-bit
 value is a pair of uint64 arrays, high word first.
 
@@ -125,19 +127,20 @@ def _step_lanes(init: tuple, inc: tuple, out: np.ndarray) -> None:
     words, rows = out.shape
     lanes = max(1, min(words, WORD_BLOCK // rows))
     power, total, leap, stride = _leapfrog_constants(lanes)
-    high, low = _add(_mul(power, init), _mul(total, inc))
+    state = _add(_mul(power, init), _mul(total, inc))
     # a leap's increment, needed only when the lanes hold fewer than all the words
     advance = _mul(stride, inc) if lanes < words else None
-    scratch = np.empty((3, *high.shape), dtype=np.uint64)
     for col in range(0, words, lanes):
-        width = min(lanes, words - col)
-        _xsl_rr(high[:width], low[:width], out[col : col + width], scratch[:, :width])
+        high, low = (half[: words - col] for half in state)
+        # XSL-RR: rotr64(hi ^ lo, r) with r = hi >> 58; the left rotation by 64 - r is 0 for r = 0
+        mixed, rotation = high ^ low, high >> np.uint64(58)
+        out[col : col + lanes] = mixed >> rotation | mixed << (np.uint64(64) - rotation & np.uint64(63))
         if col + lanes < words:
-            _leap(high, low, leap, advance, scratch)
+            state = _add(_mul(leap, state), advance)
 
 
 def _key_columns(master_seed: int, key) -> tuple[list[int], list[np.ndarray], int]:
-    """The master seed's entropy words, each key part as a uint32 view broadcast to the key rows, and their count.
+    """The master seed's entropy words, each key part as a flat uint32 copy over the key rows, and their count.
 
     A key part is one SeedSequence word, in ``[0, 2**32)``; the engines'
     trial, sample, stream and platform-count parts all are.
@@ -149,23 +152,8 @@ def _key_columns(master_seed: int, key) -> tuple[list[int], list[np.ndarray], in
     if bad:
         raise ValueError(f"key parts must be in [0, 2**32), got {bad[0]}")
     shape = np.broadcast_shapes(*(part.shape for part in parts)) or (1,)
-    views = [np.broadcast_to(part.astype(np.uint32), shape) for part in parts]
-    return _uint32_words(int(master_seed)), views, math.prod(shape)
-
-
-def _flat_range(view: np.ndarray, first: int, last: int, out: np.ndarray) -> None:
-    """Elements ``first`` to ``last`` of ``view`` in C order into ``out``: a partial entry, whole ones, a partial one."""
-    if view.ndim == 1:
-        out[:] = view[first:last]
-        return
-    inner = math.prod(view.shape[1:])
-    head, tail = first // inner, (last - 1) // inner
-    cut = min(last, (head + 1) * inner) - first
-    _flat_range(view[head], first - head * inner, first - head * inner + cut, out[:cut])
-    if tail > head:
-        whole = out[cut : cut + (tail - head - 1) * inner]
-        whole.reshape(-1, *view.shape[1:])[:] = view[head + 1 : tail]
-        _flat_range(view[tail], 0, last - tail * inner, out[cut + len(whole) :])
+    columns = [np.broadcast_to(part.astype(np.uint32), shape).ravel() for part in parts]
+    return _uint32_words(int(master_seed)), columns, math.prod(shape)
 
 
 @functools.lru_cache(maxsize=16)
@@ -178,9 +166,7 @@ def _leapfrog_constants(lanes: int) -> tuple[tuple[np.ndarray, ...], ...]:
     pairs hold these factors for lanes 0 to ``lanes - 1``, one per row;
     the last two hold ``MULT**lanes`` and ``Q``, the sum of ``MULT**i``
     for i < lanes, which advance a lane by ``lanes`` words:
-    ``s ↦ MULT**lanes·s + Q·inc``; the leap pair also holds the 32-bit
-    halves of ``MULT**lanes``'s low word, low half first, for ``_leap``.
-    Built on first use, not at import.
+    ``s ↦ MULT**lanes·s + Q·inc``. Built on first use, not at import.
     """
     power = _PCG64_MULT * _PCG64_MULT & _MASK128
     total = (1 + _PCG64_MULT + power) & _MASK128
@@ -193,8 +179,7 @@ def _leapfrog_constants(lanes: int) -> tuple[tuple[np.ndarray, ...], ...]:
         total = (total + power) & _MASK128
         stride = (stride + leap) & _MASK128
         leap = leap * _PCG64_MULT & _MASK128
-    halves = [np.array([[leap >> shift & _MASK32]], dtype=np.uint64) for shift in (0, 32)]
-    return _split128(powers), _split128(totals), (*_split128([leap]), *halves), _split128([stride])
+    return _split128(powers), _split128(totals), _split128([leap]), _split128([stride])
 
 
 def _split128(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -216,70 +201,33 @@ def _mulhi64(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     x_lo, x_hi = x & _HALF, x >> _SHIFT32
     y_lo, y_hi = y & _HALF, y >> _SHIFT32
-    upper = x_hi * y_lo + (x_lo * y_lo >> _SHIFT32)
-    lower = x_lo * y_hi + (upper & _HALF)
-    return x_hi * y_hi + (upper >> _SHIFT32) + (lower >> _SHIFT32)
+    upper = x_lo * y_lo
+    upper >>= _SHIFT32
+    upper += x_hi * y_lo
+    lower = x_lo * y_hi
+    lower += upper & _HALF
+    lower >>= _SHIFT32
+    upper >>= _SHIFT32
+    upper += lower
+    upper += x_hi * y_hi
+    return upper
 
 
 def _mul(a: tuple, x: tuple) -> tuple[np.ndarray, np.ndarray]:
     """``a·x mod 2**128`` of (high, low) pairs: uint64 products wrap, so only one high word is missing."""
     (a_hi, a_lo), (x_hi, x_lo) = a, x
-    return a_hi * x_lo + a_lo * x_hi + _mulhi64(a_lo, x_lo), a_lo * x_lo
+    high = _mulhi64(a_lo, x_lo)
+    high += a_hi * x_lo
+    high += a_lo * x_hi
+    return high, a_lo * x_lo
 
 
 def _add(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
     """``a + b mod 2**128`` of (high, low) pairs; the low sum wraps below ``b``'s low word on a carry."""
     low = a[1] + b[1]
-    return a[0] + b[0] + (low < b[1]), low
-
-
-def _leap(high: np.ndarray, low: np.ndarray, leap: tuple, advance: tuple, scratch: np.ndarray) -> None:
-    """``s ↦ leap·s + advance mod 2**128`` of the (``high``, ``low``) states, in place.
-
-    ``leap`` is a constant (high, low, low word's low half, low word's high
-    half); the high word is ``_mul``'s, with ``_mulhi64`` of the low words
-    from the precomputed halves. ``scratch`` holds three arrays of the
-    states' shape.
-    """
-    (l_hi, l_lo, a_lo, a_hi), (b_hi, b_lo) = leap, advance
-    x_lo, x_hi, part = scratch
-    np.bitwise_and(low, _HALF, out=x_lo)
-    np.right_shift(low, _SHIFT32, out=x_hi)
-    high *= l_lo
-    np.multiply(l_hi, low, out=part)
-    high += part
-    # mulhi(l_lo, low): upper = a_hi·x_lo + (a_lo·x_lo >> 32), lower = a_lo·x_hi + (upper & half)
-    np.multiply(a_lo, x_lo, out=part)
-    part >>= _SHIFT32
-    x_lo *= a_hi
-    x_lo += part
-    np.multiply(a_lo, x_hi, out=part)
-    x_hi *= a_hi
-    high += x_hi
-    np.bitwise_and(x_lo, _HALF, out=x_hi)
-    part += x_hi
-    x_lo >>= _SHIFT32
-    high += x_lo
-    part >>= _SHIFT32
-    high += part
-    low *= l_lo
-    low += b_lo
-    high += b_hi
-    # the low sum wrapped below the advance's low word on a carry
-    high += low < b_lo
-
-
-def _xsl_rr(high: np.ndarray, low: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """PCG64's output of each state, ``rotr64(hi ^ lo, hi >> 58)``, into ``out``; ``scratch`` holds two arrays."""
-    mixed, rotation = scratch[:2]
-    np.bitwise_xor(high, low, out=mixed)
-    np.right_shift(high, np.uint64(58), out=rotation)
-    np.right_shift(mixed, rotation, out=out)
-    # the left rotation by 64 - r, which is 0 for r = 0
-    np.subtract(np.uint64(64), rotation, out=rotation)
-    rotation &= np.uint64(63)
-    mixed <<= rotation
-    out |= mixed
+    high = a[0] + b[0]
+    high += low < b[1]
+    return high, low
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -291,13 +239,13 @@ def _entropy(seed_words: list[int], parts: list[np.ndarray], first: int, last: i
     """The SeedSequence entropy of key rows ``first`` to ``last``, one column each.
 
     Every column has one layout: the master seed's words, then one word
-    per key part, copied from its broadcast view, then zeros up to the
-    pool size, as SeedSequence hashes a zero for each pool word past it.
+    per key part, sliced from its flat column, then zeros up to the pool
+    size, as SeedSequence hashes a zero for each pool word past it.
     """
     entropy = np.zeros((max(_POOL, len(seed_words) + len(parts)), last - first), dtype=np.uint32)
     entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
     for part, row in zip(parts, entropy[len(seed_words) :]):
-        _flat_range(part, first, last, row)
+        row[:] = part[first:last]
     return entropy
 
 
@@ -320,42 +268,37 @@ def _hash_pairs(length: int) -> tuple[tuple[np.uint32, np.uint32], ...]:
 def _generate_state(entropy: np.ndarray) -> np.ndarray:
     """``SeedSequence(entropy).generate_state(4, uint64)`` of each column of ``entropy``, as (4, rows).
 
-    SeedSequence's own loops run in place, one pool word over all the rows
-    at a time: each pool word is hashed from its entropy word, then mixes
+    SeedSequence's own loops run over a list of pool rows, each over all
+    the columns: each pool word is hashed from its entropy word, then mixes
     into the other three; each entropy word past the pool mixes into all
     four; the eight output halves hash the pool twice over. ``hashmix`` is
     ``v = (v ^ xor)·mult; v ^ v >> 16`` with the next pair of constants,
     and ``mix(x, y)`` is ``v = L·x − R·hashmix(y); v ^ v >> 16``.
     """
     pairs = iter(_hash_pairs(len(entropy)))
-    rows = entropy.shape[1]
-    pool, state, (hashed, shifted) = (np.empty((size, rows), dtype=np.uint32) for size in (_POOL, 2 * _POOL, 2))
 
-    def hashmix(value: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def hashmix(value: np.ndarray) -> np.ndarray:
         xor, mult = next(pairs)
-        np.multiply(np.bitwise_xor(value, xor, out=out), mult, out=out)
-        out ^= np.right_shift(out, _SHIFT16, out=shifted)
-        return out
+        value = (value ^ xor) * mult
+        value ^= value >> _SHIFT16
+        return value
 
-    def mix(dst: np.ndarray, value: np.ndarray) -> None:
-        np.multiply(hashmix(value, hashed), _MIX_R, out=hashed)
-        np.subtract(np.multiply(dst, _MIX_L, out=dst), hashed, out=dst)
-        dst ^= np.right_shift(dst, _SHIFT16, out=shifted)
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        value = x * _MIX_L
+        value -= hashmix(y) * _MIX_R
+        value ^= value >> _SHIFT16
+        return value
 
-    for word, dst in zip(entropy, pool):
-        hashmix(word, dst)
+    pool = [hashmix(word) for word in entropy[:_POOL]]
     for src in range(_POOL):
         for dst in range(_POOL):
             if dst != src:
-                mix(pool[dst], pool[src])
+                pool[dst] = mix(pool[dst], pool[src])
     for word in entropy[_POOL:]:
-        for dst in pool:
-            mix(dst, word)
-    for half, out in enumerate(state):
-        hashmix(pool[half % _POOL], out)
-    # output word w is state halves 2w (low) and 2w + 1 (high)
-    words = state[1::2].astype(np.uint64)
-    return np.bitwise_or(np.left_shift(words, _SHIFT32, out=words), state[::2], out=words)
+        pool = [mix(dst, word) for dst in pool]
+    halves = [hashmix(pool[half % _POOL]) for half in range(2 * _POOL)]
+    # output word w is halves 2w (low) and 2w + 1 (high)
+    return np.array([high.astype(np.uint64) << _SHIFT32 | low for low, high in zip(halves[::2], halves[1::2])])
 
 
 def _bounded32(draws: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:

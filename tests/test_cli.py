@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import diversity_lab
 from diversity_lab import bundled_similarity_path, expected_time_to_compromise, load_similarity_matrix, MarkovParams
-from diversity_lab.cli import MAX_STEPS, MAX_SWEEP_POINTS, _json_text, _parse_t_values, main
+from diversity_lab.cli import MAX_STEPS, MAX_SWEEP_POINTS, _json_pieces, _parse_t_values, _write_json, main
 from diversity_lab.rng import substream
 from diversity_lab.scenario import MAX_STAYS, ExploitSpec
 from diversity_lab.scheduler import walks
@@ -77,11 +77,15 @@ json_values = st.recursive(
 )
 
 
+def json_text(value) -> str:
+    return "".join(_json_pieces(value))
+
+
 class TestJsonWriter:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(json_values)
     def test_text_equals_json_dumps(self, value):
-        assert _json_text(value) == json.dumps(jsonable(value), indent=2, sort_keys=True)
+        assert json_text(value) == json.dumps(jsonable(value), indent=2, sort_keys=True)
 
     @pytest.mark.parametrize(
         "value, text",
@@ -95,7 +99,19 @@ class TestJsonWriter:
         ids=["empty-list", "empty-dict", "infinities", "mixed", "numpy-and-huge-int"],
     )
     def test_examples(self, value, text):
-        assert _json_text(value) == text
+        assert json_text(value) == text
+
+    def test_file_of_lists_longer_than_one_piece(self, tmp_path):
+        # flat lists are joined 4,096 items to a piece: each finite one here spans two or three pieces
+        payload = {
+            "floats": [0.1 * i for i in range(9000)],
+            "ints": list(range(4097)),
+            "strs": [str(i) for i in range(8193)],
+            "nested": [[], {}, [1.5] * 4097, {"a": list(range(5000))}],
+        }
+        _write_json(tmp_path / "out.json", payload | {"inf": [1.0] * 4096 + [math.inf, -math.inf]})
+        expected = json.dumps(payload | {"inf": [1.0] * 4096 + ["Infinity"] * 2}, indent=2, sort_keys=True)
+        assert (tmp_path / "out.json").read_text(encoding="utf-8") == expected + "\n"
 
 
 class TestAnalyticCommand:

@@ -32,6 +32,14 @@ class TestPlatformNames:
         assert sim.index("b") == 1
         assert sim.names[2] == "c"
 
+    def test_names_are_frozen(self):
+        # a list of names is copied, so changing the list later cannot duplicate a checked name
+        names = ["a", "b"]
+        sim = SimilarityMatrix(names, np.eye(2))
+        names[1] = "a"
+        assert sim.names == ("a", "b")
+        assert sim.index("b") == 1
+
     def test_duplicate_names_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unique"):
             SimilarityMatrix(("a", "a"), np.eye(2))

@@ -5,6 +5,8 @@ from those words; NumPy and Python ints are the reference.
 If a NumPy release changes any of these internals, these tests fail.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,33 @@ class TestMulhi64:
         assert rng._mulhi64(x, y).tolist() == [a * b >> 64 for a in values for b in values]
 
 
+class TestMultiplyAdd:
+    """``_add(_mul(a, x), b)``, the one multiply-add of the jump and the leap, is ``a·x + b mod 2**128``."""
+
+    edges = st.sampled_from([0, 1, 2**64 - 1, 2**64, 2**128 - 1])
+    values = st.integers(0, 2**128 - 1) | edges
+
+    @staticmethod
+    def pairs(values):
+        """An array of 128-bit Python ints as a (high, low) pair of uint64 arrays."""
+        return (values >> 64).astype(np.uint64), (values & 2**64 - 1).astype(np.uint64)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.data())
+    def test_equals_python_ints(self, lanes, rows, jump, data):
+        # (a, x, b) shapes as the stepper has them: the jump multiplies (lanes, 1) constants into (1, rows)
+        # seeded states and adds a (lanes, rows) product, the leap a (1, 1) constant into (lanes, rows)
+        # states and adds a (1, rows) advance
+        shapes = ((lanes, 1), (1, rows), (lanes, rows)) if jump else ((1, 1), (lanes, rows), (1, rows))
+        a, x, b = (
+            np.array(data.draw(st.lists(self.values, min_size=size, max_size=size)), dtype=object).reshape(shape)
+            for shape in shapes
+            for size in [math.prod(shape)]
+        )
+        high, low = rng._add(rng._mul(self.pairs(a), self.pairs(x)), self.pairs(b))
+        assert (high.astype(object) << 64 | low.astype(object)).tolist() == ((a * x + b) % 2**128).tolist()
+
+
 class TestStreamWords:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -160,19 +189,6 @@ class TestStreamWords:
         first, second, third = np.arange(2)[:, None, None], np.array([7, 2**32 - 1])[:, None], np.arange(1100)
         keys = [(i, j, k) for i in range(2) for j in (7, 2**32 - 1) for k in range(1100)]
         assert stream_words(5, first, second, third, words=1).tolist() == numpy_words(5, keys, 1)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.data())
-    def test_flat_range_equals_ravel(self, shape, data):
-        # a part that varies along some axes and is broadcast along the others, any range of its rows
-        varies = data.draw(st.lists(st.booleans(), min_size=len(shape), max_size=len(shape)))
-        part = np.arange(np.prod(shape)).reshape(shape)[tuple(slice(None) if v else slice(1) for v in varies)]
-        view = np.broadcast_to(part, shape)
-        first = data.draw(st.integers(0, view.size - 1))
-        last = data.draw(st.integers(first + 1, view.size))
-        out = np.empty(last - first, dtype=view.dtype)
-        rng._flat_range(view, first, last, out)
-        assert out.tolist() == view.ravel()[first:last].tolist()
 
     def test_rows_in_c_order(self):
         trials, ids = np.arange(5), [0, 1, 3]
