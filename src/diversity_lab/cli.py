@@ -14,7 +14,6 @@ when ``--seed`` is not given.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -71,11 +70,29 @@ def _convert(convert, parts, error: str) -> tuple:
         raise ValueError(error) from None
 
 
+class _JsonTexts(list):
+    """A non-empty matrix row whose items are already JSON text: ``_json_pieces`` joins a list of them row by row."""
+
+
+def _mirror_texts(rows: list[list[float]]) -> None:
+    """Replace each ``SimilarityMatrix.scores`` row in ``rows`` by ``_JsonTexts``: a ``repr`` per upper-triangle score.
+
+    The matrix stores S[j, i] as the same double as S[i, j], so a score below the diagonal has its mirror's text.
+    A row's floats go as its texts come, so the two are never all alive at once.
+    """
+    columns = [[] for _ in rows]  # column j's texts from the rows above j
+    for i, row in enumerate(rows):
+        upper = list(map(repr, row[i:]))
+        rows[i], columns[i] = _JsonTexts(columns[i] + upper), None
+        for column, text in zip(columns[i + 1 :], upper[1:]):
+            column.append(text)
+
+
 def _json_pieces(value, indent: str = "\n") -> Iterator[str]:
     """``json.dumps(value, indent=2, sort_keys=True)`` in pieces, with ±inf as ``"Infinity"`` and str dict keys.
 
-    A list of only strs, only ints or only finite floats (exact types) is joined ``_JSON_ITEMS`` items
-    to a piece, so that the strings of a long list are never all alive at once.
+    A list of only strs, only ints or only finite floats (exact types) is joined ``_JSON_ITEMS`` items to a piece,
+    so that the strings of a long list are never all alive at once, and a list of ``_JsonTexts`` a row to a piece.
     """
     inner = indent + "  "
     if isinstance(value, dict):
@@ -83,7 +100,10 @@ def _json_pieces(value, indent: str = "\n") -> Iterator[str]:
         items = (chain([encode_basestring_ascii(key) + ": "], _json_pieces(value[key], inner)) for key in sorted(value))
     elif isinstance(value, (list, tuple)):
         ends, types = "[]", set(map(type, value))
-        if types == {str} or types == {int} or types == {float} and all(map(math.isfinite, value)):
+        if types == {_JsonTexts}:
+            join = ("," + inner + "  ").join
+            items = ([f"[{inner}  {join(row)}{inner}]"] for row in value)
+        elif types == {str} or types == {int} or types == {float} and all(map(math.isfinite, value)):
             text, join = encode_basestring_ascii if types == {str} else repr, ("," + inner).join
             items = ([join(map(text, value[at : at + _JSON_ITEMS]))] for at in range(0, len(value), _JSON_ITEMS))
         else:
@@ -236,6 +256,7 @@ def cmd_mc(args) -> int:
     outdir = _outdir(args)
 
     manifest = {"command": "mc", "version": __version__, **config.to_manifest(sim)}
+    _mirror_texts(manifest["similarity"]["scores"])
     _write_json(outdir / "run_manifest.json", manifest)
 
     metrics = {}
@@ -257,13 +278,12 @@ def cmd_mc(args) -> int:
         "cdf_compromised.csv": lambda pm: pm.cdf_compromised_fraction(),
     }
     for filename, extract in curves.items():
-        with open(outdir / filename, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["policy", "value", "cumulative_probability"])
-            for name, policy_metrics in study.items():
-                cdf = extract(policy_metrics)
-                for value, prob in zip(cdf.values, cdf.probs):
-                    writer.writerow([name, repr(float(value)), repr(float(prob))])
+        # the bytes csv.writer writes: CRLF after each row, and no field that needs quotes
+        lines = ["policy,value,cumulative_probability"]
+        for name, policy_metrics in study.items():
+            cdf = extract(policy_metrics)
+            lines += (f"{name},{value!r},{prob!r}" for value, prob in zip(cdf.values, cdf.probs))
+        (outdir / filename).write_text("\r\n".join([*lines, ""]), encoding="utf-8", newline="")
     print(outdir)
     return EXIT_OK
 
@@ -356,13 +376,9 @@ def cmd_scenario(args) -> int:
     outdir = _outdir(args)
     manifest = {"command": "scenario", "version": __version__, **config.to_manifest()}
     _write_json(outdir / "run_manifest.json", manifest)
-    with open(outdir / "success_fraction.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["N", "T_seconds", "success_fraction", "samples"])
-        for point in grid:
-            writer.writerow(
-                [point.n, repr(float(point.t)), repr(point.success_fraction), point.samples]
-            )
+    lines = [f"{point.n},{float(point.t)!r},{point.success_fraction!r},{point.samples}" for point in grid]
+    text = "\r\n".join(["N,T_seconds,success_fraction,samples", *lines, ""])
+    (outdir / "success_fraction.csv").write_text(text, encoding="utf-8", newline="")
     print(outdir)
     return EXIT_OK
 

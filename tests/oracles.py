@@ -254,6 +254,29 @@ def reference_schedule(name: str, dist, k: int, start, steps: int, rng) -> list[
     return chosen
 
 
+def closed_form_uniform_walks(starts, moves) -> np.ndarray:
+    """No-repeat walks from their moves with no loop over steps, one row per start.
+
+    Move m_t goes to platform m_t + b_t, with b_t = [m_t >= the previous
+    platform]; the first move compares with the start. After that the
+    previous platform is m_{t-1} or m_{t-1} + 1, so b_t is 1 when
+    m_t > m_{t-1} and 0 when m_t < m_{t-1}, and along a run of equal moves
+    b flips at every step. So b_t is the bit at the head of its run of
+    equal moves, flipped once per step since the head.
+    """
+    starts = np.asarray(starts, dtype=np.intp)[:, None]
+    moves = np.asarray(moves, dtype=np.intp).reshape(len(starts), -1)
+    steps = np.arange(moves.shape[1])
+    bits = np.empty(moves.shape, dtype=bool)
+    bits[:, :1] = moves[:, :1] >= starts
+    bits[:, 1:] = moves[:, 1:] > moves[:, :-1]
+    heads = np.ones(moves.shape, dtype=bool)
+    heads[:, 1:] = moves[:, 1:] != moves[:, :-1]
+    head = np.maximum.accumulate(np.where(heads, steps, 0), axis=1)
+    bits = np.take_along_axis(bits, head, axis=1) ^ ((steps - head) % 2 == 1)
+    return np.concatenate([starts, moves + bits], axis=1)
+
+
 @dataclass(frozen=True)
 class Periodicity:
     """Detected eventual periodicity: cycle length and transient prefix length."""

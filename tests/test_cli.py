@@ -1,6 +1,8 @@
 import argparse
+import codecs
 import csv
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -9,6 +11,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,10 +19,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diversity_lab
-from diversity_lab import bundled_similarity_path, expected_time_to_compromise, load_similarity_matrix, MarkovParams
-from diversity_lab.cli import MAX_STEPS, MAX_SWEEP_POINTS, _json_pieces, _parse_t_values, _write_json, main
+from diversity_lab import (
+    McConfig,
+    MarkovParams,
+    PolicyKind,
+    SimilarityMatrix,
+    bundled_similarity_path,
+    expected_time_to_compromise,
+    load_similarity_matrix,
+)
+from diversity_lab.cli import (
+    MAX_STEPS,
+    MAX_SWEEP_POINTS,
+    _json_pieces,
+    _mirror_texts,
+    _parse_t_values,
+    _write_json,
+    main,
+)
 from diversity_lab.rng import substream
-from diversity_lab.scenario import MAX_STAYS, ExploitSpec
+from diversity_lab.scenario import MAX_STAYS, ExploitSpec, GridPoint
+from diversity_lab.simulator import EmpiricalCdf
 from diversity_lab.scheduler import walks
 from conftest import wide_similarity_csv
 from oracles import detect_periodicity, max_control_run, reference_schedule
@@ -112,6 +132,111 @@ class TestJsonWriter:
         _write_json(tmp_path / "out.json", payload | {"inf": [1.0] * 4096 + [math.inf, -math.inf]})
         expected = json.dumps(payload | {"inf": [1.0] * 4096 + ["Infinity"] * 2}, indent=2, sort_keys=True)
         assert (tmp_path / "out.json").read_text(encoding="utf-8") == expected + "\n"
+
+
+#: Scores whose text or arithmetic is easy to get wrong: the extremes, the least subnormal and inexact sums.
+EDGE_SCORES = np.array([0.0, 1.0, 5e-324, 1e-05, 1 / 3, 0.1 + 0.2])
+
+
+@st.composite
+def similarity_matrices(draw):
+    """A valid similarity matrix of 1 to 60 platforms, scores from ``EDGE_SCORES`` or uniform.
+
+    Its lower triangle may differ from the upper by up to the symmetry tolerance, and a zero there may be -0.0.
+    """
+    count = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edge = rng.random((count, count)) < draw(st.floats(0.0, 1.0))
+    upper = np.triu(np.where(edge, rng.choice(EDGE_SCORES, (count, count)), rng.random((count, count))), k=1)
+    lower = upper.T.copy()
+    if draw(st.booleans()):
+        lower = np.clip(lower + np.tril(rng.uniform(-1e-13, 1e-13, (count, count)), k=-1), 0.0, 1.0)
+    lower[lower == 0.0] = -0.0
+    return SimilarityMatrix(tuple(f"p{i}" for i in range(count)), upper + np.tril(lower, k=-1) + np.eye(count))
+
+
+class TestManifestWriter:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(similarity_matrices())
+    def test_mirrored_scores_give_the_json_dumps_text(self, sim):
+        # one repr per upper-triangle score is enough only if the stored matrix is bitwise symmetric
+        scores = sim.scores
+        assert np.array_equal(scores.view(np.uint64), scores.T.view(np.uint64))
+        manifest = {"command": "mc", "version": diversity_lab.__version__, **McConfig().to_manifest(sim)}
+        expected = json.dumps(manifest, indent=2, sort_keys=True)
+        _mirror_texts(manifest["similarity"]["scores"])
+        assert json_text(manifest) == expected
+
+
+def csv_writer_text(header, rows) -> str:
+    """The text that ``csv.writer`` writes for ``header`` and ``rows``."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+probabilities = st.lists(st.floats(0.0, 1.0), max_size=30)
+any_floats = st.floats() | st.sampled_from([-0.0, 5e-324, 1e-05, 1e300, 0.1 + 0.2])
+
+
+class TestCsvWriters:
+    """Each CSV artifact holds the bytes ``csv.writer`` writes for its rows."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.permutations(list(PolicyKind)), st.integers(1, 3), st.data())
+    def test_cdf_files(self, tmp_path_factory, kinds, count, data):
+        curves = {}
+        for kind in kinds[:count]:
+            for name in ("vulnerable", "ttc", "compromised"):
+                probs = data.draw(probabilities)
+                values = data.draw(st.lists(any_floats, min_size=len(probs), max_size=len(probs)))
+                curves[kind.value, name] = EmpiricalCdf(tuple(values), tuple(probs))
+        study = {
+            policy: SimpleNamespace(
+                trials=1, intervals=2, k=2, mean_vulnerable_fraction=0.0, mean_compromised_fraction=0.0,
+                compromise_incidence=0.0, mean_time_to_first_compromise=None,
+                cdf_vulnerable_fraction=lambda policy=policy: curves[policy, "vulnerable"],
+                cdf_time_to_first_compromise=lambda policy=policy: curves[policy, "ttc"],
+                cdf_compromised_fraction=lambda policy=policy: curves[policy, "compromised"],
+            )
+            for policy, _ in curves
+        }
+        outdir = tmp_path_factory.mktemp("cdf")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("diversity_lab.cli.run_mc_study", lambda config, sim: study)
+            assert main(["mc", "--outdir", str(outdir)]) == 0
+        for name in ("vulnerable", "ttc", "compromised"):
+            rows = [
+                [policy, repr(float(value)), repr(float(prob))]
+                for policy in study
+                for value, prob in zip(curves[policy, name].values, curves[policy, name].probs)
+            ]
+            expected = csv_writer_text(["policy", "value", "cumulative_probability"], rows)
+            assert (outdir / f"cdf_{name}.csv").read_bytes() == expected.encode("utf-8")
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.builds(
+                GridPoint,
+                n=st.integers(1, 10_000),
+                t=any_floats | st.integers(0, 10**6),
+                success_fraction=st.floats(0.0, 1.0),
+                samples=st.integers(1, 10**8),
+            ),
+            max_size=30,
+        )
+    )
+    def test_success_fraction_file(self, tmp_path_factory, grid):
+        outdir = tmp_path_factory.mktemp("grid")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("diversity_lab.cli.run_scenario_study", lambda config: grid)
+            assert main(["scenario", "--T", "30", "--outdir", str(outdir)]) == 0
+        rows = [[point.n, repr(float(point.t)), repr(point.success_fraction), point.samples] for point in grid]
+        expected = csv_writer_text(["N", "T_seconds", "success_fraction", "samples"], rows)
+        assert (outdir / "success_fraction.csv").read_bytes() == expected.encode("utf-8")
 
 
 class TestAnalyticCommand:
@@ -685,6 +810,43 @@ class TestSimilarityInput:
         path.write_text("A,B,C\nA,1.0,0.5,0.2\nB,0.5, abc ,0.3\nC,0.2,0.3,1.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="row 3: could not convert string to float"):
             load_similarity_matrix(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("A,B,C\n1.0,0.5,0.2\n0.5,1.0,x\n0.2,0.3,1.0\n", "row 3: could not convert string to float: 'x'"),
+            ("A,B,C\nA,1.0,0.5,0.2\nB,0.5,1.0,0.3\nC,0.2,0.3,1e\n", "row 4: could not convert string to float: '1e'"),
+            ("A,B,C\n1.0,0.5,0.2\nB,0.5,1.0,0.3\n0.2,0.3,\n", "row 4: could not convert string to float: ''"),
+            ("A,B\n1.0,?\nB,!,1.0\n", "row 2: could not convert string to float: '\\?'"),
+        ],
+        ids=["unlabeled-row", "last-row", "last-row-unlabeled", "first-of-two"],
+    )
+    def test_bad_cell_anywhere_names_its_row(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"bad.csv: {message}$"):
+            load_similarity_matrix(path)
+
+    @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, labeled):
+        # spreadsheets' "CSV UTF-8" exports begin with a byte-order mark
+        header, *rows = bundled_similarity_path().read_text(encoding="utf-8").splitlines()
+        if not labeled:
+            rows = [row.partition(",")[2] for row in rows]
+        marked = tmp_path / "marked.csv"
+        marked.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(codecs.BOM_UTF8)
+        fixture = load_similarity_matrix(bundled_similarity_path())
+        assert load_similarity_matrix(marked).names == fixture.names
+        argv = ["mc", "--trials", "40", "--seed", "2"]
+        assert main([*argv, "--outdir", str(tmp_path / "fixture")]) == 0
+        assert main([*argv, "--similarity", str(marked), "--outdir", str(tmp_path / "marked")]) == 0
+        names = sorted(path.name for path in (tmp_path / "fixture").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "marked").iterdir()) and len(names) == 5
+        for name in names:
+            assert (tmp_path / "marked" / name).read_bytes() == (tmp_path / "fixture" / name).read_bytes()
+        argv = ["schedule", "--start", "CentOS", "--similarity", str(marked), "--outdir", str(tmp_path / "schedule")]
+        assert main(argv) == 0
 
     def test_padded_labels(self, tmp_path):
         path = tmp_path / "padded.csv"

@@ -14,6 +14,7 @@ from diversity_lab.scheduler import _most_diverse, diversity_walks
 from conftest import make_similarity, seeded_walks, wide_similarity_csv
 from oracles import (
     Periodicity,
+    closed_form_uniform_walks,
     detect_periodicity,
     reference_schedule,
     scalar_diversity_trace,
@@ -169,6 +170,20 @@ class TestUniformSelection:
     def test_single_platform_rejected(self):
         with pytest.raises(ValueError):
             walk_bounds(PolicyKind.UNIFORM, 1, 3, 10)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(2, 7), st.integers(1, 6), st.integers(0, 40), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    def test_walks_equal_the_closed_form(self, count, rows, steps, seed, repeat):
+        # runs of equal moves, where the closed form's bit flips, are drawn often
+        rng = np.random.default_rng(seed)
+        moves = rng.integers(count - 1, size=(rows, steps))
+        for step in range(1, steps):
+            again = rng.random(rows) < repeat
+            moves[again, step] = moves[again, step - 1]
+        starts = rng.integers(count, size=rows)
+        walked = scheduler.uniform_walks(starts, moves)
+        assert np.array_equal(walked, closed_form_uniform_walks(starts, moves))
+        assert (walked[:, 1:] != walked[:, :-1]).all()
 
 
 class TestRandomKPolicy:
