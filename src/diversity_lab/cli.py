@@ -74,18 +74,14 @@ class _JsonTexts(list):
     """A non-empty matrix row whose items are already JSON text: ``_json_pieces`` joins a list of them row by row."""
 
 
-def _mirror_texts(rows: list[list[float]]) -> None:
-    """Replace each ``SimilarityMatrix.scores`` row in ``rows`` by ``_JsonTexts``: a ``repr`` per upper-triangle score.
+def _mirror_texts(rows: list[list[float]]) -> list[_JsonTexts]:
+    """``SimilarityMatrix.scores`` rows as ``_JsonTexts``, from one ``repr`` per upper-triangle score.
 
-    The matrix stores S[j, i] as the same double as S[i, j], so a score below the diagonal has its mirror's text.
-    A row's floats go as its texts come, so the two are never all alive at once.
+    The matrix stores S[j, i] as the same double as S[i, j], so a score below the diagonal has its mirror's text:
+    row i is column i of the upper triangle's texts above the diagonal, then row i's own texts from it.
     """
-    columns = [[] for _ in rows]  # column j's texts from the rows above j
-    for i, row in enumerate(rows):
-        upper = list(map(repr, row[i:]))
-        rows[i], columns[i] = _JsonTexts(columns[i] + upper), None
-        for column, text in zip(columns[i + 1 :], upper[1:]):
-            column.append(text)
+    upper = [(None,) * i + tuple(map(repr, row[i:])) for i, row in enumerate(rows)]
+    return [_JsonTexts(column[:i] + upper[i][i:]) for i, column in enumerate(zip(*upper))]
 
 
 def _json_pieces(value, indent: str = "\n") -> Iterator[str]:
@@ -256,8 +252,8 @@ def cmd_mc(args) -> int:
     outdir = _outdir(args)
 
     manifest = {"command": "mc", "version": __version__, **config.to_manifest(sim)}
-    _mirror_texts(manifest["similarity"]["scores"])
-    _write_json(outdir / "run_manifest.json", manifest)
+    similarity = manifest["similarity"] | {"scores": _mirror_texts(manifest["similarity"]["scores"])}
+    _write_json(outdir / "run_manifest.json", manifest | {"similarity": similarity})
 
     metrics = {}
     for name, policy_metrics in study.items():

@@ -13,7 +13,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -127,35 +126,28 @@ def load_similarity_matrix(path: str | Path) -> SimilarityMatrix:
             f"{path}: expected {count} data rows after the header, "
             f"found {len(lines) - 1}"
         )
-    rows = []
+    scores = np.zeros((count, count), dtype=float)
     for k, line in enumerate(lines[1:]):
         # cells keep their blanks: float() ignores them, and only a label is compared
-        cells = line.count(",") + 1
-        if cells == count + 1:
+        cells = line.split(",")
+        if len(cells) == count + 1:
             # labeled row: platform name followed by one score per platform
-            label, _, line = line.partition(",")
-            if label.strip() != names[k]:
+            label = cells.pop(0).strip()
+            if label != names[k]:
                 raise ValueError(
-                    f"{path}: row {k + 2} is labeled {label.strip()!r}, expected {names[k]!r}"
+                    f"{path}: row {k + 2} is labeled {label!r}, expected {names[k]!r}"
                 )
-        elif cells != count:
+        elif len(cells) != count:
             raise ValueError(
-                f"{path}: row {k + 2} has {cells} cells, expected "
+                f"{path}: row {k + 2} has {len(cells)} cells, expected "
                 f"{count} scores (optionally preceded by the platform name)"
             )
-        rows.append(line)
+        try:
+            scores[k] = list(map(float, cells))
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {k + 2}: {exc}") from None
     try:
-        # one pass of float() over every cell, split a row at a time; only a failure is traced to its row
-        scores = np.fromiter(map(float, chain.from_iterable(row.split(",") for row in rows)), float, count * count)
-    except ValueError:
-        for k, row in enumerate(rows):
-            try:
-                list(map(float, row.split(",")))
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {k + 2}: {exc}") from None
-        raise
-    try:
-        return SimilarityMatrix(names, scores.reshape(count, count))
+        return SimilarityMatrix(names, scores)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

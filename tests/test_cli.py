@@ -164,8 +164,9 @@ class TestManifestWriter:
         assert np.array_equal(scores.view(np.uint64), scores.T.view(np.uint64))
         manifest = {"command": "mc", "version": diversity_lab.__version__, **McConfig().to_manifest(sim)}
         expected = json.dumps(manifest, indent=2, sort_keys=True)
-        _mirror_texts(manifest["similarity"]["scores"])
-        assert json_text(manifest) == expected
+        similarity = manifest["similarity"] | {"scores": _mirror_texts(manifest["similarity"]["scores"])}
+        assert json_text(manifest | {"similarity": similarity}) == expected
+        assert json.dumps(manifest, indent=2, sort_keys=True) == expected  # the manifest itself is left as it was
 
 
 def csv_writer_text(header, rows) -> str:
@@ -818,8 +819,10 @@ class TestSimilarityInput:
             ("A,B,C\nA,1.0,0.5,0.2\nB,0.5,1.0,0.3\nC,0.2,0.3,1e\n", "row 4: could not convert string to float: '1e'"),
             ("A,B,C\n1.0,0.5,0.2\nB,0.5,1.0,0.3\n0.2,0.3,\n", "row 4: could not convert string to float: ''"),
             ("A,B\n1.0,?\nB,!,1.0\n", "row 2: could not convert string to float: '\\?'"),
+            # rows are checked in order, so a bad cell is reported before a later row's wrong label
+            ("A,B,C\nA,1.0,x,0.2\nB,0.5,1.0,0.3\nD,0.2,0.3,1.0\n", "row 2: could not convert string to float: 'x'"),
         ],
-        ids=["unlabeled-row", "last-row", "last-row-unlabeled", "first-of-two"],
+        ids=["unlabeled-row", "last-row", "last-row-unlabeled", "first-of-two", "before-a-later-label"],
     )
     def test_bad_cell_anywhere_names_its_row(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
