@@ -35,7 +35,14 @@ from .analytic import (
     p_success_finite_window,
     steady_state,
 )
-from .core import PolicyKind, SimilarityMatrix, bundled_similarity_path, check_platform_count, load_similarity_matrix
+from .core import (
+    MAX_STEPS,
+    PolicyKind,
+    SimilarityMatrix,
+    bundled_similarity_path,
+    check_platform_count,
+    load_similarity_matrix,
+)
 from .rng import draw_plan, draws
 from .scenario import DEFAULT_EXPLOITS, ExploitSpec, ScenarioConfig, run_scenario_study
 from .scheduler import search_length, walk_bounds, walks
@@ -47,8 +54,6 @@ EXIT_RUNTIME = 3
 SEED_ENV_VAR = "DIVERSITY_LAB_SEED"
 #: Most attacker goals one ``--T-sweep`` may give.
 MAX_SWEEP_POINTS = 100_000
-#: Most intervals one report may hold: a ``schedule``'s steps or an ``analytic`` run length.
-MAX_STEPS = 1_000_000
 #: Items of a list of only strs, ints or finite floats that ``_json_pieces`` joins into one piece
 _JSON_ITEMS = 4096
 

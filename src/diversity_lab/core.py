@@ -25,6 +25,8 @@ BUNDLED_SIMILARITY_NAME = "moss_5platform.csv"
 #: draws by Floyd's algorithm, which ``rng._random_k_subsets`` decodes, and above it by a tail
 #: shuffle in an order no draw plan states. So every engine decodes every pool with no scalar path.
 MAX_PLATFORMS = 10_000
+#: Most intervals one report or study may hold: a ``schedule``'s steps, an ``analytic`` run length or an ``mc`` horizon.
+MAX_STEPS = 1_000_000
 
 
 def check_platform_count(count: int) -> None:

@@ -161,7 +161,9 @@ def walks(
     a random-k walk rotates through its subset from its head and has none.
     A row's period is the length of the cycle its walk has entered: k for
     random-k, the cycle ``diversity_walks`` found or 0, and 0 for a uniform
-    walk, which has no cycle.
+    walk, which has no cycle. A diversity walk draws nothing after its
+    start, so it depends on the start alone: ``diversity_walks`` walks each
+    distinct start once, and the rows that share a start share its walk.
     """
     if kind is PolicyKind.RANDOM_K:
         subsets = _random_k_subsets(values, len(dist), k)
@@ -171,5 +173,7 @@ def walks(
     elif outside := [start for start in np.asarray(starts).tolist() if start not in range(len(dist))]:
         raise ValueError(f"start platform {outside[0]} out of range")
     if kind is PolicyKind.DIVERSITY:
-        return diversity_walks(dist, starts, steps, k)
+        distinct, row = np.unique(starts, return_inverse=True)
+        walked, period = diversity_walks(dist, distinct, steps, k)
+        return walked[row], period[row]
     return uniform_walks(starts, values.T), np.zeros(len(starts), dtype=np.intp)

@@ -18,11 +18,10 @@ draws for a chunk of trials at once:
   refuses, in policy order and before any draw, a pool it cannot schedule.
 
 Each policy's trials × intervals vulnerability matrix is built as
-arrays by ``scheduler.walks``, as the ``schedule`` command builds its
-walk; this module branches on no policy kind. A walk that draws nothing
-after its start, as diversity's, depends only on (similarity, k, start),
-so it comes from one batched walk per chunk over the distinct starts no
-earlier chunk has walked. The metrics stay arrays up to the CLI's writers.
+arrays by one ``scheduler.walks`` call per chunk, as the ``schedule``
+command builds its walk; this module branches on no policy kind and
+keeps no walk from one chunk to the next. The metrics stay arrays up to
+the CLI's writers.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MAX_STEPS,
     PolicyKind,
     SimilarityMatrix,
     is_int,
@@ -76,6 +76,8 @@ class McConfig:
             raise ValueError("persistence requirement k must be >= 2")
         if self.intervals < self.k:
             raise ValueError("intervals must be at least k")
+        if self.intervals > MAX_STEPS:
+            raise ValueError(f"intervals must be at most {MAX_STEPS}")
         if not self.policy_kinds:
             raise ValueError("at least one policy is required")
         if len(set(self.policy_kinds)) != len(self.policy_kinds):
@@ -227,9 +229,6 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
         plans[POLICY_STREAM[kind]] = draw_plan(walk_bounds(kind, count, k, intervals, start=True))
     streams = np.array(list(plans))[:, None]
     dist = sim.distances()
-    # a walk that draws nothing after its start depends on it alone: walk each start once, in the first chunk
-    fixed = [kind for kind in policies if not walk_bounds(kind, count, k, intervals)]
-    cache = {kind: (np.full(count, -1), np.empty((0, intervals), dtype=np.intp)) for kind in fixed}
     chunk = max(1, WORD_CELLS // max(intervals, count))
     for first in range(0, config.trials, chunk):
         rows = trials[first : first + chunk]
@@ -238,17 +237,7 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
         # trial i's flags start at cell i·N of the flat labelings
         offsets = (np.arange(len(rows)) * count)[:, None]
         for kind in policies:
-            drawn = values[POLICY_STREAM[kind]]
-            if kind in cache:
-                (walk_of, walked), starts = cache[kind], drawn[0].astype(np.intp)
-                new = np.flatnonzero((walk_of < 0) & (np.bincount(starts, minlength=count) > 0))
-                if new.size:
-                    walk_of[new] = len(walked) + np.arange(len(new))
-                    walked = np.concatenate([walked, walks(kind, dist, k, intervals, drawn[1:], new)[0]])
-                    cache[kind] = walk_of, walked
-                chosen = walked[walk_of[starts]]
-            else:
-                chosen = walks(kind, dist, k, intervals, drawn)[0]
+            chosen = walks(kind, dist, k, intervals, values[POLICY_STREAM[kind]])[0]
             chosen += offsets
             vulnerable[kind][first : first + len(rows)] = flags.take(chosen)
     return {kind.value: compute_metrics(vulnerable[kind], config.k) for kind in config.policy_kinds}

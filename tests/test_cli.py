@@ -1284,19 +1284,21 @@ class TestOversizedIntegers:
         "argv, edit, message",
         [
             (["scenario", "--T", "10", "--samples", "2"], lambda m: m.update(t_values=[10**400]),
-             "invalid key 't_values'"),
+             "missing/invalid key 't_values'"),
             (["scenario", "--T", "10", "--samples", "2"], lambda m: m.update(duration=10**400),
-             "invalid key 'duration'"),
+             "missing/invalid key 'duration'"),
             (["scenario", "--T", "10", "--samples", "2"], lambda m: m.update(n_values=[2**63]),
              f"{PLATFORM_LIMIT}, got {2**63}"),
             (["scenario", "--T", "10", "--samples", "2"], lambda m: m.update(n_values=[3, 10_001]),
              f"{PLATFORM_LIMIT}, got 10001"),
             (["mc", "--trials", "2", "--intervals", "6"],
-             lambda m: m["similarity"]["scores"][1].__setitem__(2, 10**400), "invalid key 'similarity.scores'"),
+             lambda m: m["similarity"]["scores"][1].__setitem__(2, 10**400), "missing/invalid key 'similarity.scores'"),
             (["mc", "--trials", "2", "--intervals", "6"], lambda m: m.update(trials=10**400),
              "trials must be at most 100000000"),
+            (["mc", "--trials", "2", "--intervals", "6"], lambda m: m.update(intervals=10**400),
+             f"intervals must be at most {MAX_STEPS}"),
         ],
-        ids=["goal", "duration", "platform-count", "platform-count-10001", "score", "trials"],
+        ids=["goal", "duration", "platform-count", "platform-count-10001", "score", "trials", "intervals"],
     )
     def test_manifest(self, tmp_path, capsys, argv, edit, message):
         first = tmp_path / "first"
@@ -1307,7 +1309,7 @@ class TestOversizedIntegers:
         path.write_text(json.dumps(manifest), encoding="utf-8")
         capsys.readouterr()
         command = [manifest["command"], "--from-manifest", str(path)]
-        TestNonFiniteScenarioInput.assert_rejected(capsys, command, tmp_path / "never", message)
+        TestNonFiniteScenarioInput.assert_rejected(capsys, command, tmp_path / "never", f"{path}: {message}")
 
 
 class TestAttackerGoals:
@@ -1367,15 +1369,20 @@ class TestAttackerGoals:
 
 
 class TestImpossibleAllocation:
-    """A request larger than any 57-bit address space fails at once, on every machine."""
+    """A request larger than a 47-bit address space fails at once, on every machine.
+
+    Each of the three policies' trials × intervals matrices takes 90.9 TiB, and a process's default 47-bit
+    address space holds 128 TiB: an allocation fails at the first matrix unless memory is overcommitted,
+    and at the second if it is.
+    """
 
     @pytest.mark.parametrize(
         "argv",
         [
-            # the most trials a study takes, each with 10**10 intervals
-            ["mc", "--trials", "100000000", "--intervals", "10000000000"],
+            # the most trials a study takes, each with the most intervals
+            ["mc", "--trials", "100000000", "--intervals", "1000000"],
         ],
-        ids=["mc-888-PiB"],
+        ids=["mc-90-TiB"],
     )
     def test_exits_3_with_one_error_line(self, tmp_path, capsys, argv):
         outdir = tmp_path / "never"
@@ -1393,6 +1400,10 @@ class TestNoOutputOnValidationError:
             *(
                 (["mc", "--trials", trials], "trials must be at most 100000000")
                 for trials in ("100000001", "100000000000", "100000000000000")
+            ),
+            *(
+                (["mc", "--trials", "1", "--intervals", str(intervals)], f"intervals must be at most {MAX_STEPS}")
+                for intervals in (MAX_STEPS + 1, 2**63 - 1)
             ),
             (["mc", "--K", "9"], "policy requires k=9 distinct platforms, only 5 available"),
             (["mc", "--K", "9", "--policies", "uniform,random_k", "--trials", "2"],
@@ -1446,6 +1457,8 @@ class TestNoOutputOnValidationError:
             "mc-trials-0",
             # trial indices stay one-word key parts; 1e11 and 1e14 trials used to exit 3 on allocation
             "mc-trials-100000001", "mc-trials-1e11", "mc-trials-1e14",
+            # checked before any allocation: 10**9 intervals used to be killed for memory with no message
+            "mc-intervals-above-max", "mc-intervals-2-63",
             "mc-k-above-pool", "mc-random-k-above-pool", "scenario-samples-0",
             "schedule-diversity-k-1", "schedule-diversity-k-above-pool", "schedule-random-k-k-1",
             "schedule-random-k-above-pool", "schedule-steps-0", "schedule-steps-1",

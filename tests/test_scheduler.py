@@ -507,3 +507,21 @@ class TestWalksStopAtTheirCycle:
         _, periods = diversity_walks(five_platform_sim.distances(), np.arange(5), 6, 5)
         assert len(scored) == 5
         assert periods.tolist() == [0] * 5
+
+
+class TestDiversityWalksShareTheirStart:
+    """``walks`` walks each distinct diversity start once: every row of a start is that start's lone walk."""
+
+    @given(distance_matrices(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_duplicate_starts_equal_lone_walks(self, dist, data):
+        count = len(dist)
+        k = data.draw(st.integers(min_value=2, max_value=min(count, 5)))
+        steps = data.draw(st.integers(min_value=1, max_value=60))
+        starts = data.draw(st.lists(st.integers(min_value=0, max_value=count - 1), min_size=1, max_size=20))
+        walked, periods = walks(PolicyKind.DIVERSITY, dist, k, steps, np.empty((0, len(starts))), starts)
+        assert walked.shape == (len(starts), steps)
+        for start, walk, period in zip(starts, walked, periods):
+            (alone,), (lone_period,) = walks(PolicyKind.DIVERSITY, dist, k, steps, np.empty((0, 1)), [start])
+            np.testing.assert_array_equal(walk, alone, strict=True)
+            assert period == lone_period

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diversity_lab import rng, simulator
+from diversity_lab import rng, scheduler, simulator
 from diversity_lab.rng import (
     WORD_BLOCK,
     WORD_CELLS,
@@ -14,6 +14,7 @@ from diversity_lab.rng import (
     draws,
     substream,
 )
+from diversity_lab.scheduler import diversity_walks
 from diversity_lab.simulator import DEFAULT_POLICY_KINDS
 from diversity_lab import (
     EmpiricalCdf,
@@ -515,23 +516,34 @@ class TestBatchedDrawsEqualScalarDraws:
         assert int(batched.integers(count)) == int(scalar.integers(count))
 
 
-class TestStartOnlyWalksAreCached:
-    """A walk that draws nothing after its start is walked once per start and study, not once per chunk."""
+class TestOneWalkCallPerPolicyPerChunk:
+    """Each chunk walks every policy with one ``walks`` call; only ``scheduler`` knows which walks share a start."""
 
-    def test_each_start_walked_once_across_chunks(self, five_platform_sim, monkeypatch):
+    def test_each_chunk_walks_each_policy_once(self, five_platform_sim, monkeypatch):
         walked = []
 
         def recorded(kind, dist, k, steps, values, starts=None):
-            walked.append((kind, None if starts is None else np.asarray(starts).tolist()))
+            walked.append((kind, starts))
             return walks(kind, dist, k, steps, values, starts)
 
         monkeypatch.setattr(simulator, "walks", recorded)
         config = McConfig(trials=3 * (WORD_CELLS // 100), intervals=100)
         run_mc_study(config, five_platform_sim)
-        # three chunks: the first draws every diversity start, and each chunk walks the other kinds anew
-        assert walked.count((PolicyKind.DIVERSITY, [0, 1, 2, 3, 4])) == 1
-        assert walked.count((PolicyKind.UNIFORM, None)) == walked.count((PolicyKind.RANDOM_K, None)) == 3
-        assert len(walked) == 7
+        # three chunks, each walking the policies in config order from their drawn values
+        assert walked == [(kind, None) for kind in DEFAULT_POLICY_KINDS] * 3
+
+    def test_diversity_walks_get_sorted_distinct_starts(self, five_platform_sim, monkeypatch):
+        given = []
+
+        def recorded(dist, starts, steps, k):
+            given.append(starts.tolist())
+            return diversity_walks(dist, starts, steps, k)
+
+        monkeypatch.setattr(scheduler, "diversity_walks", recorded)
+        config = McConfig(trials=3 * (WORD_CELLS // 100), intervals=100, policy_kinds=(PolicyKind.DIVERSITY,))
+        run_mc_study(config, five_platform_sim)
+        # each chunk of 1,310 trials draws every one of the five starts
+        assert given == [[0, 1, 2, 3, 4]] * 3
 
 
 class TestPoolErrorsBeforeAnyTrial:
