@@ -6,6 +6,11 @@ migration schedule), ``mc`` (interval Monte Carlo study), ``scenario``
 CSV. Every experiment writes a ``run_manifest.json`` sufficient to
 reproduce it bit-exactly via ``--from-manifest``.
 
+Importing this module loads only ``core``. Each command imports its engine
+when it runs, so the engines' names resolve on first use: ``analytic``
+imports ``analytic``, ``schedule`` imports ``rng`` and ``scheduler``, ``mc``
+imports ``simulator`` and ``scenario`` imports ``scenario``.
+
 Exit codes: 0 success, 2 validation error, 3 runtime/IO error. The
 environment variable ``DIVERSITY_LAB_SEED`` supplies the master seed
 when ``--seed`` is not given.
@@ -20,33 +25,20 @@ import math
 import os
 import sys
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
-from .analytic import (
-    MarkovParams,
-    RepeatMode,
-    expected_control_fraction,
-    expected_time_to_compromise,
-    p_success_aggregate,
-    p_success_finite_window,
-    steady_state,
-)
 from .core import (
     MAX_STEPS,
+    POLICY_BY_NAME,
     PolicyKind,
     SimilarityMatrix,
     bundled_similarity_path,
     check_platform_count,
     load_similarity_matrix,
 )
-from .rng import draw_plan, draws
-from .scenario import DEFAULT_EXPLOITS, ExploitSpec, ScenarioConfig, run_scenario_study
-from .scheduler import search_length, walk_bounds, walks
-from .simulator import DEFAULT_POLICY_KINDS, POLICY_BY_NAME, McConfig, run_mc_study
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -136,6 +128,18 @@ def _load_similarity(args) -> SimilarityMatrix:
 
 
 def cmd_analytic(args) -> int:
+    from fractions import Fraction
+
+    from .analytic import (
+        MarkovParams,
+        RepeatMode,
+        expected_control_fraction,
+        expected_time_to_compromise,
+        p_success_aggregate,
+        p_success_finite_window,
+        steady_state,
+    )
+
     k = args.K
     if k > MAX_STEPS:
         raise ValueError(f"--K must be at most {MAX_STEPS}")
@@ -182,6 +186,9 @@ def cmd_analytic(args) -> int:
 
 
 def cmd_schedule(args) -> int:
+    from .rng import draw_plan, draws
+    from .scheduler import search_length, walk_bounds, walks
+
     if args.steps < 2:  # a schedule of one interval makes no move
         raise ValueError("steps must be >= 2")
     if args.steps > MAX_STEPS:
@@ -242,6 +249,8 @@ def _load_manifest(path: Path, command: str, config_type):
 
 
 def cmd_mc(args) -> int:
+    from .simulator import McConfig, run_mc_study
+
     if args.from_manifest:
         config, sim = _load_manifest(Path(args.from_manifest), "mc", McConfig)
     else:
@@ -319,6 +328,8 @@ def _parse_t_values(args) -> tuple[float, ...]:
 
 def _parse_exploit(spec: str, max_n: int) -> ExploitSpec:
     """One ``--exploit PLATFORMS[@ARRIVAL]`` spec; a malformed part is named with the spec."""
+    from .scenario import ExploitSpec
+
     platforms_part, _, arrival_part = spec.partition("@")
     if platforms_part.strip() == "all":
         check_platform_count(max_n)
@@ -341,6 +352,8 @@ def _check_exploit_platforms(config: ScenarioConfig) -> None:
     The default exploit pair is exempt: it names platforms 0-2 for every
     N, and each grid point ignores the platforms it does not have.
     """
+    from .scenario import DEFAULT_EXPLOITS
+
     if config.exploits == DEFAULT_EXPLOITS:
         return
     max_n = max(config.n_values)
@@ -353,6 +366,8 @@ def _check_exploit_platforms(config: ScenarioConfig) -> None:
 
 
 def cmd_scenario(args) -> int:
+    from .scenario import DEFAULT_EXPLOITS, ScenarioConfig, run_scenario_study
+
     if args.from_manifest:
         config = _load_manifest(Path(args.from_manifest), "scenario", ScenarioConfig)
     else:
@@ -423,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--trials", type=int, default=500)
     mc.add_argument("--intervals", type=int, default=100)
     mc.add_argument("--K", type=int, default=3)
-    mc.add_argument("--policies", default=",".join(kind.value for kind in DEFAULT_POLICY_KINDS))
+    mc.add_argument("--policies", default=",".join(POLICY_BY_NAME))
     mc.add_argument("--seed", type=int, default=None)
     mc.add_argument("--from-manifest", default=None, help="rerun a previous run_manifest.json")
     mc.add_argument("--outdir", default="mc_results")

@@ -172,6 +172,10 @@ class PolicyKind(Enum):
     RANDOM_K = "random_k"
 
 
+#: Each policy kind by its name, in ``PolicyKind`` order: diversity, uniform, random_k.
+POLICY_BY_NAME = {kind.value: kind for kind in PolicyKind}
+
+
 def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 

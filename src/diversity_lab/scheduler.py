@@ -20,14 +20,10 @@ module tells one kind from another, so each policy is stated here once.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .core import PolicyKind
 from .rng import _floyd_bounds, _random_k_subsets
-
-logger = logging.getLogger(__name__)
 
 
 def heron_area(a, b, c):
@@ -43,7 +39,9 @@ def heron_area(a, b, c):
     negative = squared < 0.0
     clamped = np.count_nonzero(negative)
     if clamped:
-        logger.debug("clamped %d negative squared triangle area(s) to zero", clamped)
+        import logging  # here, not at import: no default study clamps, so most processes never load it
+
+        logging.getLogger(__name__).debug("clamped %d negative squared triangle area(s) to zero", clamped)
         squared = np.where(negative, 0.0, squared)
     return np.sqrt(squared)
 

@@ -32,6 +32,7 @@ import numpy as np
 
 from .core import (
     MAX_STEPS,
+    POLICY_BY_NAME,
     PolicyKind,
     SimilarityMatrix,
     is_int,
@@ -52,7 +53,6 @@ POLICY_STREAM = {
     PolicyKind.RANDOM_K: 3,
 }
 DEFAULT_POLICY_KINDS = tuple(POLICY_STREAM)
-POLICY_BY_NAME = {kind.value: kind for kind in POLICY_STREAM}
 #: Trials per study, like ``scenario.MAX_SAMPLES``: every trial index stays a one-word key part.
 MAX_TRIALS = 100_000_000
 

@@ -206,7 +206,7 @@ class TestCsvWriters:
         }
         outdir = tmp_path_factory.mktemp("cdf")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("diversity_lab.cli.run_mc_study", lambda config, sim: study)
+            patch.setattr("diversity_lab.simulator.run_mc_study", lambda config, sim: study)
             assert main(["mc", "--outdir", str(outdir)]) == 0
         for name in ("vulnerable", "ttc", "compromised"):
             rows = [
@@ -233,7 +233,7 @@ class TestCsvWriters:
     def test_success_fraction_file(self, tmp_path_factory, grid):
         outdir = tmp_path_factory.mktemp("grid")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("diversity_lab.cli.run_scenario_study", lambda config: grid)
+            patch.setattr("diversity_lab.scenario.run_scenario_study", lambda config: grid)
             assert main(["scenario", "--T", "30", "--outdir", str(outdir)]) == 0
         rows = [[point.n, repr(float(point.t)), repr(point.success_fraction), point.samples] for point in grid]
         expected = csv_writer_text(["N", "T_seconds", "success_fraction", "samples"], rows)
@@ -514,7 +514,7 @@ class TestScheduleCommand:
             lengths.append(steps)
             return walks(kind, dist, k, steps, values, starts)
 
-        monkeypatch.setattr("diversity_lab.cli.walks", recorded)
+        monkeypatch.setattr("diversity_lab.scheduler.walks", recorded)
         argv = ["schedule", "--policy", policy, "--K", "5", "--steps", "40", "--outdir", str(tmp_path)]
         assert main(argv) == 0
         assert lengths == [walked]

@@ -5,6 +5,11 @@ nothing never pays for it, and the bundled matrix is found next to the
 package without ``importlib.resources``. Each module of
 ``src/diversity_lab`` is parsed with ``ast``: an import inside a function
 body runs only when the function does, and is allowed; any other is not.
+
+A process also imports only the engines it runs: a fresh interpreter
+that imports ``diversity_lab.cli`` and loads the fixture has loaded no
+engine module, nor ``fractions`` or ``logging``, and each command loads
+just its own engines. Public names of the package resolve on first use.
 """
 
 import ast
@@ -86,3 +91,56 @@ def test_cli_start_leaves_numpy_random_unloaded():
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
     assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+#: The engine modules, and two standard ones that only some commands need.
+WATCHED = ("analytic", "rng", "scenario", "scheduler", "simulator", "fractions", "logging")
+CLI_START = "import diversity_lab.cli as cli\ncli.load_similarity_matrix(cli.bundled_similarity_path())\n"
+
+
+def watched_after(code: str, *argv: str) -> list[str]:
+    """The ``WATCHED`` modules that a fresh interpreter has loaded after running ``code`` with ``argv``."""
+    report = (
+        "\nimport sys\n"
+        f"loaded = [name for name in {WATCHED!r} if name in sys.modules or 'diversity_lab.' + name in sys.modules]\n"
+        "print(' '.join(loaded))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", code + report, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    return done.stdout.splitlines()[-1].split()
+
+
+def test_cli_start_loads_no_engine():
+    assert watched_after(CLI_START) == []
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["analytic", "--m", "3", "--n", "2"], ["analytic", "fractions"]),
+        (["schedule", "--steps", "5"], ["rng", "scheduler"]),
+        (["mc", "--trials", "5", "--intervals", "10"], ["rng", "scheduler", "simulator"]),
+        (["scenario", "--T", "60", "--samples", "5", "--exploit", "0"], ["rng", "scenario", "scheduler"]),
+    ],
+    ids=["analytic", "schedule", "mc", "scenario"],
+)
+def test_command_loads_only_its_engines(tmp_path, argv, loaded):
+    code = "import sys\nfrom diversity_lab.cli import main\nassert main(sys.argv[1:]) == 0\n"
+    assert watched_after(code, *argv, "--outdir", str(tmp_path)) == loaded
+
+
+def test_public_name_loads_only_its_home_module():
+    assert watched_after("from diversity_lab import McConfig") == ["rng", "scheduler", "simulator"]
+    assert diversity_lab.McConfig is diversity_lab.simulator.McConfig
+
+
+def test_public_names_resolve_and_others_are_missing():
+    assert set(diversity_lab.__all__) <= set(dir(diversity_lab))
+    namespace = {}
+    exec("from diversity_lab import *", namespace)
+    assert all(namespace[name] is getattr(diversity_lab, name) for name in diversity_lab.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        diversity_lab.no_such_name
