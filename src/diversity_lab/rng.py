@@ -9,11 +9,13 @@ changing results.
 ``substream`` is the reference: it seeds PCG64 through NumPy's
 ``SeedSequence``. ``_word_pieces`` gives the first raw words of many
 streams at once with no generator at all. A key part is one uint32
-word, so every key row has one entropy layout; each part is copied flat
-over the key rows once per ``draws`` call. SeedSequence's pool mixing
-and ``generate_state(4, uint64)`` run as uint32 array arithmetic over a
-block of keys, one pool word at a time, with hash constants built on
-the first use of each entropy length. Then PCG64's seeding runs,
+word, so every key row has one entropy layout. SeedSequence's pool
+mixing and ``generate_state(4, uint64)`` run once per ``draws`` call as
+uint32 array arithmetic, one pool word at a time, each word at the
+broadcast shape of the key parts mixed into it so far, with hash
+constants built on the first use of each entropy length: a word of the
+master seed alone is hashed once, one of the trial alone once per
+trial. Then PCG64's seeding runs,
 ``inc = 2·initseq + 1`` and ``s = (initstate + inc)·MULT + inc``.
 PCG64 steps by ``s ↦ s·MULT + inc`` and outputs each new state's XSL-RR,
 ``rotr64(hi ^ lo, hi >> 58)``. So the state behind word j is
@@ -23,9 +25,9 @@ the sum of ``MULT**i`` for i <= j, and the state behind word j + g is
 of ``MULT**i`` for i < g: each piece of keys jumps to the first g words
 and steps its g lanes by g words, both by one multiply-add,
 ``a·x + b mod 2**128`` (``_mul``, then ``_add``). The keys fall into
-runs, each with its own word count; a seed block serves every run it
-overlaps, so no key derives more words than its run's count. A 128-bit
-value is a pair of uint64 arrays, high word first.
+runs, each with its own word count, so no key derives more words than
+its run's count. A 128-bit value is a pair of uint64 arrays, high word
+first.
 
 A stream's draws, listed as ``random()`` and ``integers(m)`` calls, are
 its ``draw_plan``; ``draws`` derives the words of many streams, with a
@@ -55,8 +57,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-#: Cells (rows × words) that one array operation of ``_word_pieces`` covers
-#: at most; it is also the most key rows that share one seeding pass.
+#: Cells (rows × words) that one array operation of ``_word_pieces`` stepping
+#: and of ``draws``' decoding covers at most, unless a run has more key rows.
 WORD_BLOCK = 4096
 #: Cells (rows × words) of one plan that one ``draws`` call of either engine
 #: derives at most: it bounds the memory of the words whatever the trial or sample count.
@@ -83,46 +85,51 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
 
 
 def _word_pieces(master_seed: int, key: tuple, counts: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The words of the key rows, split in C order into one equal run per count, piece by piece.
+    """The words of the key rows, split in C order into one equal run per count, one piece per run.
 
-    Keys are seeded ``WORD_BLOCK`` rows at a time, whatever the runs. A
-    piece is a run's rows within one block; its R rows are stepped
-    together into a fresh (count, R) array, which is yielded with the
-    piece's (R, parts) key rows. g = ``WORD_BLOCK // R`` lanes (at least
-    1, at most the count) jump to the states behind words 0 to g - 1, and
-    then every lane steps by g words at once, so each array operation
-    covers at most ``WORD_BLOCK`` cells.
+    Every key row of the call is seeded in one ``_generate_state`` pass. A
+    piece is a run's R rows, stepped together into a fresh (count, R)
+    array and yielded with the run's (R, parts) key rows; a call without
+    key rows yields no piece. g = ``WORD_BLOCK // R`` lanes (at least 1, at
+    most the count) jump to the states behind words 0 to g - 1, and then
+    every lane steps by g words at once, so each array operation covers at
+    most ``WORD_BLOCK`` cells, or R cells when R is larger.
+
+    The call holds 32 bytes per key row, its seeded state and increment,
+    and 4 per key part and row until the last piece is stepped, and about
+    60 per key row while it hashes; the callers' ``WORD_CELLS`` chunks
+    bound the rows of one call.
     """
-    seed_words, parts, rows = _key_columns(master_seed, key)
+    seed_words, parts = _key_parts(master_seed, key)
+    shape = np.broadcast_shapes((1,), *(part.shape for part in parts))
+    rows = math.prod(shape)
+    if not rows:
+        return
+    # (1, rows) pairs: _step_lanes lays its lanes out lane by row, so the long axis of each array op runs over rows
+    init_hi, init_lo, inc_hi, inc_lo = _generate_state(seed_words + parts).reshape(4, 1, rows)
+    # PCG64's increment, 2·initseq + 1, in place of initseq
+    inc_hi <<= _ONE
+    inc_hi |= inc_lo >> np.uint64(63)
+    inc_lo <<= _ONE
+    inc_lo |= _ONE
+    keys = np.empty((*shape, len(parts)), dtype=np.uint32)
+    for column, part in enumerate(parts):
+        keys[..., column] = part
+    keys = keys.reshape(rows, len(parts))
     per = rows // len(counts)
-    for first in range(0, rows, WORD_BLOCK):
-        last = min(rows, first + WORD_BLOCK)
-        entropy = _entropy(seed_words, parts, first, last)
-        (init_hi, init_lo), (inc_hi, inc_lo) = _seed_states(entropy)
-        for run in range(first // per, (last - 1) // per + 1):
-            lo, hi = max(first, run * per) - first, min(last, (run + 1) * per) - first
-            words = np.empty((counts[run], hi - lo), dtype=np.uint64)
-            if counts[run]:
-                at = slice(lo, hi)
-                _step_lanes((init_hi[:, at], init_lo[:, at]), (inc_hi[:, at], inc_lo[:, at]), words)
-            yield words, entropy[len(seed_words) : len(seed_words) + len(parts), lo:hi].T
-
-
-def _seed_states(entropy: np.ndarray) -> tuple[tuple, tuple]:
-    """PCG64's initial state and increment of each column of ``entropy``, as (1, rows) (high, low) pairs.
-
-    ``_step_lanes`` lays its lanes out lane by row, so the long axis of each array op runs over rows.
-    """
-    init_hi, init_lo, seq_hi, seq_lo = _generate_state(entropy)[:, None, :]
-    inc = (seq_hi << _ONE) | (seq_lo >> np.uint64(63)), (seq_lo << _ONE) | _ONE
-    return (init_hi, init_lo), inc
+    for run, count in enumerate(counts):
+        at = slice(run * per, (run + 1) * per)
+        words = np.empty((count, per), dtype=np.uint64)
+        if count:
+            _step_lanes((init_hi[:, at], init_lo[:, at]), (inc_hi[:, at], inc_lo[:, at]), words)
+        yield words, keys[at]
 
 
 def _step_lanes(init: tuple, inc: tuple, out: np.ndarray) -> None:
     """The first words of each of ``out.shape[1]`` streams into ``out``, one row of ``out`` per word.
 
     ``init`` and ``inc`` hold each stream's seeded state and increment as
-    ``_seed_states`` gives them; the lanes leap as ``_word_pieces`` says.
+    (1, streams) (high, low) pairs; the lanes leap as ``_word_pieces`` says.
     """
     words, rows = out.shape
     lanes = max(1, min(words, WORD_BLOCK // rows))
@@ -139,11 +146,13 @@ def _step_lanes(init: tuple, inc: tuple, out: np.ndarray) -> None:
             state = _add(_mul(leap, state), advance)
 
 
-def _key_columns(master_seed: int, key) -> tuple[list[int], list[np.ndarray], int]:
-    """The master seed's entropy words, each key part as a flat uint32 copy over the key rows, and their count.
+def _key_parts(master_seed: int, key) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The master seed's entropy words and the key parts, each a uint32 array of one dimension or more.
 
-    A key part is one SeedSequence word, in ``[0, 2**32)``; the engines'
-    trial, sample, stream and platform-count parts all are.
+    A seed word is a one-item array, so that hashing it never takes scalar
+    arithmetic, whose wrap NumPy warns of. A key part is one SeedSequence
+    word, in ``[0, 2**32)``; the engines' trial, sample, stream and
+    platform-count parts all are.
     """
     if master_seed < 0:
         raise ValueError("master seed must be non-negative")
@@ -151,9 +160,10 @@ def _key_columns(master_seed: int, key) -> tuple[list[int], list[np.ndarray], in
     bad = [value for part in parts if part.size for value in (part.min(), part.max()) if not 0 <= value < 2**32]
     if bad:
         raise ValueError(f"key parts must be in [0, 2**32), got {bad[0]}")
-    shape = np.broadcast_shapes(*(part.shape for part in parts)) or (1,)
-    columns = [np.broadcast_to(part.astype(np.uint32), shape).ravel() for part in parts]
-    return _uint32_words(int(master_seed)), columns, math.prod(shape)
+    # SeedSequence's uint32 words of the seed, least significant first; 0 is one word
+    seed = int(master_seed)
+    seed_words = [np.array([seed >> at & _MASK32], dtype=np.uint32) for at in range(0, max(1, seed.bit_length()), 32)]
+    return seed_words, [np.atleast_1d(part).astype(np.uint32) for part in parts]
 
 
 @functools.lru_cache(maxsize=16)
@@ -230,25 +240,6 @@ def _add(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
     return high, low
 
 
-def _uint32_words(value: int) -> list[int]:
-    """SeedSequence's uint32 words of a non-negative int, least significant first; 0 is ``[0]``."""
-    return [value >> shift & _MASK32 for shift in range(0, max(1, value.bit_length()), 32)]
-
-
-def _entropy(seed_words: list[int], parts: list[np.ndarray], first: int, last: int) -> np.ndarray:
-    """The SeedSequence entropy of key rows ``first`` to ``last``, one column each.
-
-    Every column has one layout: the master seed's words, then one word
-    per key part, sliced from its flat column, then zeros up to the pool
-    size, as SeedSequence hashes a zero for each pool word past it.
-    """
-    entropy = np.zeros((max(_POOL, len(seed_words) + len(parts)), last - first), dtype=np.uint32)
-    entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
-    for part, row in zip(parts, entropy[len(seed_words) :]):
-        row[:] = part[first:last]
-    return entropy
-
-
 @functools.lru_cache(maxsize=16)
 def _hash_pairs(length: int) -> tuple[tuple[np.uint32, np.uint32], ...]:
     """SeedSequence's (xor, mult) hash constants, in hashing order, for ``length`` entropy words (at least 4).
@@ -265,17 +256,21 @@ def _hash_pairs(length: int) -> tuple[tuple[np.uint32, np.uint32], ...]:
     return tuple(pairs)
 
 
-def _generate_state(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(entropy).generate_state(4, uint64)`` of each column of ``entropy``, as (4, rows).
+def _generate_state(entropy: Sequence[np.ndarray]) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(4, uint64)`` over the broadcast of the uint32 ``entropy`` words.
 
-    SeedSequence's own loops run over a list of pool rows, each over all
-    the columns: each pool word is hashed from its entropy word, then mixes
-    into the other three; each entropy word past the pool mixes into all
-    four; the eight output halves hash the pool twice over. ``hashmix`` is
-    ``v = (v ^ xor)·mult; v ^ v >> 16`` with the next pair of constants,
-    and ``mix(x, y)`` is ``v = L·x − R·hashmix(y); v ^ v >> 16``.
+    Returns (4, *shape) for the words' broadcast shape. SeedSequence's own
+    loops run over a list of pool words, each an array: each pool word is
+    hashed from its entropy word, or from a zero past the entropy, then
+    mixes into the other three; each entropy word past the pool mixes into
+    all four; the eight output halves hash the pool twice over. Each hash
+    runs at the broadcast shape of the words mixed in so far, so a pool
+    word of the master seed alone is hashed once, not once per key row.
+    ``hashmix`` is ``v = (v ^ xor)·mult; v ^ v >> 16`` with the next pair
+    of constants, and ``mix(x, y)`` is ``v = L·x − R·hashmix(y); v ^ v >> 16``.
     """
-    pairs = iter(_hash_pairs(len(entropy)))
+    words = [*entropy, *[np.zeros(1, dtype=np.uint32)] * (_POOL - len(entropy))]
+    pairs = iter(_hash_pairs(len(words)))
 
     def hashmix(value: np.ndarray) -> np.ndarray:
         xor, mult = next(pairs)
@@ -284,21 +279,23 @@ def _generate_state(entropy: np.ndarray) -> np.ndarray:
         return value
 
     def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        value = x * _MIX_L
-        value -= hashmix(y) * _MIX_R
+        # not in place: y may broadcast x to a larger shape
+        value = x * _MIX_L - hashmix(y) * _MIX_R
         value ^= value >> _SHIFT16
         return value
 
-    pool = [hashmix(word) for word in entropy[:_POOL]]
+    pool = [hashmix(word) for word in words[:_POOL]]
     for src in range(_POOL):
         for dst in range(_POOL):
             if dst != src:
                 pool[dst] = mix(pool[dst], pool[src])
-    for word in entropy[_POOL:]:
+    for word in words[_POOL:]:
         pool = [mix(dst, word) for dst in pool]
-    halves = [hashmix(pool[half % _POOL]) for half in range(2 * _POOL)]
-    # output word w is halves 2w (low) and 2w + 1 (high)
-    return np.array([high.astype(np.uint64) << _SHIFT32 | low for low, high in zip(halves[::2], halves[1::2])])
+    # output word w is halves 2w (low) and 2w + 1 (high), side by side as one little-endian uint64
+    halves = np.empty((_POOL, *pool[0].shape, 2), dtype="<u4")
+    for half in range(2 * _POOL):
+        halves[half // 2, ..., half % 2] = hashmix(pool[half % _POOL])
+    return halves.view("<u8")[..., 0]
 
 
 def _bounded32(draws: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
@@ -355,8 +352,8 @@ def draws(plans: Sequence[DrawPlan], master_seed: int, *key) -> list[np.ndarray]
     array per plan: row i holds draw i of every key row of its run; an
     ``integers`` draw is an integral double.
 
-    Each row derives only its own plan's words, and each ``_word_pieces``
-    piece is decoded into its plan's array as it comes. ``random()`` of a
+    Each row derives only its own plan's words, and each plan's
+    ``_word_pieces`` piece is decoded into its array as it comes. ``random()`` of a
     word ``w`` is ``(w >> 11)·2**-53``, and ``integers(m)`` is
     ``_bounded32`` of its half, in uint64; draws are decoded
     ``WORD_BLOCK`` cells at a time. A key row with a draw NumPy would
@@ -368,11 +365,9 @@ def draws(plans: Sequence[DrawPlan], master_seed: int, *key) -> list[np.ndarray]
     if rest:
         raise ValueError(f"{rows} key rows do not split into {len(plans)} equal runs")
     values = [np.zeros((len(plan.bounds), per)) for plan in plans]
-    done = 0
-    for raw, keys in _word_pieces(master_seed, key, [plan.words for plan in plans]):
-        run, at = divmod(done, per)
-        _decode(plans[run], raw, master_seed, keys, values[run][:, at : at + len(keys)])
-        done += len(keys)
+    pieces = _word_pieces(master_seed, key, [plan.words for plan in plans])
+    for plan, run, (raw, keys) in zip(plans, values, pieces):
+        _decode(plan, raw, master_seed, keys, run)
     return values
 
 

@@ -17,11 +17,11 @@ draws for a chunk of trials at once:
 - each policy: ``scheduler.walk_bounds`` with the start, which also
   refuses, in policy order and before any draw, a pool it cannot schedule.
 
-Each policy's trials × intervals vulnerability matrix is built as
-arrays by one ``scheduler.walks`` call per chunk, as the ``schedule``
-command builds its walk; this module branches on no policy kind and
-keeps no walk from one chunk to the next. The metrics stay arrays up to
-the CLI's writers.
+Each policy's vulnerability matrix of a chunk, chunk trials × intervals,
+is built as arrays by one ``scheduler.walks`` call, as the ``schedule``
+command builds its walk, and reduced to per-trial metrics at once; this
+module branches on no policy kind and keeps no walk or matrix from one
+chunk to the next. The metrics stay arrays up to the CLI's writers.
 """
 
 from __future__ import annotations
@@ -216,12 +216,14 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
     A policy's trial draws from its own stream what ``walk_bounds`` lists
     with the start. A chunk of trials, at most ``WORD_CELLS`` trial × interval or
     trial × platform cells, takes one ``rng.draws`` call for all its
-    streams, keyed stream-major with a plan each.
+    streams, keyed stream-major with a plan each. ``compute_metrics``
+    reduces each policy's matrix of a chunk as it is built, so a study
+    holds one chunk's matrices and per-trial metrics, whatever its length.
     """
     policies = config.policy_kinds
     seed, count, intervals, k = config.master_seed, sim.count, config.intervals, config.k
-    # step-major, as uniform_walks lays out its walks
-    vulnerable = {kind: np.empty((config.trials, intervals), dtype=bool, order="F") for kind in policies}
+    # each policy's metrics, chunk by chunk: no vulnerability matrix outlives its chunk
+    metrics: dict[PolicyKind, list[PolicyMetrics]] = {kind: [] for kind in policies}
     trials = np.arange(config.trials)
     # every stream, each with its plan, drawn together chunk by chunk
     plans = {LABELING_STREAM: draw_plan([count] + [0] * (count - 1))}
@@ -239,8 +241,20 @@ def run_mc_study(config: McConfig, sim: SimilarityMatrix) -> dict[str, PolicyMet
         for kind in policies:
             chosen = walks(kind, dist, k, intervals, values[POLICY_STREAM[kind]])[0]
             chosen += offsets
-            vulnerable[kind][first : first + len(rows)] = flags.take(chosen)
-    return {kind.value: compute_metrics(vulnerable[kind], config.k) for kind in config.policy_kinds}
+            # step-major: compute_metrics reduces many short rows faster across them than along each
+            metrics[kind].append(compute_metrics(np.asfortranarray(flags.take(chosen)), k))
+    return {kind.value: _joined(metrics[kind]) for kind in policies}
+
+
+def _joined(chunks: list[PolicyMetrics]) -> PolicyMetrics:
+    """The metrics of consecutive chunks of trials as one study's: ``compute_metrics`` reduces row by row."""
+    fields = [
+        np.concatenate([getattr(chunk, name) for chunk in chunks])
+        for name in ("vulnerable_fraction", "time_to_first_compromise", "compromised_fraction")
+    ]
+    for array in fields:
+        array.flags.writeable = False
+    return PolicyMetrics(chunks[0].k, chunks[0].intervals, *fields)
 
 
 def _labelings(values: np.ndarray, scores: np.ndarray) -> np.ndarray:

@@ -1369,26 +1369,19 @@ class TestAttackerGoals:
 
 
 class TestImpossibleAllocation:
-    """A request larger than a 47-bit address space fails at once, on every machine.
+    """A study that cannot allocate an array exits 3 with one error line and writes nothing.
 
-    Each of the three policies' trials × intervals matrices takes 90.9 TiB, and a process's default 47-bit
-    address space holds 128 TiB: an allocation fails at the first matrix unless memory is overcommitted,
-    and at the second if it is.
+    ``mc`` holds one chunk of trials at a time, so no study it accepts asks for more than a
+    47-bit address space; here a chunk's draws ask for 1 EiB, past even a 57-bit space.
     """
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            # the most trials a study takes, each with the most intervals
-            ["mc", "--trials", "100000000", "--intervals", "1000000"],
-        ],
-        ids=["mc-90-TiB"],
-    )
-    def test_exits_3_with_one_error_line(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv", [["mc", "--trials", "10"]], ids=["mc-chunk-of-1-EiB"])
+    def test_exits_3_with_one_error_line(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr("diversity_lab.simulator.draws", lambda *args: np.empty(2**60, dtype=bool))
         outdir = tmp_path / "never"
         assert main([*argv, "--outdir", str(outdir)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert err.startswith("error: Unable to allocate 1.00 EiB") and err.count("\n") == 1
         assert not outdir.exists()
 
 

@@ -36,9 +36,8 @@ def numpy_words(master_seed, keys, words):
 
 def mixed_words(master_seed, keys):
     """``generate_state(4, uint64)`` of each key, from one array pass of the bulk mixing."""
-    columns = list(np.array(keys, dtype=np.uint32).reshape(len(keys), -1).T)
-    entropy = rng._entropy(rng._uint32_words(master_seed), columns, 0, len(keys))
-    return rng._generate_state(entropy).T.tolist()
+    seed_words, parts = rng._key_parts(master_seed, np.array(keys, dtype=np.uint64).reshape(len(keys), -1).T)
+    return rng._generate_state(seed_words + parts).reshape(4, len(keys)).T.tolist()
 
 
 def numpy_mixed_words(master_seed, keys):
@@ -79,13 +78,13 @@ class TestDerivationMatchesNumpy:
     @pytest.mark.parametrize("master_seed", [5, 2**64])
     def test_block_whose_keys_change_word_count(self, master_seed):
         # trial indices crossing 2**32 would go from one entropy word to two within one
-        # block; every key row of a block has one layout, so such a block is refused
+        # call; every key row of a call has one layout, so such a call is refused
         trials = np.arange(2**32 - 3, 2**32 + 3, dtype=np.uint64)
         with pytest.raises(ValueError, match=r"key parts must be in \[0, 2\*\*32\), got 4294967298$"):
             stream_words(master_seed, trials[:, None], [0, 2], words=2)
         with pytest.raises(ValueError, match="key parts"):
             draws([draw_plan([0, 5])], master_seed, trials, 2)
-        # up to its last one-word trial, the block is derived as NumPy derives it
+        # up to its last one-word trial, the call is derived as NumPy derives it
         trials = trials[:3]
         keys = [(t, s) for t in trials.tolist() for s in (0, 2)]
         assert mixed_words(master_seed, keys) == numpy_mixed_words(master_seed, keys)
@@ -94,6 +93,48 @@ class TestDerivationMatchesNumpy:
 
     def test_no_key_parts(self):
         assert mixed_words(9, [()]) == [np.random.SeedSequence(9).generate_state(4, np.uint64).tolist()]
+
+
+class TestOneSeedingPass:
+    """``_generate_state`` seeds every key row of a call at once, hashing each entropy word at the
+    broadcast shape of the key parts mixed into it so far; ``generate_state`` is the reference."""
+
+    SEEDS = [0, 2**32, 2**64, 10**400]
+    SEED_IDS = ["0", "2**32", "2**64", "10**400"]
+
+    @staticmethod
+    def seeded(master_seed, *key):
+        seed_words, parts = rng._key_parts(master_seed, key)
+        return rng._generate_state(seed_words + parts)
+
+    @pytest.mark.parametrize("master_seed", SEEDS, ids=SEED_IDS)
+    def test_trials_by_streams(self, master_seed):
+        # (T,) trials and (S, 1) streams, as a Monte Carlo chunk keys its streams
+        trials, streams = [0, 1, 2**32 - 1], [0, 3]
+        state = self.seeded(master_seed, np.array(trials), np.array(streams)[:, None])
+        assert state.shape == (4, 2, 3)
+        keys = [(t, s) for s in streams for t in trials]
+        assert state.reshape(4, -1).T.tolist() == numpy_mixed_words(master_seed, keys)
+
+    @pytest.mark.parametrize("master_seed", SEEDS, ids=SEED_IDS)
+    def test_scalar_by_rows(self, master_seed):
+        # a scalar N and (R,) samples, as the scenario sweep keys a chunk
+        state = self.seeded(master_seed, 5, np.arange(4))
+        assert state.shape == (4, 4)
+        assert state.T.tolist() == numpy_mixed_words(master_seed, [(5, row) for row in range(4)])
+
+    @pytest.mark.parametrize("master_seed", SEEDS, ids=SEED_IDS)
+    def test_no_key_parts(self, master_seed):
+        state = self.seeded(master_seed)
+        assert state.shape == (4, 1) and state.T.tolist() == numpy_mixed_words(master_seed, [()])
+
+    @pytest.mark.parametrize("master_seed", SEEDS, ids=SEED_IDS)
+    def test_no_key_rows(self, master_seed, replays):
+        trials, streams = np.arange(0), np.array([0, 1])[:, None]
+        assert self.seeded(master_seed, trials, streams).shape == (4, 2, 0)
+        assert list(rng._word_pieces(master_seed, (trials, streams), [2, 3])) == []
+        values = draws([draw_plan([5, 0]), draw_plan([0])], master_seed, trials, streams)
+        assert [array.shape for array in values] == [(2, 0), (1, 0)] and not replays
 
 
 class TestMulhi64:
@@ -163,9 +204,9 @@ class TestStreamWords:
             (1, WORD_BLOCK + 3),  # WORD_BLOCK lanes: one leap, then a short last step
             (3, WORD_BLOCK // 2 + 1),  # 1,365 lanes: one leap, then a partial step
             (600, 50),  # 6 lanes, which do not divide the words
-            (WORD_BLOCK + 3, 1),  # rows cross a seed block: one lane, no leap
+            (WORD_BLOCK + 3, 1),  # more rows than WORD_BLOCK: one lane, no leap
             (1000, 73),  # the scenario sweep's shape: 4 lanes that do not divide the words
-            (WORD_BLOCK + 3, 2),  # one lane in the first seed block, two in the short last
+            (WORD_BLOCK + 3, 2),  # more rows than WORD_BLOCK and two words: one lane, one step each
         ],
         ids=[
             "words-cross-a-pass",
@@ -184,8 +225,8 @@ class TestStreamWords:
         assert got.tolist() == numpy_words(master_seed, [(t, 3) for t in trials.tolist()], words)
 
     def test_three_dimensional_keys_cross_a_seed_block(self):
-        # each seed block's key rows are copied from the broadcast parts, whatever their shape:
-        # 4,400 rows, the second block starting inside the last row of the leading axis
+        # the key rows are copied from the broadcast parts, whatever their shape: 4,400 rows,
+        # more than WORD_BLOCK, with WORD_BLOCK inside the last row of the leading axis
         first, second, third = np.arange(2)[:, None, None], np.array([7, 2**32 - 1])[:, None], np.arange(1100)
         keys = [(i, j, k) for i in range(2) for j in (7, 2**32 - 1) for k in range(1100)]
         assert stream_words(5, first, second, third, words=1).tolist() == numpy_words(5, keys, 1)
@@ -291,8 +332,8 @@ class TestDraws:
 
     @pytest.mark.parametrize("master_seed", [0, 2**64])
     def test_plan_runs_cross_seed_blocks(self, master_seed):
-        # three runs of 3,000 rows: the first seed block serves the first two plans, and the
-        # second and third runs each cross a block edge, at their rows 1,096 and 2,192
+        # three runs of 3,000 rows, one seeding: the second and third runs cross multiples of
+        # WORD_BLOCK, at their rows 1,096 and 2,192
         plans = [draw_plan(bounds) for bounds in ([5, 0, 2**31 + 5], [0, 7, 0, 1000, 1], [2**32, 3, 0])]
         trials, ids = np.arange(3000, dtype=np.uint64), np.array([4, 0, 2**32 - 1], dtype=np.uint64)
         assert 2 * WORD_BLOCK < 3 * len(trials) <= 3 * WORD_BLOCK

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from diversity_lab import PolicyKind, heron_area, load_similarity_matrix, walk_bounds, walks
 from diversity_lab import scheduler
 from diversity_lab.rng import draw_plan, draws, substream
-from diversity_lab.scheduler import _most_diverse, diversity_walks
+from diversity_lab.scheduler import CLOSED_FORM_ROWS, _most_diverse, diversity_walks
 from conftest import make_similarity, seeded_walks, wide_similarity_csv
 from oracles import (
     Periodicity,
@@ -182,6 +182,26 @@ class TestUniformSelection:
             moves[again, step] = moves[again, step - 1]
         starts = rng.integers(count, size=rows)
         walked = scheduler.uniform_walks(starts, moves)
+        assert np.array_equal(walked, closed_form_uniform_walks(starts, moves))
+        assert (walked[:, 1:] != walked[:, :-1]).all()
+
+    @pytest.mark.parametrize("count", [2, 3, 7])
+    @pytest.mark.parametrize(
+        "rows, steps",
+        [(1, 200_000), (CLOSED_FORM_ROWS - 1, 60), (CLOSED_FORM_ROWS, 60), (CLOSED_FORM_ROWS + 5, 60)],
+        ids=["one-long-row", "closed-form-below-the-threshold", "loop-at-the-threshold", "loop-past-it"],
+    )
+    def test_both_sides_of_the_closed_form_threshold(self, rows, steps, count):
+        # fewer than CLOSED_FORM_ROWS rows take the closed form, more the loop over steps; every
+        # other move repeats the one before, so runs of equal moves are long, and N = 2 is all runs
+        rng = np.random.default_rng([rows, count])
+        moves = rng.integers(count - 1, size=(rows, steps))
+        again = rng.random(moves.shape) < 0.5
+        for step in range(1, steps):
+            moves[again[:, step], step] = moves[again[:, step], step - 1]
+        starts = rng.integers(count, size=rows)
+        walked = scheduler.uniform_walks(starts, moves.astype(float))
+        assert walked.flags.f_contiguous and walked.dtype == np.intp
         assert np.array_equal(walked, closed_form_uniform_walks(starts, moves))
         assert (walked[:, 1:] != walked[:, :-1]).all()
 

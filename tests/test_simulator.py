@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -235,6 +238,21 @@ class TestRunMcStudy:
         config = McConfig(trials=5, intervals=20, policy_kinds=(PolicyKind.DIVERSITY,))
         assert list(run_mc_study(config, five_platform_sim)) == ["diversity"]
 
+    def test_memory_bounded_by_one_chunk(self, five_platform_sim):
+        # 80 trials of WORD_CELLS // 4 intervals are 20 chunks of 4 trials; each chunk's matrices
+        # are reduced as they are built, so the peak is one chunk's, not the 7.5 MiB that the
+        # three policies' 80 × 32,768 matrices would hold
+        config = McConfig(trials=80, intervals=WORD_CELLS // 4, master_seed=4)
+        run_mc_study(McConfig(trials=1, intervals=config.intervals), five_platform_sim)  # cached constants
+        tracemalloc.start()
+        try:
+            study = run_mc_study(config, five_platform_sim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [metrics.trials for metrics in study.values()] == [80] * 3
+        assert peak < 64 * WORD_CELLS
+
     def test_study_invariants(self, default_study):
         for metrics in default_study.values():
             assert (metrics.compromised_fraction <= metrics.vulnerable_fraction).all()
@@ -352,8 +370,8 @@ class TestStudyMatchesPerStepReference:
         ids=["four-streams", "three-streams"],
     )
     def test_one_trial_past_the_derivation_block(self, five_platform_sim, kinds):
-        # each stream's run of key rows crosses a seed block edge, the last trial of the
-        # first run alone past the first block
+        # each stream's run of key rows is one row past WORD_BLOCK, so every run steps one
+        # lane at a time, and all the runs are seeded in one pass
         config = McConfig(
             trials=WORD_BLOCK + 1, intervals=6, policy_kinds=kinds, master_seed=2**64
         )
@@ -362,25 +380,26 @@ class TestStudyMatchesPerStepReference:
 
 class TestOneDerivationPerStream:
     """A chunk of trials derives every stream (the labeling, the diversity starts, the uniform
-    moves and the random-k subsets) in one ``rng._word_pieces`` pass, which seeds the key rows
-    ``WORD_BLOCK`` at a time, whatever the streams' runs."""
+    moves and the random-k subsets) in one ``rng._word_pieces`` pass, which seeds all its key
+    rows in one ``rng._generate_state`` call, whatever the streams' runs."""
 
     @pytest.fixture
     def derived(self, monkeypatch):
         # per pass: the stream ids of its key rows, in row order, each once, and the rows of each seeding
         calls = []
-        word_pieces, seed_states = rng._word_pieces, rng._seed_states
+        word_pieces, generate_state = rng._word_pieces, rng._generate_state
 
         def pieces(seed, key, counts):
             calls.append((tuple(dict.fromkeys(np.ravel(key[1]).tolist())), []))
             return word_pieces(seed, key, counts)
 
         def seeded(entropy):
-            calls[-1][1].append(entropy.shape[1])
-            return seed_states(entropy)
+            state = generate_state(entropy)
+            calls[-1][1].append(math.prod(state.shape[1:]))
+            return state
 
         monkeypatch.setattr(rng, "_word_pieces", pieces)
-        monkeypatch.setattr(rng, "_seed_states", seeded)
+        monkeypatch.setattr(rng, "_generate_state", seeded)
         return calls
 
     @pytest.mark.parametrize(
@@ -396,19 +415,19 @@ class TestOneDerivationPerStream:
         assert derived == calls
 
     def test_short_study_seeds_full_blocks(self, five_platform_sim, derived):
-        # the 12,000 key rows of 3,000 eight-interval trials take three seedings, not one per stream
+        # the 12,000 key rows of 3,000 eight-interval trials, nearly three WORD_BLOCKs, take one seeding
         run_mc_study(McConfig(trials=3000, intervals=8), five_platform_sim)
-        assert derived == [((0, 1, 2, 3), [WORD_BLOCK, WORD_BLOCK, 12000 - 2 * WORD_BLOCK])]
+        assert 2 * WORD_BLOCK < 12000 and derived == [((0, 1, 2, 3), [12000])]
 
     @pytest.mark.parametrize(
         "kinds, trials, calls",
         [
             (DEFAULT_POLICY_KINDS, WORD_BLOCK // 4, [((0, 1, 2, 3), [WORD_BLOCK])]),
-            (DEFAULT_POLICY_KINDS, WORD_BLOCK // 4 + 1, [((0, 1, 2, 3), [WORD_BLOCK, 4])]),
+            (DEFAULT_POLICY_KINDS, WORD_BLOCK // 4 + 1, [((0, 1, 2, 3), [WORD_BLOCK + 4])]),
             ((PolicyKind.UNIFORM, PolicyKind.RANDOM_K), WORD_BLOCK // 3, [((0, 2, 3), [WORD_BLOCK - 1])]),
-            ((PolicyKind.UNIFORM, PolicyKind.RANDOM_K), WORD_BLOCK // 3 + 1, [((0, 2, 3), [WORD_BLOCK, 2])]),
+            ((PolicyKind.UNIFORM, PolicyKind.RANDOM_K), WORD_BLOCK // 3 + 1, [((0, 2, 3), [WORD_BLOCK + 2])]),
             ((PolicyKind.UNIFORM,), WORD_BLOCK // 2, [((0, 2), [WORD_BLOCK])]),
-            ((PolicyKind.UNIFORM,), WORD_BLOCK // 2 + 1, [((0, 2), [WORD_BLOCK, 2])]),
+            ((PolicyKind.UNIFORM,), WORD_BLOCK // 2 + 1, [((0, 2), [WORD_BLOCK + 2])]),
         ],
         ids=[
             "four-streams-fill-a-block",
@@ -420,7 +439,7 @@ class TestOneDerivationPerStream:
         ],
     )
     def test_joint_derivation_up_to_one_seed_block(self, five_platform_sim, derived, kinds, trials, calls):
-        # trials × streams at most WORD_BLOCK take one seeding; one more trial takes a second
+        # trials × streams up to WORD_BLOCK and one trial past it both take one seeding
         config = McConfig(trials=trials, intervals=5, policy_kinds=kinds, master_seed=2**32)
         TestStudyMatchesPerStepReference.assert_matches(config, five_platform_sim)
         assert derived == calls
