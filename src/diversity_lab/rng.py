@@ -60,8 +60,9 @@ import numpy as np
 #: Cells (rows × words) that one array operation of ``_word_pieces`` stepping
 #: and of ``draws``' decoding covers at most, unless a run has more key rows.
 WORD_BLOCK = 4096
-#: Cells (rows × words) of one plan that one ``draws`` call of either engine
-#: derives at most: it bounds the memory of the words whatever the trial or sample count.
+#: Cells (rows × words) of one plan that one ``draws`` call of ``run_mc_study``
+#: derives at most, and half of a scenario pass (``scenario.PASS_CELLS``): they
+#: bound the memory of the words whatever the trial or sample count.
 WORD_CELLS = 1 << 17
 
 _MASK32 = 0xFFFFFFFF
@@ -97,8 +98,8 @@ def _word_pieces(master_seed: int, key: tuple, counts: Sequence[int]) -> Iterato
 
     The call holds 32 bytes per key row, its seeded state and increment,
     and 4 per key part and row until the last piece is stepped, and about
-    60 per key row while it hashes; the callers' ``WORD_CELLS`` chunks
-    bound the rows of one call.
+    60 per key row while it hashes; the callers' chunks (``WORD_CELLS``,
+    ``scenario.PASS_CELLS``) bound the rows of one call.
     """
     seed_words, parts = _key_parts(master_seed, key)
     shape = np.broadcast_shapes((1,), *(part.shape for part in parts))
@@ -342,7 +343,7 @@ def draw_plan(bounds) -> DrawPlan:
     return DrawPlan(bounds, word, half, int(np.count_nonzero(fresh)))
 
 
-def draws(plans: Sequence[DrawPlan], master_seed: int, *key) -> list[np.ndarray]:
+def draws(plans: Sequence[DrawPlan], master_seed: int, *key, out: np.ndarray | None = None) -> list[np.ndarray]:
     """The draws of each plan on its key rows' streams, exactly as ``Generator`` gives them.
 
     The key parts are integers or arrays of integers in ``[0, 2**32)``;
@@ -350,7 +351,10 @@ def draws(plans: Sequence[DrawPlan], master_seed: int, *key) -> list[np.ndarray]
     into one equal run per plan, so ``draws(plans, s, trials, ids[:, None])``
     draws ``plans[i]`` on the streams ``(s, trial, ids[i])``. Returns one
     array per plan: row i holds draw i of every key row of its run; an
-    ``integers`` draw is an integral double.
+    ``integers`` draw is an integral double. With ``out``, a zeroed
+    (draws, key rows) array for plans of that many draws, each plan is
+    decoded straight into its run's block of columns, and the arrays
+    returned are those blocks.
 
     Each row derives only its own plan's words, and each plan's
     ``_word_pieces`` piece is decoded into its array as it comes. ``random()`` of a
@@ -364,7 +368,12 @@ def draws(plans: Sequence[DrawPlan], master_seed: int, *key) -> list[np.ndarray]
     per, rest = divmod(rows, len(plans))
     if rest:
         raise ValueError(f"{rows} key rows do not split into {len(plans)} equal runs")
-    values = [np.zeros((len(plan.bounds), per)) for plan in plans]
+    if out is None:
+        values = [np.zeros((len(plan.bounds), per)) for plan in plans]
+    elif out.shape != (len(plans[0].bounds), rows) or any(len(plan.bounds) != len(out) for plan in plans):
+        raise ValueError(f"out of shape {out.shape} does not hold {len(plans)} plans of {rows} key rows")
+    else:
+        values = [out[:, run * per : (run + 1) * per] for run in range(len(plans))]
     pieces = _word_pieces(master_seed, key, [plan.words for plan in plans])
     for plan, run, (raw, keys) in zip(plans, values, pieces):
         _decode(plan, raw, master_seed, keys, run)
@@ -391,6 +400,8 @@ def _decode(plan: DrawPlan, raw: np.ndarray, master_seed: int, keys: np.ndarray,
         half = halves[plan.word[at], :, plan.half[at]].astype(np.uint64)
         values[at], redrawn = _bounded32(half, moduli[at])
         redraw |= redrawn.any(axis=0)
+    if not redraw.any():
+        return
     bounds = plan.bounds.tolist()
     for row in np.flatnonzero(redraw).tolist():
         replay = substream(master_seed, *keys[row].tolist())

@@ -9,24 +9,29 @@ for at least T contiguous seconds within the trial duration. Simulation
 is event-driven (migrations and exploit arrivals), not tick-based.
 
 ``run_scenario_study`` gets the draws of many samples at once from
-``rng.draws`` and evaluates them in one stay-major pass:
-``scheduler.uniform_walks``, the no-repeat walk of the Monte Carlo
-study, gives the platforms, and one loop over the stays scans the
+``rng.draws`` and evaluates them in one stay-major pass. Every N > 1
+plans the same stays, so a pass takes the samples of several N: one
+``draws`` call decodes each N's plan straight into its columns of one
+array, ``scheduler.uniform_walks``, the no-repeat walk of the Monte
+Carlo study, gives the platforms, and one loop over the stays scans the
 control runs of every sample at once. A stay's exploit time is one cell
 of a table with a row per class of platforms that the same exploits
-reach. ``tests/oracles.py`` keeps a scalar simulation of one sample on
-its stream, which every result equals.
+reach; the classes do not depend on N, so the sweep builds them once.
+A pass holds at most ``PASS_CELLS`` cells, whatever the number of N.
+``tests/oracles.py`` keeps a scalar simulation of one sample on its
+stream, which every result equals.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import check_platform_count, is_int, is_number, is_number_list, list_of, manifest_value
-from .rng import WORD_CELLS, draw_plan, draws
+from .rng import WORD_CELLS, DrawPlan, draw_plan, draws
 from .scheduler import uniform_walks
 
 
@@ -60,9 +65,16 @@ DEFAULT_EXPLOITS = (
 )
 
 
+#: Cells (samples × the larger of their plan's words and their exploit table's rows)
+#: of one pass, across all its N values: every sample of as many N as fit, or as many
+#: samples of one N. A pass holds at most 48 B a cell, 12 MiB, beside its N's plans
+#: (24 B a draw each); the default sweep's 3 × 1,000 samples of 67 words take one pass
+#: of 3.5 MiB. A constant, not an option: it sets cost and memory, not results.
+PASS_CELLS = 2 * WORD_CELLS
 #: Stays a sample may need: a study whose ``duration / delay[0]`` exceeds it
 #: with N > 1 is refused. At the bound, the words of 3 samples at N = 3 with two
-#: drawn arrivals still fit in one ``WORD_CELLS`` chunk; narrower chunks scan slowly.
+#: drawn arrivals still fit in ``WORD_CELLS``, so a pass holds at least 3 samples,
+#: or every sample of the sweep if fewer; narrower passes scan slowly.
 MAX_STAYS = 29_000
 #: Samples per N: each holds about 16 B of arrays through the sweep, 1.6 GB at the cap.
 MAX_SAMPLES = 100_000_000
@@ -223,18 +235,16 @@ def _control_runs(
     return best, exact
 
 
-def _runs(config: ScenarioConfig, n: int) -> np.ndarray:
-    """The longest control run of each sample at N = ``n``.
+def _exploit_classes(config: ScenarioConfig) -> tuple[int, list[tuple[float, np.ndarray]], np.ndarray]:
+    """The drawn arrivals per sample, the classes of platforms, and each platform's class.
 
-    A sample draws the random arrivals, the start and then each stay's
-    dwell and move. It plans ``_stays`` stays; a sample whose drawn stays
-    end before ``duration`` is derived again, with the ``duration / lo + 2``
-    stays that every sample reaches. The platforms below ``n`` that the
-    same exploit platform sets reach form a class: its fixed arrivals fold
-    to their earliest once, and it takes one row of each sample's exploit
-    table, where its drawn arrivals fold per chunk.
+    The platforms below the sweep's largest N that the same exploit
+    platform sets reach form a class: its fixed arrivals fold to their
+    earliest once, and it takes one row of each sample's exploit table,
+    where its drawn arrivals fold per pass. A platform's class does not
+    depend on N, and a walk over n platforms never reaches platform n, so
+    one row map serves every N of the sweep.
     """
-    duration, (lo, hi) = float(config.duration), config.delay
     # exploits that share a platform set act as one: the earliest fixed arrival, and the drawn ones
     earliest, draws_of, drawn = {}, {}, 0
     for spec in config.exploits:
@@ -243,7 +253,7 @@ def _runs(config: ScenarioConfig, n: int) -> np.ndarray:
             drawn += 1
         else:
             earliest[spec.platforms] = min(earliest.get(spec.platforms, math.inf), spec.arrival)
-    reached = {}
+    reached, n = {}, max(config.n_values)
     for platforms in {**earliest, **draws_of}:
         for p in platforms:
             if p < n:
@@ -257,33 +267,83 @@ def _runs(config: ScenarioConfig, n: int) -> np.ndarray:
         fixed = min((earliest.get(platforms, math.inf) for platforms in sets), default=math.inf)
         exploits = [i for platforms in sets for i in draws_of.get(platforms, [])]
         classes.append((fixed, np.array(exploits, dtype=np.intp)))
-    if n == 1:  # nothing is drawn after the start
-        planned = bound = 0
-    else:
-        bound = int(duration / lo) + 2
-        planned = min(_stays(duration, config.delay), bound)
-    runs, short = np.empty(config.samples), np.arange(config.samples)
-    for stays in (planned, bound):
-        plan = draw_plan([0] * drawn + [n] + [0, n - 1] * stays)
-        per = max(1, WORD_CELLS // max(plan.words, len(classes)))
-        ended = []
-        for first in range(0, len(short), per):
-            rows = short[first : first + per]
-            (values,) = draws([plan], config.master_seed, n, rows)
+    return drawn, classes, row
+
+
+def _passes(
+    config: ScenarioConfig, exploits: tuple, ns: list[int], samples: np.ndarray, stays: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Each N of ``ns`` with the longest control run of each of ``samples``, and the samples
+    whose ``stays`` drawn stays end before ``duration``, one group of N at a time.
+
+    Every N plans ``stays`` stays, so the plans have one length; N = 1
+    plans none and takes one stay, the whole trial. A pass derives and
+    scans up to ``PASS_CELLS`` cells of the (N, sample) grid: one
+    ``draws`` call that decodes every N's plan straight into its columns
+    of one array, one exploit table, and one ``_control_runs`` scan of
+    all its columns. Each N's run of a ``draws`` call has a cost of its
+    own, so a pass takes as many samples of one N as fit, then as many N
+    as that leaves room for: a group. A group of several N takes one pass
+    and one N may take several; a group's runs are held until it is done.
+    """
+    drawn, classes, row = exploits
+    duration, (lo, hi) = float(config.duration), config.delay
+
+    def plan(n: int) -> DrawPlan:
+        return draw_plan([0] * drawn + [n] + [0, n - 1] * stays)
+
+    # a plan holds 24 B per draw, so only a group's plans are held
+    columns = max(1, PASS_CELLS // max(max(plan(n).words for n in ns), len(classes)))
+    per = min(len(samples), columns)
+    size = min(len(ns), columns // per)
+    for at in range(0, len(ns), size):
+        group = ns[at : at + size]
+        plans, keys = [plan(n) for n in group], np.array(group)[:, None]
+        runs, exact = np.empty((len(group), len(samples))), np.empty((len(group), len(samples)), dtype=bool)
+        for first in range(0, len(samples), per):
+            rows = samples[first : first + per]
+            values = np.zeros((len(plans[0].bounds), len(group) * len(rows)))
+            draws(plans, config.master_seed, keys, rows, out=values)
             arrivals, start = values[:drawn], values[drawn]
             arrivals *= duration
             dwells, moves = values[drawn + 1 :: 2], values[drawn + 2 :: 2]
             dwells *= hi - lo
             dwells += lo
-            if n == 1:  # one stay, the whole trial
-                dwells = np.full((1, len(rows)), duration)
+            if not stays:  # N = 1: one stay, the whole trial
+                dwells = np.full((1, values.shape[1]), duration)
             table = _exploit_table(arrivals, classes)
-            runs[rows], exact = _control_runs(start, dwells, moves, table, row, duration)
-            ended.append(rows[~exact])
-        short = np.concatenate(ended)
-        if not short.size:
-            return runs
-    raise RuntimeError(f"{short.size} samples at N={n} end before {duration} s after {bound} stays")
+            best, ended = _control_runs(start, dwells, moves, table, row, duration)
+            runs[:, first : first + per] = best.reshape(len(group), -1)
+            exact[:, first : first + per] = ended.reshape(len(group), -1)
+        for n, sweep, ended in zip(group, runs, exact):
+            yield n, sweep, samples[~ended]
+
+
+def _runs(config: ScenarioConfig) -> Iterator[tuple[int, np.ndarray]]:
+    """Each distinct N of the sweep with the longest control run of each sample.
+
+    A sample draws the random arrivals, the start and then each stay's
+    dwell and move. Every N > 1 plans ``_stays`` stays, so their samples
+    are derived and scanned together in ``_passes``; a sample whose drawn
+    stays end before ``duration`` is derived again, one N at a time, with
+    the ``duration / lo + 2`` stays that every sample reaches.
+    """
+    exploits, samples = _exploit_classes(config), np.arange(config.samples)
+    if 1 in config.n_values:
+        ((n, runs, _),) = _passes(config, exploits, [1], samples, 0)
+        yield n, runs
+    ns = [n for n in dict.fromkeys(config.n_values) if n > 1]
+    if not ns:
+        return
+    duration = float(config.duration)
+    bound = int(duration / config.delay[0]) + 2
+    for n, runs, short in _passes(config, exploits, ns, samples, min(_stays(duration, config.delay), bound)):
+        if short.size:
+            ((_, again, still),) = _passes(config, exploits, [n], short, bound)
+            if still.size:
+                raise RuntimeError(f"{still.size} samples at N={n} end before {duration} s after {bound} stays")
+            runs[short] = again
+        yield n, runs
 
 
 def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
@@ -298,16 +358,18 @@ def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
     Each result equals the scalar simulation in ``tests/oracles.py`` on
     the sample's stream. Each sample plans the draws of ``_stays`` stays,
     as many as the delay distribution calls for with ``STAY_MARGIN``
-    standard deviations to spare. The samples of one N come in chunks of
-    up to ``WORD_CELLS`` cells, one ``rng.draws`` call each; a sample's
-    cells are the larger of its words and its exploit table rows, one per
-    class of platforms that the same exploits reach. A chunk is evaluated
-    in one stay-major pass: ``uniform_walks`` gives the platforms, and one
+    standard deviations to spare, whatever its N > 1. The (N, sample)
+    grid comes in passes of up to ``PASS_CELLS`` cells: every sample of
+    as many N as fit, or as many samples of one N. A sample's cells are
+    the larger of its words and its exploit table rows, one per class of
+    platforms that the same exploits reach. A pass is one ``rng.draws``
+    call, which decodes each N's draws into its columns of one array, and
+    one stay-major scan: ``uniform_walks`` gives the platforms, and one
     loop over the stays scans all its samples' control runs at once, up to
     the stay by which every sample has ended. A sample whose drawn stays
     end before ``duration`` is derived and scanned again, once, with every
-    stay it can need. The T sweep sorts each N's runs once and counts the
-    hits of every goal with one ``searchsorted``.
+    stay it can need. The T sweep sorts each N's runs once its pass is
+    done and counts the hits of every goal with one ``searchsorted``.
     """
     ratio = float(config.duration) / config.delay[0]
     if ratio > MAX_STAYS and max(config.n_values) > 1:
@@ -315,13 +377,15 @@ def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
             f"trial duration {config.duration} over the shortest delay {config.delay[0]} "
             f"asks for more than {MAX_STAYS} stays per sample"
         )
-    results: list[GridPoint] = []
     goals = np.asarray(config.t_values, dtype=float)
-    for n in config.n_values:
-        runs = np.sort(_runs(config, n))
+    hits = {}
+    for n, runs in _runs(config):
+        runs.sort()
         # the runs below a goal miss it
-        hits = config.samples - np.searchsorted(runs, goals)
-        for t, hit in zip(config.t_values, hits.tolist()):
+        hits[n] = (config.samples - np.searchsorted(runs, goals)).tolist()
+    results: list[GridPoint] = []
+    for n in config.n_values:
+        for t, hit in zip(config.t_values, hits[n]):
             results.append(GridPoint(n=n, t=t, success_fraction=hit / config.samples, samples=config.samples))
     return results
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diversity_lab import ExploitSpec, McConfig, PolicyKind, ScenarioConfig, SimilarityMatrix, run_mc_study
-from diversity_lab import run_scenario_study
+from diversity_lab import run_scenario_study, scenario
 from diversity_lab.rng import WORD_CELLS
 from diversity_lab.scenario import _runs
 
@@ -156,8 +156,9 @@ class TestTimeScaling:
             delay=(lo * scale, hi * scale),
             exploits=tuple(dataclasses.replace(e, arrival=e.arrival and e.arrival * scale) for e in base.exploits),
         )
+        scaled_runs, base_runs = dict(_runs(scaled)), dict(_runs(base))
         for n in n_values:
-            assert np.array_equal(_runs(scaled, n), _runs(base, n) * scale)
+            assert np.array_equal(scaled_runs[n], base_runs[n] * scale)
         fractions = [point.success_fraction for point in run_scenario_study(base)]
         assert [point.success_fraction for point in run_scenario_study(scaled)] == fractions
 
@@ -184,10 +185,56 @@ class TestFixedExploitMonotonicity:
             master_seed=seed,
         )
         more = dataclasses.replace(base, exploits=base.exploits + (ExploitSpec(extra, arrival),))
-        assert (_runs(more, n) >= _runs(base, n)).all()
+        assert (dict(_runs(more))[n] >= dict(_runs(base))[n]).all()
 
     def test_default_sweep_with_a_fixed_exploit(self):
         base = ScenarioConfig(t_values=(10.0,), n_values=(5,), samples=3000)
         more = dataclasses.replace(base, exploits=base.exploits + (ExploitSpec(frozenset({3}), 0.0),))
-        before, after = _runs(base, 5), _runs(more, 5)
+        before, after = dict(_runs(base))[5], dict(_runs(more))[5]
         assert (after >= before).all() and (after > before).any()
+
+
+class TestSweepIndependence:
+    """Each N's grid rows in a sweep equal the sweep of that N alone.
+
+    A sample's stream is keyed by (seed, N, sample), and a platform's class
+    of exploits does not depend on N, so passes that derive and scan the
+    samples of several N at once leave each N what it gets alone: its own
+    streams, the table rows of its own platforms, and its own reruns when
+    the planned stays fall short. Exploits may reach platforms at or past
+    some N, which that N never visits.
+    """
+
+    @given(
+        SEEDS,
+        st.lists(st.sampled_from([1, 2, 3, 5, 8]), min_size=1, max_size=5, unique=True),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_each_n_equals_its_own_sweep(self, seed, n_values, short, data):
+        specs = data.draw(exploits(max(n_values)), label="exploits")
+        config = ScenarioConfig(
+            t_values=tuple(np.linspace(0.0, 900.0, 181).tolist()),
+            n_values=tuple(n_values),
+            samples=60,
+            exploits=tuple(ExploitSpec(p, None if a is None else a * 900.0) for p, a in specs),
+            master_seed=seed,
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            if short:
+                # 37 stays cover 740 to 1,110 s: the samples whose dwells sum below 900 s are rerun
+                patch.setattr(scenario, "_stays", lambda duration, delay: 37)
+            grid, runs = run_scenario_study(config), dict(_runs(config))
+            for n in n_values:
+                alone = dataclasses.replace(config, n_values=(n,))
+                assert [point for point in grid if point.n == n] == run_scenario_study(alone)
+                assert runs[n].tobytes() == dict(_runs(alone))[n].tobytes()
+
+    def test_default_sweep_with_exploits_past_the_smallest_n(self):
+        # platforms 3 to 7 are reached by exploits, but only N = 8 visits them
+        specs = (ExploitSpec(frozenset({0, 5})), ExploitSpec(frozenset({3, 7}), 100.0), ExploitSpec(frozenset({1})))
+        config = ScenarioConfig(t_values=(0.0, 30.0, 60.0), n_values=(1, 2, 3, 8), samples=1000, exploits=specs)
+        runs = dict(_runs(config))
+        for n in config.n_values:
+            assert runs[n].tobytes() == dict(_runs(dataclasses.replace(config, n_values=(n,))))[n].tobytes()

@@ -371,6 +371,24 @@ class TestDraws:
         assert joint_replays == replays
         return joint, replays
 
+    def test_out_holds_each_plan_in_its_columns(self, replays):
+        # plans of one length, as a scenario pass draws its N values: each run is decoded straight
+        # into its block of columns; integers(1) takes no word and leaves its zero, and 2**31 + 5
+        # makes NumPy redraw about half its draws
+        plans = [draw_plan(bounds) for bounds in ([0, 2, 0, 1], [0, 3, 0, 2], [0, 2**31 + 5, 0, 2**31 + 4])]
+        ns, samples = np.array([2, 3, 7])[:, None], np.arange(50)
+        out = np.zeros((4, 150))
+        blocks = draws(plans, 5, ns, samples, out=out)
+        assert all(np.shares_memory(block, out) for block in blocks) and replays
+        for run, (plan, n) in enumerate(zip(plans, ns.ravel().tolist())):
+            (single,) = draws([plan], 5, n, samples)
+            assert out[:, run * 50 : (run + 1) * 50].tolist() == single.tolist()
+        for shape in [(3, 150), (5, 150), (4, 149)]:
+            with pytest.raises(ValueError, match="does not hold 3 plans of 150 key rows"):
+                draws(plans, 5, ns, samples, out=np.zeros(shape))
+        with pytest.raises(ValueError, match="does not hold"):
+            draws([plans[0], draw_plan([0, 2])], 5, ns[:2], samples, out=np.zeros((4, 100)))
+
     def test_key_rows_split_evenly_between_plans(self):
         with pytest.raises(ValueError, match="equal runs"):
             draws([draw_plan([3])] * 2, 0, np.arange(3))

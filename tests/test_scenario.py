@@ -425,23 +425,24 @@ class TestStudyEqualsScalarRebuild:
         """The (N, sample) keys that ``scenario.draws`` derives a second time, in call order."""
         seen, again = set(), []
 
-        def counted(plans, master_seed, n, rows):
-            keys = [(n, row) for row in np.asarray(rows).tolist()]
+        def counted(plans, master_seed, ns, rows, **kwargs):
+            # a call's key rows are (N, sample), N-major: one run of the samples per N
+            keys = [(n, row) for n in np.ravel(ns).tolist() for row in np.asarray(rows).tolist()]
             again.extend(key for key in keys if key in seen)
             seen.update(keys)
-            return draws(plans, master_seed, n, rows)
+            return draws(plans, master_seed, ns, rows, **kwargs)
 
         monkeypatch.setattr(scenario, "draws", counted)
         return again
 
     @staticmethod
     def count_word_pieces(monkeypatch):
-        """The N of each ``rng._word_pieces`` pass, one per ``draws`` call, in call order."""
+        """The N values of each ``rng._word_pieces`` pass, one tuple per ``draws`` call, in call order."""
         calls = []
         word_pieces = rng._word_pieces
 
         def counted(seed, key, counts):
-            calls.append(key[0])
+            calls.append(tuple(np.ravel(key[0]).tolist()))
             return word_pieces(seed, key, counts)
 
         monkeypatch.setattr(rng, "_word_pieces", counted)
@@ -498,18 +499,20 @@ class TestStudyEqualsScalarRebuild:
 
     def test_one_sample_past_the_derivation_block(self, rederived, monkeypatch):
         # a sample takes the fewest words at N = 2 (two arrivals, the start and a dwell per
-        # stay; integers(1) takes nothing) and more at larger N, so one sample more than fit
-        # in WORD_CELLS at N = 2 puts the words of every N > 1 in two draws calls,
-        # each decoded in many blocks
-        per_sample = draw_plan([0, 0, 2] + [0, 1] * scenario._stays(900.0, (20.0, 30.0))).words
+        # stay; integers(1) takes nothing) and the most at N > 2, whose plans N = 2 shares, so
+        # one sample more than fit in PASS_CELLS at that width puts each N > 1 in two draws
+        # calls of its own, each decoded in many blocks
+        stays = scenario._stays(900.0, (20.0, 30.0))
+        assert draw_plan([0, 0, 2] + [0, 1] * stays).words < draw_plan([0, 0, 3] + [0, 2] * stays).words
+        per_sample = draw_plan([0, 0, 8] + [0, 7] * stays).words
         calls = self.count_word_pieces(monkeypatch)
         config = ScenarioConfig(
-            t_values=(0.0,), n_values=self.N_VALUES, samples=WORD_CELLS // per_sample + 1,
+            t_values=(0.0,), n_values=self.N_VALUES, samples=scenario.PASS_CELLS // per_sample + 1,
             master_seed=2**32,
         )
         self.assert_matches(config)
         assert rederived == []
-        assert calls == [1] + [n for n in self.N_VALUES[1:] for _ in range(2)]
+        assert calls == [(1,)] + [(n,) for n in self.N_VALUES[1:] for _ in range(2)]
 
     def test_samples_past_a_short_plan_are_rerun(self, rederived, monkeypatch):
         # 37 stays cover 740 to 1,110 s: the samples whose dwells sum below 900 s by then
@@ -521,9 +524,9 @@ class TestStudyEqualsScalarRebuild:
         short = [(n, s) for n in self.N_VALUES[1:] for s in range(60) if stays_needed(config, n, s) > 37]
         assert 0 < len(short) < 4 * 60
         assert rederived == short
-        # one more draws call per N with a short sample
+        # one draws call for every N > 1, then one more per N with a short sample
         short_n = {n for n, _ in short}
-        assert calls == [1] + [n for n in self.N_VALUES[1:] for _ in range(2 if n in short_n else 1)]
+        assert calls == [(1,), self.N_VALUES[1:]] + [(n,) for n in self.N_VALUES[1:] if n in short_n]
 
     @pytest.mark.filterwarnings("error")
     def test_fixed_dwell_overlapping_exploits_and_platforms_beyond_n(self, rederived):
@@ -567,15 +570,15 @@ class TestStudyEqualsScalarRebuild:
     def test_platforms_reached_alike_share_a_table_row(self, rederived, monkeypatch):
         # platform 1, which both exploits reach, the other 2,999 platforms of the fixed arrival,
         # and the platforms reached by none take one row each of each sample's exploit table:
-        # the 60 samples of each N fit one draws call, where a row per platform would need two
+        # the 60 samples of both N fit one draws call, where a row per platform would need two
         calls = self.count_word_pieces(monkeypatch)
         exploits = (ExploitSpec(frozenset(range(3000)), 300.0), ExploitSpec(frozenset({1})))
         config = ScenarioConfig(
             t_values=(0.0,), n_values=(3, 3000), samples=60, exploits=exploits, master_seed=9
         )
-        assert 60 * 3000 > WORD_CELLS
+        assert 2 * 60 * 3000 > scenario.PASS_CELLS
         self.assert_matches(config)
-        assert rederived == [] and calls == [3, 3000]
+        assert rederived == [] and calls == [(3, 3000)]
 
     def test_fixed_arrival_at_the_trial_end(self, rederived):
         # an exploit that arrives exactly at the trial end never gives control; the
@@ -604,7 +607,7 @@ class TestStudyEqualsScalarRebuild:
 
     def test_long_sweep_beyond_eight_thousand_stays(self, rederived):
         # even 30 s dwells need more than 8,192 stays to fill 250,000 s; with about
-        # 10,100 stay slots only 8 samples fit in one chunk of words, yet every stay is
+        # 10,100 stay slots only 17 samples fit in one pass, yet every stay is
         # still decoded and scanned as arrays, with no scalar rerun
         config = ScenarioConfig(
             t_values=(0.0,), n_values=(1, 3), duration=2.5e5, delay=(20.0, 30.0), samples=8,
@@ -622,17 +625,17 @@ class TestStudyEqualsScalarRebuild:
             samples=3, master_seed=4,
         )
         self.assert_matches(config)
-        assert rederived == [] and calls == [3]
+        assert rederived == [] and calls == [(3,)]
 
     def test_sample_wider_than_a_chunk_takes_a_chunk_of_its_own(self, rederived, monkeypatch):
-        # a manifest with more than 131,000 drawn arrivals gives a sample more words than
-        # WORD_CELLS; a chunk still holds one sample, here with the bound lowered to show it:
-        # an N = 1 sample takes 4 cells, and an N = 3 sample about 70
-        monkeypatch.setattr(scenario, "WORD_CELLS", 16)
+        # a manifest with more than 262,000 drawn arrivals gives a sample more words than
+        # PASS_CELLS; a pass still holds one sample, here with the bound lowered to show it:
+        # an N = 1 sample takes 3 cells, and an N = 3 sample about 70
+        monkeypatch.setattr(scenario, "PASS_CELLS", 16)
         calls = self.count_word_pieces(monkeypatch)
         config = ScenarioConfig(t_values=(0.0,), n_values=(1, 3), samples=3, master_seed=2)
         self.assert_matches(config)
-        assert rederived == [] and calls == [1, 3, 3, 3]
+        assert rederived == [] and calls == [(1,), (3,), (3,), (3,)]
 
     def test_exploit_lookup_does_not_grow_with_n(self, rederived):
         # the lookup has one row per class of platforms the same exploits reach; a dense
@@ -647,6 +650,21 @@ class TestStudyEqualsScalarRebuild:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_many_n_sweep_memory_stays_bounded(self, monkeypatch):
+        # a pass holds the 1,000 samples of 3 N values: 11 passes, each within the 48 B a cell
+        # that PASS_CELLS states, where one pass of all 32,000 samples would hold 23 MB of draws
+        calls = self.count_word_pieces(monkeypatch)
+        n_values = tuple(range(2, 34))
+        config = ScenarioConfig(t_values=(10.0,), n_values=n_values, samples=1000, master_seed=5)
+        tracemalloc.start()
+        try:
+            run_scenario_study(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [n_values[at : at + 3] for at in range(0, 32, 3)]
+        assert peak < 48 * scenario.PASS_CELLS
 
     @pytest.mark.parametrize(
         "exploits",
@@ -674,14 +692,14 @@ class TestStudyEqualsScalarRebuild:
     def test_exploit_over_every_platform_takes_one_draws_call(self, monkeypatch):
         # a drawn exploit over all 10,000 platforms and a fixed one over {0, 1} give three
         # classes, so the 300 samples fit one draws call; a table row per platform reached by
-        # a drawn arrival would split them into chunks of 13, in 24 calls
+        # a drawn arrival would split them into passes of 26, in 12 calls
         calls = self.count_word_pieces(monkeypatch)
         exploits = (ExploitSpec(frozenset(range(MAX_PLATFORMS))), ExploitSpec(frozenset({0, 1}), 0.0))
         config = ScenarioConfig(
             t_values=(0.0,), n_values=(MAX_PLATFORMS,), samples=300, exploits=exploits, master_seed=12
         )
-        runs = scenario._runs(config, MAX_PLATFORMS)
-        assert calls == [MAX_PLATFORMS]
+        runs = dict(scenario._runs(config))[MAX_PLATFORMS]
+        assert calls == [(MAX_PLATFORMS,)]
         for sample in (0, 1, 150, 299):
             rng = substream(config.master_seed, MAX_PLATFORMS, sample)
             assert runs[sample] == max_control_run(MAX_PLATFORMS, config.duration, config.delay, exploits, rng)
