@@ -392,9 +392,12 @@ def cmd_scenario(args) -> int:
     outdir = _outdir(args)
     manifest = {"command": "scenario", "version": __version__, **config.to_manifest()}
     _write_json(outdir / "run_manifest.json", manifest)
-    lines = [f"{point.n},{float(point.t)!r},{point.success_fraction!r},{point.samples}" for point in grid]
-    text = "\r\n".join(["N,T_seconds,success_fraction,samples", *lines, ""])
-    (outdir / "success_fraction.csv").write_text(text, encoding="utf-8", newline="")
+    # the bytes csv.writer writes, one block per N: each goal's text is made once, and no N·T list is held
+    goals, tail = [f",{float(t)!r}," for t in config.t_values], f",{config.samples}\r\n"
+    with (outdir / "success_fraction.csv").open("w", encoding="utf-8", newline="") as handle:
+        handle.write("N,T_seconds,success_fraction,samples\r\n")
+        for n, fractions in zip(config.n_values, grid):
+            handle.write("".join([f"{n}{goal}{fraction!r}{tail}" for goal, fraction in zip(goals, fractions.tolist())]))
     print(outdir)
     return EXIT_OK
 

@@ -67,9 +67,9 @@ DEFAULT_EXPLOITS = (
 
 #: Cells (samples × the larger of their plan's words and their exploit table's rows)
 #: of one pass, across all its N values: every sample of as many N as fit, or as many
-#: samples of one N. A pass holds at most 48 B a cell, 12 MiB, beside its N's plans
-#: (24 B a draw each); the default sweep's 3 × 1,000 samples of 67 words take one pass
-#: of 3.5 MiB. A constant, not an option: it sets cost and memory, not results.
+#: samples of one N. A pass holds at most 48 B a cell, 12 MiB, beside its N's plans (8 B
+#: a draw each, and 16 B shared); the default sweep's 3 × 1,000 samples of 67 words take
+#: one pass of 3.5 MiB. A constant, not an option: it sets cost and memory, not results.
 PASS_CELLS = 2 * WORD_CELLS
 #: Stays a sample may need: a study whose ``duration / delay[0]`` exceeds it
 #: with N > 1 is refused. At the bound, the words of 3 samples at N = 3 with two
@@ -157,16 +157,6 @@ class ScenarioConfig:
                 )
             ),
         )
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    """Attacker success fraction for one (N, T) configuration."""
-
-    n: int
-    t: float
-    success_fraction: float
-    samples: int
 
 
 def _exploit_table(drawn: np.ndarray, classes: list[tuple[float, np.ndarray]]) -> np.ndarray:
@@ -289,11 +279,17 @@ def _passes(
     drawn, classes, row = exploits
     duration, (lo, hi) = float(config.duration), config.delay
 
-    def plan(n: int) -> DrawPlan:
-        return draw_plan([0] * drawn + [n] + [0, n - 1] * stays)
+    def bounds(n: int) -> list[int]:
+        return [0] * drawn + [n] + [0, n - 1] * stays
 
-    # a plan holds 24 B per draw, so only a group's plans are held
-    columns = max(1, PASS_CELLS // max(max(plan(n).words for n in ns), len(classes)))
+    # every N >= 3 takes a 32-bit draw at each bound, so their plans share the largest N's words and
+    # halves; N = 2's moves are integers(1), which take none
+    widest = draw_plan(bounds(max(ns)))
+
+    def plan(n: int) -> DrawPlan:
+        return widest._replace(bounds=np.array(bounds(n))) if n > 2 else draw_plan(bounds(n))
+
+    columns = max(1, PASS_CELLS // max(widest.words, len(classes)))
     per = min(len(samples), columns)
     size = min(len(ns), columns // per)
     for at in range(0, len(ns), size):
@@ -346,14 +342,17 @@ def _runs(config: ScenarioConfig) -> Iterator[tuple[int, np.ndarray]]:
         yield n, runs
 
 
-def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
-    """Success fraction per (N, T) grid point.
+def run_scenario_study(config: ScenarioConfig) -> np.ndarray:
+    """The success fraction of every (N, T) configuration: a float64 array, a row per N and a column per T.
 
-    Samples are shared across the T sweep for each N, so the success
-    fraction at T is the fraction of samples whose longest control run
-    reaches T. Sample streams derive from (master seed, N, sample index).
-    A sweep with N > 1 whose samples may need more than ``MAX_STAYS``
-    stays raises ValueError before any sample is drawn.
+    Rows follow ``config.n_values`` and columns ``config.t_values``; a
+    repeated N repeats its row. Samples are shared across the T sweep for
+    each N, so the success fraction at T is the fraction of samples whose
+    longest control run reaches T: hits ÷ ``samples``, both below 2**53,
+    so the double that int ÷ int gives. Sample streams derive from
+    (master seed, N, sample index). A sweep with N > 1 whose samples may
+    need more than ``MAX_STAYS`` stays raises ValueError before any
+    sample is drawn.
 
     Each result equals the scalar simulation in ``tests/oracles.py`` on
     the sample's stream. Each sample plans the draws of ``_stays`` stays,
@@ -381,13 +380,8 @@ def run_scenario_study(config: ScenarioConfig) -> list[GridPoint]:
     hits = {}
     for n, runs in _runs(config):
         runs.sort()
-        # the runs below a goal miss it
-        hits[n] = (config.samples - np.searchsorted(runs, goals)).tolist()
-    results: list[GridPoint] = []
-    for n in config.n_values:
-        for t, hit in zip(config.t_values, hits[n]):
-            results.append(GridPoint(n=n, t=t, success_fraction=hit / config.samples, samples=config.samples))
-    return results
+        hits[n] = config.samples - np.searchsorted(runs, goals)  # the runs below a goal miss it
+    return np.array([hits[n] for n in config.n_values], dtype=float) / config.samples
 
 
 def _stays(duration: float, delay: tuple[float, float]) -> int:

@@ -33,6 +33,7 @@ from diversity_lab.cli import main as cli_main
 from conftest import seeded_walks
 from oracles import (
     closed_form_stationary,
+    enumerate_labelings,
     exact_uniform_mean_compromised_fraction,
     power_iteration_stationary,
     run_length_matrix,
@@ -167,6 +168,30 @@ def test_criterion_07_mean_compromised_fraction(default_study, five_platform_sim
     )
 
 
+def test_criterion_07_with_repeat_figure_lies_outside_the_band(default_study, five_platform_sim):
+    # With repeat, each interval's platform is an independent uniform pick, so from interval k on each
+    # interval is compromised with chance (m/N)^k, the analytic layer's saturating stationary share;
+    # mixed over the fixture's labelings and scaled by the (I - k + 1)/I intervals that can be
+    # compromised, it is the 0.2371 that criterion 07's comment and the README quote.
+    uniform = default_study["uniform"]
+    intervals, k, count = uniform.intervals, uniform.k, len(five_platform_sim.names)
+    labelings = enumerate_labelings(five_platform_sim.scores)
+    mixed = sum(
+        prob * steady_state(MarkovParams(sum(flags), count - sum(flags), RepeatMode.WITH_REPEAT), k)[k]
+        for flags, prob in labelings
+    )
+    direct = sum(prob * (sum(flags) / count) ** k for flags, prob in labelings)
+    assert abs(mixed - direct) <= 1e-12
+    with_repeat = mixed * (intervals - k + 1) / intervals
+    assert round(with_repeat, 4) == 0.2371
+    # criterion 07's band: 4 standard errors of the seed-0 study around the exact no-repeat value
+    samples = uniform.compromised_fraction
+    stderr = float(samples.std(ddof=1)) / math.sqrt(samples.size)
+    exact = exact_uniform_mean_compromised_fraction(five_platform_sim.scores, intervals, k)
+    assert round(exact, 5) == 0.18934
+    assert abs(with_repeat - exact) > 4.0 * stderr
+
+
 def test_criterion_08_diversity_schedule_periodicity(five_platform_sim, tmp_path, capsys):
     dist = five_platform_sim.distances()
     best_triple = max(
@@ -214,7 +239,7 @@ def test_criterion_09_scenario_asymptotics_and_step():
         master_seed=901,
         **base,
     )
-    frac_one = run_scenario_study(one_vulnerable)[0].success_fraction
+    ((frac_one,),) = run_scenario_study(one_vulnerable).tolist()
     # any-platform-vulnerable oracle: the one vulnerable platform is in the
     # rotation, so as soon as a single dwell can contain the goal the
     # attacker eventually wins
@@ -226,7 +251,7 @@ def test_criterion_09_scenario_asymptotics_and_step():
         master_seed=902,
         **base,
     )
-    frac_all = run_scenario_study(all_vulnerable)[0].success_fraction
+    ((frac_all,),) = run_scenario_study(all_vulnerable).tolist()
     window_line = (900.0 - goal) / 900.0
     ok_all = abs(frac_all - window_line) <= 0.05
 
@@ -236,7 +261,7 @@ def test_criterion_09_scenario_asymptotics_and_step():
         master_seed=903,
         **base,
     )
-    fractions = [point.success_fraction for point in run_scenario_study(sweep)]
+    (fractions,) = run_scenario_study(sweep).tolist()
     drops = [a - b for a, b in zip(fractions, fractions[1:])]
     boundary_drop = drops[2]  # T crossing 25 -> 30, one mean migration period
     samples = sweep.samples

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -38,7 +39,7 @@ from diversity_lab.cli import (
     main,
 )
 from diversity_lab.rng import substream
-from diversity_lab.scenario import MAX_STAYS, ExploitSpec, GridPoint
+from diversity_lab.scenario import MAX_STAYS, ExploitSpec, ScenarioConfig
 from diversity_lab.simulator import EmpiricalCdf
 from diversity_lab.scheduler import walks
 from conftest import wide_similarity_csv
@@ -180,6 +181,12 @@ def csv_writer_text(header, rows) -> str:
 
 probabilities = st.lists(st.floats(0.0, 1.0), max_size=30)
 any_floats = st.floats() | st.sampled_from([-0.0, 5e-324, 1e-05, 1e300, 0.1 + 0.2])
+#: attacker goals that a scenario manifest accepts: finite, non-negative floats (-0.0 too) and ints
+manifest_goals = (
+    st.floats(min_value=0.0, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e-05, 1e300, 0.1 + 0.2])
+    | st.integers(0, 10**6)
+)
 
 
 class TestCsvWriters:
@@ -219,23 +226,27 @@ class TestCsvWriters:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
-        st.lists(
-            st.builds(
-                GridPoint,
-                n=st.integers(1, 10_000),
-                t=any_floats | st.integers(0, 10**6),
-                success_fraction=st.floats(0.0, 1.0),
-                samples=st.integers(1, 10**8),
-            ),
-            max_size=30,
-        )
+        st.lists(st.integers(1, 10_000), min_size=1, max_size=6),
+        st.lists(manifest_goals, min_size=1, max_size=30),
+        st.integers(1, 10**8),
+        st.data(),
     )
-    def test_success_fraction_file(self, tmp_path_factory, grid):
+    def test_success_fraction_file(self, tmp_path_factory, n_values, t_values, samples, data):
+        # the grid comes from a patched study, so the manifest's N values, goals and samples need not be run
+        fractions = st.lists(st.floats(0.0, 1.0), min_size=len(t_values), max_size=len(t_values))
+        grid = np.array(data.draw(st.lists(fractions, min_size=len(n_values), max_size=len(n_values))))
         outdir = tmp_path_factory.mktemp("grid")
+        config = ScenarioConfig(t_values=tuple(t_values), n_values=tuple(n_values), samples=samples)
+        manifest = outdir / "manifest.json"
+        manifest.write_text(json.dumps({"command": "scenario", **config.to_manifest()}), encoding="utf-8")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("diversity_lab.scenario.run_scenario_study", lambda config: grid)
-            assert main(["scenario", "--T", "30", "--outdir", str(outdir)]) == 0
-        rows = [[point.n, repr(float(point.t)), repr(point.success_fraction), point.samples] for point in grid]
+            assert main(["scenario", "--from-manifest", str(manifest), "--outdir", str(outdir)]) == 0
+        rows = [
+            [n, repr(float(t)), repr(fraction), samples]
+            for n, row in zip(n_values, grid.tolist())
+            for t, fraction in zip(t_values, row)
+        ]
         expected = csv_writer_text(["N", "T_seconds", "success_fraction", "samples"], rows)
         assert (outdir / "success_fraction.csv").read_bytes() == expected.encode("utf-8")
 
@@ -917,6 +928,24 @@ class TestScenarioCommand:
         assert code == 0
         rows = read_csv_rows(outdir / "success_fraction.csv")
         assert [float(row[2]) for row in rows[1:]] == [0.0]
+
+    def test_sweep_holds_no_object_per_grid_point(self, tmp_path):
+        # 2 N values × 100,000 goals: the grid is 1.6 MB of doubles, and the text of each goal is made once.
+        # Beside them, the writer holds one row's lines (a goal text and a few characters each), that row's
+        # floats, the goals' own floats and the row's joined text, each at most a goal text apiece: so the
+        # bound is the grid plus four times the goal texts, about 27 MiB. An object and a line per (N, T) cell,
+        # all built before the first byte is written, took the peak to 50 MiB.
+        t_values = range(100_000)
+        grid = 2 * len(t_values) * 8
+        texts = sum(sys.getsizeof(f",{float(t)!r},") + 8 for t in t_values)  # each text and its list slot
+        argv = ["scenario", "--N", "1,3", "--T-sweep", "0:99999:1", "--samples", "10", "--outdir", str(tmp_path)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid + 4 * texts
 
     def test_manifest_rerun_is_byte_identical(self, tmp_path):
         outdir = tmp_path / "first"

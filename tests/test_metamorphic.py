@@ -159,8 +159,7 @@ class TestTimeScaling:
         scaled_runs, base_runs = dict(_runs(scaled)), dict(_runs(base))
         for n in n_values:
             assert np.array_equal(scaled_runs[n], base_runs[n] * scale)
-        fractions = [point.success_fraction for point in run_scenario_study(base)]
-        assert [point.success_fraction for point in run_scenario_study(scaled)] == fractions
+        assert run_scenario_study(scaled).tolist() == run_scenario_study(base).tolist()
 
 
 class TestFixedExploitMonotonicity:
@@ -226,9 +225,9 @@ class TestSweepIndependence:
                 # 37 stays cover 740 to 1,110 s: the samples whose dwells sum below 900 s are rerun
                 patch.setattr(scenario, "_stays", lambda duration, delay: 37)
             grid, runs = run_scenario_study(config), dict(_runs(config))
-            for n in n_values:
+            for n, row in zip(n_values, grid.tolist()):
                 alone = dataclasses.replace(config, n_values=(n,))
-                assert [point for point in grid if point.n == n] == run_scenario_study(alone)
+                assert [row] == run_scenario_study(alone).tolist()
                 assert runs[n].tobytes() == dict(_runs(alone))[n].tobytes()
 
     def test_default_sweep_with_exploits_past_the_smallest_n(self):

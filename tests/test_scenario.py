@@ -16,8 +16,8 @@ from oracles import max_control_run
 
 
 def study_fraction(config):
-    grid = run_scenario_study(config)
-    return {(point.n, point.t): point.success_fraction for point in grid}
+    grid = run_scenario_study(config).tolist()
+    return {(n, t): fraction for n, row in zip(config.n_values, grid) for t, fraction in zip(config.t_values, row)}
 
 
 class TestExploitSpec:
@@ -103,16 +103,16 @@ class TestStayBound:
         config = self.huge(n_values=(2,))
         at_bound = replace(config, duration=scenario.MAX_STAYS * 1.0, delay=(1.0, 1.0), samples=1)
         # one-second stays alternate between the exploited platform and the other
-        assert [point.success_fraction for point in run_scenario_study(at_bound)] == [0.0]
+        assert run_scenario_study(at_bound).tolist() == [[0.0]]
         with pytest.raises(ValueError, match="stays per sample"):
             run_scenario_study(replace(at_bound, duration=scenario.MAX_STAYS + 1.0))
 
     def test_single_platform_takes_one_stay(self):
         # with N = 1 the platform never migrates, so any finite duration is one stay
-        assert [point.success_fraction for point in run_scenario_study(self.huge(n_values=(1,)))] == [1.0]
+        assert run_scenario_study(self.huge(n_values=(1,))).tolist() == [[1.0]]
         # even where duration / lo overflows to inf, which the stay plan used to raise OverflowError on
         tiny = self.huge(n_values=(1,), delay=(1e-300, 1e-300))
-        assert [point.success_fraction for point in run_scenario_study(tiny)] == [1.0]
+        assert run_scenario_study(tiny).tolist() == [[1.0]]
 
     def test_chunks_of_fewer_than_three_samples_are_refused(self):
         # about 40,200 planned stays: the words of only two N = 3 samples would fit in WORD_CELLS,
@@ -236,7 +236,7 @@ class TestScenarioStudy:
 
     def test_reproducible(self):
         config = ScenarioConfig(t_values=(25.0,), n_values=(3,), samples=200, master_seed=9)
-        assert run_scenario_study(config) == run_scenario_study(config)
+        assert run_scenario_study(config).tobytes() == run_scenario_study(config).tobytes()
 
 
 class TestDecodedDrawsEqualScalarDraws:
@@ -456,10 +456,9 @@ class TestStudyEqualsScalarRebuild:
         expected = []
         for n in config.n_values:
             ordered = sorted(runs[n])
-            for t in config.t_values:
-                hits = len(ordered) - bisect_left(ordered, t)
-                expected.append(scenario.GridPoint(n, t, hits / config.samples, config.samples))
-        assert run_scenario_study(config) == expected
+            expected.append([(len(ordered) - bisect_left(ordered, t)) / config.samples for t in config.t_values])
+        grid = run_scenario_study(config)
+        assert grid.dtype == np.float64 and grid.tolist() == expected
 
     @pytest.mark.parametrize("seed", range(5))
     def test_default_exploits(self, seed, rederived):
@@ -483,6 +482,25 @@ class TestStudyEqualsScalarRebuild:
         specs = tuple(ExploitSpec(platforms, arrival) for platforms, arrival in exploits)
         config = ScenarioConfig(t_values=(0.0,), n_values=(1, 3, 5), samples=6, exploits=specs, master_seed=seed)
         self.assert_matches(config)
+
+    def test_rows_follow_the_n_values(self):
+        # a row per N of the config, in its order: a repeated N repeats its row
+        config = ScenarioConfig(t_values=(0.0,), n_values=(3, 1, 3, 2, 1), samples=50, master_seed=4)
+        self.assert_matches(config)
+        assert run_scenario_study(replace(config, t_values=(0.0, 30.0))).shape == (5, 2)
+
+    def test_plans_above_two_platforms_share_one_layout(self, monkeypatch):
+        # every N >= 3 reads its draws at the same words and halves, so a pass holds them once
+        plans = []
+
+        def recorded(group, *args, **kwargs):
+            plans.extend(group)
+            return draws(group, *args, **kwargs)
+
+        monkeypatch.setattr(scenario, "draws", recorded)
+        self.assert_matches(ScenarioConfig(t_values=(0.0,), n_values=(2, 40, 3, 1), samples=5, master_seed=6))
+        wide = [plan for plan in plans if plan.bounds.max() > 2]
+        assert len(wide) == 2 and wide[0].word is wide[1].word and wide[0].half is wide[1].half
 
     @pytest.mark.parametrize("seed", [2**32, 2**64])
     def test_multi_word_master_seeds(self, seed, rederived):
